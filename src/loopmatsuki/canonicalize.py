@@ -22,7 +22,7 @@ from .coweight_orbits import (
     classify_eta,
     classify_theta,
 )
-from .errors import InvalidInputError, NotAntiFixedError, PrecisionError
+from .errors import CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError
 from .exact_algebra import (
     birkhoff_factor,
     hermitian_signature,
@@ -39,6 +39,7 @@ from .iwahori_orbits import (
     classes_at_tw,
 )
 from .laurent import (
+    Entry,
     LaurentMatrix,
     SeriesMatrix,
     laurent_log_unipotent,
@@ -136,18 +137,18 @@ def _solve_qi(a: List[List[QI]], b: List[QI]) -> Optional[List[QI]]:
     return x
 
 
+def _certify(holds: bool, what: str) -> None:
+    """Raise CertificateError unless an exact certificate check holds."""
+    if not holds:
+        raise CertificateError(f"certificate failed: {what}")
+
+
 def _block_index(lam: Sequence[int]) -> List[int]:
     idx = [0] * len(lam)
     for b, (start, size, _) in enumerate(blocks_of(lam)):
         for i in range(start, start + size):
             idx[i] = b
     return idx
-
-
-def _elementary(n: int, i: int, j: int) -> LaurentMatrix:
-    m = LaurentMatrix.zeros(n)
-    m.rows[i][j] = {0: QI(1)}
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     big = prec_in + 2 * spread + 2 * max(abs(lam[0]), abs(lam[-1]), 1) + 8
 
     g1, lam2, _, _ = smith_over_dvr(x)
-    assert lam2 == lam
+    _certify(lam2 == lam, "Smith positioning disagrees with the valuation coweight")
 
     def conjugate(cur: SeriesMatrix, h: SeriesMatrix) -> SeriesMatrix:
         return h * cur * gc.apply_theta(h, datum).inverse()
@@ -268,26 +269,22 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         cur = conjugate(cur, h0s)
         h_acc = h0s * h_acc
         g = gform(cur)
-        assert LaurentMatrix.from_scalars(g.constant_matrix()) == ell
+        _certify(LaurentMatrix.from_scalars(g.constant_matrix()) == ell,
+                 "layer-0 conjugation left a unipotent constant term")
 
     # precomputed first-order responses of twisted conjugation at ell
     ell_inv = ell.inverse()
-    left_resp = [[(ell_inv * _elementary(n, i, j) * ell).constant_matrix()
+    left_resp = [[(ell_inv * LaurentMatrix.monomial(n, i, j) * ell).constant_matrix()
                   for j in range(n)] for i in range(n)]
-    right_resp = [[(datum.w1.inverse() * gc.d_theta0(_elementary(n, i, j), datum)
+    right_resp = [[(datum.w1.inverse() * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
                     * datum.w1).constant_matrix() for j in range(n)] for i in range(n)]
 
-    ell_inv_s = _series_of(ell_inv, big)
-    depth = g.precision
-    for k in range(1, depth):
-        red = ell_inv_s * g
-        layer = [[red.coeff(i, j, k) for j in range(n)] for i in range(n)]
-        if all(v.is_zero() for row in layer for v in row):
-            continue
-        # y_(i,j) conjugator coefficients; effect on the t^k layer:
-        # left factor for lam_i >= lam_j, right factor for lam_i <= lam_j
-        unknowns = [(i, j) for i in range(n) for j in range(n)]
-        epsk = QI(datum.epsilon ** k)
+    # y_(i,j) conjugator coefficients; effect on the t^k layer: left factor
+    # for lam_i >= lam_j, right factor for lam_i <= lam_j, the latter signed
+    # by epsilon^k, so the system depends on k only through that sign
+    unknowns = [(i, j) for i in range(n) for j in range(n)]
+
+    def layer_system(epsk: QI) -> List[List[QI]]:
         a_rows = [[QI(0)] * len(unknowns) for _ in range(n * n)]
         for col, (i, j) in enumerate(unknowns):
             if lam[i] >= lam[j]:
@@ -298,14 +295,22 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 for r in range(n):
                     for s in range(n):
                         a_rows[r * n + s][col] = a_rows[r * n + s][col] - epsk * right_resp[i][j][r][s]
+        return a_rows
+
+    systems = {e: layer_system(QI(e)) for e in {1, datum.epsilon}}
+    ell_inv_s = _series_of(ell_inv, big)
+    depth = g.precision
+    red = ell_inv_s * g
+    for k in range(1, depth):
+        layer = [[red.coeff(i, j, k) for j in range(n)] for i in range(n)]
+        if all(v.is_zero() for row in layer for v in row):
+            continue
         rhs = [-layer[r][s] for r in range(n) for s in range(n)]
-        sol = _solve_qi(a_rows, rhs)
+        sol = _solve_qi(systems[datum.epsilon ** k], rhs)
         if sol is None:
             raise NotAntiFixedError(f"layer {k} has no killing conjugator")
-        y = LaurentMatrix.zeros(n)
-        for col, (i, j) in enumerate(unknowns):
-            if not sol[col].is_zero():
-                y.rows[i][j] = {k + max(0, lam[i] - lam[j]): sol[col]}
+        y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
+                            for j in range(n)] for i in range(n)])
         if y.is_zero():
             continue
         h = series_exp(_series_of(y, big))
@@ -313,8 +318,9 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         h_acc = h * h_acc
         g = gform(cur)
         red = ell_inv_s * g
-        for kk in range(1, k + 1):
-            assert all(red.coeff(i, j, kk).is_zero() for i in range(n) for j in range(n))
+        _certify(all(red.coeff(i, j, kk).is_zero()
+                     for kk in range(1, k + 1) for i in range(n) for j in range(n)),
+                 f"layers 1..{k} are not killed")
 
     g0 = ell
     if not _theta_equation_holds(datum, lam, g0):
@@ -328,12 +334,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
             f"residual precision {residual} below the floor {MIN_RESIDUAL_PRECISION}"
         )
     defect = cur - SeriesMatrix.from_laurent(loop_rep, cur.precision)
-    assert all(
-        v.is_zero()
-        for row in defect.retruncate(residual).rows
-        for e in row
-        for v in e.values()
-    )
+    _certify(all(not e for row in defect.retruncate(residual).rows for e in row),
+             f"theta defect is nonzero below the residual precision {residual}")
     orbit_class = _match_spherical_class(datum, lam, g0, "theta")
     return CanonicalForm(
         lam=tuple(lam),
@@ -411,14 +413,14 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     tlam = LaurentMatrix.t_power(lam)
     h = tlam * unipotent_sqrt(u).inverse() * tlam.inverse()
     hv = h.val()
-    assert hv is None or hv >= 0
+    _certify(hv is None or hv >= 0, "eta unipotent conjugator has negative valuation")
     cur = h * cur * gc.apply_eta(h, datum).inverse()
     h_acc = h * h_acc
 
     g0 = ell
     loop_rep = tlam * g0 * datum.w1.inverse()
-    assert cur == loop_rep
-    assert _eta_equation_holds(datum, lam, g0)
+    _certify(cur == loop_rep, "eta reduction does not replay to the representative")
+    _certify(_eta_equation_holds(datum, lam, g0), "eta spherical equation fails for g0")
     orbit_class = _match_spherical_class(datum, lam, g0, "eta")
     return CanonicalForm(
         lam=tuple(lam),
@@ -440,7 +442,8 @@ def _canonicalize_eta_twisted(x: LaurentMatrix, datum: GroupDatum) -> CanonicalF
     loop_rep = form.loop_rep * twist_inv
     g0 = form.g0 * datum.w1.inverse() * twist_inv * datum.w1
     h = form.certificate
-    assert h * x * gc.apply_eta(h, datum).inverse() == loop_rep
+    _certify(h * x * gc.apply_eta(h, datum).inverse() == loop_rep,
+             "twisted eta certificate does not replay")
     classes = classify_eta(datum, form.lam)
     orbit_class = next(c for c in classes if c.label == form.orbit_class.label)
     return CanonicalForm(
@@ -570,8 +573,7 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
                     # a coefficient of order the current dirt would feed
                     # its own square back into this layer
                     continue
-                yb = LaurentMatrix.zeros(n)
-                yb.rows[i0][j0] = {m: QI(1)}
+                yb = LaurentMatrix.monomial(n, i0, j0, m)
                 ad = carrier * yb * carrier_inv
                 av = ad.val()
                 if av is None or av < 0:

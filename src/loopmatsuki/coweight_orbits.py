@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, UnsupportedFamilyError
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, UNITARY, GroupDatum,
@@ -159,7 +159,7 @@ def _sign_power(eps: int, mu: int) -> QI:
 
 def _real_z(z: QI) -> QI:
     if z not in (QI(1), QI(-1)):
-        raise InvalidInputError(
+        raise UnsupportedFamilyError(
             "classification supports central twist z in {1,-1} only")
     return z
 

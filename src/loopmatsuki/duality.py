@@ -144,7 +144,9 @@ def _labels_match(pair: MatchedPair, xt: LaurentMatrix,
     et = iwahori_reduce_eta(tw, g, datum)
     if et.orbit_class.g0_args != pair.eta_class.g0_args:
         return "eta torus class moved"
-    hi = (g.maxdeg() or 0) - (g.val() or 0)
+    # g carries no t^lam, but the reducer inverts t~w * g, whose valuation
+    # min(lam) costs precision in proportion to the coweight spread
+    hi = (g.maxdeg() or 0) - (g.val() or 0) + 2 * (max(tw.lam) - min(tw.lam))
     th = iwahori_reduce_theta(tw, SeriesMatrix.from_laurent(g, hi + 10), datum)
     if th.orbit_class.g0_args != pair.theta_class.g0_args:
         return "theta torus class moved"

@@ -29,3 +29,9 @@ class NotAntiFixedError(LoopMatsukiError):
     """Input loop fails the anti-fixedness requirement gamma*sigma(gamma)=z."""
 
     exit_code = 5
+
+
+class CertificateError(LoopMatsukiError):
+    """A computed result failed the exact check that certifies it."""
+
+    exit_code = 1

@@ -14,18 +14,12 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InvalidInputError, PrecisionError
 from .gaussian import QI, ONE, ZERO
 from .laurent import (
+    ONE_ENTRY,
+    ZERO_ENTRY,
     Entry,
     LaurentMatrix,
     SeriesMatrix,
-    _clean,
-    _eadd,
-    _emul,
-    _eneg,
-    _escale,
-    _etrunc,
-    _eval_shift,
-    _det,
-    _series_reciprocal,
+    det_minor,
     laurent_exp_nilpotent,
     laurent_log_unipotent,
 )
@@ -52,12 +46,12 @@ def valuation_coweight(s: SeriesMatrix) -> List[int]:
         floors: List[int] = []
         for ridx in combinations(range(n), k):
             for cidx in combinations(range(n), k):
-                minor = _det(s.rows, list(ridx), list(cidx))
+                minor = det_minor(s.rows, list(ridx), list(cidx))
                 # a k-fold product of entries known mod t^N with val >= vmat
                 prec = base_prec + (k - 1) * min(vmat, 0)
-                minor = _etrunc(minor, prec)
+                minor = minor.truncate(prec)
                 if minor:
-                    mv = min(minor)
+                    mv = minor.val()
                     best = mv if best is None else min(best, mv)
                 else:
                     floors.append(prec)
@@ -82,9 +76,8 @@ def valuation_coweight(s: SeriesMatrix) -> List[int]:
 
 def _entry_prec_div(e: Entry, pivot: Entry, a: int, prec: int) -> Entry:
     """e / pivot where pivot = t^a * unit; result truncated to prec - a."""
-    unit = _eval_shift(pivot, -a)
-    rec = _series_reciprocal(unit, max(prec - a, 0))
-    return _etrunc(_eval_shift(_emul(e, rec), -a), prec - a)
+    rec = pivot.shift(-a).reciprocal(max(prec - a, 0))
+    return (e * rec).shift(-a).truncate(prec - a)
 
 
 def smith_over_dvr(
@@ -98,10 +91,10 @@ def smith_over_dvr(
     """
     n = s.n
     prec = s.precision
-    a_rows: List[List[Entry]] = [[dict(e) for e in r] for r in s.rows]
+    a_rows: List[List[Entry]] = [list(r) for r in s.rows]
 
-    linv = [[({0: ONE} if i == j else {}) for j in range(n)] for i in range(n)]
-    rinv = [[({0: ONE} if i == j else {}) for j in range(n)] for i in range(n)]
+    linv = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
+    rinv = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
 
     pivots: List[int] = []
     for k in range(n):
@@ -110,8 +103,8 @@ def smith_over_dvr(
         for i in range(k, n):
             for j in range(k, n):
                 e = a_rows[i][j]
-                if e and (piv is None or min(e) < piv[2]):
-                    piv = (i, j, min(e))
+                if e and (piv is None or e.val() < piv[2]):
+                    piv = (i, j, e.val())
         if piv is None:
             raise PrecisionError("matrix singular to recorded precision in Smith positioning")
         i0, j0, a = piv
@@ -130,35 +123,28 @@ def smith_over_dvr(
                 f = _entry_prec_div(a_rows[i][k], pivot, a, prec)
                 # row_i -= f * row_k ; linv col update: col_k += f * col_i
                 for j in range(k, n):
-                    a_rows[i][j] = _etrunc(
-                        _eadd(a_rows[i][j], _eneg(_emul(f, a_rows[k][j]))), prec
-                    )
+                    a_rows[i][j] = (a_rows[i][j] - f * a_rows[k][j]).truncate(prec)
                 for r in range(n):
-                    linv[r][k] = _etrunc(_eadd(linv[r][k], _emul(f, linv[r][i])), prec)
+                    linv[r][k] = (linv[r][k] + f * linv[r][i]).truncate(prec)
         for j in range(k + 1, n):
             if a_rows[k][j]:
                 f = _entry_prec_div(a_rows[k][j], pivot, a, prec)
                 for i in range(k, n):
-                    a_rows[i][j] = _etrunc(
-                        _eadd(a_rows[i][j], _eneg(_emul(a_rows[i][k], f))), prec
-                    )
+                    a_rows[i][j] = (a_rows[i][j] - a_rows[i][k] * f).truncate(prec)
                 for c in range(n):
-                    rinv[k][c] = _etrunc(_eadd(rinv[k][c], _emul(f, rinv[j][c])), prec)
+                    rinv[k][c] = (rinv[k][c] + f * rinv[j][c]).truncate(prec)
         pivots.append(a)
         # normalize the pivot to exactly t^a: fold the unit into linv
-        unit = _eval_shift(pivot, -a)
+        unit = pivot.shift(-a)
+        rec = unit.reciprocal(prec)
         for j in range(k, n):
-            a_rows[k][j] = _etrunc(
-                _eval_shift(_emul(_eval_shift(a_rows[k][j], -a), _series_reciprocal(unit, prec)), a),
-                prec,
-            )
+            a_rows[k][j] = (a_rows[k][j].shift(-a) * rec).shift(a).truncate(prec)
         for r in range(n):
-            linv[r][k] = _etrunc(_emul(linv[r][k], unit), prec)
+            linv[r][k] = (linv[r][k] * unit).truncate(prec)
 
     # sort exponents weakly decreasing with a two-sided permutation
     order = sorted(range(n), key=lambda i: -pivots[i])
     lam = [pivots[i] for i in order]
-    perm = [[({0: ONE} if order[i] == j else {}) for j in range(n)] for i in range(n)]
     # t^lam = P t^pivots P^{-1}; absorb P into both factors
     linv2 = [[linv[r][order[c]] for c in range(n)] for r in range(n)]
     rinv2 = [[rinv[order[r]][c] for c in range(n)] for r in range(n)]
@@ -171,7 +157,6 @@ def smith_over_dvr(
         )
     g1 = SeriesMatrix(linv2, out_prec)
     g2 = SeriesMatrix(rinv2, out_prec)
-    _ = perm
     return g1, lam, g2, out_prec
 
 
@@ -194,11 +179,11 @@ def birkhoff_factor(
         raise InvalidInputError("Birkhoff factorization needs an invertible Laurent loop")
     m = gamma.val()
     assert m is not None
-    p_rows: List[List[Entry]] = [[_eval_shift(e, -m) for e in r] for r in gamma.rows]
+    p_rows: List[List[Entry]] = [[e.shift(-m) for e in r] for r in gamma.rows]
     gplus = LaurentMatrix.identity(n)
 
     def row_deg(i: int) -> int:
-        degs = [max(e) for e in p_rows[i] if e]
+        degs = [e.deg() for e in p_rows[i] if e]
         return max(degs) if degs else -1
 
     while True:
@@ -214,34 +199,30 @@ def birkhoff_factor(
         i0 = max(cand, key=lambda i: degs[i])
         # row_i0 <- sum_j c_j t^{d_i0 - d_j} row_j  (degree of row i0 drops)
         c = null
-        new_row = [dict() for _ in range(n)]
+        new_row = [ZERO_ENTRY] * n
         for j in range(n):
             if c[j].is_zero():
                 continue
             shift = degs[i0] - degs[j]
             for col in range(n):
-                term = _eval_shift(_escale(p_rows[j][col], c[j]), shift)
-                new_row[col] = _eadd(new_row[col], term)
+                new_row[col] = new_row[col] + p_rows[j][col].scale(c[j]).shift(shift)
         # accumulate gplus <- gplus * E^{-1}, E the row operation just applied
-        einv = LaurentMatrix.identity(n)
         ci_inv = c[i0].inv()
-        einv.rows[i0][i0] = {0: ci_inv}
-        for j in range(n):
-            if j != i0 and not c[j].is_zero():
-                einv.rows[i0][j] = _clean({degs[i0] - degs[j]: -(c[j] * ci_inv)})
-        gplus = gplus * einv
-        p_rows[i0] = [_clean(e) for e in new_row]
+        einv_rows = [list(r) for r in LaurentMatrix.identity(n).rows]
+        einv_rows[i0] = [Entry.term(degs[i0] - degs[j], -(c[j] * ci_inv)) for j in range(n)]
+        einv_rows[i0][i0] = Entry.term(0, ci_inv)
+        gplus = gplus * LaurentMatrix(einv_rows)
+        p_rows[i0] = new_row
 
     degs = [row_deg(i) for i in range(n)]
     lam_unsorted = [m + dd for dd in degs]
-    gminus_rows = [[_eval_shift(e, -degs[i]) for e in r] for i, r in enumerate(p_rows)]
+    gminus_rows = [[e.shift(-degs[i]) for e in r] for i, r in enumerate(p_rows)]
 
     # sort lam weakly decreasing: gamma = (gplus P^-1) t^{sorted} (P gminus)
     order = sorted(range(n), key=lambda i: -lam_unsorted[i])
     lam = [lam_unsorted[i] for i in order]
-    perm = LaurentMatrix.zeros(n)
-    for new_i, old_i in enumerate(order):
-        perm.rows[new_i][old_i] = {0: ONE}
+    perm = LaurentMatrix.from_scalars(
+        [[1 if j == old_i else 0 for j in range(n)] for old_i in order])
     gplus = gplus * perm.inverse()
     gminus = perm * LaurentMatrix(gminus_rows)
 
@@ -382,10 +363,7 @@ def conj_transpose(m: LaurentMatrix) -> LaurentMatrix:
     """Adjoint for constant matrices: conjugate transpose."""
     if not m.is_constant():
         raise InvalidInputError("conjugate transpose is defined here for constant matrices")
-    return LaurentMatrix(
-        [[{0: m.rows[j][i][0].conj()} if m.rows[j][i] else {} for j in range(m.n)]
-         for i in range(m.n)]
-    )
+    return m.substitute(ONE, conj=True).transpose()
 
 
 def cayley_unitary(s: LaurentMatrix) -> LaurentMatrix:

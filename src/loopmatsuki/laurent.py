@@ -1,80 +1,373 @@
 """Exact Laurent-polynomial matrices and truncated power-series matrices.
 
-Entries are finite maps ``exponent -> QI``.  ``LaurentMatrix`` is exact;
-``SeriesMatrix`` carries an explicit precision ``N`` meaning the entry
-coefficients are known for all exponents ``< N`` (and are zero below the
-recorded support).  Precision bookkeeping is pessimistic: an operation
-never claims more precision than it can certify, and raises
-``PrecisionError`` rather than guessing.
+A matrix entry is an :class:`Entry`, an element of Q(i)[t, t^-1] stored as
+
+    t^v * sum_k (re[k] + i * im[k]) * t^k / d
+
+with ``re`` and ``im`` integer lists of one length and ``d`` one positive
+common denominator.  Entries are kept in a normal form: the first and last
+terms are nonzero and gcd(d, re, im) = 1, so equal entries have equal
+fields.  ``QI`` (and so ``Fraction``) is built only where a coefficient
+leaves the kernel: ``coeff``, ``constant_matrix`` and the entry's
+read-only mapping view ``exponent -> QI`` that serialization reads.
+
+An entry product whose operand term counts multiply to at most
+``_SCHOOLBOOK_TERMS`` runs an integer schoolbook loop.  Larger products use
+signed Kronecker substitution: each integer list is packed into one big
+int at base 2^s, the Gaussian product takes three big-int products
+(Karatsuba style), and the real and imaginary parts are read back as
+signed base-2^s digits.
+
+``LaurentMatrix`` is exact; ``SeriesMatrix`` carries an explicit precision
+``N`` meaning the entry coefficients are known for all exponents ``< N``
+(and are zero below the recorded support).  Precision bookkeeping is
+pessimistic: an operation never claims more precision than it can
+certify, and raises ``PrecisionError`` rather than guessing.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import ItemsView, KeysView, Mapping, ValuesView
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence
+from math import gcd, lcm
+from typing import List, Sequence
 
 from .errors import InvalidInputError, PrecisionError
-from .gaussian import QI, ZERO, ONE
+from .gaussian import QI, ZERO, ONE, MINUS_ONE
 
-Entry = Dict[int, QI]
-
-# ---------------------------------------------------------------------------
-# entry-level helpers
+# below this product of operand term counts the schoolbook loop beats packing
+_SCHOOLBOOK_TERMS = 24
 
 
-def _clean(e: Entry) -> Entry:
-    return {k: v for k, v in e.items() if not v.is_zero()}
+class Entry:
+    """An element of Q(i)[t, t^-1] in integer normal form (see the module doc).
+
+    Immutable.  Reads like a mapping ``exponent -> QI`` over the nonzero
+    terms; arithmetic is ``+``, ``-``, ``*`` and the methods below.
+    """
+
+    __slots__ = ("_v", "_re", "_im", "_d")
+
+    def __init__(self, v: int, re: List[int], im: List[int], d: int):
+        # raw parts, already in normal form; use Entry.term / Entry.of
+        self._v = v
+        self._re = re
+        self._im = im
+        self._d = d
+
+    # -- constructors -------------------------------------------------------
+    @staticmethod
+    def term(k: int, c: QI | int | Fraction) -> "Entry":
+        """The monomial c * t^k."""
+        r, i, d = _qi_parts(QI.of(c))
+        return _make(int(k), [r], [i], d)
+
+    @staticmethod
+    def of(x) -> "Entry":
+        """An Entry from an Entry or a mapping ``exponent -> QI | int | Fraction``."""
+        if type(x) is Entry:
+            return x
+        if not isinstance(x, Mapping):
+            raise InvalidInputError(f"matrix entry must be a mapping, got {type(x).__name__}")
+        terms = {}
+        for k, c in x.items():
+            q = QI.of(c)
+            if not q.is_zero():
+                terms[int(k)] = _qi_parts(q)
+        if not terms:
+            return ZERO_ENTRY
+        lo, hi = min(terms), max(terms)
+        d = lcm(*(p[2] for p in terms.values()))
+        re = [0] * (hi - lo + 1)
+        im = [0] * (hi - lo + 1)
+        for k, (r, i, dk) in terms.items():
+            re[k - lo] = r * (d // dk)
+            im[k - lo] = i * (d // dk)
+        return _make(lo, re, im, d)
+
+    # -- arithmetic ---------------------------------------------------------
+    def __add__(self, other: "Entry") -> "Entry":
+        if not self._re:
+            return other
+        if not other._re:
+            return self
+        da, db = self._d, other._d
+        if da == db:
+            d = da
+            ar, ai, br, bi = self._re, self._im, other._re, other._im
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            d = da * fa
+            ar = [x * fa for x in self._re]
+            ai = [x * fa for x in self._im]
+            br = [x * fb for x in other._re]
+            bi = [x * fb for x in other._im]
+        va, vb = self._v, other._v
+        v = min(va, vb)
+        size = max(va + len(ar), vb + len(br)) - v
+        re = [0] * size
+        im = [0] * size
+        oa = va - v
+        re[oa:oa + len(ar)] = ar
+        im[oa:oa + len(ai)] = ai
+        for k, (x, y) in enumerate(zip(br, bi), vb - v):
+            re[k] += x
+            im[k] += y
+        return _make(v, re, im, d)
+
+    def __neg__(self) -> "Entry":
+        return Entry(self._v, [-x for x in self._re], [-x for x in self._im], self._d)
+
+    def __sub__(self, other: "Entry") -> "Entry":
+        return self + (-other)
+
+    def __mul__(self, other: "Entry") -> "Entry":
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        m, n = len(ar), len(br)
+        if not m or not n:
+            return ZERO_ENTRY
+        size = m + n - 1
+        if m * n <= _SCHOOLBOOK_TERMS:
+            re = [0] * size
+            im = [0] * size
+            for i, (xr, xi) in enumerate(zip(ar, ai)):
+                for j, (yr, yi) in enumerate(zip(br, bi), i):
+                    re[j] += xr * yr - xi * yi
+                    im[j] += xr * yi + xi * yr
+        else:
+            # every product coefficient is below 2 * min(m, n) * |a| * |b|
+            s = (max(map(abs, ar + ai)).bit_length()
+                 + max(map(abs, br + bi)).bit_length()
+                 + (2 * min(m, n)).bit_length() + 8) & ~7
+            pr, pi = _pack(ar, s), _pack(ai, s)
+            qr, qi = _pack(br, s), _pack(bi, s)
+            rr = pr * qr
+            ii = pi * qi
+            re = _unpack(rr - ii, s, size)
+            im = _unpack((pr + pi) * (qr + qi) - rr - ii, s, size)
+        return _make(self._v + other._v, re, im, self._d * other._d)
+
+    def scale(self, c: QI | int | Fraction) -> "Entry":
+        """c times the entry."""
+        return self * Entry.term(0, c)
+
+    def shift(self, k: int) -> "Entry":
+        """t^k times the entry."""
+        if not self._re or not k:
+            return self
+        return Entry(self._v + k, self._re, self._im, self._d)
+
+    def truncate(self, n: int) -> "Entry":
+        """The terms of exponent below n."""
+        v = self._v
+        if v + len(self._re) <= n:
+            return self
+        if v >= n:
+            return ZERO_ENTRY
+        return _make(v, self._re[:n - v], self._im[:n - v], self._d)
+
+    def val(self) -> int | None:
+        """The least exponent present, or None for zero."""
+        return self._v if self._re else None
+
+    def deg(self) -> int | None:
+        """The largest exponent present, or None for zero."""
+        return self._v + len(self._re) - 1 if self._re else None
+
+    def reciprocal(self, precision: int) -> "Entry":
+        """1/u modulo t^precision for a power series u with a unit constant term.
+
+        Newton iteration x <- x * (2 - u * x) doubles the known terms each step.
+        """
+        if not self._re or self._v != 0:
+            raise InvalidInputError("series reciprocal requires a unit constant term")
+        p, q, d = self._re[0], self._im[0], self._d
+        x = _make(0, [d * p], [-d * q], p * p + q * q)
+        known = 1
+        while known < precision:
+            known = min(2 * known, precision)
+            ux = (self.truncate(known) * x).truncate(known)
+            x = (x * (_TWO - ux)).truncate(known)
+        return x
+
+    # -- read-only mapping view exponent -> QI -------------------------------
+    def coeff(self, k: int) -> QI:
+        """The coefficient of t^k (the shared ZERO when absent)."""
+        i = k - self._v
+        if 0 <= i < len(self._re):
+            r, m = self._re[i], self._im[i]
+            if r or m:
+                return QI(Fraction(r, self._d), Fraction(m, self._d))
+        return ZERO
+
+    def __getitem__(self, k: int) -> QI:
+        c = self.coeff(k)
+        if c is ZERO:
+            raise KeyError(k)
+        return c
+
+    def get(self, k: int, default=None):
+        c = self.coeff(k)
+        return default if c is ZERO else c
+
+    def __iter__(self):
+        v = self._v
+        return (v + i for i, (r, m) in enumerate(zip(self._re, self._im)) if r or m)
+
+    def __len__(self) -> int:
+        """The number of nonzero terms."""
+        return sum(1 for r, m in zip(self._re, self._im) if r or m)
+
+    def __bool__(self) -> bool:
+        return bool(self._re)
+
+    def keys(self):
+        return KeysView(self)
+
+    def items(self):
+        return ItemsView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+    # -- comparison -----------------------------------------------------------
+    def __eq__(self, other) -> bool:
+        if type(other) is not Entry:
+            if not isinstance(other, Mapping):
+                return NotImplemented
+            other = Entry.of(other)
+        return (self._v == other._v and self._d == other._d
+                and self._re == other._re and self._im == other._im)
+
+    def __hash__(self):
+        return hash((self._v, self._d, tuple(self._re), tuple(self._im)))
+
+    def __repr__(self):
+        return f"Entry({dict(self.items())!r})"
 
 
-def _eadd(a: Entry, b: Entry) -> Entry:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        out[k] = v if w is None else w + v
-    return _clean(out)
+Mapping.register(Entry)
 
 
-def _eneg(a: Entry) -> Entry:
-    return {k: -v for k, v in a.items()}
+def _make(v: int, re: List[int], im: List[int], d: int) -> Entry:
+    """Normal form of t^v * (re + i*im) / d, d > 0: trim zero terms, reduce the content."""
+    n = len(re)
+    lo = 0
+    while lo < n and not re[lo] and not im[lo]:
+        lo += 1
+    if lo == n:
+        return ZERO_ENTRY
+    hi = n
+    while not re[hi - 1] and not im[hi - 1]:
+        hi -= 1
+    if lo or hi < n:
+        re = re[lo:hi]
+        im = im[lo:hi]
+        v += lo
+    if d != 1:
+        g = gcd(d, *re, *im)
+        if g != 1:
+            re = [x // g for x in re]
+            im = [x // g for x in im]
+            d //= g
+    return Entry(v, re, im, d)
 
 
-def _emul(a: Entry, b: Entry) -> Entry:
-    out: Entry = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            w = out.get(k)
-            p = va * vb
-            out[k] = p if w is None else w + p
-    return _clean(out)
+def _qi_parts(c: QI) -> tuple:
+    """(re, im, d) integers with c = (re + i*im) / d, d > 0."""
+    a, b = c.re, c.im
+    d = lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
 
 
-def _escale(a: Entry, c: QI) -> Entry:
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in a.items()}
+def _pack(cs: List[int], s: int) -> int:
+    """The integer polynomial cs evaluated at 2^s."""
+    x = 0
+    for c in reversed(cs):
+        x = (x << s) + c
+    return x
 
 
-def _eval_shift(a: Entry, shift: int) -> Entry:
-    return {k + shift: v for k, v in a.items()}
+def _unpack(x: int, s: int, size: int) -> List[int]:
+    """The size signed base-2^s digits of x, low first; each below 2^(s-1) in size.
+
+    Adding 2^(s-1) to every digit makes them all nonnegative, so the digits
+    are plain byte slices of the biased integer.
+    """
+    nb = s // 8
+    half = 1 << (s - 1)
+    bias = int.from_bytes((b"\x00" * (nb - 1) + b"\x80") * size, "little")
+    buf = (x + bias).to_bytes(nb * size, "little")
+    return [int.from_bytes(buf[k:k + nb], "little") - half
+            for k in range(0, nb * size, nb)]
 
 
-def _etrunc(a: Entry, n: int) -> Entry:
-    return {k: v for k, v in a.items() if k < n}
-
-
-def _eval_min(a: Entry) -> int | None:
-    return min(a) if a else None
+ZERO_ENTRY = Entry(0, [], [], 1)
+ONE_ENTRY = Entry(0, [1], [0], 1)
+_TWO = Entry(0, [2], [0], 1)
 
 
 def _subst(a: Entry, unit: QI, invert: bool, conj: bool) -> Entry:
     """t -> unit * t^{+-1}, optionally conjugating the coefficients."""
-    out: Entry = {}
-    for k, v in a.items():
-        c = v.conj() if conj else v
-        out[-k if invert else k] = c * unit ** k
-    return _clean(out)
+    if not a._re:
+        return a
+    if unit != ONE and unit != MINUS_ONE:
+        return Entry.of({(-k if invert else k): (c.conj() if conj else c) * unit ** k
+                         for k, c in a.items()})
+    v, re, im = a._v, a._re, a._im
+    if conj:
+        im = [-x for x in im]
+    if invert:
+        re, im = re[::-1], im[::-1]
+        v = -(v + len(re) - 1)
+    if unit == MINUS_ONE:
+        # the sign (-1)^k depends only on the parity of the exponent
+        re = [-x if (v + i) & 1 else x for i, x in enumerate(re)]
+        im = [-x if (v + i) & 1 else x for i, x in enumerate(im)]
+    return Entry(v, re, im, a._d)
+
+
+class _Row(list):
+    """A matrix row; an entry stored into it is converted to an Entry."""
+
+    __slots__ = ()
+
+    def __setitem__(self, j, e) -> None:
+        list.__setitem__(self, j, Entry.of(e))
+
+
+def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+    cols = list(zip(*b))
+    out = []
+    for r in a:
+        row = []
+        for c in cols:
+            acc = ZERO_ENTRY
+            for x, y in zip(r, c):
+                if x._re and y._re:
+                    acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int]) -> Entry:
+    """Cofactor-expansion determinant of the submatrix rows[ridx][cidx]."""
+    if not ridx:
+        return ONE_ENTRY
+    if len(ridx) == 1:
+        return rows[ridx[0]][cidx[0]]
+    out = ZERO_ENTRY
+    r0 = ridx[0]
+    rest = ridx[1:]
+    for pos, c in enumerate(cidx):
+        e = rows[r0][c]
+        if not e._re:
+            continue
+        term = e * det_minor(rows, rest, [x for x in cidx if x != c])
+        out = out - term if pos % 2 else out + term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -85,140 +378,139 @@ class LaurentMatrix:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Sequence[Sequence[Entry]]):
+    def __init__(self, rows: Sequence[Sequence]):
         self.n = len(rows)
-        self.rows: List[List[Entry]] = [[_clean(dict(e)) for e in r] for r in rows]
+        self.rows: List[List[Entry]] = [_Row(map(Entry.of, r)) for r in rows]
         if any(len(r) != self.n for r in self.rows):
             raise InvalidInputError("matrix must be square")
+
+    @staticmethod
+    def _of(rows: Sequence[Sequence[Entry]]) -> "LaurentMatrix":
+        """A matrix on entries already in normal form."""
+        m = LaurentMatrix.__new__(LaurentMatrix)
+        m.n = len(rows)
+        m.rows = [_Row(r) for r in rows]
+        return m
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zeros(n: int) -> "LaurentMatrix":
-        return LaurentMatrix([[{} for _ in range(n)] for _ in range(n)])
+        return LaurentMatrix._of([[ZERO_ENTRY] * n for _ in range(n)])
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
+        return LaurentMatrix._of(
+            [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def monomial(n: int, i: int, j: int, k: int = 0,
+                 c: QI | int | Fraction = ONE) -> "LaurentMatrix":
+        """The n-by-n matrix with c * t^k at (i, j) and zeros elsewhere."""
         m = LaurentMatrix.zeros(n)
-        for i in range(n):
-            m.rows[i][i] = {0: ONE}
+        m.rows[i][j] = Entry.term(k, c)
         return m
 
     @staticmethod
     def from_scalars(rows: Sequence[Sequence[QI | int | Fraction]]) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[({0: QI.of(x)} if not QI.of(x).is_zero() else {}) for x in r] for r in rows]
-        )
+        return LaurentMatrix._of([[Entry.term(0, x) for x in r] for r in rows])
 
     @staticmethod
     def diag_scalars(vals: Sequence[QI | int | Fraction]) -> "LaurentMatrix":
         n = len(vals)
-        m = LaurentMatrix.zeros(n)
-        for i, v in enumerate(vals):
-            q = QI.of(v)
-            if not q.is_zero():
-                m.rows[i][i] = {0: q}
-        return m
+        return LaurentMatrix._of(
+            [[Entry.term(0, v) if i == j else ZERO_ENTRY for j in range(n)]
+             for i, v in enumerate(vals)])
 
     @staticmethod
     def t_power(lam: Sequence[int]) -> "LaurentMatrix":
         """diag(t^lam_1, ..., t^lam_n)."""
         n = len(lam)
-        m = LaurentMatrix.zeros(n)
-        for i, k in enumerate(lam):
-            m.rows[i][i] = {int(k): ONE}
-        return m
+        return LaurentMatrix._of(
+            [[ONE_ENTRY.shift(int(k)) if i == j else ZERO_ENTRY for j in range(n)]
+             for i, k in enumerate(lam)])
 
     def copy(self) -> "LaurentMatrix":
-        return LaurentMatrix(self.rows)
+        return LaurentMatrix._of(self.rows)
 
     # -- basic queries -------------------------------------------------------
     def entry(self, i: int, j: int) -> Entry:
         return self.rows[i][j]
 
     def coeff(self, i: int, j: int, k: int) -> QI:
-        return self.rows[i][j].get(k, ZERO)
+        return self.rows[i][j].coeff(k)
 
     def is_zero(self) -> bool:
-        return all(not e for r in self.rows for e in r)
+        return all(not e._re for r in self.rows for e in r)
 
     def is_constant(self) -> bool:
-        return all(set(e) <= {0} for r in self.rows for e in r)
+        return all(not e._re or (e._v == 0 and len(e._re) == 1)
+                   for r in self.rows for e in r)
 
     def constant_matrix(self) -> List[List[QI]]:
         """Coefficient of t^0 in each entry."""
-        return [[e.get(0, ZERO) for e in r] for r in self.rows]
+        return [[e.coeff(0) for e in r] for r in self.rows]
 
     def val(self) -> int | None:
-        vals = [min(e) for r in self.rows for e in r if e]
+        vals = [e._v for r in self.rows for e in r if e._re]
         return min(vals) if vals else None
 
     def maxdeg(self) -> int | None:
-        degs = [max(e) for r in self.rows for e in r if e]
+        degs = [e._v + len(e._re) - 1 for r in self.rows for e in r if e._re]
         return max(degs) if degs else None
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[_eadd(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return LaurentMatrix._of(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return self + (-other)
+        return LaurentMatrix._of(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "LaurentMatrix":
-        return LaurentMatrix([[_eneg(e) for e in r] for r in self.rows])
+        return LaurentMatrix._of([[-e for e in r] for r in self.rows])
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        n = self.n
-        out = LaurentMatrix.zeros(n)
-        for i in range(n):
-            for k in range(n):
-                a = self.rows[i][k]
-                if not a:
-                    continue
-                for j in range(n):
-                    b = other.rows[k][j]
-                    if b:
-                        out.rows[i][j] = _eadd(out.rows[i][j], _emul(a, b))
-        return out
+        return LaurentMatrix._of(_matmul(self.rows, other.rows))
 
     def scale(self, c: QI | int | Fraction) -> "LaurentMatrix":
-        q = QI.of(c)
-        return LaurentMatrix([[_escale(e, q) for e in r] for r in self.rows])
+        q = Entry.term(0, c)
+        return LaurentMatrix._of([[e * q for e in r] for r in self.rows])
 
     def shift(self, k: int) -> "LaurentMatrix":
         """Multiply by the scalar t^k."""
-        return LaurentMatrix([[_eval_shift(e, k) for e in r] for r in self.rows])
+        return LaurentMatrix._of([[e.shift(k) for e in r] for r in self.rows])
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix([[self.rows[j][i] for j in range(self.n)] for i in range(self.n)])
+        return LaurentMatrix._of([list(c) for c in zip(*self.rows)])
 
     def substitute(self, unit: QI, invert: bool = False, conj: bool = False) -> "LaurentMatrix":
         """Entrywise substitution t -> unit*t (or unit*t^-1), optional coefficient conjugation."""
-        return LaurentMatrix([[_subst(e, unit, invert, conj) for e in r] for r in self.rows])
+        return LaurentMatrix._of([[_subst(e, unit, invert, conj) for e in r] for r in self.rows])
 
     def det(self) -> Entry:
-        return _det(self.rows, list(range(self.n)), list(range(self.n)))
+        return det_minor(self.rows, list(range(self.n)), list(range(self.n)))
 
     def inverse(self) -> "LaurentMatrix":
         """Exact inverse; requires det to be a nonzero monomial c*t^k."""
         d = self.det()
-        if len(d) != 1:
+        if len(d._re) != 1:
             raise InvalidInputError(
                 "matrix is not invertible over the Laurent polynomial ring "
                 f"(det has {len(d)} terms)"
             )
-        (k, c), = d.items()
-        cinv = c.inv()
+        k = d._v
+        dinv = d.shift(-k).reciprocal(1)
         n = self.n
-        out = LaurentMatrix.zeros(n)
+        rows = [[ZERO_ENTRY] * n for _ in range(n)]
         idx = list(range(n))
         for i in range(n):
             for j in range(n):
-                minor = _det(self.rows, [r for r in idx if r != j], [cc for cc in idx if cc != i])
-                sgn = ONE if (i + j) % 2 == 0 else QI(-1)
-                out.rows[i][j] = _eval_shift(_escale(minor, sgn * cinv), -k)
-        return out
+                minor = det_minor(self.rows, [r for r in idx if r != j],
+                                  [cc for cc in idx if cc != i])
+                e = minor * dinv
+                rows[i][j] = (-e if (i + j) % 2 else e).shift(-k)
+        return LaurentMatrix._of(rows)
 
     def __pow__(self, k: int) -> "LaurentMatrix":
         if k < 0:
@@ -256,28 +548,7 @@ class LaurentMatrix:
         v = self.val()
         if v is not None and v >= precision:
             raise PrecisionError("truncation precision below the matrix valuation")
-        return SeriesMatrix([[_etrunc(e, precision) for e in r] for r in self.rows], precision)
-
-
-def _det(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int]) -> Entry:
-    """Cofactor-expansion determinant of the submatrix rows[ridx][cidx]."""
-    if not ridx:
-        return {0: ONE}
-    if len(ridx) == 1:
-        return dict(rows[ridx[0]][cidx[0]])
-    out: Entry = {}
-    r0 = ridx[0]
-    rest = ridx[1:]
-    for pos, c in enumerate(cidx):
-        e = rows[r0][c]
-        if not e:
-            continue
-        sub = _det(rows, rest, [x for x in cidx if x != c])
-        term = _emul(e, sub)
-        if pos % 2:
-            term = _eneg(term)
-        out = _eadd(out, term)
-    return out
+        return SeriesMatrix._of(self.rows, precision)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +565,23 @@ class SeriesMatrix:
 
     MIN_RESIDUAL = 2  # precision floor: below this, computations refuse to answer
 
-    def __init__(self, rows: Sequence[Sequence[Entry]], precision: int):
+    def __init__(self, rows: Sequence[Sequence], precision: int):
         self.n = len(rows)
         self.precision = int(precision)
         self.rows: List[List[Entry]] = [
-            [_etrunc(_clean(dict(e)), self.precision) for e in r] for r in rows
+            _Row(Entry.of(e).truncate(self.precision) for e in r) for r in rows
         ]
         if any(len(r) != self.n for r in self.rows):
             raise InvalidInputError("matrix must be square")
+
+    @staticmethod
+    def _of(rows: Sequence[Sequence[Entry]], precision: int) -> "SeriesMatrix":
+        """A matrix on entries already in normal form, truncated to precision."""
+        m = SeriesMatrix.__new__(SeriesMatrix)
+        m.n = len(rows)
+        m.precision = precision
+        m.rows = [_Row(e.truncate(precision) for e in r) for r in rows]
+        return m
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
@@ -314,10 +594,10 @@ class SeriesMatrix:
 
     def to_laurent(self) -> LaurentMatrix:
         """Forget the truncation marker (the caller asserts exactness)."""
-        return LaurentMatrix(self.rows)
+        return LaurentMatrix._of(self.rows)
 
     def copy(self) -> "SeriesMatrix":
-        return SeriesMatrix(self.rows, self.precision)
+        return SeriesMatrix._of(self.rows, self.precision)
 
     # -- queries ------------------------------------------------------------------
     def entry(self, i: int, j: int) -> Entry:
@@ -326,17 +606,17 @@ class SeriesMatrix:
     def coeff(self, i: int, j: int, k: int) -> QI:
         if k >= self.precision:
             raise PrecisionError(f"coefficient of t^{k} beyond precision {self.precision}")
-        return self.rows[i][j].get(k, ZERO)
+        return self.rows[i][j].coeff(k)
 
     def val(self) -> int:
         """A certified lower bound for the valuation (min stored exponent)."""
-        vals = [min(e) for r in self.rows for e in r if e]
+        vals = [e._v for r in self.rows for e in r if e._re]
         return min(vals) if vals else self.precision
 
     def constant_matrix(self) -> List[List[QI]]:
         if self.precision < 1:
             raise PrecisionError("constant term beyond recorded precision")
-        return [[e.get(0, ZERO) for e in r] for r in self.rows]
+        return [[e.coeff(0) for e in r] for r in self.rows]
 
     def is_identity_to_precision(self) -> bool:
         ident = LaurentMatrix.identity(self.n).truncate(self.precision)
@@ -348,51 +628,46 @@ class SeriesMatrix:
             raise PrecisionError(
                 f"cannot raise precision from {self.precision} to {precision}"
             )
-        return SeriesMatrix(self.rows, precision)
+        return SeriesMatrix._of(self.rows, precision)
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         p = min(self.precision, other.precision)
-        return SeriesMatrix(
-            [[_eadd(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)], p
+        return SeriesMatrix._of(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)], p
         )
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return self + other.scale(QI(-1))
+        p = min(self.precision, other.precision)
+        return SeriesMatrix._of(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)], p
+        )
 
     def scale(self, c: QI | int | Fraction) -> "SeriesMatrix":
-        q = QI.of(c)
-        return SeriesMatrix([[_escale(e, q) for e in r] for r in self.rows], self.precision)
+        q = Entry.term(0, c)
+        return SeriesMatrix._of([[e * q for e in r] for r in self.rows], self.precision)
 
     def shift(self, k: int) -> "SeriesMatrix":
-        return SeriesMatrix(
-            [[_eval_shift(e, k) for e in r] for r in self.rows], self.precision + k
+        return SeriesMatrix._of(
+            [[e.shift(k) for e in r] for r in self.rows], self.precision + k
         )
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         # product precision: pessimistic rule min(Na + v(B), Nb + v(A))
-        p = min(self.precision + other.val(), other.precision + self.val())
-        n = self.n
-        rows = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                a = self.rows[i][k]
-                if not a:
-                    continue
-                for j in range(n):
-                    b = other.rows[k][j]
-                    if b:
-                        rows[i][j] = _eadd(rows[i][j], _emul(a, b))
-        return SeriesMatrix(rows, p)
+        va, vb = self.val(), other.val()
+        p = min(self.precision + vb, other.precision + va)
+        # terms of exponent >= p - v(B) in A (and >= p - v(A) in B) reach only
+        # exponents >= p, so the operands are cut there first
+        a = [[e.truncate(p - vb) for e in r] for r in self.rows]
+        b = [[e.truncate(p - va) for e in r] for r in other.rows]
+        return SeriesMatrix._of(_matmul(a, b), p)
 
     def transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)], self.precision
-        )
+        return SeriesMatrix._of([list(c) for c in zip(*self.rows)], self.precision)
 
     def substitute(self, unit: QI, invert: bool = False, conj: bool = False) -> "SeriesMatrix":
         if invert:
             raise PrecisionError("t -> t^-1 substitution leaves the series model")
-        return SeriesMatrix(
+        return SeriesMatrix._of(
             [[_subst(e, unit, False, conj) for e in r] for r in self.rows], self.precision
         )
 
@@ -403,18 +678,17 @@ class SeriesMatrix:
 
     def det_with_precision(self) -> tuple[Entry, int]:
         v = self.val()
-        d = _det(self.rows, list(range(self.n)), list(range(self.n)))
+        d = det_minor(self.rows, list(range(self.n)), list(range(self.n)))
         prec = self.precision + (self.n - 1) * min(v, 0) if self.n > 1 else self.precision
-        return _etrunc(d, prec), prec
+        return d.truncate(prec), prec
 
     def inverse(self) -> "SeriesMatrix":
         """Inverse of a matrix whose determinant is t^k * unit."""
         d, dprec = self.det_with_precision()
         if not d:
             raise InvalidInputError("matrix not invertible (determinant vanishes to precision)")
-        k = min(d)
-        unit = _eval_shift(d, -k)  # unit power series, constant term nonzero
-        uinv = _series_reciprocal(unit, dprec - k)
+        k = d.val()
+        uinv = d.shift(-k).reciprocal(dprec - k)  # unit power series, constant term nonzero
         n = self.n
         v = self.val()
         adj_prec = self.precision + max(0, n - 2) * min(v, 0) if n > 1 else self.precision
@@ -424,46 +698,26 @@ class SeriesMatrix:
         out_prec = min(adj_prec - k, adj_val + dprec - 2 * k)
         if out_prec <= -10**6:
             raise PrecisionError("inverse precision collapsed")
-        rows = [[{} for _ in range(n)] for _ in range(n)]
+        rows = [[ZERO_ENTRY] * n for _ in range(n)]
         idx = list(range(n))
         for i in range(n):
             for j in range(n):
-                minor = _det(self.rows, [r for r in idx if r != j], [c for c in idx if c != i])
-                sgn = ONE if (i + j) % 2 == 0 else QI(-1)
-                e = _emul(_escale(minor, sgn), uinv)
-                rows[i][j] = _etrunc(_eval_shift(e, -k), out_prec)
-        return SeriesMatrix(rows, out_prec)
+                minor = det_minor(self.rows, [r for r in idx if r != j],
+                                  [c for c in idx if c != i])
+                e = minor * uinv
+                rows[i][j] = (-e if (i + j) % 2 else e).shift(-k)
+        return SeriesMatrix._of(rows, out_prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
         p = min(self.precision, other.precision)
-        a = [[_etrunc(e, p) for e in r] for r in self.rows]
-        b = [[_etrunc(e, p) for e in r] for r in other.rows]
+        a = [[e.truncate(p) for e in r] for r in self.rows]
+        b = [[e.truncate(p) for e in r] for r in other.rows]
         return a == b
 
     def __repr__(self):
-        return f"Series(prec={self.precision}, {LaurentMatrix(self.rows)!r})"
-
-
-def _series_reciprocal(u: Entry, precision: int) -> Entry:
-    """Reciprocal of a unit power series, modulo t^precision."""
-    c0 = u.get(0)
-    if c0 is None or c0.is_zero():
-        raise InvalidInputError("series reciprocal requires a unit constant term")
-    inv0 = c0.inv()
-    out: Entry = {0: inv0}
-    for k in range(1, max(precision, 0)):
-        acc = ZERO
-        for j in range(1, k + 1):
-            cj = u.get(j)
-            if cj is not None:
-                w = out.get(k - j)
-                if w is not None:
-                    acc = acc + cj * w
-        if not acc.is_zero():
-            out[k] = -inv0 * acc
-    return _clean(out)
+        return f"Series(prec={self.precision}, {LaurentMatrix._of(self.rows)!r})"
 
 
 def series_exp(a: SeriesMatrix) -> SeriesMatrix:

@@ -68,8 +68,8 @@ def random_poly_element(n: int, degree: int, rng: random.Random,
         j = rng.randrange(n)
         if i == j:
             continue
-        elem = LaurentMatrix.identity(n)
-        elem.rows[i][j] = {rng.randint(0, degree): random_qi(rng)}
+        k = rng.randint(0, degree)
+        elem = LaurentMatrix.identity(n) + LaurentMatrix.monomial(n, i, j, k, random_qi(rng))
         m = m * elem
     return m
 
@@ -87,10 +87,10 @@ def random_iwahori_element(n: int, precision: int, rng: random.Random) -> Series
 def random_signed_permutation(n: int, rng: random.Random) -> LaurentMatrix:
     perm = list(range(n))
     rng.shuffle(perm)
-    m = LaurentMatrix.zeros(n)
+    rows = [[QI(0)] * n for _ in range(n)]
     for j, i in enumerate(perm):
-        m.rows[i][j] = {0: rng.choice(FOURTH_ROOTS)}
-    return m
+        rows[i][j] = rng.choice(FOURTH_ROOTS)
+    return LaurentMatrix.from_scalars(rows)
 
 
 def _random_skew_hermitian(n: int, rng: random.Random, bound: int) -> LaurentMatrix:

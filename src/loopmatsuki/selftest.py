@@ -79,9 +79,7 @@ def check_gl2r_split(bound: int = 3) -> None:
     classes = classes_at_tw(d, tws, "eta")
     assert len(classes) == 1 and tuple(classes[0].component_group) == ()
     x = classes[0].loop_rep
-    want = LaurentMatrix.zeros(2)
-    want.rows[0][1] = {1: QI(1)}
-    want.rows[1][0] = {1: QI(1)}
+    want = LaurentMatrix.monomial(2, 0, 1, 1) + LaurentMatrix.monomial(2, 1, 0, 1)
     assert x == want, "x_tw should be the antidiagonal t^mu matrix"
     pb = loop_to_parabolic_bundle(x, tws, d)
     assert pb.lines == ((QI(1), QI(0)), (QI(0), QI(1)))
@@ -111,9 +109,7 @@ def check_gl2r_twisted(bound: int = 3) -> None:
             assert tuple(cls.component_group) == (2,), lam
     # the antidiagonal representative at (2mu+1, 2mu+1).s has a connected
     # stabilizer and is the only class there
-    x = LaurentMatrix.zeros(2)
-    x.rows[0][1] = {1: QI(1)}
-    x.rows[1][0] = {1: QI(-1)}
+    x = LaurentMatrix.monomial(2, 0, 1, 1) + LaurentMatrix.monomial(2, 1, 0, 1, -1)
     assert gc.is_anti_fixed_eta(x, d)
     classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), "eta")
     assert len(classes) == 1 and tuple(classes[0].component_group) == ()
@@ -173,13 +169,8 @@ def check_tau_remark() -> None:
     d = _uni(-1)
     j = LaurentMatrix.from_scalars([[0, 1], [1, 0]])
     mu = 2
-    four = LaurentMatrix.zeros(2)
-    four.rows[0][0] = {0: QI(1)}
-    four.rows[0][1] = {1: QI(1)}
-    four.rows[1][1] = {mu + 1: QI(1)}
-    target = LaurentMatrix.zeros(2)
-    target.rows[0][1] = {mu: QI(1)}
-    target.rows[1][0] = {-mu: QI(-1) ** mu}
+    four = LaurentMatrix([[{0: 1}, {1: 1}], [{}, {mu + 1: 1}]])
+    target = LaurentMatrix([[{}, {mu: 1}], [{-mu: QI(-1) ** mu}, {}]])
     cases = [
         (LaurentMatrix.t_power([1, 0]), j),
         (LaurentMatrix.identity(2), LaurentMatrix.identity(2)),
@@ -230,11 +221,7 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
         h = random_arc_element(d.n, precision, rng)
         # the sampled twist is an exact polynomial of degree < precision, so
         # computing with it at extra working precision is free
-        hp = LaurentMatrix.zeros(d.n)
-        for r in range(d.n):
-            for c in range(d.n):
-                hp.rows[r][c] = dict(h.entry(r, c))
-        hs = SeriesMatrix.from_laurent(hp, precision + 6)
+        hs = SeriesMatrix.from_laurent(h.to_laurent(), precision + 6)
         x = hs * SeriesMatrix.from_laurent(cls.loop_rep, precision + 6) \
             * gc.apply_theta(hs, d).inverse()
         form = canonicalize_theta(x, d)

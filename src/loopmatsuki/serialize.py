@@ -37,12 +37,38 @@ def laurent_to_json(m: Union[LaurentMatrix, SeriesMatrix]) -> dict:
         out["precision"] = m.precision
     return out
 
-def laurent_from_json(doc: dict) -> Union[LaurentMatrix, SeriesMatrix]:
-    rows = [[{int(k): qi_from_str(v) for k, v in e.items()}
-             for e in row] for row in doc["entries"]]
+def laurent_from_json(doc) -> Union[LaurentMatrix, SeriesMatrix]:
+    """Parse a loop document; a malformed one raises InvalidInputError."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError("a loop document must be a JSON object")
+    n = doc.get("n")
+    if type(n) is not int or n < 1:
+        raise InvalidInputError("a loop document needs a positive integer 'n'")
+    entries = doc.get("entries")
+    if (not isinstance(entries, list) or len(entries) != n
+            or any(not isinstance(row, list) or len(row) != n for row in entries)):
+        raise InvalidInputError(f"'entries' must be {n} arrays of {n} entries each")
+    rows = [[_entry_from_json(e) for e in row] for row in entries]
     if "precision" in doc:
-        return SeriesMatrix(rows, int(doc["precision"]))
+        if type(doc["precision"]) is not int:
+            raise InvalidInputError("'precision' must be an integer")
+        return SeriesMatrix(rows, doc["precision"])
     return LaurentMatrix(rows)
+
+def _entry_from_json(e) -> dict:
+    if not isinstance(e, dict):
+        raise InvalidInputError("a matrix entry must be an object {exponent: coefficient}")
+    out = {}
+    for k, v in e.items():
+        if not isinstance(v, str):
+            raise InvalidInputError(f"coefficient {v!r} must be a string")
+        try:
+            out[int(k)] = qi_from_str(v)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"bad entry term {k!r}: {v!r} ({exc})") from None
+    if len(out) != len(e):
+        raise InvalidInputError("an entry repeats an exponent")
+    return out
 
 def _datum_fields(datum) -> dict:
     return {

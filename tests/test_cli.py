@@ -157,3 +157,20 @@ def test_selftest_passes(capsys):
     results = json.loads(out)
     assert all(r["ok"] for r in results)
     assert len(results) == 10
+
+
+@pytest.mark.parametrize("argv, doc, code", [
+    (["canonicalize", "--side", "eta"],
+     {"n": 2, "entries": [[{"0": 1}, {}], [{}, {"0": "1"}]]}, 2),
+    (["canonicalize", "--side", "eta"],
+     {"n": 2, "entries": [[{"0": "1/0"}, {}], [{}, {"0": "1"}]]}, 2),
+    (["canonicalize", "--side", "eta"], {"n": 2, "entries": 5}, 2),
+    (["canonicalize", "--side", "eta"], {"n": 0, "entries": []}, 2),
+    (["orbits", "--z", "i"], None, 3),
+], ids=["int-scalar", "zero-denominator", "entries-not-list", "n-zero", "z-i"])
+def test_malformed_input_exit_codes(tmp_path, capsys, argv, doc, code):
+    if doc is not None:
+        argv = argv + ["--input", write_json(tmp_path / "x.json", doc)]
+    rc, out, err = run(capsys, *argv, "--family", "split_gl")
+    assert rc == code
+    assert out == "" and err.startswith("error: ")

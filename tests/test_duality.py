@@ -63,3 +63,22 @@ def test_finite_matsuki_counts():
     assert len(fm["borel"]) == 2
     fmu = finite_matsuki(gc.build_datum("unitary", 2, 1))
     assert len(fmu["spherical"]) == 3
+
+
+def test_iwahori_verification_with_negative_coweight_entry():
+    # t~w = (lam, w) with lam = (-1, 1, 1, 1): theta(t~w g) inverts a loop of
+    # valuation -1, so the sample's truncation must cover the coweight spread
+    from fractions import Fraction
+
+    from loopmatsuki.duality import MatchedPair
+    from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
+
+    d = gc.build_datum("quaternionic_gl", 4, -1)
+    tw = AffineWeylElement.of((-1, 1, 1, 1), (1, 0, 2, 3))
+    args = (0, 0, 0, Fraction(1, 2))
+    (th,) = [c for c in classes_at_tw(d, tw, "theta") if tuple(c.g0_args) == args]
+    (et,) = [c for c in classes_at_tw(d, tw, "eta") if tuple(c.g0_args) == args]
+    rep = et.loop_rep
+    assert gc.is_anti_fixed_theta(rep, d) and gc.is_anti_fixed_eta(rep, d)
+    pair = MatchedPair(theta_class=th, eta_class=et, common_rep=rep, level="iwahori")
+    assert verify_intersection(pair, 2, 1) == {"samples": 2, "failures": []}

@@ -74,3 +74,130 @@ def test_retruncate_only_downward():
     assert m.retruncate(3).precision == 3
     with pytest.raises(PrecisionError):
         m.retruncate(9)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the entry kernel against a schoolbook Dict[int, QI] oracle
+
+from fractions import Fraction  # noqa: E402
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from loopmatsuki.laurent import Entry  # noqa: E402
+
+
+def ref_clean(a):
+    return {k: v for k, v in a.items() if not v.is_zero()}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out[k] + v if k in out else v
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            out[k] = out[k] + va * vb if k in out else va * vb
+    return ref_clean(out)
+
+
+def ref_det(rows):
+    if len(rows) == 1:
+        return ref_clean(rows[0][0])
+    out = {}
+    for c, e in enumerate(rows[0]):
+        minor = [r[:c] + r[c + 1:] for r in rows[1:]]
+        term = ref_mul(e, ref_det(minor))
+        if c % 2:
+            term = {k: -v for k, v in term.items()}
+        out = ref_add(out, term)
+    return out
+
+
+def ref_reciprocal(u, precision):
+    inv0 = u[0].inv()
+    out = {0: inv0}
+    for k in range(1, precision):
+        acc = QI(0)
+        for j in range(1, k + 1):
+            if j in u and k - j in out:
+                acc = acc + u[j] * out[k - j]
+        if not acc.is_zero():
+            out[k] = -inv0 * acc
+    return out
+
+
+# coefficients above 700 bits and mixed denominators, as theta_twist reaches
+numerators = st.one_of(st.integers(-6, 6), st.integers(-(2 ** 760), 2 ** 760))
+denominators = st.one_of(st.sampled_from([1, 2, 3, 4, 6, 9, 12]),
+                         st.integers(1, 2 ** 720))
+rationals = st.builds(Fraction, numerators, denominators)
+scalars = st.builds(QI, rationals, rationals)
+exponents = st.integers(-6, 20)
+single = st.dictionaries(exponents, scalars, max_size=1)
+sparse = st.dictionaries(exponents, scalars, max_size=6)
+dense = st.builds(lambda start, cs: dict(enumerate(cs, start)),
+                  st.integers(-6, 6), st.lists(scalars, min_size=8, max_size=30))
+# equal coefficients x * (1 +- i) drive product coefficients to the bound
+# 2 * min(m, n) * |a| * |b| that sizes the Kronecker slots
+extreme = st.builds(lambda start, size, x, t: {start + k: QI(x, t * x) for k in range(size)},
+                    st.integers(-3, 3), st.integers(1, 30),
+                    st.one_of(st.integers(1, 2 ** 760), st.sampled_from([1, 2 ** 64 - 1, 2 ** 700 - 1])),
+                    st.sampled_from([1, -1]))
+entries = st.one_of(single, sparse, dense, extreme)
+
+KERNEL = settings(max_examples=60, deadline=None)
+
+
+@KERNEL
+@given(entries, entries)
+def test_entry_mul_matches_schoolbook(a, b):
+    prod = Entry.of(a) * Entry.of(b)
+    assert dict(prod.items()) == ref_mul(a, b)
+    assert prod == Entry.of(ref_mul(a, b))
+    assert len(prod) == len(ref_mul(a, b))
+
+
+@KERNEL
+@given(entries, entries)
+def test_entry_add_matches_schoolbook(a, b):
+    assert dict((Entry.of(a) + Entry.of(b)).items()) == ref_add(a, b)
+    # a sum that cancels to zero is the zero entry
+    diff = Entry.of(ref_add(a, b)) - Entry.of(b)
+    assert diff == Entry.of(a) and diff == ref_clean(a)
+    assert not (Entry.of(a) - Entry.of(a)) and Entry.of(a) - Entry.of(a) == {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_det_matches_cofactor_oracle(n, data):
+    rows = [[data.draw(st.one_of(single, sparse)) for _ in range(n)] for _ in range(n)]
+    assert dict(LaurentMatrix(rows).det().items()) == ref_det(rows)
+
+
+@KERNEL
+@given(entries, scalars.filter(lambda q: not q.is_zero()), st.integers(0, 16))
+def test_series_reciprocal_matches_recurrence(a, c0, precision):
+    u = {k: v for k, v in a.items() if 0 < k < 20}
+    u[0] = c0
+    assert dict(Entry.of(u).reciprocal(precision).items()) == ref_reciprocal(u, precision)
+
+
+@KERNEL
+@given(entries, entries, entries, scalars.filter(lambda q: not q.is_zero()))
+def test_entry_normal_form_is_history_free(a, b, c, q):
+    ea, eb, ec = Entry.of(a), Entry.of(b), Entry.of(c)
+    left, right = (ea * eb) * ec, ea * (eb * ec)
+    assert left == right and hash(left) == hash(right)
+    assert ea * (eb + ec) == ea * eb + ea * ec
+    back = ea.scale(q).scale(q.inv())
+    assert back == ea and hash(back) == hash(ea)
+    assert (ea + eb) - eb == ea
+    assert ea.shift(3).shift(-3) == ea
+    assert all(isinstance(v, QI) for v in ea.values())
+    assert ea.get(100) is None and ea.get(100, QI(0)) == QI(0)
