@@ -184,18 +184,16 @@ def _middle_invariant(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, 
 def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix,
                            side: str) -> SphericalClass:
     classes = classify_theta(datum, lam) if side == "theta" else classify_eta(datum, lam)
-    if not classes:
-        raise NotAntiFixedError(
-            "reduced to a coweight with no anti-fixed classes; input cannot be anti-fixed"
-        )
+    # the input passed its anti-fixedness check, so a miss here is an internal fault
+    _certify(bool(classes), "reduced to a coweight with no anti-fixed classes")
     if datum.family != gc.UNITARY or _middle_block(lam) is None:
-        assert len(classes) == 1
+        _certify(len(classes) == 1, "several classes and no middle-block invariant to separate them")
         return classes[0]
     want = _middle_invariant(datum, lam, g0, side)
     for cls in classes:
         if _middle_invariant(datum, lam, cls.g0, side) == want:
             return cls
-    raise AssertionError("reduced g0 matches no classified class")
+    raise CertificateError("certificate failed: reduced g0 matches no classified class")
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +254,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     # layer 0: the constant term sits in the standard parabolic P_lam;
     # strip its unipotent radical part.
     c0 = g.constant_matrix()
-    for i in range(n):
-        for j in range(n):
-            if bidx[i] > bidx[j] and not c0[i][j].is_zero():
-                raise NotAntiFixedError("constant term escapes the parabolic P_lambda")
+    _certify(all(c0[i][j].is_zero() for i in range(n) for j in range(n) if bidx[i] > bidx[j]),
+             "constant term escapes the parabolic P_lambda")
     ell_rows = [[c0[i][j] if bidx[i] == bidx[j] else QI(0) for j in range(n)] for i in range(n)]
     ell = LaurentMatrix.from_scalars(ell_rows)
     u0 = ell.inverse() * LaurentMatrix.from_scalars(c0)
@@ -307,8 +303,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
             continue
         rhs = [-layer[r][s] for r in range(n) for s in range(n)]
         sol = _solve_qi(systems[datum.epsilon ** k], rhs)
-        if sol is None:
-            raise NotAntiFixedError(f"layer {k} has no killing conjugator")
+        _certify(sol is not None, f"layer {k} has no killing conjugator")
         y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
                             for j in range(n)] for i in range(n)])
         if y.is_zero():
@@ -398,11 +393,9 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         for j in range(n):
             e = m.entry(i, j)
             if bidx[i] > bidx[j]:
-                if e:
-                    raise NotAntiFixedError("positioned loop escapes the parabolic")
+                _certify(not e, "positioned loop escapes the parabolic")
             elif bidx[i] == bidx[j]:
-                if any(k != 0 for k in e):
-                    raise NotAntiFixedError("Levi part of the positioned loop is not constant")
+                _certify(all(k == 0 for k in e), "Levi part of the positioned loop is not constant")
                 ell_rows[i][j] = e.get(0, QI(0))
     ell = LaurentMatrix.from_scalars(ell_rows)
     u = m * ell.inverse()

@@ -10,13 +10,7 @@ terms are nonzero and gcd(d, re, im) = 1, so equal entries have equal
 fields.  ``QI`` (and so ``Fraction``) is built only where a coefficient
 leaves the kernel: ``coeff``, ``constant_matrix`` and the entry's
 read-only mapping view ``exponent -> QI`` that serialization reads.
-
-An entry product whose operand term counts multiply to at most
-``_SCHOOLBOOK_TERMS`` runs an integer schoolbook loop.  Larger products use
-signed Kronecker substitution: each integer list is packed into one big
-int at base 2^s, the Gaussian product takes three big-int products
-(Karatsuba style), and the real and imaginary parts are read back as
-signed base-2^s digits.
+An entry product is an integer schoolbook loop over the two lists.
 
 ``LaurentMatrix`` is exact; ``SeriesMatrix`` carries an explicit precision
 ``N`` meaning the entry coefficients are known for all exponents ``< N``
@@ -34,9 +28,6 @@ from typing import List, Sequence
 
 from .errors import InvalidInputError, PrecisionError
 from .gaussian import QI, ZERO, ONE, MINUS_ONE
-
-# below this product of operand term counts the schoolbook loop beats packing
-_SCHOOLBOOK_TERMS = 24
 
 
 class Entry:
@@ -127,25 +118,12 @@ class Entry:
         m, n = len(ar), len(br)
         if not m or not n:
             return ZERO_ENTRY
-        size = m + n - 1
-        if m * n <= _SCHOOLBOOK_TERMS:
-            re = [0] * size
-            im = [0] * size
-            for i, (xr, xi) in enumerate(zip(ar, ai)):
-                for j, (yr, yi) in enumerate(zip(br, bi), i):
-                    re[j] += xr * yr - xi * yi
-                    im[j] += xr * yi + xi * yr
-        else:
-            # every product coefficient is below 2 * min(m, n) * |a| * |b|
-            s = (max(map(abs, ar + ai)).bit_length()
-                 + max(map(abs, br + bi)).bit_length()
-                 + (2 * min(m, n)).bit_length() + 8) & ~7
-            pr, pi = _pack(ar, s), _pack(ai, s)
-            qr, qi = _pack(br, s), _pack(bi, s)
-            rr = pr * qr
-            ii = pi * qi
-            re = _unpack(rr - ii, s, size)
-            im = _unpack((pr + pi) * (qr + qi) - rr - ii, s, size)
+        re = [0] * (m + n - 1)
+        im = [0] * (m + n - 1)
+        for i, (xr, xi) in enumerate(zip(ar, ai)):
+            for j, (yr, yi) in enumerate(zip(br, bi), i):
+                re[j] += xr * yr - xi * yi
+                im[j] += xr * yi + xi * yr
         return _make(self._v + other._v, re, im, self._d * other._d)
 
     def scale(self, c: QI | int | Fraction) -> "Entry":
@@ -279,28 +257,6 @@ def _qi_parts(c: QI) -> tuple:
     a, b = c.re, c.im
     d = lcm(a.denominator, b.denominator)
     return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-
-
-def _pack(cs: List[int], s: int) -> int:
-    """The integer polynomial cs evaluated at 2^s."""
-    x = 0
-    for c in reversed(cs):
-        x = (x << s) + c
-    return x
-
-
-def _unpack(x: int, s: int, size: int) -> List[int]:
-    """The size signed base-2^s digits of x, low first; each below 2^(s-1) in size.
-
-    Adding 2^(s-1) to every digit makes them all nonnegative, so the digits
-    are plain byte slices of the biased integer.
-    """
-    nb = s // 8
-    half = 1 << (s - 1)
-    bias = int.from_bytes((b"\x00" * (nb - 1) + b"\x80") * size, "little")
-    buf = (x + bias).to_bytes(nb * size, "little")
-    return [int.from_bytes(buf[k:k + nb], "little") - half
-            for k in range(0, nb * size, nb)]
 
 
 ZERO_ENTRY = Entry(0, [], [], 1)

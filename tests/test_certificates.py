@@ -10,11 +10,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The fault switches on when Smith positioning starts, after the input has
 # passed its anti-fixedness check, and then adds 1 to the numerator of the
-# lowest coefficient of every entry product.
+# lowest coefficient of every entry product ("every") or of the first one
+# only ("first").
 SCRIPT = r"""
 import json, random, sys
 from loopmatsuki import canonicalize, cli, serialize
@@ -25,24 +28,29 @@ from loopmatsuki.laurent import Entry, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element
 
 assert False, "asserts must be stripped"
+workdir, mode = sys.argv[1], sys.argv[2]
 d = gc.build_datum("split_gl", 2, 1)
 (cls,) = classify_theta(d, (1, 0))
 h = SeriesMatrix.from_laurent(random_arc_element(2, 8, random.Random(3)).to_laurent(), 14)
 x = h * SeriesMatrix.from_laurent(cls.loop_rep, 14) * gc.apply_theta(h, d).inverse()
 print(canonicalize.canonicalize_theta(x, d).orbit_class.label)
-path = sys.argv[1] + "/x.json"
+path = workdir + "/x.json"
 with open(path, "w") as f:
     json.dump(serialize.laurent_to_json(x), f)
 
-fault = {"on": False}
+fault = {"on": False, "left": 0}
 mul, smith = Entry.__mul__, canonicalize.smith_over_dvr
 
 def faulty_mul(a, b):
     e = mul(a, b)
-    return e + Entry.term(e.val(), 1) if fault["on"] and e else e
+    if fault["on"] and e and fault["left"]:
+        fault["left"] -= 1
+        return e + Entry.term(e.val(), 1)
+    return e
 
 def smith_then_fault(s):
     fault["on"] = True
+    fault["left"] = 1 if mode == "first" else -1
     return smith(s)
 
 Entry.__mul__ = faulty_mul
@@ -51,17 +59,26 @@ try:
     canonicalize.canonicalize_theta(x, d)
     print("no error")
 except CertificateError as exc:
-    print("CertificateError")
+    print("CertificateError:", exc)
 fault["on"] = False
 print(cli.main(["canonicalize", "--family", "split_gl", "--side", "theta",
                 "--input", path]))
 """
 
 
-def test_injected_fault_is_caught_under_optimize(tmp_path):
+@pytest.mark.parametrize("mode, failed_check", [
+    ("every", "certificate failed"),
+    # one corrupted product breaks the layer-0 parabolic shape, which an
+    # input that passed the anti-fixedness check cannot lack
+    ("first", "certificate failed: constant term escapes the parabolic P_lambda"),
+])
+def test_injected_fault_is_caught_under_optimize(tmp_path, mode, failed_check):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-O", "-c", SCRIPT, str(tmp_path), mode],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["Sym|Sym", "CertificateError", "1"]
-    assert "certificate failed" in proc.stderr
+    label, caught, code = proc.stdout.split("\n")[:3]
+    assert label == "Sym|Sym"
+    assert caught.startswith("CertificateError: " + failed_check)
+    assert code == "1"
+    assert failed_check in proc.stderr
