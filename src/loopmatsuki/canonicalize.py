@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
 from .coweight_orbits import (
@@ -94,24 +94,30 @@ class CanonicalForm:
 
 def tau_theta(gamma, datum: GroupDatum):
     """gamma * theta(gamma)^{-1}; anti-fixed with z = 1."""
-    return gamma * gc.apply_theta(gamma, datum).inverse()
+    return gamma * gc.apply_theta_inv(gamma, datum)
 
 
 def tau_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """gamma * eta(gamma)^{-1}; anti-fixed with z = 1."""
-    return gamma * gc.apply_eta(gamma, datum).inverse()
+    return gamma * gc.apply_eta_inv(gamma, datum)
 
 
 # ---------------------------------------------------------------------------
 # small exact linear algebra over Q(i)
 
 
-def _solve_qi(a: List[List[QI]], b: List[QI]) -> Optional[List[QI]]:
-    """One solution of a*x = b over Q(i), or None if inconsistent."""
+def _eliminate(a: List[List[QI]]) -> Callable[[List[QI]], Optional[List[QI]]]:
+    """Gauss-Jordan on a once; returns a solver for a*x = b.
+
+    The solver replays the recorded row operations on b alone, so each
+    right-hand side costs what carrying it as one more column would.  It
+    returns one solution, or None if a*x = b is inconsistent.
+    """
     m = len(a)
     cols = len(a[0]) if m else 0
-    rows = [list(r) + [v] for r, v in zip(a, b)]
-    pivots: List[Tuple[int, int]] = []
+    rows = [list(r) for r in a]
+    # per pivot: (row, swapped-in row, column, reciprocal, [(row, factor)])
+    ops: List[Tuple[int, int, int, QI, List[Tuple[int, QI]]]] = []
     r = 0
     for c in range(cols):
         pr = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
@@ -120,21 +126,37 @@ def _solve_qi(a: List[List[QI]], b: List[QI]) -> Optional[List[QI]]:
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c].inv()
         rows[r] = [x * inv for x in rows[r]]
+        fs = []
         for i in range(m):
             if i != r and not rows[i][c].is_zero():
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
+                fs.append((i, f))
+        ops.append((r, pr, c, inv, fs))
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if not rows[i][cols].is_zero():
+
+    def solve(b: List[QI]) -> Optional[List[QI]]:
+        b = list(b)
+        for pr, swap, _, inv, fs in ops:
+            b[pr], b[swap] = b[swap], b[pr]
+            b[pr] = b[pr] * inv
+            for i, f in fs:
+                b[i] = b[i] - f * b[pr]
+        if any(not v.is_zero() for v in b[r:]):
             return None
-    x = [QI(0)] * cols
-    for pr, pc in pivots:
-        x[pc] = rows[pr][cols]
-    return x
+        x = [QI(0)] * cols
+        for pr, _, pc, _, _ in ops:
+            x[pc] = b[pr]
+        return x
+
+    return solve
+
+
+def _solve_qi(a: List[List[QI]], b: List[QI]) -> Optional[List[QI]]:
+    """One solution of a*x = b over Q(i), or None if inconsistent."""
+    return _eliminate(a)(b)
 
 
 def _certify(holds: bool, what: str) -> None:
@@ -165,7 +187,7 @@ def _middle_block(lam: Sequence[int]):
 def _middle_invariant(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, side: str):
     """Conjugation invariant of the middle (lambda = 0) block of g0."""
     mid = _middle_block(lam)
-    assert mid is not None
+    _certify(mid is not None, "middle-block invariant of a coweight without a middle block")
     start, m = mid
     rev = [[QI(1) if r == m - 1 - s else QI(0) for s in range(m)] for r in range(m)]
     b = [[g0.coeff(start + r, start + s, 0) for s in range(m)] for r in range(m)]
@@ -213,7 +235,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     if isinstance(x, ThetaLoop):
         datum = x.datum
         x = x.gamma
-    assert datum is not None
+    if datum is None:
+        raise InvalidInputError("canonicalize_theta needs a group datum or a ThetaLoop")
     if isinstance(x, LaurentMatrix):
         top = x.maxdeg() or 0
         bot = min(x.val() or 0, 0)
@@ -236,11 +259,12 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     g1, lam2, _, _ = smith_over_dvr(x)
     _certify(lam2 == lam, "Smith positioning disagrees with the valuation coweight")
 
-    def conjugate(cur: SeriesMatrix, h: SeriesMatrix) -> SeriesMatrix:
-        return h * cur * gc.apply_theta(h, datum).inverse()
+    def conjugate(cur: SeriesMatrix, h: SeriesMatrix,
+                  h_inv: Optional[SeriesMatrix]) -> SeriesMatrix:
+        return h * cur * gc.apply_theta_inv(h, datum, h_inv)
 
     h_acc = g1.inverse()
-    cur = conjugate(x, h_acc)
+    cur = conjugate(x, h_acc, g1)
 
     tlam_inv = _series_of(LaurentMatrix.t_power([-v for v in lam]), big)
     w1s = _series_of(datum.w1, big)
@@ -262,7 +286,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     if u0 != LaurentMatrix.identity(n):
         h0 = datum.w1.inverse() * gc.theta0(u0, datum) * datum.w1
         h0s = _series_of(h0, big)
-        cur = conjugate(cur, h0s)
+        cur = conjugate(cur, h0s, None)
         h_acc = h0s * h_acc
         g = gform(cur)
         _certify(LaurentMatrix.from_scalars(g.constant_matrix()) == ell,
@@ -293,7 +317,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                         a_rows[r * n + s][col] = a_rows[r * n + s][col] - epsk * right_resp[i][j][r][s]
         return a_rows
 
-    systems = {e: layer_system(QI(e)) for e in {1, datum.epsilon}}
+    solvers = {}  # epsilon^k -> the solver of its layer system, built on first use
     ell_inv_s = _series_of(ell_inv, big)
     depth = g.precision
     red = ell_inv_s * g
@@ -302,14 +326,21 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         if all(v.is_zero() for row in layer for v in row):
             continue
         rhs = [-layer[r][s] for r in range(n) for s in range(n)]
-        sol = _solve_qi(systems[datum.epsilon ** k], rhs)
+        sign = datum.epsilon ** k
+        if sign not in solvers:
+            solvers[sign] = _eliminate(layer_system(QI(sign)))
+        sol = solvers[sign](rhs)
         _certify(sol is not None, f"layer {k} has no killing conjugator")
         y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
                             for j in range(n)] for i in range(n)])
         if y.is_zero():
             continue
-        h = series_exp(_series_of(y, big))
-        cur = conjugate(cur, h)
+        ys = _series_of(y, big)
+        if gc.inverse_is_free(datum, "theta"):
+            h, h_inv = series_exp(ys), None
+        else:
+            h, h_inv = series_exp(ys, with_inverse=True)
+        cur = conjugate(cur, h, h_inv)
         h_acc = h * h_acc
         g = gform(cur)
         red = ell_inv_s * g
@@ -374,7 +405,8 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     if isinstance(x, EtaLoop):
         datum = x.datum
         x = x.gamma
-    assert datum is not None
+    if datum is None:
+        raise InvalidInputError("canonicalize_eta needs a group datum or an EtaLoop")
     if not gc.is_anti_fixed_eta(x, datum):
         raise NotAntiFixedError("loop is not eta-anti-fixed")
 
@@ -384,7 +416,7 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     n = x.n
     gplus, lam, _ = birkhoff_factor(x)
     h_acc = gplus.inverse()
-    cur = h_acc * x * gc.apply_eta(h_acc, datum).inverse()
+    cur = h_acc * x * gc.apply_eta_inv(h_acc, datum, gplus)
 
     m = LaurentMatrix.t_power([-v for v in lam]) * cur * datum.w1
     bidx = _block_index(lam)
@@ -404,10 +436,13 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
            for e in [nil.entry(i, j)] if e):
         raise InvalidInputError("unipotent factor is not strictly block-upper")
     tlam = LaurentMatrix.t_power(lam)
-    h = tlam * unipotent_sqrt(u).inverse() * tlam.inverse()
+    tlam_inv = LaurentMatrix.t_power([-v for v in lam])
+    root = unipotent_sqrt(u)
+    h = tlam * root.inverse() * tlam_inv
     hv = h.val()
     _certify(hv is None or hv >= 0, "eta unipotent conjugator has negative valuation")
-    cur = h * cur * gc.apply_eta(h, datum).inverse()
+    h_inv = None if gc.inverse_is_free(datum, "eta") else tlam * root * tlam_inv
+    cur = h * cur * gc.apply_eta_inv(h, datum, h_inv)
     h_acc = h * h_acc
 
     g0 = ell
@@ -435,7 +470,7 @@ def _canonicalize_eta_twisted(x: LaurentMatrix, datum: GroupDatum) -> CanonicalF
     loop_rep = form.loop_rep * twist_inv
     g0 = form.g0 * datum.w1.inverse() * twist_inv * datum.w1
     h = form.certificate
-    _certify(h * x * gc.apply_eta(h, datum).inverse() == loop_rep,
+    _certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
              "twisted eta certificate does not replay")
     classes = classify_eta(datum, form.lam)
     orbit_class = next(c for c in classes if c.label == form.orbit_class.label)
@@ -535,7 +570,7 @@ def _match_iwahori_class(datum: GroupDatum, tw: AffineWeylElement, side: str,
     for cls in classes_at_tw(datum, tw, side):
         if _same_class_multiplicative(problem.m_act, list(cls.g0_args), diag):
             return cls
-    raise AssertionError("reduced torus element matches no classified class")
+    raise CertificateError("certificate failed: reduced torus element matches no classified class")
 
 
 def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
@@ -577,8 +612,7 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
                            for i in range(n) for j in range(i + 1)):
                         continue  # would leave the Iwahori subgroup
                 hs = SeriesMatrix.from_laurent(ident + ad, pp)
-                s_full = gc.apply_theta(hs, datum).inverse() \
-                    - SeriesMatrix.identity(n, pp)
+                s_full = gc.apply_theta_inv(hs, datum) - SeriesMatrix.identity(n, pp)
                 admissible = True
                 for i in range(n):
                     if not admissible:
@@ -669,13 +703,14 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
             raise PrecisionError("Iwahori reduction stalled; precision exhausted")
         last_key = key
         guard += 1
-        assert guard <= 4 * n * (gcur.precision + 1)
+        if guard > 4 * n * (gcur.precision + 1):
+            raise PrecisionError("Iwahori reduction exceeded its step bound")
         carrier = tw_loop * d
         carrier_inv = carrier.inverse()
         steps = _theta_layer_steps(datum, carrier, carrier_inv, red, key,
                                    lam_span)
         for hs in steps:
-            x = hs * x * gc.apply_theta(hs, datum).inverse()
+            x = hs * x * gc.apply_theta_inv(hs, datum)
             h_acc = hs * h_acc
 
     gcur = tw_inv * x
@@ -731,8 +766,12 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
                 power = power * nil
             if not power.is_zero():
                 raise InvalidInputError("unipotent defect is not nilpotent")
-        h = tw_loop * d * unipotent_sqrt(u).inverse() * (tw_loop * d).inverse()
-        x = h * x * gc.apply_eta(h, datum).inverse()
+        carrier = tw_loop * d
+        carrier_inv = carrier.inverse()
+        root = unipotent_sqrt(u)
+        h = carrier * root.inverse() * carrier_inv
+        h_inv = None if gc.inverse_is_free(datum, "eta") else carrier * root * carrier_inv
+        x = h * x * gc.apply_eta_inv(h, datum, h_inv)
         h_acc = h * h_acc
 
     args = _check_torus_diag(d, n)

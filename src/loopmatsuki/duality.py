@@ -168,13 +168,13 @@ def verify_intersection(pair: MatchedPair, samples: int, seed: int) -> dict:
     failures = []
     for s in range(samples):
         k = _compact_sample(datum, pair.level, s, rng)
-        th_img = gc.apply_theta(k, datum)
-        et_img = gc.apply_eta(k, datum)
-        if th_img != et_img:
+        k_inv = k.inverse()
+        th_inv = gc.apply_theta_inv(k, datum, k_inv)
+        if th_inv != gc.apply_eta_inv(k, datum, k_inv):
             failures.append({"sample": s,
                              "reason": "theta and eta twists differ"})
             continue
-        xt = k * x * th_img.inverse()
+        xt = k * x * th_inv
         reason = _labels_match(pair, xt, datum)
         if reason is not None:
             failures.append({"sample": s, "reason": reason})

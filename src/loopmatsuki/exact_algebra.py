@@ -241,7 +241,6 @@ def _left_nullvector(m: List[List[QI]]) -> List[QI] | None:
     n = len(m)
     # work with the transpose and find a right null vector
     a = [[m[j][i] for j in range(n)] for i in range(n)]
-    perm_cols = list(range(n))
     pivots: List[Tuple[int, int]] = []
     r = 0
     for c in range(n):
@@ -265,7 +264,6 @@ def _left_nullvector(m: List[List[QI]]) -> List[QI] | None:
     v[free] = ONE
     for i, c in pivots:
         v[c] = -a[i][free]
-    _ = perm_cols
     return v
 
 

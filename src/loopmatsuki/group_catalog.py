@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidInputError, UnsupportedFamilyError
 from .gaussian import QI, ONE, qi_from_str
@@ -106,7 +106,8 @@ def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatu
 
 
 def datum_from_config(cfg: dict) -> GroupDatum:
-    """Build a datum from the JSON configuration dictionary."""
+    """Build a datum from the JSON configuration dictionary; a malformed
+    one raises InvalidInputError."""
     try:
         family = cfg["family"]
         n = int(cfg["n"])
@@ -114,15 +115,8 @@ def datum_from_config(cfg: dict) -> GroupDatum:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad datum config: {exc}") from exc
     z: QI | int = 1
-    if "z" in cfg and cfg["z"] is not None:
-        zc = cfg["z"]
-        if isinstance(zc, str):
-            z = qi_from_str(zc)
-        elif isinstance(zc, dict):
-            z = QI(Fraction(zc.get("num_re", 0), zc.get("den_re", 1)),
-                   Fraction(zc.get("num_im", 0), zc.get("den_im", 1)))
-        else:
-            z = int(zc)
+    if cfg.get("z") is not None:
+        z = _config_scalar(cfg["z"], "z")
     datum = build_datum(family, n, epsilon, z)
     if cfg.get("inner_twist") is not None:
         g = matrix_from_config(cfg["inner_twist"], n)
@@ -131,18 +125,32 @@ def datum_from_config(cfg: dict) -> GroupDatum:
 
 
 def matrix_from_config(rows: Sequence[Sequence], n: int) -> LaurentMatrix:
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if (not isinstance(rows, (list, tuple)) or len(rows) != n
+            or any(not isinstance(r, (list, tuple)) or len(r) != n for r in rows)):
         raise InvalidInputError(f"matrix must be {n}x{n}")
-    out = []
-    for r in rows:
-        row = []
-        for x in r:
-            if isinstance(x, str):
-                row.append(qi_from_str(x))
-            else:
-                row.append(QI.of(x))
-        out.append(row)
-    return LaurentMatrix.from_scalars(out)
+    return LaurentMatrix.from_scalars(
+        [[_config_scalar(x, "matrix entry") for x in r] for r in rows])
+
+
+def _config_scalar(x, what: str) -> QI:
+    """A Gaussian rational given as a string, a number, or an object of
+    integer parts {num_re, den_re, num_im, den_im}."""
+    try:
+        if isinstance(x, QI):
+            return x
+        if isinstance(x, str):
+            return qi_from_str(x)
+        if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
+            return QI(Fraction(x))
+        if isinstance(x, dict):
+            nr, dr, ni, di = (x.get(k, default) for k, default in (
+                ("num_re", 0), ("den_re", 1), ("num_im", 0), ("den_im", 1)))
+            if all(type(p) is int for p in (nr, dr, ni, di)):
+                return QI(Fraction(nr, dr), Fraction(ni, di))
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"bad {what} {x!r}: {exc}") from None
+    raise InvalidInputError(f"{what} must be a Gaussian rational string, a number "
+                            f"or an object of integer parts, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,67 +183,80 @@ def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     return out
 
 
-def eta_c0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """Compact-form involution theta0 o eta0."""
-    return theta0(eta0(m, datum), datum)
-
-
-def is_compact(m: LaurentMatrix, datum: GroupDatum) -> bool:
-    """True iff the constant matrix m lies in the compact form U(n) of the
-    untwisted datum, i.e. m * conj-transpose(m) = I."""
-    ct = m.substitute(ONE, invert=False, conj=True).transpose()
-    return (m * ct) == LaurentMatrix.identity(datum.n)
-
-
 # ---------------------------------------------------------------------------
 # loop-level involutions
+
+
+# Each loop involution is sigma(gamma) = Ad_c Ad_M f(gamma(s(t))): s is
+# t -> epsilon*t (theta) or t -> epsilon/t with conjugated coefficients
+# (eta), M is J on quaternionic_gl, c the inner twist, and f the inverse
+# transpose on the families listed here, the identity on the others.
+_INVERSE_TRANSPOSE = {"theta": (SPLIT_GL, QUATERNIONIC_GL), "eta": (UNITARY,)}
+
+
+def inverse_is_free(datum: GroupDatum, side: str) -> bool:
+    """True when apply_<side>_inv takes no inverse, so gamma_inv goes unused."""
+    return datum.family in _INVERSE_TRANSPOSE[side]
+
+
+def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
+    """a * m * a_inv for constant a, carried at m's precision."""
+    if isinstance(m, SeriesMatrix):
+        a = SeriesMatrix.from_laurent(a, m.precision)
+        a_inv = SeriesMatrix.from_laurent(a_inv, m.precision)
+    return a * m * a_inv
+
+
+def _involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv):
+    """sigma(gamma), or sigma(gamma)^-1 = sigma(gamma^-1) when invert is set.
+
+    An inverse is taken only when f and invert do not cancel: so never for
+    sigma(gamma)^-1 on an inverse-transpose family, and from gamma_inv,
+    when given, on the others.
+    """
+    eta = side == "eta"
+    if eta and not isinstance(gamma, LaurentMatrix):
+        raise InvalidInputError("eta requires an exact Laurent matrix")
+    transpose = inverse_is_free(datum, side)
+    g = gamma
+    if invert != transpose:
+        g = gamma_inv if gamma_inv is not None else gamma.inverse()
+    g = g.substitute(QI(datum.epsilon), invert=eta, conj=eta)
+    if transpose:
+        g = g.transpose()
+    if datum.family == QUATERNIONIC_GL:
+        j = j_matrix(datum.n)
+        g = _conjugate_by(g, j, -j)  # J^-1 = -J
+    if datum.twist is not None:
+        g = _conjugate_by(g, datum.twist, datum.twist.inverse())
+    return g
 
 
 def apply_theta(gamma, datum: GroupDatum):
     """theta(gamma)(t) = theta0(gamma(epsilon t)), conjugated by the inner
     twist when one is present.  Accepts LaurentMatrix or SeriesMatrix
     (precision is tracked by the series arithmetic)."""
-    eps = QI(datum.epsilon)
-    g = gamma.substitute(eps, invert=False, conj=False)
-    if datum.family == SPLIT_GL:
-        out = g.inverse().transpose()
-    elif datum.family == QUATERNIONIC_GL:
-        j = j_matrix(datum.n)
-        ji = j.inverse()
-        if isinstance(g, SeriesMatrix):
-            prec = g.precision
-            j = SeriesMatrix.from_laurent(j, prec)
-            ji = SeriesMatrix.from_laurent(ji, prec)
-        out = j * g.inverse().transpose() * ji
-    else:
-        out = g
-    if datum.twist is not None:
-        c = datum.twist
-        ci = c.inverse()
-        if isinstance(out, SeriesMatrix):
-            c = SeriesMatrix.from_laurent(c, out.precision)
-            ci = SeriesMatrix.from_laurent(ci, out.precision)
-        out = c * out * ci
-    return out
+    return _involution(gamma, datum, "theta", False, None)
+
+
+def apply_theta_inv(gamma, datum: GroupDatum, gamma_inv=None):
+    """theta(gamma)^-1 = theta(gamma^-1).  No inverse is taken on split_gl
+    and quaternionic_gl; on unitary, gamma_inv is used when given.  On G(O)
+    series inputs the precision equals that of apply_theta(gamma).inverse()."""
+    return _involution(gamma, datum, "theta", True, gamma_inv)
 
 
 def apply_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """eta(gamma)(t) = eta0(gamma(epsilon t^-1)), with exact coefficientwise
     conjugation.  Laurent matrices only."""
-    if not isinstance(gamma, LaurentMatrix):
-        raise InvalidInputError("eta requires an exact Laurent matrix")
-    eps = QI(datum.epsilon)
-    g = gamma.substitute(eps, invert=True, conj=True)
-    if datum.family == SPLIT_GL:
-        out = g
-    elif datum.family == QUATERNIONIC_GL:
-        j = j_matrix(datum.n)
-        out = j * g * j.inverse()
-    else:
-        out = g.inverse().transpose()
-    if datum.twist is not None:
-        out = datum.twist * out * datum.twist.inverse()
-    return out
+    return _involution(gamma, datum, "eta", False, None)
+
+
+def apply_eta_inv(gamma: LaurentMatrix, datum: GroupDatum,
+                  gamma_inv: Optional[LaurentMatrix] = None) -> LaurentMatrix:
+    """eta(gamma)^-1 = eta(gamma^-1).  No inverse is taken on unitary; on
+    split_gl and quaternionic_gl, gamma_inv is used when given."""
+    return _involution(gamma, datum, "eta", True, gamma_inv)
 
 
 def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
@@ -246,22 +267,6 @@ def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
         j = j_matrix(datum.n)
         return -(j * y.transpose() * j.inverse())
     return y
-
-
-def theta0_torus_matrix(datum: GroupDatum) -> List[List[int]]:
-    """Integer matrix E with theta0(t^lambda) = t^(E lambda); the same matrix
-    gives the action of eta0 on the compact-torus argument vector."""
-    n = datum.n
-    if datum.family == SPLIT_GL:
-        return [[-1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if datum.family == QUATERNIONIC_GL:
-        # theta0 inverts and swaps within each consecutive pair
-        e = [[0] * n for _ in range(n)]
-        for b in range(n // 2):
-            e[2 * b][2 * b + 1] = -1
-            e[2 * b + 1][2 * b] = -1
-        return e
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def anti_fixed_defect_theta(gamma, datum: GroupDatum):
@@ -367,12 +372,6 @@ def transport_to_base(x: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     if datum.twist is None:
         return x
     return x * datum.twist
-
-
-def transport_from_base(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    if datum.twist is None:
-        return y
-    return y * datum.twist.inverse()
 
 
 def base_sector(datum: GroupDatum) -> QI:

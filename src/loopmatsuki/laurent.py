@@ -676,13 +676,18 @@ class SeriesMatrix:
         return f"Series(prec={self.precision}, {LaurentMatrix._of(self.rows)!r})"
 
 
-def series_exp(a: SeriesMatrix) -> SeriesMatrix:
-    """exp of a series matrix with strictly positive valuation."""
+def series_exp(a: SeriesMatrix, with_inverse: bool = False):
+    """exp of a series matrix with strictly positive valuation.
+
+    With ``with_inverse``, the pair (exp(a), exp(-a)): the terms of the
+    two series differ only in sign, so the inverse costs additions only.
+    """
     v = a.val()
     if v < 1:
         raise PrecisionError("series exp requires valuation >= 1")
     n = a.n
     out = SeriesMatrix.identity(n, a.precision)
+    inv = out
     term = SeriesMatrix.identity(n, a.precision)
     m = 0
     while True:
@@ -691,6 +696,10 @@ def series_exp(a: SeriesMatrix) -> SeriesMatrix:
             break
         term = (term * a).scale(Fraction(1, m))
         out = out + term
+        if with_inverse:
+            inv = inv - term if m % 2 else inv + term
+    if with_inverse:
+        return out.retruncate(a.precision), inv.retruncate(a.precision)
     return out.retruncate(a.precision)
 
 

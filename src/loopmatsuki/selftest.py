@@ -223,11 +223,10 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
         # computing with it at extra working precision is free
         hs = SeriesMatrix.from_laurent(h.to_laurent(), precision + 6)
         x = hs * SeriesMatrix.from_laurent(cls.loop_rep, precision + 6) \
-            * gc.apply_theta(hs, d).inverse()
+            * gc.apply_theta_inv(hs, d)
         form = canonicalize_theta(x, d)
         assert form.lam == cls.lam and form.orbit_class.label == cls.label
-        lhs = form.certificate * x * gc.apply_theta(
-            form.certificate, d).inverse()
+        lhs = form.certificate * x * gc.apply_theta_inv(form.certificate, d)
         r = form.residual_precision
         assert lhs.retruncate(r) == SeriesMatrix.from_laurent(
             form.loop_rep, r), "theta certificate replay"
@@ -237,11 +236,10 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
     for i in range(eta_twists):
         d, cls = reps[i % len(reps)]
         h = random_poly_element(d.n, 3, rng)
-        x = h * cls.loop_rep * gc.apply_eta(h, d).inverse()
+        x = h * cls.loop_rep * gc.apply_eta_inv(h, d)
         form = canonicalize_eta(x, d)
         assert form.lam == cls.lam and form.orbit_class.label == cls.label
-        lhs = form.certificate * x * gc.apply_eta(
-            form.certificate, d).inverse()
+        lhs = form.certificate * x * gc.apply_eta_inv(form.certificate, d)
         assert lhs == form.loop_rep, "eta certificate replay"
 
 

@@ -15,7 +15,7 @@ from loopmatsuki.canonicalize import (
 )
 from loopmatsuki.coweight_orbits import classify_eta, classify_theta, \
     enumerate_admissible
-from loopmatsuki.errors import NotAntiFixedError, PrecisionError
+from loopmatsuki.errors import InvalidInputError, NotAntiFixedError, PrecisionError
 from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element
@@ -124,3 +124,13 @@ def test_not_anti_fixed_raises():
     d = gc.build_datum("split_gl", 2, -1)
     with pytest.raises(NotAntiFixedError):
         canonicalize_eta(LaurentMatrix.t_power([1, 0]), d)
+
+
+def test_missing_datum_is_invalid_input():
+    # a plain matrix carries no datum; this must not rest on an assert,
+    # which python -O strips
+    x = LaurentMatrix.identity(2)
+    with pytest.raises(InvalidInputError):
+        canonicalize_theta(x)
+    with pytest.raises(InvalidInputError):
+        canonicalize_eta(x)

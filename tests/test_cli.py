@@ -174,3 +174,18 @@ def test_malformed_input_exit_codes(tmp_path, capsys, argv, doc, code):
     rc, out, err = run(capsys, *argv, "--family", "split_gl")
     assert rc == code
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("extra", [
+    {"z": [1]},
+    {"z": {"num_re": "x"}},
+    {"z": {"den_re": 0}},
+    {"inner_twist": 5},
+    {"inner_twist": [[1, 0], [0, "1/0"]]},
+], ids=["z-list", "z-string-part", "z-zero-denominator", "twist-int", "twist-zero-denominator"])
+def test_malformed_config_exits_2(tmp_path, capsys, extra):
+    cfg = write_json(tmp_path / "cfg.json",
+                     {"family": "unitary", "n": 2, "epsilon": 1, **extra})
+    rc, out, err = run(capsys, "orbits", "--config", cfg, "--bound", "0")
+    assert rc == 2
+    assert out == "" and err.startswith("error: ")

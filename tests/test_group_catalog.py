@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.errors import InvalidInputError, UnsupportedFamilyError
 from loopmatsuki.gaussian import QI
-from loopmatsuki.laurent import LaurentMatrix
-from loopmatsuki.randgen import random_poly_element
+from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
+from loopmatsuki.randgen import random_arc_element, random_poly_element
 
 ALL_DATA = [gc.build_datum(f, n, e)
             for f in ("split_gl", "quaternionic_gl", "unitary")
@@ -85,3 +86,56 @@ def test_twisted_involutions():
     assert gc.is_anti_fixed_eta(gc.transport_to_base(x, tw),
                                 gc.build_datum("unitary", 2, 1,
                                                gc.base_sector(tw)))
+
+
+# every family, both epsilons, and U(1,1) (the inner twist diag(1, -1) of U(2))
+INV_DATA = [gc.build_datum(f, n, e)
+            for f, n in (("split_gl", 1), ("split_gl", 2), ("split_gl", 3),
+                         ("quaternionic_gl", 2), ("unitary", 2), ("unitary", 3))
+            for e in (1, -1)] + [
+    gc.pure_inner_twist(gc.build_datum("unitary", 2, e),
+                        LaurentMatrix.diag_scalars([QI(1), QI(-1)])) for e in (1, -1)]
+
+
+def _same_series(a, b):
+    return a.precision == b.precision and a.rows == b.rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(INV_DATA), st.integers(0, 2 ** 32), st.integers(-2, 2))
+def test_inverse_involutions_on_laurent_inputs(datum, seed, shift):
+    rng = random.Random(seed)
+    lam = [rng.randint(-2, 2) for _ in range(datum.n)]
+    a = LaurentMatrix.t_power(lam) * random_poly_element(datum.n, 2, rng) \
+        * LaurentMatrix.t_power([shift] * datum.n)
+    a_inv = a.inverse()
+    theta_inv = gc.apply_theta(a, datum).inverse()
+    eta_inv = gc.apply_eta(a, datum).inverse()
+    assert gc.apply_theta_inv(a, datum) == theta_inv
+    assert gc.apply_theta_inv(a, datum, a_inv) == theta_inv
+    assert gc.apply_eta_inv(a, datum) == eta_inv
+    assert gc.apply_eta_inv(a, datum, a_inv) == eta_inv
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(INV_DATA), st.integers(0, 2 ** 32), st.integers(1, 9))
+def test_theta_inverse_on_arc_inputs_keeps_precision(datum, seed, precision):
+    # on G(O) the cofactor inverse certifies the input precision, so the
+    # inverse-free route must give the same coefficients and precision
+    h = random_arc_element(datum.n, precision, random.Random(seed))
+    want = gc.apply_theta(h, datum).inverse()
+    assert _same_series(gc.apply_theta_inv(h, datum), want)
+    assert _same_series(gc.apply_theta_inv(h, datum, h.inverse()), want)
+    with pytest.raises(InvalidInputError):
+        gc.apply_eta_inv(h, datum)
+
+
+def test_theta_inverse_outside_arc_group_is_exact_to_input_precision():
+    # t^-1 * I at precision N: theta(gamma)^-1 = gamma(eps t)^T is exact to
+    # N, while inverting theta(gamma) again certifies only N - 1
+    d = gc.build_datum("split_gl", 2, -1)
+    g = SeriesMatrix.from_laurent(LaurentMatrix.t_power([-1, -1]), 10)
+    out = gc.apply_theta_inv(g, d)
+    assert out.precision == 10
+    assert out == SeriesMatrix.from_laurent(LaurentMatrix.t_power([-1, -1]).scale(-1), 10)
+    assert gc.apply_theta(g, d).inverse().precision == 9

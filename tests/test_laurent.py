@@ -67,6 +67,12 @@ def test_series_exp_of_nilpotent_layer():
     assert e.coeff(0, 1, 1) == QI(1)
     assert e.coeff(0, 0, 0) == QI(1)
     assert e * e.inverse() == SeriesMatrix.identity(2, e.precision)
+    # with_inverse returns exp(-y) too; a non-nilpotent y uses every term sign
+    y = SeriesMatrix.from_laurent(LaurentMatrix([[{1: 1}, {1: 3}], [{2: 1}, {1: -2}]]), 8)
+    e, e_inv = series_exp(y, with_inverse=True)
+    assert e == series_exp(y) and e_inv == series_exp(y.scale(-1))
+    assert e_inv.precision == e.precision == 8
+    assert e * e_inv == SeriesMatrix.identity(2, 8)
 
 
 def test_retruncate_only_downward():
