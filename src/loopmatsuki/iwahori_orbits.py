@@ -23,14 +23,14 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InvalidInputError
+from .errors import CertificateError, InvalidInputError
 from .gaussian import QI
 from .group_catalog import (
     GroupDatum, theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta,
     build_datum, base_sector, base_sector_theta,
 )
 from .intlat import (
-    snf_int, invert_unimodular, mat_mul, mat_vec, integer_left_kernel_basis,
+    snf_int, mat_mul, mat_vec, integer_left_kernel_basis,
     rational_kernel_basis, solve_rational, lattice_basis, snf_diagonal,
 )
 from .laurent import LaurentMatrix
@@ -92,21 +92,11 @@ class AffineWeylElement:
         return LaurentMatrix.t_power(list(self.lam)) * self.lift
 
 
-def _ad_matrix(m: LaurentMatrix) -> List[List[int]]:
-    """Integer matrix A with m * t^v * m^-1 = t^(A v), for monomial m."""
-    n = m.n
-    minv = m.inverse()
-    cols = []
-    for k in range(n):
-        e = [0] * n
-        e[k] = 1
-        img = m * LaurentMatrix.t_power(e) * minv
-        col = []
-        for i in range(n):
-            ent = img.entry(i, i)
-            col.append(min(ent) if ent else 0)
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+def _ad_matrix(w: Sequence[int]) -> List[List[int]]:
+    """Integer matrix A with p * t^v * p^-1 = t^(A v) for any monomial lift p
+    of the permutation w: column k is the unit vector at w[k]."""
+    n = len(w)
+    return [[1 if w[k] == i else 0 for k in range(n)] for i in range(n)]
 
 
 def _involution_torus_matrix(datum: GroupDatum, side: str) -> List[List[int]]:
@@ -147,31 +137,27 @@ def theta0_weyl(datum: GroupDatum, w: Sequence[int]) -> Tuple[int, ...]:
     out = [0] * n
     for j in range(n):
         hits = [i for i in range(n) if not const[i][j].is_zero()]
-        assert len(hits) == 1
+        if len(hits) != 1:
+            raise CertificateError("certificate failed: theta0 of a permutation "
+                                   "lift is not a permutation")
         out[j] = hits[0]
     return tuple(out)
 
 
-def is_admissible_tw(datum: GroupDatum, lam: Sequence[int], w: Sequence[int]) -> bool:
-    """theta0(w) = w^-1 in W and theta0(lambda) = -w^-1 lambda."""
-    if theta0_weyl(datum, w) != _perm_inverse(w):
-        return False
-    e = _involution_torus_matrix(datum, "theta")
-    winv = _ad_matrix(perm_matrix(_perm_inverse(w)))
-    lhs = mat_vec(e, list(lam))
-    rhs = [-x for x in mat_vec(winv, list(lam))]
-    return lhs == rhs
-
-
 def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylElement]:
+    """The t^lambda * w with |lambda_i| <= bound, theta0(w) = w^-1 in W and
+    theta0(lambda) = -w^-1 lambda."""
     if bound < 0:
         raise InvalidInputError("bound must be nonnegative")
+    e = _involution_torus_matrix(datum, "theta")
     out = []
     for w in permutations(range(datum.n)):
-        if theta0_weyl(datum, w) != _perm_inverse(w):
+        winv = _perm_inverse(w)
+        if theta0_weyl(datum, w) != winv:
             continue
+        a_winv = _ad_matrix(winv)
         for lam in product(range(-bound, bound + 1), repeat=datum.n):
-            if is_admissible_tw(datum, lam, w):
+            if mat_vec(e, lam) == [-x for x in mat_vec(a_winv, lam)]:
                 out.append(AffineWeylElement.of(lam, w))
     return sorted(out, key=lambda tw: (tw.lam, tw.w))
 
@@ -205,16 +191,19 @@ class TorusTwistProblem:
 def build_torus_problem(datum: GroupDatum, tw: AffineWeylElement,
                         side: str = "theta") -> TorusTwistProblem:
     e = _involution_torus_matrix(datum, side)
-    a_w = _ad_matrix(tw.lift)
-    a_winv = _ad_matrix(tw.lift.inverse())
+    a_w = _ad_matrix(tw.w)
+    a_winv = _ad_matrix(_perm_inverse(tw.w))
     n = datum.n
     m_eq = [[a_w[i][j] + e[i][j] for j in range(n)] for i in range(n)]
     m_act = [[a_winv[i][j] - e[i][j] for j in range(n)] for i in range(n)]
-    assert all(x == 0 for row in mat_mul(m_eq, m_act) for x in row)
+    if any(x for row in mat_mul(m_eq, m_act) for x in row):
+        raise CertificateError("certificate failed: the torus action does not "
+                               "preserve the equation")
     # solutions modulo the action must form a finite set
     for v in rational_kernel_basis(m_eq):
-        assert solve_rational(m_act, v) is not None, \
-            "equation kernel escapes the action image"
+        if solve_rational(m_act, v) is None:
+            raise CertificateError("certificate failed: equation kernel escapes "
+                                   "the action image")
     zarg = qi_arg(datum.z)
     target = tuple((a + zarg) % 1 for a in (qi_arg(x) for x in t_tw(tw, datum)))
     return TorusTwistProblem(n, tuple(tuple(r) for r in m_eq),
@@ -271,7 +260,9 @@ def _canonicalizer(m_act):
         if lat:
             bt = [[lat[j][i] for j in range(len(lat))] for i in range(n)]
             coords = solve_rational(bt, r)
-            assert coords is not None
+            if coords is None:
+                raise CertificateError("certificate failed: reduced argument "
+                                       "vector outside the lattice span")
             for c, b in zip(coords, lat):
                 f = Fraction(int(c // 1))
                 r = [x - f * y for x, y in zip(r, b)]
@@ -296,7 +287,9 @@ def solve_torus_classes(problem: TorusTwistProblem):
     for i in range(n):
         di = d[i][i]
         if di == 0:
-            assert ut[i].denominator == 1
+            if ut[i].denominator != 1:
+                raise CertificateError("certificate failed: torus equation "
+                                       "unsolvable after the character test")
             c.append(Fraction(0))
         else:
             c.append(Fraction(ut[i], 1) / di)
@@ -324,7 +317,9 @@ def solve_torus_classes(problem: TorusTwistProblem):
     # canonical representatives still solve the equation
     for args, _ in classes:
         img = mat_vec(m_eq, list(args))
-        assert all((x - t).denominator == 1 for x, t in zip(img, targ))
+        if any((x - t).denominator != 1 for x, t in zip(img, targ)):
+            raise CertificateError("certificate failed: a canonical torus "
+                                   "representative does not solve the equation")
     return True, classes
 
 
@@ -354,6 +349,15 @@ class IwahoriClass:
     spherical_parent: Tuple[int, ...]
 
 
+def _check_anti_fixed(loop: LaurentMatrix, datum: GroupDatum,
+                      tw: AffineWeylElement, side: str) -> None:
+    is_anti_fixed = is_anti_fixed_eta if side == "eta" else is_anti_fixed_theta
+    if not is_anti_fixed(loop, datum):
+        raise CertificateError(
+            f"certificate failed: the representative at lambda={list(tw.lam)}, "
+            f"w={list(tw.w)} is not {side}-anti-fixed")
+
+
 def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
                   side: str = "theta") -> List[IwahoriClass]:
     if datum.twist is not None:
@@ -369,10 +373,7 @@ def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
             if cls.g0 is not None:
                 g0 = cls.g0 * cinv
                 loop = tw.loop() * g0
-                if side == "eta":
-                    assert is_anti_fixed_eta(loop, datum), (tw, cls.g0_args)
-                else:
-                    assert is_anti_fixed_theta(loop, datum), (tw, cls.g0_args)
+                _check_anti_fixed(loop, datum, tw, side)
             out.append(IwahoriClass(datum, tw, side, cls.g0_args, g0, loop,
                                     cls.component_group, cls.spherical_parent))
         return out
@@ -385,10 +386,7 @@ def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
         loop = None
         if g0 is not None:
             loop = tw.loop() * g0
-            if side == "theta":
-                assert is_anti_fixed_theta(loop, datum), (tw, args)
-            else:
-                assert is_anti_fixed_eta(loop, datum), (tw, args)
+            _check_anti_fixed(loop, datum, tw, side)
         out.append(IwahoriClass(datum, tw, side, args, g0, loop, comp, parent))
     return out
 
@@ -411,7 +409,9 @@ def spherical_projection(cls: IwahoriClass):
     if not spherical:
         raise InvalidInputError("no spherical class above this Iwahori class")
     if datum.family != "unitary":
-        assert len(spherical) == 1
+        if len(spherical) != 1:
+            raise CertificateError("certificate failed: more than one spherical "
+                                   "class above an Iwahori class")
         return spherical[0]
     if cls.g0 is None:
         raise InvalidInputError("representative lies outside Q(i)")
@@ -429,7 +429,9 @@ def spherical_projection(cls: IwahoriClass):
     tr = QI(0)
     for a in range(m):
         tr = tr + block[m - 1 - a][a]
-    assert tr.is_real() and tr.re.denominator == 1
+    if not (tr.is_real() and tr.re.denominator == 1):
+        raise CertificateError("certificate failed: the middle-block involution "
+                               "has a trace outside Z")
     pcount = (m + int(tr.re)) // 2
     label = f"({pcount},{m - pcount})"
     for s in spherical:

@@ -326,6 +326,22 @@ def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int])
     return out
 
 
+def _monomial_inverse(rows: Sequence[Sequence[Entry]]) -> List[List[Entry]] | None:
+    """Rows of the inverse of a monomial matrix, or None for any other matrix."""
+    n = len(rows)
+    out = [[ZERO_ENTRY] * n for _ in range(n)]
+    hit_cols = set()
+    for i, r in enumerate(rows):
+        hits = [j for j, e in enumerate(r) if e._re]
+        if len(hits) != 1 or hits[0] in hit_cols or len(r[hits[0]]._re) != 1:
+            return None
+        j = hits[0]
+        hit_cols.add(j)
+        k = r[j]._v
+        out[j][i] = r[j].shift(-k).reciprocal(1).shift(-k)
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -448,7 +464,15 @@ class LaurentMatrix:
         return det_minor(self.rows, list(range(self.n)), list(range(self.n)))
 
     def inverse(self) -> "LaurentMatrix":
-        """Exact inverse; requires det to be a nonzero monomial c*t^k."""
+        """Exact inverse; requires det to be a nonzero monomial c*t^k.
+
+        A monomial matrix, one single-term entry c*t^k in every row and every
+        column, is inverted directly: c^-1 * t^-k at the transposed place.
+        Any other matrix goes through the cofactor adjugate.
+        """
+        rows = _monomial_inverse(self.rows)
+        if rows is not None:
+            return LaurentMatrix._of(rows)
         d = self.det()
         if len(d._re) != 1:
             raise InvalidInputError(

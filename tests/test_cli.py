@@ -1,5 +1,6 @@
 """In-process CLI tests: goldens, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -189,3 +190,19 @@ def test_malformed_config_exits_2(tmp_path, capsys, extra):
     rc, out, err = run(capsys, "orbits", "--config", cfg, "--bound", "0")
     assert rc == 2
     assert out == "" and err.startswith("error: ")
+
+
+# sha256 of the JSON n = 4 Iwahori orbit tables on stdout
+N4_IWAHORI_DIGESTS = {
+    ("split_gl", "1"): "4e6c75c97bdc63f4a0b9025ccf845d1777be4494d428fd10e4bf07bcc1bafa88",
+    ("unitary", "1"): "88aa125f3814a20da186dcde0cc585407980cc18340d6708f070aae1edbcc0ed",
+    ("quaternionic_gl", "-1"): "69a8ee8bca053ff2ed4de24c9aa287eb415bab40ae2874dd530efc496886c60e",
+}
+
+
+@pytest.mark.parametrize("family,eps", list(N4_IWAHORI_DIGESTS))
+def test_iwahori_orbits_n4_golden(capsys, family, eps):
+    rc, out, _ = run(capsys, "orbits", "--family", family, "--n", "4", "--epsilon", eps,
+                     "--level", "iwahori", "--bound", "1", "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == N4_IWAHORI_DIGESTS[family, eps]

@@ -218,3 +218,84 @@ def test_substitute_matches_termwise_oracle(a, unit, invert, conj):
         s = m.truncate(25).substitute(unit, conj=conj)
         assert dict(s.entry(0, 0).items()) == ref_clean(
             {k: v for k, v in ref_subst(a, unit, False, conj).items() if k < 25})
+
+
+# ---------------------------------------------------------------------------
+# the monomial inverse against the adjugate / det oracle
+
+from loopmatsuki import laurent  # noqa: E402
+
+
+def adjugate_inverse(m):
+    """(-1)^(i+j) * minor(j, i) / det, from cofactor minors."""
+    n = m.n
+    d = m.det()
+    assert len(d) == 1
+    k = min(d)
+    dinv = Entry.term(-k, d[k].inv())
+    idx = list(range(n))
+
+    def cofactor(i, j):
+        minor = laurent.det_minor(m.rows, [r for r in idx if r != j], [c for c in idx if c != i])
+        return minor.scale((-1) ** (i + j)) * dinv
+
+    return LaurentMatrix([[cofactor(i, j) for j in idx] for i in idx])
+
+
+def counting_det(monkeypatch):
+    calls = []
+    det = LaurentMatrix.det
+    monkeypatch.setattr(LaurentMatrix, "det", lambda self: calls.append(1) or det(self))
+    return calls
+
+
+nonunit_denominators = st.integers(2, 2 ** 40)
+gaussian_nonzero = st.builds(QI, st.builds(Fraction, st.integers(-50, 50), nonunit_denominators),
+                             st.builds(Fraction, st.integers(-50, 50), nonunit_denominators)
+                             ).filter(lambda q: not q.is_zero())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)), st.lists(gaussian_nonzero, min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+def test_monomial_inverse_matches_adjugate(case):
+    w, cs, ks = case
+    n = len(w)
+    m = LaurentMatrix.zeros(n)
+    for i in range(n):
+        m.rows[w[i]][i] = Entry.term(ks[i], cs[i])
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_det(mp)
+        inv = m.inverse()
+    assert not calls
+    assert inv == adjugate_inverse(m)  # Entry equality compares the normal-form fields
+    assert m * inv == LaurentMatrix.identity(n)
+
+
+NEAR_MONOMIAL = [
+    [[{0: 1}, {2: QI(Fraction(1, 3), 1)}], [{}, {-1: 2}]],       # second entry in a row
+    [[{}, {1: 5}, {}], [{0: 1}, {}, {0: 1, 1: 1}], [{}, {}, {0: 1}]],  # two-term entry
+    [[{0: 1, 1: 1}, {0: 1}], [{1: 1}, {0: 1}]],                   # two terms, det 1
+]
+
+
+@pytest.mark.parametrize("rows", NEAR_MONOMIAL)
+def test_near_monomial_inverse_takes_cofactor_path(monkeypatch, rows):
+    m = LaurentMatrix(rows)
+    calls = counting_det(monkeypatch)
+    inv = m.inverse()
+    assert calls and inv == adjugate_inverse(m)
+    assert m * inv == LaurentMatrix.identity(m.n)
+
+
+@pytest.mark.parametrize("rows", [
+    [[{0: 1}, {}], [{}, {}]],                 # zero row
+    [[{0: 1}, {}], [{1: 1}, {}]],             # zero column
+    [[{0: 1, 1: 1}, {}], [{}, {0: 1}]],       # diag(1 + t, 1)
+])
+def test_non_invertible_near_monomial_raises(monkeypatch, rows):
+    calls = counting_det(monkeypatch)
+    with pytest.raises(InvalidInputError):
+        LaurentMatrix(rows).inverse()
+    assert calls
