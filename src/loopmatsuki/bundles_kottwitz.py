@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from . import group_catalog as gc
 from .canonicalize import EtaLoop, canonicalize_eta, iwahori_reduce_eta
 from .coweight_orbits import classify_eta, enumerate_admissible
-from .errors import InvalidInputError
+from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
 from .iwahori_orbits import AffineWeylElement
@@ -65,7 +65,7 @@ def loop_to_bundle(x, datum: GroupDatum) -> RealBundleDatum:
     form = canonicalize_eta(x, datum)
     c = form.g0 * datum.w1.inverse()
     rep = LaurentMatrix.t_power(list(form.lam)) * c
-    assert gc.is_anti_fixed_eta(rep, datum)
+    certify(gc.is_anti_fixed_eta(rep, datum), "bundle representative t^lam * c is not anti-fixed")
     return RealBundleDatum(
         epsilon=datum.epsilon,
         z=datum.z,
@@ -133,7 +133,7 @@ def kottwitz_to_loop(p: KottwitzPoint, datum: GroupDatum) -> LaurentMatrix:
     if not kottwitz_validate(p, datum):
         raise InvalidInputError("invalid Kottwitz point")
     loop = LaurentMatrix.t_power(list(p.lam)) * p.g
-    assert gc.is_anti_fixed_eta(loop, datum)
+    certify(gc.is_anti_fixed_eta(loop, datum), "loop of a valid Kottwitz point is not anti-fixed")
     return loop
 
 
@@ -147,10 +147,8 @@ def enumerate_kottwitz(datum: GroupDatum, bound: int,
         for cls in classify_eta(datum, adm):
             p = KottwitzPoint(lam=tuple(adm.lam),
                               g=cls.g0 * datum.w1.inverse(), z=datum.z)
-            if not kottwitz_validate(p, datum):
-                raise AssertionError(
-                    f"classifier representative at {adm.lam} fails the "
-                    f"Kottwitz identities")
+            certify(kottwitz_validate(p, datum),
+                    f"classifier representative at {adm.lam} fails the Kottwitz identities")
             out.append(p)
     return out
 

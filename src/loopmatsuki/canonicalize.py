@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
 from .coweight_orbits import (
@@ -22,7 +22,9 @@ from .coweight_orbits import (
     classify_eta,
     classify_theta,
 )
-from .errors import CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError
+from .errors import (
+    CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError, certify,
+)
 from .exact_algebra import (
     birkhoff_factor,
     hermitian_signature,
@@ -32,6 +34,7 @@ from .exact_algebra import (
 )
 from .gaussian import QI
 from .group_catalog import GroupDatum
+from .intlat import eliminate, mat_mul
 from .iwahori_orbits import (
     AffineWeylElement,
     IwahoriClass,
@@ -42,7 +45,6 @@ from .laurent import (
     Entry,
     LaurentMatrix,
     SeriesMatrix,
-    laurent_log_unipotent,
     series_exp,
 )
 
@@ -103,66 +105,7 @@ def tau_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra over Q(i)
-
-
-def _eliminate(a: List[List[QI]]) -> Callable[[List[QI]], Optional[List[QI]]]:
-    """Gauss-Jordan on a once; returns a solver for a*x = b.
-
-    The solver replays the recorded row operations on b alone, so each
-    right-hand side costs what carrying it as one more column would.  It
-    returns one solution, or None if a*x = b is inconsistent.
-    """
-    m = len(a)
-    cols = len(a[0]) if m else 0
-    rows = [list(r) for r in a]
-    # per pivot: (row, swapped-in row, column, reciprocal, [(row, factor)])
-    ops: List[Tuple[int, int, int, QI, List[Tuple[int, QI]]]] = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        fs = []
-        for i in range(m):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                fs.append((i, f))
-        ops.append((r, pr, c, inv, fs))
-        r += 1
-        if r == m:
-            break
-
-    def solve(b: List[QI]) -> Optional[List[QI]]:
-        b = list(b)
-        for pr, swap, _, inv, fs in ops:
-            b[pr], b[swap] = b[swap], b[pr]
-            b[pr] = b[pr] * inv
-            for i, f in fs:
-                b[i] = b[i] - f * b[pr]
-        if any(not v.is_zero() for v in b[r:]):
-            return None
-        x = [QI(0)] * cols
-        for pr, _, pc, _, _ in ops:
-            x[pc] = b[pr]
-        return x
-
-    return solve
-
-
-def _solve_qi(a: List[List[QI]], b: List[QI]) -> Optional[List[QI]]:
-    """One solution of a*x = b over Q(i), or None if inconsistent."""
-    return _eliminate(a)(b)
-
-
-def _certify(holds: bool, what: str) -> None:
-    """Raise CertificateError unless an exact certificate check holds."""
-    if not holds:
-        raise CertificateError(f"certificate failed: {what}")
+# small helpers
 
 
 def _block_index(lam: Sequence[int]) -> List[int]:
@@ -187,11 +130,11 @@ def _middle_block(lam: Sequence[int]):
 def _middle_invariant(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, side: str):
     """Conjugation invariant of the middle (lambda = 0) block of g0."""
     mid = _middle_block(lam)
-    _certify(mid is not None, "middle-block invariant of a coweight without a middle block")
+    certify(mid is not None, "middle-block invariant of a coweight without a middle block")
     start, m = mid
     rev = [[QI(1) if r == m - 1 - s else QI(0) for s in range(m)] for r in range(m)]
     b = [[g0.coeff(start + r, start + s, 0) for s in range(m)] for r in range(m)]
-    mm = [[sum((rev[r][k] * b[k][s] for k in range(m)), QI(0)) for s in range(m)] for r in range(m)]
+    mm = mat_mul(rev, b)
     if side == "theta":
         tr = sum((mm[r][r] for r in range(m)), QI(0))
         return ("trace", str(tr))
@@ -207,9 +150,9 @@ def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMat
                            side: str) -> SphericalClass:
     classes = classify_theta(datum, lam) if side == "theta" else classify_eta(datum, lam)
     # the input passed its anti-fixedness check, so a miss here is an internal fault
-    _certify(bool(classes), "reduced to a coweight with no anti-fixed classes")
+    certify(bool(classes), "reduced to a coweight with no anti-fixed classes")
     if datum.family != gc.UNITARY or _middle_block(lam) is None:
-        _certify(len(classes) == 1, "several classes and no middle-block invariant to separate them")
+        certify(len(classes) == 1, "several classes and no middle-block invariant to separate them")
         return classes[0]
     want = _middle_invariant(datum, lam, g0, side)
     for cls in classes:
@@ -257,7 +200,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     big = prec_in + 2 * spread + 2 * max(abs(lam[0]), abs(lam[-1]), 1) + 8
 
     g1, lam2, _, _ = smith_over_dvr(x)
-    _certify(lam2 == lam, "Smith positioning disagrees with the valuation coweight")
+    certify(lam2 == lam, "Smith positioning disagrees with the valuation coweight")
 
     def conjugate(cur: SeriesMatrix, h: SeriesMatrix,
                   h_inv: Optional[SeriesMatrix]) -> SeriesMatrix:
@@ -278,8 +221,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     # layer 0: the constant term sits in the standard parabolic P_lam;
     # strip its unipotent radical part.
     c0 = g.constant_matrix()
-    _certify(all(c0[i][j].is_zero() for i in range(n) for j in range(n) if bidx[i] > bidx[j]),
-             "constant term escapes the parabolic P_lambda")
+    certify(all(c0[i][j].is_zero() for i in range(n) for j in range(n) if bidx[i] > bidx[j]),
+            "constant term escapes the parabolic P_lambda")
     ell_rows = [[c0[i][j] if bidx[i] == bidx[j] else QI(0) for j in range(n)] for i in range(n)]
     ell = LaurentMatrix.from_scalars(ell_rows)
     u0 = ell.inverse() * LaurentMatrix.from_scalars(c0)
@@ -289,8 +232,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         cur = conjugate(cur, h0s, None)
         h_acc = h0s * h_acc
         g = gform(cur)
-        _certify(LaurentMatrix.from_scalars(g.constant_matrix()) == ell,
-                 "layer-0 conjugation left a unipotent constant term")
+        certify(LaurentMatrix.from_scalars(g.constant_matrix()) == ell,
+                "layer-0 conjugation left a unipotent constant term")
 
     # precomputed first-order responses of twisted conjugation at ell
     ell_inv = ell.inverse()
@@ -328,9 +271,9 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         rhs = [-layer[r][s] for r in range(n) for s in range(n)]
         sign = datum.epsilon ** k
         if sign not in solvers:
-            solvers[sign] = _eliminate(layer_system(QI(sign)))
+            solvers[sign] = eliminate(layer_system(QI(sign)))[2]
         sol = solvers[sign](rhs)
-        _certify(sol is not None, f"layer {k} has no killing conjugator")
+        certify(sol is not None, f"layer {k} has no killing conjugator")
         y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
                             for j in range(n)] for i in range(n)])
         if y.is_zero():
@@ -344,9 +287,9 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         h_acc = h * h_acc
         g = gform(cur)
         red = ell_inv_s * g
-        _certify(all(red.coeff(i, j, kk).is_zero()
+        certify(all(red.coeff(i, j, kk).is_zero()
                      for kk in range(1, k + 1) for i in range(n) for j in range(n)),
-                 f"layers 1..{k} are not killed")
+                f"layers 1..{k} are not killed")
 
     g0 = ell
     if not _theta_equation_holds(datum, lam, g0):
@@ -360,8 +303,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
             f"residual precision {residual} below the floor {MIN_RESIDUAL_PRECISION}"
         )
     defect = cur - SeriesMatrix.from_laurent(loop_rep, cur.precision)
-    _certify(all(not e for row in defect.retruncate(residual).rows for e in row),
-             f"theta defect is nonzero below the residual precision {residual}")
+    certify(all(not e for row in defect.retruncate(residual).rows for e in row),
+            f"theta defect is nonzero below the residual precision {residual}")
     orbit_class = _match_spherical_class(datum, lam, g0, "theta")
     return CanonicalForm(
         lam=tuple(lam),
@@ -425,9 +368,9 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         for j in range(n):
             e = m.entry(i, j)
             if bidx[i] > bidx[j]:
-                _certify(not e, "positioned loop escapes the parabolic")
+                certify(not e, "positioned loop escapes the parabolic")
             elif bidx[i] == bidx[j]:
-                _certify(all(k == 0 for k in e), "Levi part of the positioned loop is not constant")
+                certify(all(k == 0 for k in e), "Levi part of the positioned loop is not constant")
                 ell_rows[i][j] = e.get(0, QI(0))
     ell = LaurentMatrix.from_scalars(ell_rows)
     u = m * ell.inverse()
@@ -440,15 +383,15 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     root = unipotent_sqrt(u)
     h = tlam * root.inverse() * tlam_inv
     hv = h.val()
-    _certify(hv is None or hv >= 0, "eta unipotent conjugator has negative valuation")
+    certify(hv is None or hv >= 0, "eta unipotent conjugator has negative valuation")
     h_inv = None if gc.inverse_is_free(datum, "eta") else tlam * root * tlam_inv
     cur = h * cur * gc.apply_eta_inv(h, datum, h_inv)
     h_acc = h * h_acc
 
     g0 = ell
     loop_rep = tlam * g0 * datum.w1.inverse()
-    _certify(cur == loop_rep, "eta reduction does not replay to the representative")
-    _certify(_eta_equation_holds(datum, lam, g0), "eta spherical equation fails for g0")
+    certify(cur == loop_rep, "eta reduction does not replay to the representative")
+    certify(_eta_equation_holds(datum, lam, g0), "eta spherical equation fails for g0")
     orbit_class = _match_spherical_class(datum, lam, g0, "eta")
     return CanonicalForm(
         lam=tuple(lam),
@@ -470,8 +413,8 @@ def _canonicalize_eta_twisted(x: LaurentMatrix, datum: GroupDatum) -> CanonicalF
     loop_rep = form.loop_rep * twist_inv
     g0 = form.g0 * datum.w1.inverse() * twist_inv * datum.w1
     h = form.certificate
-    _certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
-             "twisted eta certificate does not replay")
+    certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
+            "twisted eta certificate does not replay")
     classes = classify_eta(datum, form.lam)
     orbit_class = next(c for c in classes if c.label == form.orbit_class.label)
     return CanonicalForm(
@@ -639,7 +582,7 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
                 cols.append(col)
                 moves.append(ad)
     rows = [[cols[b][r] for b in range(len(cols))] for r in range(len(stripe))]
-    sol = _solve_qi(rows, target)
+    sol = eliminate(rows)[2](target)
     if sol is None:
         raise InvalidInputError(
             "no admissible reduction step at this layer; "

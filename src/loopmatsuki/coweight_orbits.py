@@ -29,14 +29,15 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InvalidInputError, UnsupportedFamilyError
+from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
-    SPLIT_GL, QUATERNIONIC_GL, UNITARY, GroupDatum,
-    theta0, apply_theta, apply_eta,
+    SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
+    theta0,
     is_anti_fixed_theta, is_anti_fixed_eta,
     eta0, base_sector, base_sector_theta, build_datum,
 )
+from .intlat import mat_mul
 from .laurent import LaurentMatrix
 
 Block = Tuple[int, int, int]  # (start, size, lambda-value)
@@ -134,12 +135,6 @@ def _reversal_block(m: int) -> List[List[QI]]:
     return rows
 
 
-def _matmul_q(a, b):
-    m = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(m)), QI(0)) for j in range(m)]
-            for i in range(m)]
-
-
 def _assemble(n: int, blocks: Sequence[Block], parts: Sequence[List[List[QI]]]) -> LaurentMatrix:
     rows = [[QI(0)] * n for _ in range(n)]
     for (start, size, _), part in zip(blocks, parts):
@@ -198,7 +193,7 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
     for i in range(half):
         _, size, _ = blocks[i]
         _, size2, mu2 = blocks[r - 1 - i]
-        assert size == size2
+        certify(size == size2, f"mirror blocks {i} and {r - 1 - i} differ in size")
         pair_parts[i] = _identity_block(size)
         c = _sign_power(datum.epsilon, mu2) * z
         pair_parts[r - 1 - i] = [[c if a == b else QI(0) for b in range(size)]
@@ -208,7 +203,6 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
     if mid is None:
         parts = [pair_parts[i] for i in range(r)]
         g0 = _assemble(datum.n, blocks, parts)
-        types = [("Pair", blocks[i][1]) for i in range(half)] + [("Mid", 0, 0, 0)]
         out.append(_finish_class(datum, adm, side, "(0,0)", g0,
                                  [("Pair", blocks[i][1]) for i in range(half)],
                                  sig=(0, 0)))
@@ -221,7 +215,7 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
         q = m - p
         sig = [[scale * (QI(1) if a < p else QI(-1)) if a == b else QI(0)
                 for b in range(m)] for a in range(m)]
-        mid_part = _matmul_q(rev, sig)  # B = R * M_{p,q}
+        mid_part = mat_mul(rev, sig)  # B = R * M_{p,q}
         parts = [pair_parts[i] if i != half else mid_part for i in range(r)]
         g0 = _assemble(datum.n, blocks, parts)
         out.append(_finish_class(datum, adm, side, f"({p},{q})", g0,
@@ -233,17 +227,17 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
 def _finish_class(datum: GroupDatum, adm: AdmissibleCoweight, side: str,
                   label: str, g0: LaurentMatrix, types, sig=None) -> SphericalClass:
     loop = LaurentMatrix.t_power(list(adm.lam)) * g0 * datum.w1.inverse()
+    where = f"{side} class {label} at lambda={adm.lam}"
     if side == "theta":
-        comp = _component_group_theta(datum, types, sig)
-        assert is_anti_fixed_theta(loop, datum), (adm.lam, label)
-        assert _theta_equation_holds(datum, adm.lam, g0), (adm.lam, label)
+        certify(is_anti_fixed_theta(loop, datum), f"{where}: representative not anti-fixed")
+        certify(_theta_equation_holds(datum, adm.lam, g0), f"{where}: g0 fails its equation")
         aut = None
     else:
-        comp = _component_group_eta(datum, types, sig)
-        assert is_anti_fixed_eta(loop, datum), (adm.lam, label)
-        assert _eta_equation_holds(datum, adm.lam, g0), (adm.lam, label)
+        certify(is_anti_fixed_eta(loop, datum), f"{where}: representative not anti-fixed")
+        certify(_eta_equation_holds(datum, adm.lam, g0), f"{where}: g0 fails its equation")
         aut = _aut_label(datum, types, sig)
-    return SphericalClass(datum, adm.lam, side, label, g0, loop, tuple(comp), aut)
+    return SphericalClass(datum, adm.lam, side, label, g0, loop,
+                          tuple(_component_group(types)), aut)
 
 
 def _eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
@@ -263,28 +257,18 @@ def _eta_equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix) -> bool:
     return g0 == rhs
 
 
-# component groups: the theta path counts components of complexified
-# centralizers (O(m,C), Sp(m,C), GL_p x GL_q, block GL_m); the eta path uses
-# the compact/real forms (O(m), compact Sp, U(p) x U(q), diagonal U(m)).
-# Both are products of the per-block component groups.
+# component groups: the theta side counts components of complexified
+# centralizers (O(m,C), Sp(m,C), GL_p x GL_q, block GL_m), the eta side those
+# of the compact/real forms (O(m), compact Sp, U(p) x U(q), diagonal U(m)).
+# Both are products of the per-block component groups, and they agree.
 
-def _component_group_theta(datum: GroupDatum, types, sig) -> List[int]:
+def _component_group(types) -> List[int]:
     out = []
     for t in types:
-        if t[0] == "Sym":  # centralizer O(m, C), two components
+        if t[0] == "Sym":  # centralizer O(m, C) or O(m), two components
             out.append(2)
-        # Alt -> Sp(m, C), connected; Pair -> GL_m(C), connected
-    # unitary middle: GL_p(C) x GL_q(C), connected
-    return sorted(out)
-
-
-def _component_group_eta(datum: GroupDatum, types, sig) -> List[int]:
-    out = []
-    for t in types:
-        if t[0] == "Sym":  # centralizer O(m), two components
-            out.append(2)
-        # Alt -> compact symplectic group, connected; Pair -> U(m), connected
-    # unitary middle: U(p) x U(q), connected
+        # Alt -> Sp(m, C) or compact Sp, Pair -> GL_m(C) or U(m): connected
+    # unitary middle: GL_p(C) x GL_q(C) or U(p) x U(q), connected
     return sorted(out)
 
 
@@ -327,7 +311,9 @@ def _classify_theta_twisted(datum: GroupDatum, adm: AdmissibleCoweight) -> List[
     for cls in base_classes:
         loop = cls.loop_rep * cinv
         g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
-        assert is_anti_fixed_theta(loop, datum), (adm.lam, cls.label)
+        certify(is_anti_fixed_theta(loop, datum),
+                f"twisted theta class {cls.label} at lambda={adm.lam}: "
+                "transported representative not anti-fixed")
         out.append(SphericalClass(datum, adm.lam, "theta", cls.label, g0, loop,
                                   cls.component_group, cls.aut_label))
     return out
@@ -352,7 +338,9 @@ def _classify_eta_twisted(datum: GroupDatum, adm: AdmissibleCoweight) -> List[Sp
     for cls in base_classes:
         loop = cls.loop_rep * cinv
         g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
-        assert is_anti_fixed_eta(loop, datum), (adm.lam, cls.label)
+        certify(is_anti_fixed_eta(loop, datum),
+                f"twisted eta class {cls.label} at lambda={adm.lam}: "
+                "transported representative not anti-fixed")
         out.append(SphericalClass(datum, adm.lam, "eta", cls.label, g0, loop,
                                   cls.component_group, cls.aut_label))
     return out

@@ -22,7 +22,7 @@ from .canonicalize import (
 )
 from .coweight_orbits import SphericalClass, classify_eta, classify_theta, \
     enumerate_admissible
-from .errors import InvalidInputError
+from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
 from .iwahori_orbits import IwahoriClass, classes_at_tw, enumerate_admissible_tw
@@ -60,16 +60,13 @@ def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     for adm in enumerate_admissible(datum, bound):
         thetas = {c.label: c for c in classify_theta(datum, adm)}
         etas = {c.label: c for c in classify_eta(datum, adm)}
-        if sorted(thetas) != sorted(etas):
-            raise AssertionError(
+        certify(sorted(thetas) == sorted(etas),
                 f"label mismatch at lambda={adm.lam}: "
                 f"theta {sorted(thetas)} vs eta {sorted(etas)}")
         for label in sorted(thetas):
             th, et = thetas[label], etas[label]
-            if tuple(th.component_group) != tuple(et.component_group):
-                raise AssertionError(
-                    f"component group mismatch at lambda={adm.lam}, "
-                    f"label {label}")
+            certify(tuple(th.component_group) == tuple(et.component_group),
+                    f"component group mismatch at lambda={adm.lam}, label {label}")
             pairs.append(MatchedPair(
                 theta_class=th,
                 eta_class=et,
@@ -87,15 +84,12 @@ def match_iwahori(datum: GroupDatum, bound: int) -> List[MatchedPair]:
         etas = classes_at_tw(datum, tw, "eta")
         by_args: Dict[tuple, IwahoriClass] = {
             tuple(c.g0_args): c for c in etas}
-        if len(thetas) != len(etas):
-            raise AssertionError(
+        certify(len(thetas) == len(etas),
                 f"class count mismatch at t~w=({tw.lam}, {tw.w})")
         for th in thetas:
             et = by_args.get(tuple(th.g0_args))
-            if et is None:
-                raise AssertionError(
-                    f"unmatched torus class {th.g0_args} at "
-                    f"t~w=({tw.lam}, {tw.w})")
+            certify(et is not None,
+                    f"unmatched torus class {th.g0_args} at t~w=({tw.lam}, {tw.w})")
             pairs.append(MatchedPair(
                 theta_class=th,
                 eta_class=et,

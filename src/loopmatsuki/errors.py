@@ -35,3 +35,9 @@ class CertificateError(LoopMatsukiError):
     """A computed result failed the exact check that certifies it."""
 
     exit_code = 1
+
+
+def certify(holds: bool, what: str) -> None:
+    """Raise CertificateError unless an exact certificate check holds."""
+    if not holds:
+        raise CertificateError(f"certificate failed: {what}")

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
-from .errors import InvalidInputError, PrecisionError
+from .errors import InvalidInputError, PrecisionError, certify
 from .gaussian import QI, ONE, ZERO
+from .intlat import eliminate, kernel_basis, mat_mul, transpose
 from .laurent import (
     ONE_ENTRY,
     ZERO_ENTRY,
@@ -178,7 +179,7 @@ def birkhoff_factor(
     if len(d) != 1:
         raise InvalidInputError("Birkhoff factorization needs an invertible Laurent loop")
     m = gamma.val()
-    assert m is not None
+    certify(m is not None, "a loop with a unit determinant is zero")
     p_rows: List[List[Entry]] = [[e.shift(-m) for e in r] for r in gamma.rows]
     gplus = LaurentMatrix.identity(n)
 
@@ -191,14 +192,15 @@ def birkhoff_factor(
         if any(dd < 0 for dd in degs):
             raise InvalidInputError("Birkhoff row reduction hit a zero row")
         lead = [[p_rows[i][j].get(degs[i], ZERO) for j in range(n)] for i in range(n)]
-        null = _left_nullvector(lead)
-        if null is None:
+        # a left null vector of lead: the kernel vector of its transpose
+        # at the first free column
+        rows, pivots, _ = eliminate(transpose(lead))
+        if len(pivots) == n:
             break
+        c = kernel_basis(rows, pivots)[0]
         # pick the row of maximal degree among those with nonzero coefficient
-        cand = [i for i in range(n) if not null[i].is_zero()]
-        i0 = max(cand, key=lambda i: degs[i])
+        i0 = max((i for i in range(n) if c[i]), key=lambda i: degs[i])
         # row_i0 <- sum_j c_j t^{d_i0 - d_j} row_j  (degree of row i0 drops)
-        c = null
         new_row = [ZERO_ENTRY] * n
         for j in range(n):
             if c[j].is_zero():
@@ -234,37 +236,6 @@ def birkhoff_factor(
     if (gminus.maxdeg() or 0) > 0:
         raise InvalidInputError("internal error: g_minus escaped G[t^-1]")
     return gplus, lam, gminus
-
-
-def _left_nullvector(m: List[List[QI]]) -> List[QI] | None:
-    """A nonzero left null vector of a square Q(i) matrix, or None."""
-    n = len(m)
-    # work with the transpose and find a right null vector
-    a = [[m[j][i] for j in range(n)] for i in range(n)]
-    pivots: List[Tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if not a[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c].inv()
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append((r, c))
-        r += 1
-    if r == n:
-        return None
-    pivot_cols = [c for _, c in pivots]
-    free = next(c for c in range(n) if c not in pivot_cols)
-    v = [ZERO] * n
-    v[free] = ONE
-    for i, c in pivots:
-        v[c] = -a[i][free]
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -323,25 +294,7 @@ def _section_dim(delta: LaurentMatrix, m: int, dmax: int) -> int:
                         nonzero = True
             if nonzero:
                 rows.append(row)
-    return nvars - _rank_qi(rows, nvars)
-
-
-def _rank_qi(rows: List[List[QI]], ncols: int) -> int:
-    a = [list(r) for r in rows]
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if not a[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][c].inv()
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
+    return nvars - len(eliminate(rows)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -387,18 +340,9 @@ def char_poly(m: List[List[QI]]) -> List[QI]:
     n = len(m)
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
-    mk = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]  # identity
-
-    def matmul(a, b):
-        return [
-            [sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)]
-            for i in range(n)
-        ]
-
-    ak = m
-    mprev = mk
+    mprev = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]  # identity
     for k in range(1, n + 1):
-        prod = matmul(m, mprev) if k > 1 else [row[:] for row in m]
+        prod = mat_mul(m, mprev) if k > 1 else [row[:] for row in m]
         tr = sum((prod[i][i] for i in range(n)), ZERO)
         c = tr * Fraction(-1, k)
         coeffs[n - k] = c
@@ -407,7 +351,6 @@ def char_poly(m: List[List[QI]]) -> List[QI]:
                 [prod[i][j] + (c if i == j else ZERO) for j in range(n)]
                 for i in range(n)
             ]
-    _ = ak
     return coeffs
 
 

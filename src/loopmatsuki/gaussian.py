@@ -36,6 +36,9 @@ class QI:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
     def is_one(self) -> bool:
         return self.re == 1 and not self.im
 

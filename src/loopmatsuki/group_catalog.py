@@ -300,43 +300,25 @@ def is_anti_fixed_eta(gamma: LaurentMatrix, datum: GroupDatum) -> bool:
 # pure inner twists
 
 
-def twist_scalar(datum: GroupDatum, g: LaurentMatrix) -> QI:
-    """For a candidate inner twist g, return the scalar z_c with
-    g * eta0(g) = z_c * I; raises if the product is not scalar."""
+def twist_scalar(datum: GroupDatum, g: LaurentMatrix, sigma0) -> QI:
+    """For a candidate inner twist g and a constant involution sigma0
+    (theta0 or eta0), return the scalar s with g * sigma0(g) = s * I;
+    raises if the product is not scalar."""
+    name = sigma0.__name__
     base = datum.untwisted()
-    prod = g * eta0(g, base)
+    prod = g * sigma0(g, base)
     const = prod.constant_matrix() if prod.is_constant() else None
     if const is None:
-        raise InvalidInputError("g * eta0(g) is not constant")
+        raise InvalidInputError(f"g * {name}(g) is not constant")
     s = const[0][0]
     n = datum.n
     for i in range(n):
         for j in range(n):
             want = s if i == j else QI(0)
             if const[i][j] != want:
-                raise InvalidInputError("g * eta0(g) is not a scalar matrix")
+                raise InvalidInputError(f"g * {name}(g) is not a scalar matrix")
     if (s ** 4) != ONE:
-        raise InvalidInputError("g * eta0(g) must be a 4th root of unity")
-    return s
-
-
-def twist_scalar_theta(datum: GroupDatum, g: LaurentMatrix) -> QI:
-    """For a candidate inner twist g, return the scalar s with
-    g * theta0(g) = s * I; raises if the product is not scalar."""
-    base = datum.untwisted()
-    prod = g * theta0(g, base)
-    const = prod.constant_matrix() if prod.is_constant() else None
-    if const is None:
-        raise InvalidInputError("g * theta0(g) is not constant")
-    s = const[0][0]
-    n = datum.n
-    for i in range(n):
-        for j in range(n):
-            want = s if i == j else QI(0)
-            if const[i][j] != want:
-                raise InvalidInputError("g * theta0(g) is not a scalar matrix")
-    if (s ** 4) != ONE:
-        raise InvalidInputError("g * theta0(g) must be a 4th root of unity")
+        raise InvalidInputError(f"g * {name}(g) must be a 4th root of unity")
     return s
 
 
@@ -347,8 +329,8 @@ def pure_inner_twist(datum: GroupDatum, g: LaurentMatrix) -> GroupDatum:
         raise InvalidInputError("datum is already twisted; twist the base datum")
     if not g.is_constant():
         raise InvalidInputError("inner twist must be a constant matrix")
-    twist_scalar(datum, g)
-    twist_scalar_theta(datum, g)
+    twist_scalar(datum, g, eta0)
+    twist_scalar(datum, g, theta0)
     if g == LaurentMatrix.identity(datum.n):
         return datum
     real = _twisted_real_form_name(datum, g)
@@ -379,7 +361,7 @@ def base_sector(datum: GroupDatum) -> QI:
     under the eta-side transport bijection."""
     if datum.twist is None:
         return datum.z
-    return datum.z * twist_scalar(datum, datum.twist)
+    return datum.z * twist_scalar(datum, datum.twist, eta0)
 
 
 def base_sector_theta(datum: GroupDatum) -> QI:
@@ -387,7 +369,7 @@ def base_sector_theta(datum: GroupDatum) -> QI:
     under the theta-side transport bijection x -> x * c."""
     if datum.twist is None:
         return datum.z
-    return datum.z * twist_scalar_theta(datum, datum.twist)
+    return datum.z * twist_scalar(datum, datum.twist, theta0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Exact integer and rational lattice linear algebra.
+"""Exact linear algebra: Gauss-Jordan over Q and Q(i), integer lattices.
 
-Provides Smith normal form with unimodular certificates, kernels, and
-finite lattice-quotient invariants.  All matrices are plain lists of
-lists (rows) of ``int`` or ``fractions.Fraction``.
+Provides the one exact elimination kernel of the package (over
+``fractions.Fraction`` or ``QI``), Smith normal form with unimodular
+certificates, integer kernels and lattice bases.  All matrices are plain
+lists of lists (rows) of ``int``, ``Fraction`` or ``QI``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Callable, List, Optional, Sequence, Tuple
+
+from .errors import certify
+from .gaussian import QI
 
 Mat = List[List[int]]
 
@@ -32,6 +36,95 @@ def mat_vec(a: Sequence[Sequence], v: Sequence) -> list:
 
 def transpose(a: Sequence[Sequence]) -> list:
     return [list(col) for col in zip(*a)] if a else []
+
+
+def as_fractions(m: Sequence[Sequence]) -> List[List[Fraction]]:
+    return [[Fraction(x) for x in row] for row in m]
+
+
+# ---------------------------------------------------------------------------
+# exact Gauss-Jordan over a field (Fraction or QI entries)
+
+
+def _reciprocal(x):
+    # one QI.inv(), not 1 / x, which would also multiply by QI(1)
+    return x.inv() if isinstance(x, QI) else 1 / x
+
+
+def eliminate(a: Sequence[Sequence]) -> Tuple[list, List[int], Callable]:
+    """Gauss-Jordan on a once: (reduced rows, pivot columns, solve).
+
+    The entries need ``+ - *``, a reciprocal and a truthiness zero test.
+    ``solve(b)`` replays the recorded row operations on b alone, so each
+    right-hand side costs what carrying it as one more column would.  It
+    returns the solution of a*x = b that is zero at the free columns, or
+    None if the system is inconsistent.
+    """
+    m = len(a)
+    cols = len(a[0]) if m else 0
+    rows = [list(r) for r in a]
+    # per pivot: (row, swapped-in row, reciprocal, [(row, factor)])
+    ops: List[Tuple[int, int, object, List[Tuple[int, object]]]] = []
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = _reciprocal(rows[r][c])
+        rows[r] = [x * inv for x in rows[r]]
+        fs = []
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                fs.append((i, f))
+        ops.append((r, pr, inv, fs))
+        pivots.append(c)
+    rank = len(pivots)
+    zero = type(a[0][0])(0) if cols else None
+
+    def solve(b: Sequence) -> Optional[list]:
+        b = list(b)
+        for pr, swap, inv, fs in ops:
+            b[pr], b[swap] = b[swap], b[pr]
+            b[pr] = b[pr] * inv
+            for i, f in fs:
+                b[i] = b[i] - f * b[pr]
+        if any(b[rank:]):
+            return None
+        x = [zero] * cols
+        for i, c in enumerate(pivots):
+            x[c] = b[i]
+        return x
+
+    return rows, pivots, solve
+
+
+def kernel_basis(rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
+    """Basis of the right kernel, read off the reduced rows of ``eliminate``.
+
+    One vector per free column, in column order: 1 at that column and
+    minus the pivot rows' entries there at the pivots.
+    """
+    cols = len(rows[0]) if rows else 0
+    if not cols:
+        return []
+    kind = type(rows[0][0])
+    zero, one = kind(0), kind(1)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [zero] * cols
+        v[f] = one
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][f]
+        basis.append(v)
+    return basis
 
 
 def snf_int(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:
@@ -127,89 +220,6 @@ def snf_diagonal(d: Mat) -> List[int]:
     return [d[i][i] for i in range(k)]
 
 
-def invert_unimodular(u: Mat) -> Mat:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(u)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[x for x in row[n:]] for row in a]
-    res = [[int(x) for x in row] for row in out]
-    if any(Fraction(res[i][j]) != out[i][j] for i in range(n) for j in range(n)):
-        raise ValueError("matrix was not unimodular")
-    return res
-
-
-def solve_rational(m: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction]]:
-    """One rational solution of M x = b, or None if inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(m[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
-    return x
-
-
-def rational_kernel_basis(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Basis of the right kernel of M over Q (as a list of vectors)."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] for row in m]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -a[i][f]
-        basis.append(v)
-    return basis
-
-
 def integer_left_kernel_basis(m: Sequence[Sequence[int]]) -> List[List[int]]:
     """Basis of {x integer row vector : x M = 0}."""
     u, d, _ = snf_int(m)
@@ -235,55 +245,14 @@ def lattice_basis(gens: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     ints, denom = _clear_denominators(gens)
     # columns = generators
     m = transpose(ints)
-    u, d, v = snf_int(m)
-    uinv = invert_unimodular(u)
-    diag = snf_diagonal(d)
-    basis = []
+    u, d, _ = snf_int(m)
+    solve = eliminate(as_fractions(u))[2]  # U x = e_i gives column i of U^-1
     n = len(m)
-    for i, dd in enumerate(diag):
+    basis = []
+    for i, dd in enumerate(snf_diagonal(d)):
         if dd:
-            col = [Fraction(uinv[r][i] * dd, denom) for r in range(n)]
-            basis.append(col)
+            col = solve([int(r == i) for r in range(n)])
+            certify(col is not None and all(x.denominator == 1 for x in col),
+                    "Smith transform U has no integral inverse")
+            basis.append([x * dd / denom for x in col])
     return basis
-
-
-def in_lattice(vec: Sequence[Fraction], basis: Sequence[Sequence[Fraction]]) -> bool:
-    """Is vec an integer combination of the basis vectors?"""
-    if not any(vec):
-        return True
-    if not basis:
-        return False
-    m = transpose([list(b) for b in basis])
-    sol = solve_rational(m, list(vec))
-    if sol is None:
-        return False
-    return all(x.denominator == 1 for x in sol)
-
-
-def quotient_invariants(
-    big: Sequence[Sequence[Fraction]], small: Sequence[Sequence[Fraction]]
-) -> List[int]:
-    """Invariant factors (> 1) of the finite quotient L_big / L_small.
-
-    Both arguments are lattice bases spanning the same rational subspace,
-    with L_small a sublattice of L_big.
-    """
-    if not big:
-        if small:
-            raise ValueError("small lattice not contained in big lattice")
-        return []
-    if len(small) != len(big):
-        raise ValueError("quotient is not finite (ranks differ)")
-    m = transpose([list(b) for b in big])
-    coords = []
-    for s in small:
-        sol = solve_rational(m, list(s))
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("small lattice not contained in big lattice")
-        coords.append([int(x) for x in sol])
-    # columns of the coordinate matrix express L_small in the basis of L_big
-    _, d, _ = snf_int(transpose(coords))
-    diag = snf_diagonal(d)
-    if any(x == 0 for x in diag):
-        raise ValueError("quotient is not finite")
-    return [x for x in diag if x > 1]

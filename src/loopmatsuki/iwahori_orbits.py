@@ -30,8 +30,8 @@ from .group_catalog import (
     build_datum, base_sector, base_sector_theta,
 )
 from .intlat import (
-    snf_int, mat_mul, mat_vec, integer_left_kernel_basis,
-    rational_kernel_basis, solve_rational, lattice_basis, snf_diagonal,
+    as_fractions, eliminate, kernel_basis, snf_int, mat_mul, mat_vec,
+    integer_left_kernel_basis, lattice_basis, snf_diagonal, transpose,
 )
 from .laurent import LaurentMatrix
 
@@ -200,8 +200,10 @@ def build_torus_problem(datum: GroupDatum, tw: AffineWeylElement,
         raise CertificateError("certificate failed: the torus action does not "
                                "preserve the equation")
     # solutions modulo the action must form a finite set
-    for v in rational_kernel_basis(m_eq):
-        if solve_rational(m_act, v) is None:
+    eq_rows, eq_pivots, _ = eliminate(as_fractions(m_eq))
+    solve_act = eliminate(as_fractions(m_act))[2]
+    for v in kernel_basis(eq_rows, eq_pivots):
+        if solve_act(v) is None:
             raise CertificateError("certificate failed: equation kernel escapes "
                                    "the action image")
     zarg = qi_arg(datum.z)
@@ -212,26 +214,6 @@ def build_torus_problem(datum: GroupDatum, tw: AffineWeylElement,
 
 # ---------------------------------------------------------------------------
 # solving over the divisible torus, in argument coordinates (Q mod Z)
-
-
-def _span_echelon(m) -> List[List[Fraction]]:
-    """Echelonized basis of the rational column span of m."""
-    cols = [[Fraction(m[i][j]) for i in range(len(m))] for j in range(len(m[0]))]
-    basis: List[List[Fraction]] = []
-    pivots: List[int] = []
-    for c in cols:
-        c = list(c)
-        for b, p in zip(basis, pivots):
-            if c[p]:
-                f = c[p]
-                c = [x - f * y for x, y in zip(c, b)]
-        piv = next((i for i, x in enumerate(c) if x), None)
-        if piv is None:
-            continue
-        c = [x / c[piv] for x in c]
-        basis.append(c)
-        pivots.append(piv)
-    return basis
 
 
 def _reduce_mod_span(v: List[Fraction], basis, pivots) -> List[Fraction]:
@@ -247,19 +229,21 @@ def _canonicalizer(m_act):
     """Returns a function reducing argument vectors to a canonical
     representative modulo Z^n + span_Q(columns of m_act)."""
     n = len(m_act)
-    basis = _span_echelon(m_act)
-    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    # reduced rows of m_act^T: they span the column space of m_act, with
+    # zeros at every pivot but their own
+    rows, pivots, _ = eliminate(transpose(as_fractions(m_act)))
+    basis = rows[:len(pivots)]
     proj_ints = []
     for k in range(n):
         e = [Fraction(1) if i == k else Fraction(0) for i in range(n)]
         proj_ints.append(_reduce_mod_span(e, basis, pivots))
     lat = lattice_basis(proj_ints)  # image of Z^n in the quotient space
+    solve_lat = eliminate(transpose(lat))[2] if lat else None
 
     def canon(v: Sequence[Fraction]) -> Args:
         r = _reduce_mod_span([Fraction(x) for x in v], basis, pivots)
         if lat:
-            bt = [[lat[j][i] for j in range(len(lat))] for i in range(n)]
-            coords = solve_rational(bt, r)
+            coords = solve_lat(r)
             if coords is None:
                 raise CertificateError("certificate failed: reduced argument "
                                        "vector outside the lattice span")

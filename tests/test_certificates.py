@@ -3,6 +3,8 @@
 A subprocess runs with ``-O`` (which strips every ``assert``), injects a
 fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
+Faults in the spherical classifier and the duality matcher must likewise
+end in exit code 1, with and without ``-O``.
 """
 
 import os
@@ -81,4 +83,52 @@ def test_injected_fault_is_caught_under_optimize(tmp_path, mode, failed_check):
     assert label == "Sym|Sym"
     assert caught.startswith("CertificateError: " + failed_check)
     assert code == "1"
+    assert failed_check in proc.stderr
+
+
+# The classifier's anti-fixedness check is forced to fail ("classify"), or
+# the eta classes handed to the duality matcher carry one extra component
+# ("match"); either way the CLI must exit 1 and never trace back.
+CLASSIFY_SCRIPT = r"""
+import dataclasses, sys
+from loopmatsuki import cli, coweight_orbits, duality, group_catalog as gc
+from loopmatsuki.errors import CertificateError
+
+mode = sys.argv[1]
+if mode == "classify":
+    coweight_orbits.is_anti_fixed_theta = lambda loop, datum: False
+    try:
+        coweight_orbits.classify_theta(gc.build_datum("split_gl", 2, 1), (1, 0))
+        print("no error")
+    except CertificateError as exc:
+        print("CertificateError:", exc)
+    argv = ["orbits", "--family", "split_gl", "--bound", "1"]
+else:
+    classify_eta = duality.classify_eta
+    duality.classify_eta = lambda datum, adm: [
+        dataclasses.replace(c, component_group=c.component_group + (2,))
+        for c in classify_eta(datum, adm)]
+    print("-")
+    argv = ["match", "--family", "split_gl", "--bound", "1"]
+print(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("mode, failed_check", [
+    ("classify", "representative not anti-fixed"),
+    ("match", "component group mismatch"),
+])
+def test_classifier_and_matcher_faults_exit_1(mode, failed_check, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", CLASSIFY_SCRIPT, mode],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    caught, code = proc.stdout.split("\n")[:2]
+    if mode == "classify":
+        assert caught == ("CertificateError: certificate failed: theta class "
+                          "Sym|Sym at lambda=(1, 0): representative not anti-fixed")
+    assert code == "1"
+    assert proc.stderr.startswith("error: certificate failed: ")
     assert failed_check in proc.stderr

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
+from hypothesis import given, settings, strategies as st
+
+from loopmatsuki.gaussian import QI
 from loopmatsuki.intlat import (
-    identity_int, in_lattice, integer_left_kernel_basis, invert_unimodular,
-    lattice_basis, mat_mul, quotient_invariants, rational_kernel_basis,
-    snf_diagonal, snf_int, solve_rational,
+    as_fractions, eliminate, integer_left_kernel_basis, kernel_basis,
+    lattice_basis, mat_mul, snf_diagonal, snf_int,
 )
 
 
@@ -22,19 +25,22 @@ def test_snf_random():
         diag = snf_diagonal(d)
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0 if a else b == 0
-        assert mat_mul(u, invert_unimodular(u)) == identity_int(len(m))
+        # U is unimodular: U x = e_i has an integral solution for every i
+        solve = eliminate(as_fractions(u))[2]
+        for i in range(len(m)):
+            x = solve([int(r == i) for r in range(len(m))])
+            assert x is not None and all(c.denominator == 1 for c in x)
 
 
 def test_solve_rational():
-    m = [[2, 0], [0, 3]]
-    assert solve_rational(m, [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
+    solve = eliminate(as_fractions([[2, 0], [0, 3]]))[2]
+    assert solve([1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert eliminate(as_fractions([[1, 1], [1, 1]]))[2]([0, 1]) is None
 
 
 def test_kernels():
-    m = [[1, -1, 0], [0, 0, 2]]
-    rk = rational_kernel_basis(m)
-    assert len(rk) == 1
+    rows, pivots, _ = eliminate(as_fractions([[1, -1, 0], [0, 0, 2]]))
+    assert kernel_basis(rows, pivots) == [[1, 1, 0]]
     lk = integer_left_kernel_basis([[2, 4], [1, 2]])
     assert len(lk) == 1
     k = lk[0]
@@ -42,14 +48,99 @@ def test_kernels():
 
 
 def test_lattice_membership():
-    basis = lattice_basis([[Fraction(1, 2), Fraction(0)],
-                           [Fraction(0), Fraction(1)]])
-    assert in_lattice([Fraction(3, 2), Fraction(2)], basis)
-    assert not in_lattice([Fraction(1, 3), Fraction(0)], basis)
+    half, zero, one = Fraction(1, 2), Fraction(0), Fraction(1)
+    basis = lattice_basis([[half, zero], [zero, one]])
+    assert basis == [[half, zero], [zero, one]]
+    # a redundant generator: Z(1/2, 1/2) + Z^2 has index 2 over Z^2
+    basis = lattice_basis([[half, half], [one, zero], [zero, one]])
+    assert len(basis) == 2
+    solve = eliminate([list(col) for col in zip(*basis)])[2]
+    for v, member in (([half, half], True), ([one, zero], True),
+                      ([half, zero], False), ([Fraction(3, 2), Fraction(5, 2)], True)):
+        coords = solve(v)
+        assert all(c.denominator == 1 for c in coords) == member
+    assert all(c.denominator == 1 for c in solve([zero, one]))
 
 
-def test_quotient_invariants():
-    # Z^2 / <(2,0),(0,4)> = Z/2 x Z/4
-    big = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    small = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]]
-    assert sorted(quotient_invariants(big, small)) == [2, 4]
+# ---------------------------------------------------------------------------
+# the elimination kernel against an independent cofactor-determinant oracle
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)))
+
+
+def _rank(m):
+    """Size of the largest nonzero minor."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        if any(_det([[m[i][j] for j in cs] for i in rs]) != 0
+               for rs in combinations(range(rows), k)
+               for cs in combinations(range(cols), k)):
+            return k
+    return 0
+
+
+def _apply(a, x, zero):
+    return [sum((ai * xi for ai, xi in zip(row, x)), zero) for row in a]
+
+
+@st.composite
+def _systems(draw):
+    """(a, b, b_in_span) over Fraction or QI: square, wide, tall, and of
+    rank at most `cap` (rank-deficient when cap < min(rows, cols))."""
+    field = draw(st.sampled_from([Fraction, QI]))
+    small = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+    def scalar():
+        if field is Fraction:
+            return draw(small)
+        return QI(draw(small), draw(small))
+
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cap = draw(st.integers(0, min(rows, cols)))
+    left = [[scalar() for _ in range(cap)] for _ in range(rows)]
+    right = [[scalar() for _ in range(cols)] for _ in range(cap)]
+    zero = field(0)
+    a = [[sum((left[i][k] * right[k][j] for k in range(cap)), zero)
+          for j in range(cols)] for i in range(rows)]
+    in_span = draw(st.booleans())
+    if in_span:
+        b = _apply(a, [scalar() for _ in range(cols)], zero)
+    else:
+        b = [scalar() for _ in range(rows)]
+    return a, b, in_span
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_eliminate_against_rank_oracle(system):
+    a, b, in_span = system
+    zero = type(a[0][0])(0)
+    rank = _rank(a)
+    rows, pivots, solve = eliminate(a)
+    assert len(pivots) == rank
+    # reduced row echelon form: unit pivots, alone in their columns
+    for i, row in enumerate(rows):
+        for k, c in enumerate(pivots):
+            assert row[c] == (1 if i == k else 0)
+        if i >= rank:
+            assert not any(row)
+
+    x = solve(b)
+    outside = _rank([row + [v] for row, v in zip(a, b)]) > rank
+    assert (x is None) == outside
+    if in_span:
+        assert x is not None
+    if x is not None:
+        assert _apply(a, x, zero) == b
+
+    basis = kernel_basis(rows, pivots)
+    assert len(basis) == len(a[0]) - rank
+    for v in basis:
+        assert _apply(a, v, zero) == [zero] * len(a)
+    if basis:
+        assert _rank(basis) == len(basis)
