@@ -1,6 +1,7 @@
 """Canonical forms: invariance under twists, certificate replay, reducers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,9 @@ from loopmatsuki.canonicalize import (
 from loopmatsuki.coweight_orbits import classify_eta, classify_theta, \
     enumerate_admissible
 from loopmatsuki.errors import InvalidInputError, NotAntiFixedError, PrecisionError
-from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
+from loopmatsuki.gaussian import QI
+from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw, \
+    enumerate_admissible_tw
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element
 
@@ -85,6 +88,59 @@ def test_twisted_canonicalization():
             form = canonicalize_theta(x, d)
             assert form.lam == cls.lam
             assert form.orbit_class.label == cls.label
+
+
+# pure inner twists (family, n, twist c): U(1,1), U(2,1), twisted GL_2(R) by
+# a diagonal and by a permutation, and GL_2(R) presented on quaternionic_gl
+INNER_TWISTS = [
+    ("unitary", 2, [[1, 0], [0, -1]]),
+    ("unitary", 3, [[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    ("split_gl", 2, [[1, 0], [0, -1]]),
+    ("split_gl", 2, [[0, 1], [1, 0]]),
+    ("quaternionic_gl", 2, [[0, 1], [-1, 0]]),
+]
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("family, n, twist", INNER_TWISTS,
+                         ids=["U(1,1)", "U(2,1)", "split-diag", "split-swap", "quat-J"])
+def test_inner_twist_transports(family, n, twist, eps):
+    """Both canonicalizers and both Iwahori reducers carry a twisted loop to
+    the base datum and back: spherical representatives keep their labels,
+    and compact torus twists of Iwahori representatives keep their classes."""
+    d = gc.pure_inner_twist(gc.build_datum(family, n, eps),
+                            LaurentMatrix.from_scalars(twist))
+    for adm in enumerate_admissible(d, 1):
+        for cls in classify_eta(d, adm):
+            form = canonicalize_eta(cls.loop_rep, d)
+            assert (form.lam, form.orbit_class.label) == (cls.lam, cls.label)
+        for cls in classify_theta(d, adm):
+            form = canonicalize_theta(SeriesMatrix.from_laurent(cls.loop_rep, 12), d)
+            assert (form.lam, form.orbit_class.label) == (cls.lam, cls.label)
+    # a compact torus element of infinite order
+    units = [QI(Fraction(3, 5), Fraction(4, 5)), QI(Fraction(5, 13), Fraction(12, 13)),
+             QI(Fraction(8, 17), Fraction(-15, 17))]
+    k = LaurentMatrix.diag_scalars(units[:n])
+    for tw in enumerate_admissible_tw(d, 1):
+        for cls in classes_at_tw(d, tw, "eta"):
+            if cls.loop_rep is None:
+                continue
+            x = k * cls.loop_rep * gc.apply_eta_inv(k, d)
+            form = iwahori_reduce_eta(tw, tw.loop().inverse() * x, d)
+            assert form.orbit_class.g0_args == cls.g0_args
+            h = form.certificate
+            assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
+        for cls in classes_at_tw(d, tw, "theta"):
+            if cls.loop_rep is None:
+                continue
+            x = k * cls.loop_rep * gc.apply_theta_inv(k, d)
+            form = iwahori_reduce_theta(
+                tw, SeriesMatrix.from_laurent(tw.loop().inverse() * x, 12), d)
+            assert form.orbit_class.g0_args == cls.g0_args
+            h, r = form.certificate, form.residual_precision
+            xs = SeriesMatrix.from_laurent(x, 12)
+            lhs = h * xs * gc.apply_theta_inv(h, d)
+            assert lhs.retruncate(r) == SeriesMatrix.from_laurent(form.loop_rep, r)
 
 
 def test_tau_maps_land_in_sector_one():
