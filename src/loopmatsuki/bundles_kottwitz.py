@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import group_catalog as gc
-from .canonicalize import EtaLoop, canonicalize_eta, iwahori_reduce_eta
+from .canonicalize import canonicalize_eta, iwahori_reduce_eta
 from .coweight_orbits import classify_eta, enumerate_admissible
 from .errors import InvalidInputError, certify
 from .gaussian import QI
@@ -60,8 +60,6 @@ def _normalize_line(col: List[QI]) -> Line:
 
 def loop_to_bundle(x, datum: GroupDatum) -> RealBundleDatum:
     """The splitting type and gluing datum of an anti-fixed loop."""
-    if isinstance(x, EtaLoop):
-        x = x.gamma
     form = canonicalize_eta(x, datum)
     c = form.g0 * datum.w1.inverse()
     rep = LaurentMatrix.t_power(list(form.lam)) * c
@@ -78,8 +76,6 @@ def loop_to_bundle(x, datum: GroupDatum) -> RealBundleDatum:
 def loop_to_parabolic_bundle(x: LaurentMatrix, tw: AffineWeylElement,
                              datum: GroupDatum) -> RealBundleDatum:
     """Bundle with marked lines from an Iwahori-positioned loop t~w * g."""
-    if isinstance(x, EtaLoop):
-        x = x.gamma
     g = tw.loop().inverse() * x
     form = iwahori_reduce_eta(tw, g, datum)
     c = tw.lift * form.g0  # loop_rep = t^lam * (w-part * torus)

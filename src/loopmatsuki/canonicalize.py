@@ -9,15 +9,14 @@ pre-positioned inputs t~w * g and return the torus part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
 from .coweight_orbits import (
     SphericalClass,
-    _eta_equation_holds,
-    _theta_equation_holds,
+    _equation_holds,
     blocks_of,
     classify_eta,
     classify_theta,
@@ -49,34 +48,6 @@ from .laurent import (
 )
 
 MIN_RESIDUAL_PRECISION = 4
-
-
-@dataclass(frozen=True)
-class ThetaLoop:
-    """A series loop gamma with gamma * theta(gamma) = z to precision."""
-
-    gamma: SeriesMatrix
-    datum: GroupDatum
-
-    @staticmethod
-    def of(gamma: SeriesMatrix, datum: GroupDatum) -> "ThetaLoop":
-        if not gc.is_anti_fixed_theta(gamma, datum):
-            raise NotAntiFixedError("loop is not theta-anti-fixed to its precision")
-        return ThetaLoop(gamma, datum)
-
-
-@dataclass(frozen=True)
-class EtaLoop:
-    """An exact Laurent loop gamma with gamma * eta(gamma) = z."""
-
-    gamma: LaurentMatrix
-    datum: GroupDatum
-
-    @staticmethod
-    def of(gamma: LaurentMatrix, datum: GroupDatum) -> "EtaLoop":
-        if not gc.is_anti_fixed_eta(gamma, datum):
-            raise NotAntiFixedError("loop is not eta-anti-fixed")
-        return EtaLoop(gamma, datum)
 
 
 @dataclass(frozen=True)
@@ -175,17 +146,14 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     g0 is exact and satisfies the spherical equation; the certificate
     conjugator verifies the reduction to residual_precision.
     """
-    if isinstance(x, ThetaLoop):
-        datum = x.datum
-        x = x.gamma
     if datum is None:
-        raise InvalidInputError("canonicalize_theta needs a group datum or a ThetaLoop")
+        raise InvalidInputError("canonicalize_theta needs a group datum")
     if isinstance(x, LaurentMatrix):
         top = x.maxdeg() or 0
         bot = min(x.val() or 0, 0)
         x = SeriesMatrix.from_laurent(x, top - bot + 2 * MIN_RESIDUAL_PRECISION)
     if datum.twist is not None:
-        return _canonicalize_theta_twisted(x, datum)
+        return _canonicalize_twisted(x, datum, "theta")
     n = x.n
     if not gc.is_anti_fixed_theta(x, datum):
         raise NotAntiFixedError("loop is not theta-anti-fixed to its precision")
@@ -292,7 +260,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 f"layers 1..{k} are not killed")
 
     g0 = ell
-    if not _theta_equation_holds(datum, lam, g0):
+    if not _equation_holds(datum, lam, g0, "theta"):
         raise PrecisionError("constant term equation not certified at this precision")
     loop_rep = LaurentMatrix.t_power(lam) * g0 * datum.w1.inverse()
     # the certified window: g was cleaned to its own precision, and row i of
@@ -317,44 +285,19 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     )
 
 
-def _canonicalize_theta_twisted(x: SeriesMatrix, datum: GroupDatum) -> CanonicalForm:
-    """Transport through the pure inner twist, reduce, and transport back."""
-    base = gc.build_datum(datum.family, datum.n, datum.epsilon,
-                          gc.base_sector_theta(datum))
-    cs = SeriesMatrix.from_laurent(datum.twist, x.precision)
-    form = canonicalize_theta(x * cs, base)
-    twist_inv = datum.twist.inverse()
-    loop_rep = form.loop_rep * twist_inv
-    g0 = form.g0 * datum.w1.inverse() * twist_inv * datum.w1
-    classes = classify_theta(datum, form.lam)
-    orbit_class = next(c for c in classes if c.label == form.orbit_class.label)
-    return CanonicalForm(
-        lam=form.lam,
-        g0=g0,
-        orbit_class=orbit_class,
-        certificate=form.certificate,
-        residual_precision=form.residual_precision,
-        side="theta",
-        loop_rep=loop_rep,
-    )
-
-
 # ---------------------------------------------------------------------------
 # eta side
 
 
 def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """Reduce an eta-anti-fixed Laurent loop to t^lam * g0 * w1^{-1}, exactly."""
-    if isinstance(x, EtaLoop):
-        datum = x.datum
-        x = x.gamma
     if datum is None:
-        raise InvalidInputError("canonicalize_eta needs a group datum or an EtaLoop")
+        raise InvalidInputError("canonicalize_eta needs a group datum")
     if not gc.is_anti_fixed_eta(x, datum):
         raise NotAntiFixedError("loop is not eta-anti-fixed")
 
     if datum.twist is not None:
-        return _canonicalize_eta_twisted(x, datum)
+        return _canonicalize_twisted(x, datum, "eta")
 
     n = x.n
     gplus, lam, _ = birkhoff_factor(x)
@@ -391,7 +334,7 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     g0 = ell
     loop_rep = tlam * g0 * datum.w1.inverse()
     certify(cur == loop_rep, "eta reduction does not replay to the representative")
-    certify(_eta_equation_holds(datum, lam, g0), "eta spherical equation fails for g0")
+    certify(_equation_holds(datum, lam, g0, "eta"), "eta spherical equation fails for g0")
     orbit_class = _match_spherical_class(datum, lam, g0, "eta")
     return CanonicalForm(
         lam=tuple(lam),
@@ -404,28 +347,21 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     )
 
 
-def _canonicalize_eta_twisted(x: LaurentMatrix, datum: GroupDatum) -> CanonicalForm:
+def _canonicalize_twisted(x, datum: GroupDatum, side: str) -> CanonicalForm:
     """Transport through the pure inner twist, reduce, and transport back."""
-    base = gc.build_datum(datum.family, datum.n, datum.epsilon, gc.base_sector(datum))
-    y = gc.transport_to_base(x, datum)
-    form = canonicalize_eta(y, base)
+    canonicalize = canonicalize_theta if side == "theta" else canonicalize_eta
+    form = canonicalize(gc.transport_to_base(x, datum), gc.base_datum(datum, side))
     twist_inv = datum.twist.inverse()
     loop_rep = form.loop_rep * twist_inv
-    g0 = form.g0 * datum.w1.inverse() * twist_inv * datum.w1
-    h = form.certificate
-    certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
-            "twisted eta certificate does not replay")
-    classes = classify_eta(datum, form.lam)
-    orbit_class = next(c for c in classes if c.label == form.orbit_class.label)
-    return CanonicalForm(
-        lam=form.lam,
-        g0=g0,
-        orbit_class=orbit_class,
-        certificate=h,
-        residual_precision=None,
-        side="eta",
-        loop_rep=loop_rep,
-    )
+    if side == "eta":
+        h = form.certificate
+        certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
+                "twisted eta certificate does not replay")
+    classify = classify_theta if side == "theta" else classify_eta
+    orbit_class = next(c for c in classify(datum, form.lam)
+                       if c.label == form.orbit_class.label)
+    return replace(form, g0=form.g0 * datum.w1.inverse() * twist_inv * datum.w1,
+                   orbit_class=orbit_class, loop_rep=loop_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -595,31 +531,23 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
     return steps
 
 
-def _transport_iwahori_form(form: CanonicalForm, datum: GroupDatum,
-                            tw: AffineWeylElement, side: str) -> CanonicalForm:
+def _iwahori_reduce_twisted(tw: AffineWeylElement, g, datum: GroupDatum,
+                            side: str) -> CanonicalForm:
+    """Transport through the pure inner twist, reduce, and transport back."""
+    reduce = iwahori_reduce_theta if side == "theta" else iwahori_reduce_eta
+    form = reduce(tw, gc.transport_to_base(g, datum), gc.base_datum(datum, side))
     cinv = datum.twist.inverse()
     cls = next(c for c in classes_at_tw(datum, tw, side)
                if c.g0_args == form.orbit_class.g0_args)
-    return CanonicalForm(
-        lam=form.lam,
-        g0=form.g0 * cinv,
-        orbit_class=cls,
-        certificate=form.certificate,
-        residual_precision=form.residual_precision,
-        side=side,
-        loop_rep=form.loop_rep * cinv,
-    )
+    return replace(form, g0=form.g0 * cinv, orbit_class=cls,
+                   loop_rep=form.loop_rep * cinv)
 
 
 def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
                          datum: GroupDatum) -> CanonicalForm:
     """Reduce t~w * g (g in the Iwahori subgroup) to its torus form."""
     if datum.twist is not None:
-        base = gc.build_datum(datum.family, datum.n, datum.epsilon,
-                              gc.base_sector_theta(datum))
-        cs = SeriesMatrix.from_laurent(datum.twist, g.precision)
-        form = iwahori_reduce_theta(tw, g * cs, base)
-        return _transport_iwahori_form(form, datum, tw, "theta")
+        return _iwahori_reduce_twisted(tw, g, datum, "theta")
     n = g.n
     tw_loop = tw.loop()
     c = g.constant_matrix()
@@ -676,10 +604,7 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
                        datum: GroupDatum) -> CanonicalForm:
     """Reduce t~w * g (exact, pre-positioned) to its torus form, exactly."""
     if datum.twist is not None:
-        base = gc.build_datum(datum.family, datum.n, datum.epsilon,
-                              gc.base_sector(datum))
-        form = iwahori_reduce_eta(tw, g * datum.twist, base)
-        return _transport_iwahori_form(form, datum, tw, "eta")
+        return _iwahori_reduce_twisted(tw, g, datum, "eta")
     n = g.n
     tw_loop = tw.loop()
     x = tw_loop * g

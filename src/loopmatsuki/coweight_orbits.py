@@ -25,7 +25,7 @@ x_lambda on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,9 +33,7 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    theta0,
-    is_anti_fixed_theta, is_anti_fixed_eta,
-    eta0, base_sector, base_sector_theta, build_datum,
+    theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum,
 )
 from .intlat import mat_mul
 from .laurent import LaurentMatrix
@@ -228,14 +226,10 @@ def _finish_class(datum: GroupDatum, adm: AdmissibleCoweight, side: str,
                   label: str, g0: LaurentMatrix, types, sig=None) -> SphericalClass:
     loop = LaurentMatrix.t_power(list(adm.lam)) * g0 * datum.w1.inverse()
     where = f"{side} class {label} at lambda={adm.lam}"
-    if side == "theta":
-        certify(is_anti_fixed_theta(loop, datum), f"{where}: representative not anti-fixed")
-        certify(_theta_equation_holds(datum, adm.lam, g0), f"{where}: g0 fails its equation")
-        aut = None
-    else:
-        certify(is_anti_fixed_eta(loop, datum), f"{where}: representative not anti-fixed")
-        certify(_eta_equation_holds(datum, adm.lam, g0), f"{where}: g0 fails its equation")
-        aut = _aut_label(datum, types, sig)
+    is_anti_fixed = is_anti_fixed_theta if side == "theta" else is_anti_fixed_eta
+    certify(is_anti_fixed(loop, datum), f"{where}: representative not anti-fixed")
+    certify(_equation_holds(datum, adm.lam, g0, side), f"{where}: g0 fails its equation")
+    aut = _aut_label(datum, types, sig) if side == "eta" else None
     return SphericalClass(datum, adm.lam, side, label, g0, loop,
                           tuple(_component_group(types)), aut)
 
@@ -245,14 +239,11 @@ def _eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
         [_sign_power(datum.epsilon, mu) for mu in lam])
 
 
-def _theta_equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix) -> bool:
-    rhs = (datum.w2 * (datum.w1.inverse() * theta0(g0, datum).inverse() * datum.w1)
-           * _eps_lambda(datum, lam)).scale(datum.z)
-    return g0 == rhs
-
-
-def _eta_equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix) -> bool:
-    rhs = (datum.w2 * (datum.w1.inverse() * eta0(g0.inverse(), datum) * datum.w1)
+def _equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: str) -> bool:
+    """The spherical equation of g0 at lambda (see the module docstring)."""
+    sigma0_inv = (theta0(g0, datum).inverse() if side == "theta"
+                  else eta0(g0.inverse(), datum))
+    rhs = (datum.w2 * (datum.w1.inverse() * sigma0_inv * datum.w1)
            * _eps_lambda(datum, lam)).scale(datum.z)
     return g0 == rhs
 
@@ -292,59 +283,36 @@ def _aut_label(datum: GroupDatum, types, sig) -> str:
 
 
 def classify_theta(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight) -> List[SphericalClass]:
-    adm = lam if isinstance(lam, AdmissibleCoweight) else AdmissibleCoweight.of(datum, lam)
-    if datum.twist is not None:
-        return _classify_theta_twisted(datum, adm)
-    if datum.family in (SPLIT_GL, QUATERNIONIC_GL):
-        return _classify_symalt(datum, adm, "theta")
-    return _classify_unitary(datum, adm, "theta")
-
-
-def _classify_theta_twisted(datum: GroupDatum, adm: AdmissibleCoweight) -> List[SphericalClass]:
-    """Classify via the transport bijection x -> x * c between the twisted
-    anti-fixed set and the base anti-fixed set at the matching z-sector."""
-    base = build_datum(datum.family, datum.n, datum.epsilon,
-                       base_sector_theta(datum))
-    base_classes = classify_theta(base, adm)
-    cinv = datum.twist.inverse()
-    out = []
-    for cls in base_classes:
-        loop = cls.loop_rep * cinv
-        g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
-        certify(is_anti_fixed_theta(loop, datum),
-                f"twisted theta class {cls.label} at lambda={adm.lam}: "
-                "transported representative not anti-fixed")
-        out.append(SphericalClass(datum, adm.lam, "theta", cls.label, g0, loop,
-                                  cls.component_group, cls.aut_label))
-    return out
+    return _classify(datum, lam, "theta")
 
 
 def classify_eta(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight) -> List[SphericalClass]:
+    return _classify(datum, lam, "eta")
+
+
+def _classify(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight,
+              side: str) -> List[SphericalClass]:
     adm = lam if isinstance(lam, AdmissibleCoweight) else AdmissibleCoweight.of(datum, lam)
     if datum.twist is not None:
-        return _classify_eta_twisted(datum, adm)
+        return _classify_twisted(datum, adm, side)
     if datum.family in (SPLIT_GL, QUATERNIONIC_GL):
-        return _classify_symalt(datum, adm, "eta")
-    return _classify_unitary(datum, adm, "eta")
+        return _classify_symalt(datum, adm, side)
+    return _classify_unitary(datum, adm, side)
 
 
-def _classify_eta_twisted(datum: GroupDatum, adm: AdmissibleCoweight) -> List[SphericalClass]:
+def _classify_twisted(datum: GroupDatum, adm: AdmissibleCoweight,
+                      side: str) -> List[SphericalClass]:
     """Classify via the transport bijection x -> x * c between the twisted
     anti-fixed set and the base anti-fixed set at the matching z-sector."""
-    base = build_datum(datum.family, datum.n, datum.epsilon, base_sector(datum))
-    base_classes = classify_eta(base, adm)
+    base_classes = _classify(base_datum(datum, side), adm, side)
+    is_anti_fixed = is_anti_fixed_theta if side == "theta" else is_anti_fixed_eta
     cinv = datum.twist.inverse()
     out = []
     for cls in base_classes:
         loop = cls.loop_rep * cinv
         g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
-        certify(is_anti_fixed_eta(loop, datum),
-                f"twisted eta class {cls.label} at lambda={adm.lam}: "
+        certify(is_anti_fixed(loop, datum),
+                f"twisted {side} class {cls.label} at lambda={adm.lam}: "
                 "transported representative not anti-fixed")
-        out.append(SphericalClass(datum, adm.lam, "eta", cls.label, g0, loop,
-                                  cls.component_group, cls.aut_label))
+        out.append(replace(cls, datum=datum, g0=g0, loop_rep=loop))
     return out
-
-
-def component_group(cls: SphericalClass) -> List[int]:
-    return list(cls.component_group)

@@ -229,12 +229,10 @@ def birkhoff_factor(
     gminus = perm * LaurentMatrix(gminus_rows)
 
     # exactness and membership checks
-    if (gplus * LaurentMatrix.t_power(lam) * gminus) != gamma:
-        raise InvalidInputError("internal error: Birkhoff factors do not multiply back")
-    if (gplus.val() or 0) < 0:
-        raise InvalidInputError("internal error: g_plus escaped G[t]")
-    if (gminus.maxdeg() or 0) > 0:
-        raise InvalidInputError("internal error: g_minus escaped G[t^-1]")
+    certify(gplus * LaurentMatrix.t_power(lam) * gminus == gamma,
+            "Birkhoff factors do not multiply back")
+    certify((gplus.val() or 0) >= 0, "g_plus escaped G[t]")
+    certify((gminus.maxdeg() or 0) <= 0, "g_minus escaped G[t^-1]")
     return gplus, lam, gminus
 
 
@@ -305,8 +303,7 @@ def unipotent_sqrt(u: LaurentMatrix) -> LaurentMatrix:
     """The unique unipotent square root exp(log(u)/2) of a unipotent matrix."""
     logu = laurent_log_unipotent(u)
     v = laurent_exp_nilpotent(logu.scale(Fraction(1, 2)))
-    if v * v != u:
-        raise InvalidInputError("internal error: square root failed to square back")
+    certify(v * v == u, "square root failed to square back")
     return v
 
 
@@ -326,8 +323,7 @@ def cayley_unitary(s: LaurentMatrix) -> LaurentMatrix:
         raise InvalidInputError("Cayley transform expects a skew-Hermitian matrix")
     ident = LaurentMatrix.identity(n)
     k = (ident - s) * (ident + s).inverse()
-    if k * conj_transpose(k) != ident:
-        raise InvalidInputError("internal error: Cayley transform is not unitary")
+    certify(k * conj_transpose(k) == ident, "Cayley transform is not unitary")
     return k
 
 
@@ -368,8 +364,7 @@ def hermitian_signature(h: List[List[QI]]) -> Tuple[int, int]:
     coeffs = char_poly(h)
     reals: List[Fraction] = []
     for c in coeffs:
-        if not c.is_real():
-            raise InvalidInputError("internal error: Hermitian char poly not real")
+        certify(c.is_real(), "Hermitian char poly not real")
         reals.append(c.re)
     if reals[0] == 0:
         raise InvalidInputError("Hermitian form is degenerate")

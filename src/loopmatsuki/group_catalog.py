@@ -14,8 +14,12 @@ so the compact form is U(n).  Loop involutions are
   theta(gamma)(t) = theta0(gamma(epsilon t))
   eta(gamma)(t)   = eta0(gamma(epsilon t^-1))   (coefficientwise conjugation)
 
-A datum may carry an inner twist c with c*eta0(c) scalar, replacing eta0 by
-Ad_c o eta0 (e.g. U(2) -> U(1,1) with c = diag(1,-1)).
+A datum may carry a pure inner twist c, a constant matrix with both
+c*theta0(c) and c*eta0(c) scalar; both loop involutions are then conjugated
+by c (e.g. U(2) -> U(1,1) with c = diag(1,-1)).  This module alone relates a
+twisted datum to its base: x -> x * c (transport_to_base) carries its
+anti-fixed loops to those of base_datum(datum, side), the untwisted datum at
+the matching central sector, where tables and canonical forms are computed.
 """
 
 from __future__ import annotations
@@ -67,8 +71,7 @@ class GroupDatum:
     def untwisted(self) -> "GroupDatum":
         if self.twist is None:
             return self
-        base = build_datum(self.family, self.n, self.epsilon, self.z)
-        return base
+        return build_datum(self.family, self.n, self.epsilon, self.z)
 
 
 def _names(family: str, n: int) -> tuple:
@@ -164,7 +167,7 @@ def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
         return m.inverse().transpose()
     if datum.family == QUATERNIONIC_GL:
         j = j_matrix(datum.n)
-        return j * m.inverse().transpose() * j.inverse()
+        return j * m.inverse().transpose() * -j  # J^-1 = -J
     return m
 
 
@@ -175,7 +178,7 @@ def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
         out = m.substitute(ONE, invert=False, conj=True)
     elif datum.family == QUATERNIONIC_GL:
         j = j_matrix(datum.n)
-        out = j * m.substitute(ONE, invert=False, conj=True) * j.inverse()
+        out = j * m.substitute(ONE, invert=False, conj=True) * -j
     else:
         out = m.substitute(ONE, invert=False, conj=True).inverse().transpose()
     if datum.twist is not None:
@@ -265,60 +268,51 @@ def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
         return -y.transpose()
     if datum.family == QUATERNIONIC_GL:
         j = j_matrix(datum.n)
-        return -(j * y.transpose() * j.inverse())
+        return j * y.transpose() * j  # -(J y^T J^-1) with J^-1 = -J
     return y
 
 
-def anti_fixed_defect_theta(gamma, datum: GroupDatum):
-    """gamma * theta(gamma) - z; zero iff gamma is z-anti-fixed for theta."""
-    prod = gamma * apply_theta(gamma, datum)
+def _is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
+    """Whether gamma * sigma(gamma) = z, to gamma's precision for a series."""
+    sigma = apply_theta if side == "theta" else apply_eta
+    prod = gamma * sigma(gamma, datum)
+    zid = LaurentMatrix.diag_scalars([datum.z] * datum.n)
     if isinstance(prod, SeriesMatrix):
-        zid = SeriesMatrix.from_laurent(
-            LaurentMatrix.diag_scalars([datum.z] * datum.n), prod.precision)
-    else:
-        zid = LaurentMatrix.diag_scalars([datum.z] * datum.n)
-    return prod - zid
-
-
-def anti_fixed_defect_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    prod = gamma * apply_eta(gamma, datum)
-    return prod - LaurentMatrix.diag_scalars([datum.z] * datum.n)
+        zid = SeriesMatrix.from_laurent(zid, prod.precision)
+    return all(not e for row in (prod - zid).rows for e in row)
 
 
 def is_anti_fixed_theta(gamma, datum: GroupDatum) -> bool:
-    d = anti_fixed_defect_theta(gamma, datum)
-    if isinstance(d, SeriesMatrix):
-        return all(not e for row in d.rows for e in row)
-    return d.is_zero()
+    return _is_anti_fixed(gamma, datum, "theta")
 
 
 def is_anti_fixed_eta(gamma: LaurentMatrix, datum: GroupDatum) -> bool:
-    return anti_fixed_defect_eta(gamma, datum).is_zero()
+    return _is_anti_fixed(gamma, datum, "eta")
 
 
 # ---------------------------------------------------------------------------
 # pure inner twists
 
 
-def twist_scalar(datum: GroupDatum, g: LaurentMatrix, sigma0) -> QI:
-    """For a candidate inner twist g and a constant involution sigma0
-    (theta0 or eta0), return the scalar s with g * sigma0(g) = s * I;
+def twist_scalar(datum: GroupDatum, g: LaurentMatrix, side: str) -> QI:
+    """For a candidate inner twist g, return the scalar s with
+    g * sigma0(g) = s * I, sigma0 the base theta0 or eta0 as side says;
     raises if the product is not scalar."""
-    name = sigma0.__name__
-    base = datum.untwisted()
-    prod = g * sigma0(g, base)
+    name = f"g * {side}0(g)"
+    sigma0 = theta0 if side == "theta" else eta0
+    prod = g * sigma0(g, datum.untwisted())
     const = prod.constant_matrix() if prod.is_constant() else None
     if const is None:
-        raise InvalidInputError(f"g * {name}(g) is not constant")
+        raise InvalidInputError(f"{name} is not constant")
     s = const[0][0]
     n = datum.n
     for i in range(n):
         for j in range(n):
             want = s if i == j else QI(0)
             if const[i][j] != want:
-                raise InvalidInputError(f"g * {name}(g) is not a scalar matrix")
+                raise InvalidInputError(f"{name} is not a scalar matrix")
     if (s ** 4) != ONE:
-        raise InvalidInputError(f"g * {name}(g) must be a 4th root of unity")
+        raise InvalidInputError(f"{name} must be a 4th root of unity")
     return s
 
 
@@ -329,8 +323,8 @@ def pure_inner_twist(datum: GroupDatum, g: LaurentMatrix) -> GroupDatum:
         raise InvalidInputError("datum is already twisted; twist the base datum")
     if not g.is_constant():
         raise InvalidInputError("inner twist must be a constant matrix")
-    twist_scalar(datum, g, eta0)
-    twist_scalar(datum, g, theta0)
+    twist_scalar(datum, g, "eta")
+    twist_scalar(datum, g, "theta")
     if g == LaurentMatrix.identity(datum.n):
         return datum
     real = _twisted_real_form_name(datum, g)
@@ -348,28 +342,26 @@ def _twisted_real_form_name(datum: GroupDatum, g: LaurentMatrix) -> str:
     return datum.real_form + " (inner twist)"
 
 
-def transport_to_base(x: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """Carry a z-anti-fixed loop for the twisted eta to a (z*z_c)-anti-fixed
-    loop for the base eta: x -> x * c."""
+def transport_to_base(x, datum: GroupDatum):
+    """Carry a z-anti-fixed loop of the twisted datum to an anti-fixed loop
+    of base_datum(datum, side), on either side: x -> x * c.  A series x
+    keeps its precision."""
     if datum.twist is None:
         return x
-    return x * datum.twist
+    c = datum.twist
+    if isinstance(x, SeriesMatrix):
+        c = SeriesMatrix.from_laurent(c, x.precision)
+    return x * c
 
 
-def base_sector(datum: GroupDatum) -> QI:
-    """The central sector of the base datum matching this datum's z-sector
-    under the eta-side transport bijection."""
+def base_datum(datum: GroupDatum, side: str) -> GroupDatum:
+    """The untwisted datum whose anti-fixed set for side the transport
+    x -> x * c reaches from this datum's: its central sector is z times the
+    scalar c * sigma0(c)."""
     if datum.twist is None:
-        return datum.z
-    return datum.z * twist_scalar(datum, datum.twist, eta0)
-
-
-def base_sector_theta(datum: GroupDatum) -> QI:
-    """The central sector of the base datum matching this datum's z-sector
-    under the theta-side transport bijection x -> x * c."""
-    if datum.twist is None:
-        return datum.z
-    return datum.z * twist_scalar(datum, datum.twist, theta0)
+        return datum
+    return build_datum(datum.family, datum.n, datum.epsilon,
+                       datum.z * twist_scalar(datum, datum.twist, side))
 
 
 # ---------------------------------------------------------------------------

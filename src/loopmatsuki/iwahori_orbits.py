@@ -18,7 +18,7 @@ divides 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations, product
 from typing import List, Optional, Sequence, Tuple
@@ -26,8 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import CertificateError, InvalidInputError
 from .gaussian import QI
 from .group_catalog import (
-    GroupDatum, theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta,
-    build_datum, base_sector, base_sector_theta,
+    GroupDatum, theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum,
 )
 from .intlat import (
     as_fractions, eliminate, kernel_basis, snf_int, mat_mul, mat_vec,
@@ -347,19 +346,15 @@ def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
     if datum.twist is not None:
         # transport x -> x * c^-1 between the base anti-fixed set at the
         # matching z-sector and the twisted one; class labels are shared
-        sector = base_sector(datum) if side == "eta" \
-            else base_sector_theta(datum)
-        base = build_datum(datum.family, datum.n, datum.epsilon, sector)
         cinv = datum.twist.inverse()
         out = []
-        for cls in classes_at_tw(base, tw, side):
+        for cls in classes_at_tw(base_datum(datum, side), tw, side):
             g0 = loop = None
             if cls.g0 is not None:
                 g0 = cls.g0 * cinv
                 loop = tw.loop() * g0
                 _check_anti_fixed(loop, datum, tw, side)
-            out.append(IwahoriClass(datum, tw, side, cls.g0_args, g0, loop,
-                                    cls.component_group, cls.spherical_parent))
+            out.append(replace(cls, datum=datum, g0=g0, loop_rep=loop))
         return out
     problem = build_torus_problem(datum, tw, side)
     nonempty, classes = solve_torus_classes(problem)

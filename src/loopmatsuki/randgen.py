@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, certify
 from .exact_algebra import cayley_unitary
 from .gaussian import QI
 from .group_catalog import GroupDatum, QUATERNIONIC_GL, SPLIT_GL, UNITARY, j_matrix
@@ -153,7 +153,7 @@ def random_compact_symmetric(datum: GroupDatum, rng: random.Random,
         s = s.scale(Fraction(1, 2))
         k = cayley_unitary(s)
         jm = j_matrix(n)
-        if jm * k.substitute(QI(1), conj=True) != k * jm:
-            raise InvalidInputError("internal error: Cayley unitary is not quaternionic")
+        certify(jm * k.substitute(QI(1), conj=True) == k * jm,
+                "Cayley unitary is not quaternionic")
         return k
     raise InvalidInputError(f"unknown family {datum.family!r}")

@@ -1,6 +1,7 @@
 """Named self-checks over the published GL_2(R), GL_1(H), U(2) tables.
 
-Each check raises AssertionError with a description on failure.  The
+Each check raises CertificateError (through errors.certify) with a
+description on failure, so python -O cannot switch the checks off.  The
 test suite runs them at full size; the CLI selftest command uses the
 default (smaller) sample sizes so a fresh checkout verifies quickly.
 """
@@ -21,6 +22,7 @@ from .bundles_kottwitz import (
 from .canonicalize import canonicalize_eta, canonicalize_theta, tau_theta
 from .coweight_orbits import classify_eta, classify_theta, enumerate_admissible
 from .duality import finite_matsuki, match_spherical, verify_intersection
+from .errors import certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
 from .iwahori_orbits import AffineWeylElement, classes_at_tw
@@ -59,31 +61,33 @@ def check_gl2r_split(bound: int = 3) -> None:
     for adm in enumerate_admissible(d, bound):
         for side, classes in (("theta", classify_theta(d, adm)),
                               ("eta", classify_eta(d, adm))):
-            assert len(classes) == 1, (adm.lam, side)
+            certify(len(classes) == 1, f"{side} classes at {adm.lam}: {len(classes)}, want 1")
             cls = classes[0]
             lam = adm.lam
             want = (2,) if lam[0] == lam[1] else (2, 2)
-            assert tuple(cls.component_group) == want, (lam, side)
+            certify(tuple(cls.component_group) == want, f"{side} component group at {lam}")
             b = loop_to_bundle(cls.loop_rep, d)
-            assert b.gluing == LaurentMatrix.identity(2), lam
-            assert b.splitting == tuple(lam)
+            certify(b.gluing == LaurentMatrix.identity(2), f"gluing at {lam} is not the identity")
+            certify(b.splitting == tuple(lam), f"splitting type at {lam}")
     # Iwahori level: t^lam has S = Z/2 x Z/2; t^(mu,mu)s is a single
     # class with trivial stabilizer
     tw = AffineWeylElement.of((1, 2), (0, 1))
     classes = classes_at_tw(d, tw, "eta")
-    assert len(classes) == 1 and tuple(classes[0].component_group) == (2, 2)
+    certify(len(classes) == 1 and tuple(classes[0].component_group) == (2, 2),
+            "t^(1,2) carries one class with S = Z/2 x Z/2")
     pb = loop_to_parabolic_bundle(classes[0].loop_rep, tw, d)
-    assert pb.lines == ((QI(1), QI(0)), (QI(1), QI(0)))
-    assert pb.aut_label == "R* x R*"
+    certify(pb.lines == ((QI(1), QI(0)), (QI(1), QI(0))), "lines of t^(1,2)")
+    certify(pb.aut_label == "R* x R*", "automorphisms of t^(1,2)")
     tws = AffineWeylElement.of((1, 1), (1, 0))
     classes = classes_at_tw(d, tws, "eta")
-    assert len(classes) == 1 and tuple(classes[0].component_group) == ()
+    certify(len(classes) == 1 and tuple(classes[0].component_group) == (),
+            "t^(1,1)s carries one class with trivial S")
     x = classes[0].loop_rep
     want = LaurentMatrix.monomial(2, 0, 1, 1) + LaurentMatrix.monomial(2, 1, 0, 1)
-    assert x == want, "x_tw should be the antidiagonal t^mu matrix"
+    certify(x == want, "x_tw should be the antidiagonal t^mu matrix")
     pb = loop_to_parabolic_bundle(x, tws, d)
-    assert pb.lines == ((QI(1), QI(0)), (QI(0), QI(1)))
-    assert pb.aut_label == "C*"
+    certify(pb.lines == ((QI(1), QI(0)), (QI(0), QI(1))), "lines of t^(1,1)s")
+    certify(pb.aut_label == "C*", "automorphisms of t^(1,1)s")
 
 
 def check_gl2r_twisted(bound: int = 3) -> None:
@@ -94,25 +98,27 @@ def check_gl2r_twisted(bound: int = 3) -> None:
         classes = classify_eta(d, adm)
         if lam[0] != lam[1]:
             if lam[0] % 2 or lam[1] % 2:
-                assert classes == [], f"regular {lam} should be empty"
+                certify(classes == [], f"regular {lam} should be empty")
             else:
-                assert len(classes) == 1, lam
-                assert tuple(classes[0].component_group) == (2, 2), lam
+                certify(len(classes) == 1, f"{lam} should carry one class")
+                certify(tuple(classes[0].component_group) == (2, 2),
+                        f"component group at {lam}")
         elif lam[0] % 2:  # odd equal: alternating form, trivial group, c = J
             (cls,) = classes
-            assert tuple(cls.component_group) == ()
+            certify(tuple(cls.component_group) == (), f"component group at {lam}")
             b = loop_to_bundle(cls.loop_rep, d)
             cj = LaurentMatrix.from_scalars([[0, 1], [-1, 0]])
-            assert b.gluing == cj and b.aut_label == "GL1(H)", lam
+            certify(b.gluing == cj and b.aut_label == "GL1(H)", f"bundle at {lam}")
         else:
             (cls,) = classes
-            assert tuple(cls.component_group) == (2,), lam
+            certify(tuple(cls.component_group) == (2,), f"component group at {lam}")
     # the antidiagonal representative at (2mu+1, 2mu+1).s has a connected
     # stabilizer and is the only class there
     x = LaurentMatrix.monomial(2, 0, 1, 1) + LaurentMatrix.monomial(2, 1, 0, 1, -1)
-    assert gc.is_anti_fixed_eta(x, d)
+    certify(gc.is_anti_fixed_eta(x, d), "antidiagonal t^(1,1)s representative")
     classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), "eta")
-    assert len(classes) == 1 and tuple(classes[0].component_group) == ()
+    certify(len(classes) == 1 and tuple(classes[0].component_group) == (),
+            "t^(1,1)s carries one class with trivial S")
 
 
 def check_gl1h(bound: int = 2) -> None:
@@ -121,11 +127,11 @@ def check_gl1h(bound: int = 2) -> None:
     for adm in enumerate_admissible(d, bound):
         classes = classify_eta(d, adm)
         if adm.lam[0] != adm.lam[1]:
-            assert classes == [], adm.lam
+            certify(classes == [], f"{adm.lam} should be empty")
             continue
         (cls,) = classes
-        assert tuple(cls.component_group) == ()
-        assert cls.aut_label == "GL1(H)"
+        certify(tuple(cls.component_group) == () and cls.aut_label == "GL1(H)",
+                f"class at {adm.lam}")
     dm = _quat(-1)
     seen = 0
     for adm in enumerate_admissible(dm, bound):
@@ -135,33 +141,32 @@ def check_gl1h(bound: int = 2) -> None:
             comp = tuple(cls.component_group)
             aut = cls.aut_label
             if lam[0] == lam[1] and lam[0] % 2 == 0:
-                assert comp == () and aut == "GL1(H)", (lam, comp, aut)
+                certify(comp == () and aut == "GL1(H)", f"{lam}: {comp}, {aut}")
             elif lam[0] == lam[1]:
-                assert comp == (2,) and aut == "GL2(R)", (lam, comp, aut)
+                certify(comp == (2,) and aut == "GL2(R)", f"{lam}: {comp}, {aut}")
             else:
-                assert lam[0] % 2 and lam[1] % 2, f"{lam} should be empty"
-                assert comp == (2, 2) and aut == "R* x R*", (lam, comp, aut)
-    assert seen > 0
+                certify(lam[0] % 2 and lam[1] % 2, f"{lam} should be empty")
+                certify(comp == (2, 2) and aut == "R* x R*", f"{lam}: {comp}, {aut}")
+    certify(seen > 0, "quaternionic_gl at epsilon = -1 has no classes")
 
 
 def check_u2(bound: int = 2) -> None:
     """U(2) and its pure inner form U(1,1): tables coincide."""
     d = _uni(1)
     zero = classify_eta(d, (0, 0))
-    assert len(zero) == 3
-    assert {c.aut_label for c in zero} == {"U(1,1)", "U(2,0)", "U(0,2)"}
+    certify(len(zero) == 3 and {c.aut_label for c in zero} == {"U(1,1)", "U(2,0)", "U(0,2)"},
+            "U(2) classes at lambda = 0")
     for mu in range(1, bound + 1):
         classes = classify_eta(d, (mu, -mu))
-        assert len(classes) == 1
-        assert tuple(classes[0].component_group) == ()
-        assert classes[0].aut_label == "{(z,zbar)}"
+        certify(len(classes) == 1 and tuple(classes[0].component_group) == ()
+                and classes[0].aut_label == "{(z,zbar)}", f"U(2) class at {(mu, -mu)}")
     dt = _u11(1)
     for adm in enumerate_admissible(d, bound):
         rows = [(c.label, tuple(c.component_group), c.aut_label)
                 for c in classify_eta(d, adm)]
         rows_t = [(c.label, tuple(c.component_group), c.aut_label)
                   for c in classify_eta(dt, adm)]
-        assert rows == rows_t, adm.lam
+        certify(rows == rows_t, f"U(2) and U(1,1) tables differ at {adm.lam}")
 
 
 def check_tau_remark() -> None:
@@ -184,28 +189,29 @@ def check_tau_remark() -> None:
             SeriesMatrix.from_laurent(x, 12), d)
         want = canonicalize_theta(
             SeriesMatrix.from_laurent(image_rep, 12), d)
-        assert form.lam == want.lam, (form.lam, want.lam)
-        assert form.orbit_class.label == want.orbit_class.label
+        certify(form.lam == want.lam and form.orbit_class.label == want.orbit_class.label,
+                f"tau image at {form.lam}, want {want.lam}")
     # and the four images are pairwise distinct classes
     keys = set()
     for gamma, _ in cases:
         f = canonicalize_theta(
             SeriesMatrix.from_laurent(tau_theta(gamma, d), 12), d)
         keys.add((f.lam, f.orbit_class.label))
-    assert len(keys) == 4
+    certify(len(keys) == 4, "the four tau images are not distinct classes")
 
 
 def check_duality(bound: int = 2, samples: int = 20, seed: int = 2026) -> None:
     """Matched pairs over the catalog: labels, component groups, twists."""
     for datum in _catalog():
         for pair in match_spherical(datum, bound):
-            assert (tuple(pair.theta_class.component_group)
-                    == tuple(pair.eta_class.component_group))
+            certify(tuple(pair.theta_class.component_group)
+                    == tuple(pair.eta_class.component_group),
+                    f"{datum.real_form}: component groups differ at {pair.theta_class.lam}")
             if pair.common_rep is None:
                 continue  # twisted data need not share exact representatives
             report = verify_intersection(pair, samples, seed)
-            assert not report["failures"], (
-                datum.real_form, pair.theta_class.lam, report["failures"][:1])
+            certify(not report["failures"], f"{datum.real_form} at {pair.theta_class.lam}: "
+                    f"{report['failures'][:1]}")
 
 
 def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
@@ -225,11 +231,12 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
         x = hs * SeriesMatrix.from_laurent(cls.loop_rep, precision + 6) \
             * gc.apply_theta_inv(hs, d)
         form = canonicalize_theta(x, d)
-        assert form.lam == cls.lam and form.orbit_class.label == cls.label
+        certify(form.lam == cls.lam and form.orbit_class.label == cls.label,
+                f"theta twist moved {cls.lam} {cls.label}")
         lhs = form.certificate * x * gc.apply_theta_inv(form.certificate, d)
         r = form.residual_precision
-        assert lhs.retruncate(r) == SeriesMatrix.from_laurent(
-            form.loop_rep, r), "theta certificate replay"
+        certify(lhs.retruncate(r) == SeriesMatrix.from_laurent(form.loop_rep, r),
+                "theta certificate replay")
     reps = [(d, c) for d in data
             for adm in enumerate_admissible(d, 1)
             for c in classify_eta(d, adm)]
@@ -238,9 +245,10 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
         h = random_poly_element(d.n, 3, rng)
         x = h * cls.loop_rep * gc.apply_eta_inv(h, d)
         form = canonicalize_eta(x, d)
-        assert form.lam == cls.lam and form.orbit_class.label == cls.label
+        certify(form.lam == cls.lam and form.orbit_class.label == cls.label,
+                f"eta twist moved {cls.lam} {cls.label}")
         lhs = form.certificate * x * gc.apply_eta_inv(form.certificate, d)
-        assert lhs == form.loop_rep, "eta certificate replay"
+        certify(lhs == form.loop_rep, "eta certificate replay")
 
 
 def check_coweight_agreement(count: int = 50, seed: int = 5) -> None:
@@ -255,8 +263,8 @@ def check_coweight_agreement(count: int = 50, seed: int = 5) -> None:
             for eps in (1, -1):
                 d = gc.build_datum(family, n, eps)
                 m = LaurentMatrix.t_power(lam)
-                assert gc.apply_theta(m, d) == gc.apply_eta(m, d), (
-                    family, eps, lam)
+                certify(gc.apply_theta(m, d) == gc.apply_eta(m, d),
+                        f"{family}, epsilon={eps}, lambda={lam}")
 
 
 def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3) -> None:
@@ -267,7 +275,7 @@ def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3) -> None:
         points = enumerate_kottwitz(datum, bound)
         total = sum(len(classify_eta(datum, adm))
                     for adm in enumerate_admissible(datum, bound))
-        assert len(points) == total
+        certify(len(points) == total, f"{datum.real_form}: {len(points)} points, {total} classes")
         labels = []
         for p in points:
             loop = kottwitz_to_loop(p, datum)
@@ -277,8 +285,9 @@ def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3) -> None:
                 h = _lam_preserving(p.lam, rng)
                 q = twist_kottwitz(p, h, datum)
                 form2 = canonicalize_eta(kottwitz_to_loop(q, datum), datum)
-                assert (form2.lam, form2.orbit_class.label) == labels[-1]
-        assert len(set(labels)) == len(labels), "classes must not collapse"
+                certify((form2.lam, form2.orbit_class.label) == labels[-1],
+                        f"twist moved {labels[-1]}")
+        certify(len(set(labels)) == len(labels), "classes must not collapse")
 
 
 def _lam_preserving(lam: Tuple[int, ...], rng: random.Random) -> LaurentMatrix:
@@ -302,14 +311,14 @@ def _lam_preserving(lam: Tuple[int, ...], rng: random.Random) -> LaurentMatrix:
 def check_finite_matsuki() -> None:
     """Borel-level and lambda=0 counts of the constant specialization."""
     fm = finite_matsuki(_split(1))
-    assert len(fm["borel"]) == 2, "two GL2(R)-orbits on GL2/B"
+    certify(len(fm["borel"]) == 2, "two GL2(R)-orbits on GL2/B")
     fmu = finite_matsuki(_uni(1))
-    assert len(fmu["spherical"]) == 3
+    certify(len(fmu["spherical"]) == 3, "three U(2) spherical orbits")
     fmt = finite_matsuki(_u11(1))
-    assert len(fmt["spherical"]) == len(fmu["spherical"])
-    assert len(fmt["borel"]) == len(fmu["borel"])
-    assert len(finite_matsuki(gc.build_datum("split_gl", 1, 1))
-               ["spherical"]) == 1
+    certify(len(fmt["spherical"]) == len(fmu["spherical"])
+            and len(fmt["borel"]) == len(fmu["borel"]), "U(1,1) counts differ from U(2)")
+    certify(len(finite_matsuki(gc.build_datum("split_gl", 1, 1))["spherical"]) == 1,
+            "one GL1(R) spherical orbit")
 
 
 CHECKS: List[Tuple[str, Callable[[], None]]] = [

@@ -3,16 +3,21 @@
 A subprocess runs with ``-O`` (which strips every ``assert``), injects a
 fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
-Faults in the spherical classifier and the duality matcher must likewise
-end in exit code 1, with and without ``-O``.
+Faults in the spherical classifier, the duality matcher, the selftest and
+the internal checks of the exact algebra must likewise end in exit code 1.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from loopmatsuki import cli, exact_algebra, serialize
+from loopmatsuki import group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -132,3 +137,41 @@ def test_classifier_and_matcher_faults_exit_1(mode, failed_check, optimize):
     assert code == "1"
     assert proc.stderr.startswith("error: certificate failed: ")
     assert failed_check in proc.stderr
+
+
+# The selftest's own checks are certificates too: with the finite Matsuki
+# tables emptied, ``loopmatsuki selftest`` must fail under -O.
+SELFTEST_SCRIPT = r"""
+from loopmatsuki import cli, selftest
+
+selftest.finite_matsuki = lambda datum: {"spherical": [], "borel": []}
+print(cli.main(["selftest"]))
+"""
+
+
+def test_selftest_fault_exits_1_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", SELFTEST_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout[:proc.stdout.rindex("]") + 1])
+    failed = [r["name"] for r in results if not r["ok"]]
+    assert failed == ["finite_matsuki"]
+    assert "CertificateError" in results[-1]["detail"]
+    assert proc.stdout.split("\n")[-2] == "1"
+
+
+def test_internal_fault_in_eta_reduction_exits_1(tmp_path, monkeypatch, capsys):
+    """A unipotent square root that fails to square back is an internal
+    fault (exit 1), not malformed input (exit 2)."""
+    d = gc.build_datum("split_gl", 2, 1)
+    (cls,) = classify_eta(d, (1, 0))
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(serialize.laurent_to_json(cls.loop_rep)))
+    exp = exact_algebra.laurent_exp_nilpotent
+    monkeypatch.setattr(exact_algebra, "laurent_exp_nilpotent",
+                        lambda m: exp(m).scale(2))
+    code = cli.main(["canonicalize", "--family", "split_gl", "--side", "eta",
+                     "--input", str(path)])
+    assert code == 1
+    assert "certificate failed: square root failed to square back" in capsys.readouterr().err

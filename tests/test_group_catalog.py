@@ -84,8 +84,7 @@ def test_twisted_involutions():
     x = LaurentMatrix.diag_scalars([QI(1), QI(-1)])  # anti-fixed for tw
     assert gc.is_anti_fixed_eta(x, tw)
     assert gc.is_anti_fixed_eta(gc.transport_to_base(x, tw),
-                                gc.build_datum("unitary", 2, 1,
-                                               gc.base_sector(tw)))
+                                gc.base_datum(tw, "eta"))
 
 
 # every family, both epsilons, and U(1,1) (the inner twist diag(1, -1) of U(2))
