@@ -37,7 +37,6 @@ from .intlat import eliminate, mat_mul
 from .iwahori_orbits import (
     AffineWeylElement,
     IwahoriClass,
-    build_torus_problem,
     classes_at_tw,
 )
 from .laurent import (
@@ -71,7 +70,8 @@ def tau_theta(gamma, datum: GroupDatum):
 
 
 def tau_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """gamma * eta(gamma)^{-1}; anti-fixed with z = 1."""
+    """The paper's tau on the eta side: gamma * eta(gamma)^{-1}, anti-fixed
+    with z = 1 for every exact loop gamma."""
     return gamma * gc.apply_eta_inv(gamma, datum)
 
 
@@ -358,10 +358,10 @@ def _canonicalize_twisted(x, datum: GroupDatum, side: str) -> CanonicalForm:
         certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
                 "twisted eta certificate does not replay")
     classify = classify_theta if side == "theta" else classify_eta
-    orbit_class = next(c for c in classify(datum, form.lam)
-                       if c.label == form.orbit_class.label)
+    found = [c for c in classify(datum, form.lam) if c.label == form.orbit_class.label]
+    certify(bool(found), "the twisted datum has no class matching the base one")
     return replace(form, g0=form.g0 * datum.w1.inverse() * twist_inv * datum.w1,
-                   orbit_class=orbit_class, loop_rep=loop_rep)
+                   orbit_class=found[0], loop_rep=loop_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +405,7 @@ _QUARTER_ROOTS = {
 }
 
 
-def _same_class_multiplicative(m_act, rep_args: Sequence[Fraction],
+def _same_class_multiplicative(characters, rep_args: Sequence[Fraction],
                                diag: Sequence[QI]) -> bool:
     """Class test for an exact diagonal, possibly of infinite order.
 
@@ -414,9 +414,7 @@ def _same_class_multiplicative(m_act, rep_args: Sequence[Fraction],
     the action image, evaluated multiplicatively on the candidate and
     by argument arithmetic on the torsion representative.
     """
-    from .intlat import integer_left_kernel_basis
-
-    for k in integer_left_kernel_basis([list(r) for r in m_act]):
+    for k in characters:
         val = QI(1)
         for ki, v in zip(k, diag):
             if ki:
@@ -445,9 +443,8 @@ def _check_torus_diag(d: LaurentMatrix, n: int) -> List[QI]:
 
 def _match_iwahori_class(datum: GroupDatum, tw: AffineWeylElement, side: str,
                          diag: Sequence[QI]) -> IwahoriClass:
-    problem = build_torus_problem(datum, tw, side)
     for cls in classes_at_tw(datum, tw, side):
-        if _same_class_multiplicative(problem.m_act, list(cls.g0_args), diag):
+        if _same_class_multiplicative(cls.problem.act_characters, cls.g0_args, diag):
             return cls
     raise CertificateError("certificate failed: reduced torus element matches no classified class")
 
@@ -537,9 +534,10 @@ def _iwahori_reduce_twisted(tw: AffineWeylElement, g, datum: GroupDatum,
     reduce = iwahori_reduce_theta if side == "theta" else iwahori_reduce_eta
     form = reduce(tw, gc.transport_to_base(g, datum), gc.base_datum(datum, side))
     cinv = datum.twist.inverse()
-    cls = next(c for c in classes_at_tw(datum, tw, side)
-               if c.g0_args == form.orbit_class.g0_args)
-    return replace(form, g0=form.g0 * cinv, orbit_class=cls,
+    found = [c for c in classes_at_tw(datum, tw, side)
+             if c.g0_args == form.orbit_class.g0_args]
+    certify(bool(found), "the twisted datum has no class matching the base one")
+    return replace(form, g0=form.g0 * cinv, orbit_class=found[0],
                    loop_rep=form.loop_rep * cinv)
 
 
@@ -623,13 +621,13 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
         guard += 1
         if guard > 2 * n + 4:
             raise InvalidInputError("Iwahori eta reduction did not terminate")
-        power = nil.copy()
+        power = nil
         for _ in range(n - 1):
             power = power * nil
         if not power.is_zero():
             # t-degree layers can still be nilpotent; take enough extra powers
             span = (nil.maxdeg() or 0) - (nil.val() or 0) + n
-            power = nil.copy()
+            power = nil
             for _ in range(span + n):
                 power = power * nil
             if not power.is_zero():

@@ -25,7 +25,7 @@ from .coweight_orbits import SphericalClass, classify_eta, classify_theta, \
 from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
-from .iwahori_orbits import IwahoriClass, classes_at_tw, enumerate_admissible_tw
+from .iwahori_orbits import IwahoriClass, enumerate_iwahori
 from .laurent import LaurentMatrix, SeriesMatrix
 from .randgen import (
     FOURTH_ROOTS,
@@ -78,24 +78,23 @@ def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
 
 def match_iwahori(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     """Pairs at every admissible t~w; both sides share the torus problem."""
+    thetas = enumerate_iwahori(datum, bound, "theta")
+    etas = enumerate_iwahori(datum, bound, "eta")
+    certify(len(thetas) == len(etas), "class count mismatch between the sides")
+    by_key: Dict[tuple, IwahoriClass] = {
+        (c.tw.lam, c.tw.w, tuple(c.g0_args)): c for c in etas}
     pairs = []
-    for tw in enumerate_admissible_tw(datum, bound):
-        thetas = classes_at_tw(datum, tw, "theta")
-        etas = classes_at_tw(datum, tw, "eta")
-        by_args: Dict[tuple, IwahoriClass] = {
-            tuple(c.g0_args): c for c in etas}
-        certify(len(thetas) == len(etas),
-                f"class count mismatch at t~w=({tw.lam}, {tw.w})")
-        for th in thetas:
-            et = by_args.get(tuple(th.g0_args))
-            certify(et is not None,
-                    f"unmatched torus class {th.g0_args} at t~w=({tw.lam}, {tw.w})")
-            pairs.append(MatchedPair(
-                theta_class=th,
-                eta_class=et,
-                common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
-                level="iwahori",
-            ))
+    for th in thetas:
+        tw = th.tw
+        et = by_key.get((tw.lam, tw.w, tuple(th.g0_args)))
+        certify(et is not None,
+                f"unmatched torus class {th.g0_args} at t~w=({tw.lam}, {tw.w})")
+        pairs.append(MatchedPair(
+            theta_class=th,
+            eta_class=et,
+            common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
+            level="iwahori",
+        ))
     return pairs
 
 

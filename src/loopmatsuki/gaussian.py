@@ -39,14 +39,8 @@ class QI:
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
-    def is_one(self) -> bool:
-        return self.re == 1 and not self.im
-
     def is_real(self) -> bool:
         return not self.im
-
-    def is_rational_int(self) -> bool:
-        return self.im == 0 and self.re.denominator == 1
 
     # -- arithmetic -----------------------------------------------------
     def __add__(self, other) -> "QI":
@@ -86,10 +80,6 @@ class QI:
 
     def conj(self) -> "QI":
         return QI(self.re, -self.im)
-
-    def norm2(self) -> Fraction:
-        """The square modulus |z|^2, an exact rational."""
-        return self.re * self.re + self.im * self.im
 
     def __pow__(self, k: int) -> "QI":
         if k < 0:
@@ -184,18 +174,3 @@ def qi_from_str(s: str) -> QI:
         else:
             re += Fraction(t)
     return QI(re, im)
-
-
-def fourth_root_label(z: QI) -> str:
-    """Name a fourth root of unity (used for the central twist z)."""
-    table = {ONE: "1", MINUS_ONE: "-1", I: "i", MINUS_I: "-i"}
-    if z not in table:
-        raise ValueError(f"{z} is not a fourth root of unity")
-    return table[z]
-
-
-def fourth_root_from_label(s: str) -> QI:
-    table = {"1": ONE, "+1": ONE, "-1": MINUS_ONE, "i": I, "+i": I, "-i": MINUS_I}
-    if s not in table:
-        raise ValueError(f"central twist must be a fourth root of unity, got {s!r}")
-    return table[s]

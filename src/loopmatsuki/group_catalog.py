@@ -24,7 +24,6 @@ the matching central sector, where tables and canonical forms are computed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -166,7 +165,7 @@ def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     if datum.family == SPLIT_GL:
         return m.inverse().transpose()
     if datum.family == QUATERNIONIC_GL:
-        j = j_matrix(datum.n)
+        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
         return j * m.inverse().transpose() * -j  # J^-1 = -J
     return m
 
@@ -177,7 +176,7 @@ def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     if datum.family == SPLIT_GL:
         out = m.substitute(ONE, invert=False, conj=True)
     elif datum.family == QUATERNIONIC_GL:
-        j = j_matrix(datum.n)
+        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
         out = j * m.substitute(ONE, invert=False, conj=True) * -j
     else:
         out = m.substitute(ONE, invert=False, conj=True).inverse().transpose()
@@ -228,7 +227,7 @@ def _involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv):
     if transpose:
         g = g.transpose()
     if datum.family == QUATERNIONIC_GL:
-        j = j_matrix(datum.n)
+        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
         g = _conjugate_by(g, j, -j)  # J^-1 = -J
     if datum.twist is not None:
         g = _conjugate_by(g, datum.twist, datum.twist.inverse())
@@ -267,7 +266,7 @@ def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     if datum.family == SPLIT_GL:
         return -y.transpose()
     if datum.family == QUATERNIONIC_GL:
-        j = j_matrix(datum.n)
+        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
         return j * y.transpose() * j  # -(J y^T J^-1) with J^-1 = -J
     return y
 
@@ -362,61 +361,3 @@ def base_datum(datum: GroupDatum, side: str) -> GroupDatum:
         return datum
     return build_datum(datum.family, datum.n, datum.epsilon,
                        datum.z * twist_scalar(datum, datum.twist, side))
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def _random_invertible(n: int, rng: random.Random) -> LaurentMatrix:
-    while True:
-        rows = [[QI(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
-                 for _ in range(n)] for _ in range(n)]
-        m = LaurentMatrix.from_scalars(rows)
-        d = m.det()
-        if d and any(not c.is_zero() for c in d.values()):
-            return m
-
-
-def verify_datum(datum: GroupDatum, seed: int = 0, samples: int = 20) -> dict:
-    """Run the datum invariants; returns {check_name: bool}."""
-    rng = random.Random(seed)
-    n = datum.n
-    report = {}
-
-    mats = [_random_invertible(n, rng) for _ in range(samples)]
-    report["theta0_involutive"] = all(theta0(theta0(m, datum), datum) == m for m in mats)
-    report["eta0_involutive"] = all(eta0(eta0(m, datum), datum) == m for m in mats)
-    report["involutions_commute"] = all(
-        theta0(eta0(m, datum), datum) == eta0(theta0(m, datum), datum) for m in mats)
-    report["w2_consistent"] = datum.w2 == theta0(datum.w1, datum) * datum.w1
-
-    # Ad_{w1^-1} o theta0 sends lower elementary generators to upper matrices
-    ok = True
-    w1i = datum.w1.inverse()
-    for i in range(n):
-        for j in range(i):
-            rows = [[QI(1) if a == b else QI(0) for b in range(n)] for a in range(n)]
-            rows[i][j] = QI(2)
-            gen = LaurentMatrix.from_scalars(rows)
-            img = w1i * theta0(gen, datum) * datum.w1
-            const = img.constant_matrix()
-            if not img.is_constant() or any(
-                    not const[a][b].is_zero() for a in range(n) for b in range(a)):
-                ok = False
-    report["borel_condition"] = ok
-
-    report["z_fixed"] = (
-        theta0(LaurentMatrix.diag_scalars([datum.z] * n), datum)
-        == LaurentMatrix.diag_scalars([datum.z] * n)
-        and eta0(LaurentMatrix.diag_scalars([datum.z] * n), datum)
-        == LaurentMatrix.diag_scalars([datum.z] * n))
-
-    lam_ok = True
-    for _ in range(10):
-        lam = [rng.randint(-5, 5) for _ in range(n)]
-        tl = LaurentMatrix.t_power(lam)
-        if apply_eta(tl, datum) != apply_theta(tl, datum):
-            lam_ok = False
-    report["eta_theta_agree_on_coweights"] = lam_ok
-    return report

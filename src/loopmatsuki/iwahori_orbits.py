@@ -7,23 +7,25 @@ permutation lift) gives a twisted-conjugation problem on the diagonal torus:
   action     g  ->  Ad_{w^-1}(h) * g * theta0(h)^-1  (h in the torus)
 
 Writing torus elements multiplicatively, both maps are given by integer
-matrices M_eq and M_act on exponent/argument vectors.  Over the divisible
-group the equation is solvable iff every integer character vanishing on the
-image kills the target; the class set is the finite quotient of the solution
-coset by the action image, and the stabilizer component group is read off the
-Smith normal form of M_act.  Arguments are kept as exact rationals mod 1, so
-representatives are roots of unity (embedded into Q(i) when their order
-divides 4).
+matrices M_eq and M_act on exponent/argument vectors.  They depend on w
+alone, so one TorusProblem per Weyl element holds them with their Smith
+forms, characters and canonicalizer, and lambda enters only through the
+target t_tw * z.  Over the divisible group the equation is solvable iff every
+integer character vanishing on the image kills the target; the class set is
+the finite quotient of the solution coset by the action image, and the
+stabilizer component group is read off the Smith normal form of M_act.
+Arguments are kept as exact rationals mod 1, so representatives are roots of
+unity (embedded into Q(i) when their order divides 4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import CertificateError, InvalidInputError
+from .errors import CertificateError, InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import (
     GroupDatum, theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum,
@@ -161,54 +163,108 @@ def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylEle
     return sorted(out, key=lambda tw: (tw.lam, tw.w))
 
 
-def t_tw(tw: AffineWeylElement, datum: GroupDatum) -> List[QI]:
-    """t_tw = eps^lambda * (w * theta0(w))^-1, a 4th-root diagonal."""
-    m = (tw.lift * theta0(tw.lift, datum)).inverse()
-    const = m.constant_matrix()
+@dataclass(frozen=True, eq=False)
+class TorusProblem:
+    """The torus problem at one Weyl element w, for every lambda at once.
+
+    Everything here depends on (datum, side, w) alone and is certified when
+    build_torus_problem makes it; lambda enters only through the target
+    t_tw * z, which classes(tw) forms and solves.
+    """
+
+    datum: GroupDatum
+    side: str
+    w: Tuple[int, ...]
+    m_eq: List[List[int]]
+    m_act: List[List[int]]
+    eq_characters: List[List[int]]  # integer characters killing the image of m_eq
+    act_characters: List[List[int]]  # those killing the action image: class invariants
+    snf_u: List[List[int]]  # U * m_eq * V = diag(snf_d)
+    snf_d: List[int]
+    snf_v: List[List[int]]
+    offsets: List[List[Fraction]]  # the torsion of the solution coset
+    canon: Callable[[Sequence[Fraction]], Args]
+    component_group: Tuple[int, ...]
+    base_target: Tuple[Fraction, ...]  # arguments of z * (w * theta0(w))^-1
+
+    def classes(self, tw: AffineWeylElement) -> List["IwahoriClass"]:
+        """The classes at t^lambda * w: one canonical solution of the
+        equation per orbit of the action, sorted by arguments."""
+        if tw.w != self.w:
+            raise InvalidInputError(f"t~w has Weyl part {tw.w}, the problem {self.w}")
+        # t_tw = eps^lambda * (w * theta0(w))^-1: eps = -1 adds 1/2 at odd lambda_i
+        sign_arg = Fraction(1 - self.datum.epsilon, 4)
+        targ = [(b + sign_arg * (l % 2)) % 1 for b, l in zip(self.base_target, tw.lam)]
+        for k in self.eq_characters:
+            if sum(ki * t for ki, t in zip(k, targ)).denominator != 1:
+                return []
+        c = []
+        for uti, di in zip(mat_vec(self.snf_u, targ), self.snf_d):
+            if di == 0:
+                certify(uti.denominator == 1,
+                        "torus equation unsolvable after the character test")
+                c.append(Fraction(0))
+            else:
+                c.append(uti / di)
+        a0 = mat_vec(self.snf_v, c)
+        seen = {}
+        for off in self.offsets:
+            key = self.canon([x + o for x, o in zip(a0, off)])
+            if key not in seen:
+                seen[key] = tuple(x % 1 for x in key)
+        parent = tuple(sorted(tw.lam, reverse=True))
+        out = []
+        for args in sorted(seen.values()):
+            img = mat_vec(self.m_eq, list(args))
+            certify(all((x - t).denominator == 1 for x, t in zip(img, targ)),
+                    "a canonical torus representative does not solve the equation")
+            g0 = args_to_matrix(args)
+            loop = None
+            if g0 is not None:
+                loop = tw.loop() * g0
+                _check_anti_fixed(loop, self.datum, tw, self.side)
+            out.append(IwahoriClass(self.datum, tw, self.side, args, g0, loop,
+                                    self.component_group, parent, self))
+        return out
+
+
+def build_torus_problem(datum: GroupDatum, w: Sequence[int],
+                        side: str = "theta") -> TorusProblem:
+    """The torus problem of an untwisted datum at the Weyl element w."""
+    w = tuple(w)
     n = datum.n
-    if not m.is_constant() or any(
-            not const[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
-        raise InvalidInputError("w * theta0(w) is not a torus element")
-    eps = datum.epsilon
-    out = []
-    for i in range(n):
-        s = QI(1) if eps == 1 or tw.lam[i] % 2 == 0 else QI(-1)
-        out.append(s * const[i][i])
-    for x in out:
-        qi_arg(x)  # raises if not a 4th root
-    return out
-
-
-@dataclass(frozen=True)
-class TorusTwistProblem:
-    n: int
-    m_eq: Tuple[Tuple[int, ...], ...]
-    m_act: Tuple[Tuple[int, ...], ...]
-    target: Args
-
-
-def build_torus_problem(datum: GroupDatum, tw: AffineWeylElement,
-                        side: str = "theta") -> TorusTwistProblem:
     e = _involution_torus_matrix(datum, side)
-    a_w = _ad_matrix(tw.w)
-    a_winv = _ad_matrix(_perm_inverse(tw.w))
-    n = datum.n
+    a_w = _ad_matrix(w)
+    a_winv = _ad_matrix(_perm_inverse(w))
     m_eq = [[a_w[i][j] + e[i][j] for j in range(n)] for i in range(n)]
     m_act = [[a_winv[i][j] - e[i][j] for j in range(n)] for i in range(n)]
-    if any(x for row in mat_mul(m_eq, m_act) for x in row):
-        raise CertificateError("certificate failed: the torus action does not "
-                               "preserve the equation")
+    certify(not any(x for row in mat_mul(m_eq, m_act) for x in row),
+            "the torus action does not preserve the equation")
     # solutions modulo the action must form a finite set
     eq_rows, eq_pivots, _ = eliminate(as_fractions(m_eq))
     solve_act = eliminate(as_fractions(m_act))[2]
-    for v in kernel_basis(eq_rows, eq_pivots):
-        if solve_act(v) is None:
-            raise CertificateError("certificate failed: equation kernel escapes "
-                                   "the action image")
+    certify(all(solve_act(v) is not None for v in kernel_basis(eq_rows, eq_pivots)),
+            "equation kernel escapes the action image")
+    lift = perm_matrix(w)
+    m = (lift * theta0(lift, datum)).inverse()
+    const = m.constant_matrix()
+    if not m.is_constant() or any(
+            not const[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
+        raise InvalidInputError("w * theta0(w) is not a torus element")
     zarg = qi_arg(datum.z)
-    target = tuple((a + zarg) % 1 for a in (qi_arg(x) for x in t_tw(tw, datum)))
-    return TorusTwistProblem(n, tuple(tuple(r) for r in m_eq),
-                             tuple(tuple(r) for r in m_act), target)
+    base_target = tuple(qi_arg(const[i][i]) + zarg for i in range(n))
+    u, d, v = snf_int(m_eq)
+    snf_d = snf_diagonal(d)
+    offsets = [[Fraction(0)] * n]
+    for i, di in enumerate(snf_d):
+        if di > 1:
+            g = [Fraction(v[j][i], di) for j in range(n)]
+            offsets = [[x + k * gx for x, gx in zip(off, g)]
+                       for off in offsets for k in range(di)]
+    comp = tuple(f for f in snf_diagonal(snf_int(m_act)[1]) if f > 1)
+    return TorusProblem(datum, side, w, m_eq, m_act, integer_left_kernel_basis(m_eq),
+                        integer_left_kernel_basis(m_act), u, snf_d, v, offsets,
+                        _canonicalizer(m_act), comp, base_target)
 
 
 # ---------------------------------------------------------------------------
@@ -243,77 +299,13 @@ def _canonicalizer(m_act):
         r = _reduce_mod_span([Fraction(x) for x in v], basis, pivots)
         if lat:
             coords = solve_lat(r)
-            if coords is None:
-                raise CertificateError("certificate failed: reduced argument "
-                                       "vector outside the lattice span")
+            certify(coords is not None, "reduced argument vector outside the lattice span")
             for c, b in zip(coords, lat):
                 f = Fraction(int(c // 1))
                 r = [x - f * y for x, y in zip(r, b)]
         return tuple(r)
 
     return canon
-
-
-def solve_torus_classes(problem: TorusTwistProblem):
-    """Returns (nonempty, classes) with classes a list of
-    (argument tuple, component-group invariant factors)."""
-    m_eq = [list(r) for r in problem.m_eq]
-    m_act = [list(r) for r in problem.m_act]
-    targ = [Fraction(x) for x in problem.target]
-    for k in integer_left_kernel_basis(m_eq):
-        if sum(ki * t for ki, t in zip(k, targ)).denominator != 1:
-            return False, []
-    u, d, v = snf_int(m_eq)
-    n = problem.n
-    ut = mat_vec(u, targ)
-    c = []
-    for i in range(n):
-        di = d[i][i]
-        if di == 0:
-            if ut[i].denominator != 1:
-                raise CertificateError("certificate failed: torus equation "
-                                       "unsolvable after the character test")
-            c.append(Fraction(0))
-        else:
-            c.append(Fraction(ut[i], 1) / di)
-    a0 = mat_vec(v, c)
-
-    gens = []
-    orders = []
-    for i in range(n):
-        di = d[i][i]
-        if di > 1:
-            gens.append([Fraction(v[j][i], di) for j in range(n)])
-            orders.append(di)
-
-    canon = _canonicalizer(m_act)
-    comp = tuple(f for f in snf_diagonal(snf_int(m_act)[1]) if f > 1)
-    seen = {}
-    for combo in product(*(range(o) for o in orders)):
-        vec = list(a0)
-        for m, g in zip(combo, gens):
-            vec = [x + m * gx for x, gx in zip(vec, g)]
-        key = canon(vec)
-        if key not in seen:
-            seen[key] = (tuple(x % 1 for x in key), comp)
-    classes = sorted(seen.values(), key=lambda t: t[0])
-    # canonical representatives still solve the equation
-    for args, _ in classes:
-        img = mat_vec(m_eq, list(args))
-        if any((x - t).denominator != 1 for x, t in zip(img, targ)):
-            raise CertificateError("certificate failed: a canonical torus "
-                                   "representative does not solve the equation")
-    return True, classes
-
-
-def same_torus_class(problem: TorusTwistProblem, a: Sequence[Fraction],
-                     b: Sequence[Fraction]) -> bool:
-    """Whether two solutions differ by Z^n + the rational action image."""
-    diff = [Fraction(x) - Fraction(y) for x, y in zip(a, b)]
-    for k in integer_left_kernel_basis([list(r) for r in problem.m_act]):
-        if sum(ki * x for ki, x in zip(k, diff)).denominator != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -330,90 +322,47 @@ class IwahoriClass:
     loop_rep: Optional[LaurentMatrix]
     component_group: Tuple[int, ...]
     spherical_parent: Tuple[int, ...]
+    problem: TorusProblem = field(compare=False, repr=False)
 
 
 def _check_anti_fixed(loop: LaurentMatrix, datum: GroupDatum,
                       tw: AffineWeylElement, side: str) -> None:
     is_anti_fixed = is_anti_fixed_eta if side == "eta" else is_anti_fixed_theta
-    if not is_anti_fixed(loop, datum):
-        raise CertificateError(
-            f"certificate failed: the representative at lambda={list(tw.lam)}, "
-            f"w={list(tw.w)} is not {side}-anti-fixed")
+    certify(is_anti_fixed(loop, datum),
+            f"the representative at lambda={list(tw.lam)}, w={list(tw.w)} is not "
+            f"{side}-anti-fixed")
+
+
+def _transport(cls: IwahoriClass, datum: GroupDatum) -> IwahoriClass:
+    """A class of base_datum(datum, cls.side) as a class of the twisted datum:
+    x -> x * c^-1 carries the base anti-fixed set at the matching z-sector to
+    the twisted one, and class labels are shared."""
+    g0 = loop = None
+    if cls.g0 is not None:
+        g0 = cls.g0 * datum.twist.inverse()
+        loop = cls.tw.loop() * g0
+        _check_anti_fixed(loop, datum, cls.tw, cls.side)
+    return replace(cls, datum=datum, g0=g0, loop_rep=loop)
 
 
 def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
                   side: str = "theta") -> List[IwahoriClass]:
+    """The classes at one t^lambda * w, from a torus problem of its own."""
     if datum.twist is not None:
-        # transport x -> x * c^-1 between the base anti-fixed set at the
-        # matching z-sector and the twisted one; class labels are shared
-        cinv = datum.twist.inverse()
-        out = []
-        for cls in classes_at_tw(base_datum(datum, side), tw, side):
-            g0 = loop = None
-            if cls.g0 is not None:
-                g0 = cls.g0 * cinv
-                loop = tw.loop() * g0
-                _check_anti_fixed(loop, datum, tw, side)
-            out.append(replace(cls, datum=datum, g0=g0, loop_rep=loop))
-        return out
-    problem = build_torus_problem(datum, tw, side)
-    nonempty, classes = solve_torus_classes(problem)
-    out = []
-    parent = tuple(sorted(tw.lam, reverse=True))
-    for args, comp in classes:
-        g0 = args_to_matrix(args)
-        loop = None
-        if g0 is not None:
-            loop = tw.loop() * g0
-            _check_anti_fixed(loop, datum, tw, side)
-        out.append(IwahoriClass(datum, tw, side, args, g0, loop, comp, parent))
-    return out
+        return [_transport(cls, datum)
+                for cls in classes_at_tw(base_datum(datum, side), tw, side)]
+    return build_torus_problem(datum, tw.w, side).classes(tw)
 
 
 def enumerate_iwahori(datum: GroupDatum, bound: int, side: str = "theta") -> List[IwahoriClass]:
+    """The classes at every admissible t^lambda * w with |lambda_i| <= bound,
+    in (lambda, w) order, from one torus problem per Weyl element."""
+    base = base_datum(datum, side)
+    problems = {}
     out = []
     for tw in enumerate_admissible_tw(datum, bound):
-        out.extend(classes_at_tw(datum, tw, side))
+        if tw.w not in problems:
+            problems[tw.w] = build_torus_problem(base, tw.w, side)
+        for cls in problems[tw.w].classes(tw):
+            out.append(cls if base is datum else _transport(cls, datum))
     return out
-
-
-def spherical_projection(cls: IwahoriClass):
-    """The spherical class at the dominant sort of lambda carrying the same
-    form invariant as the Iwahori representative."""
-    from .coweight_orbits import classify_theta, classify_eta
-    datum = cls.datum
-    lam_dom = list(cls.spherical_parent)
-    classify = classify_theta if cls.side == "theta" else classify_eta
-    spherical = classify(datum, lam_dom)
-    if not spherical:
-        raise InvalidInputError("no spherical class above this Iwahori class")
-    if datum.family != "unitary":
-        if len(spherical) != 1:
-            raise CertificateError("certificate failed: more than one spherical "
-                                   "class above an Iwahori class")
-        return spherical[0]
-    if cls.g0 is None:
-        raise InvalidInputError("representative lies outside Q(i)")
-    # sort lambda dominantly by a twisted conjugation with a permutation
-    # (theta0 = id for this family), then read the middle-block involution
-    order = sorted(range(datum.n), key=lambda i: -cls.tw.lam[i])
-    p = perm_matrix(_perm_inverse(order))
-    cmat = p * (cls.tw.lift * cls.g0) * p.inverse()
-    g0p = cmat * datum.w1
-    zero_idx = [i for i, x in enumerate(lam_dom) if x == 0]
-    m = len(zero_idx)
-    const = g0p.constant_matrix()
-    # middle-block involution M = R * B; its trace gives the multiplicity pair
-    block = [[const[zero_idx[a]][zero_idx[b]] for b in range(m)] for a in range(m)]
-    tr = QI(0)
-    for a in range(m):
-        tr = tr + block[m - 1 - a][a]
-    if not (tr.is_real() and tr.re.denominator == 1):
-        raise CertificateError("certificate failed: the middle-block involution "
-                               "has a trace outside Z")
-    pcount = (m + int(tr.re)) // 2
-    label = f"({pcount},{m - pcount})"
-    for s in spherical:
-        if s.label == label:
-            return s
-    raise InvalidInputError(f"no spherical class with label {label}")

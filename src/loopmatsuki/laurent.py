@@ -492,18 +492,6 @@ class LaurentMatrix:
                 rows[i][j] = (-e if (i + j) % 2 else e).shift(-k)
         return LaurentMatrix._of(rows)
 
-    def __pow__(self, k: int) -> "LaurentMatrix":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = LaurentMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -598,10 +586,6 @@ class SeriesMatrix:
             raise PrecisionError("constant term beyond recorded precision")
         return [[e.coeff(0) for e in r] for r in self.rows]
 
-    def is_identity_to_precision(self) -> bool:
-        ident = LaurentMatrix.identity(self.n).truncate(self.precision)
-        return self.rows == ident.rows
-
     # -- arithmetic ------------------------------------------------------------------
     def retruncate(self, precision: int) -> "SeriesMatrix":
         if precision > self.precision:
@@ -650,11 +634,6 @@ class SeriesMatrix:
         return SeriesMatrix._of(
             [[_subst(e, unit, False, conj) for e in r] for r in self.rows], self.precision
         )
-
-    def det(self) -> Entry:
-        """Determinant, with its own certified precision (second return via pair)."""
-        d, _ = self.det_with_precision()
-        return d
 
     def det_with_precision(self) -> tuple[Entry, int]:
         v = self.val()

@@ -74,16 +74,6 @@ def random_poly_element(n: int, degree: int, rng: random.Random,
     return m
 
 
-def random_iwahori_element(n: int, precision: int, rng: random.Random) -> SeriesMatrix:
-    """A random Iwahori element: arc element with upper-triangular constant term."""
-    s = random_arc_element(n, precision, rng)
-    rows = [[dict(s.entry(i, j)) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            rows[i][j].pop(0, None)
-    return SeriesMatrix(rows, precision)
-
-
 def random_signed_permutation(n: int, rng: random.Random) -> LaurentMatrix:
     perm = list(range(n))
     rng.shuffle(perm)

@@ -137,12 +137,6 @@ def kottwitz_to_json(p) -> dict:
         "z": qi_to_str(p.z),
     }
 
-def kottwitz_from_json(doc: dict):
-    from .bundles_kottwitz import KottwitzPoint
-    return KottwitzPoint(lam=tuple(int(v) for v in doc["lambda"]),
-                         g=const_matrix_from_json(doc["g"]),
-                         z=qi_from_str(doc["z"]))
-
 def matched_pair_to_json(pair, report: Optional[dict] = None) -> dict:
     out = {
         "level": pair.level,

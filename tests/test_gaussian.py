@@ -3,10 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from loopmatsuki.gaussian import (
-    FOURTH_ROOTS, QI, fourth_root_from_label, fourth_root_label,
-    qi_from_str, qi_to_str,
-)
+from loopmatsuki.gaussian import FOURTH_ROOTS, QI, qi_from_str, qi_to_str
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64)
@@ -42,7 +39,6 @@ def test_fourth_roots():
     assert i ** 4 == QI(1)
     for r in FOURTH_ROOTS:
         assert r ** 4 == QI(1)
-        assert fourth_root_from_label(fourth_root_label(r)) == r
 
 
 def test_is_real():

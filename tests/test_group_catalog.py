@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +27,43 @@ def test_build_datum_validation():
         gc.build_datum("split_gl", 2, 1, 2)  # z must be a 4th root
 
 
+def _random_invertible(n, rng):
+    while True:
+        rows = [[QI(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
+                 for _ in range(n)] for _ in range(n)]
+        m = LaurentMatrix.from_scalars(rows)
+        d = m.det()
+        if d and any(not c.is_zero() for c in d.values()):
+            return m
+
+
 def test_verify_datum_invariants():
     for datum in ALL_DATA:
-        report = gc.verify_datum(datum, seed=1, samples=8)
-        assert all(report.values()), (datum.real_form, datum.epsilon, report)
+        rng = random.Random(1)
+        n = datum.n
+        for m in [_random_invertible(n, rng) for _ in range(8)]:
+            assert gc.theta0(gc.theta0(m, datum), datum) == m
+            assert gc.eta0(gc.eta0(m, datum), datum) == m
+            assert gc.theta0(gc.eta0(m, datum), datum) == gc.eta0(gc.theta0(m, datum), datum)
+        assert datum.w2 == gc.theta0(datum.w1, datum) * datum.w1
+
+        # Ad_{w1^-1} o theta0 sends lower elementary generators to upper matrices
+        w1i = datum.w1.inverse()
+        for i in range(n):
+            for j in range(i):
+                rows = [[QI(1) if a == b else QI(0) for b in range(n)] for a in range(n)]
+                rows[i][j] = QI(2)
+                img = w1i * gc.theta0(LaurentMatrix.from_scalars(rows), datum) * datum.w1
+                const = img.constant_matrix()
+                assert img.is_constant()
+                assert all(const[a][b].is_zero() for a in range(n) for b in range(a))
+
+        zid = LaurentMatrix.diag_scalars([datum.z] * n)
+        assert gc.theta0(zid, datum) == zid and gc.eta0(zid, datum) == zid
+
+        for _ in range(10):
+            tl = LaurentMatrix.t_power([rng.randint(-5, 5) for _ in range(n)])
+            assert gc.apply_eta(tl, datum) == gc.apply_theta(tl, datum)
 
 
 def test_involutions_are_homomorphisms():

@@ -4,13 +4,13 @@ from itertools import permutations, product
 
 import pytest
 
-from loopmatsuki import cli, iwahori_orbits
+from loopmatsuki import canonicalize, cli, duality, iwahori_orbits
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.errors import CertificateError
+from loopmatsuki.intlat import integer_left_kernel_basis
 from loopmatsuki.iwahori_orbits import (
     AffineWeylElement, _ad_matrix, build_torus_problem, classes_at_tw,
-    enumerate_admissible_tw, enumerate_iwahori, perm_matrix, same_torus_class,
-    solve_torus_classes, spherical_projection,
+    enumerate_admissible_tw, enumerate_iwahori, perm_matrix,
 )
 from loopmatsuki.laurent import LaurentMatrix
 
@@ -24,21 +24,87 @@ def test_admissible_tw_condition():
         assert m.is_constant()
 
 
-def test_solve_torus_classes_invariants():
+def _same_torus_class(problem, a, b):
+    """Whether two solutions differ by Z^n + the rational action image."""
+    diff = [Fraction(x) - Fraction(y) for x, y in zip(a, b)]
+    return all(sum(ki * x for ki, x in zip(k, diff)).denominator == 1
+               for k in integer_left_kernel_basis(problem.m_act))
+
+
+def test_torus_problem_classes_invariants():
     for family, n in (("split_gl", 2), ("unitary", 2)):
         for eps in (1, -1):
             d = gc.build_datum(family, n, eps)
             for tw in enumerate_admissible_tw(d, 1):
                 for side in ("theta", "eta"):
-                    problem = build_torus_problem(d, tw, side)
-                    nonempty, classes = solve_torus_classes(problem)
-                    if not nonempty:
-                        assert classes == []
-                        continue
+                    problem = build_torus_problem(d, tw.w, side)
+                    args = [c.g0_args for c in problem.classes(tw)]
                     # canonical representatives are pairwise inequivalent
-                    for i, (a, _) in enumerate(classes):
-                        for b, _ in classes[i + 1:]:
-                            assert not same_torus_class(problem, a, b)
+                    for i, a in enumerate(args):
+                        for b in args[i + 1:]:
+                            assert not _same_torus_class(problem, a, b)
+
+
+def _u11():
+    return gc.pure_inner_twist(gc.build_datum("unitary", 2, 1),
+                               gc.matrix_from_config([["1", "0"], ["0", "-1"]], 2))
+
+
+IWAHORI_DATA = [(f, n, eps) for f, n in (("split_gl", 3), ("unitary", 3),
+                                         ("quaternionic_gl", 2)) for eps in (1, -1)]
+
+
+def _datum(family, n, eps):
+    return _u11() if family == "U(1,1)" else gc.build_datum(family, n, eps)
+
+
+@pytest.mark.parametrize("family,n,eps", IWAHORI_DATA + [("U(1,1)", 2, 1)])
+@pytest.mark.parametrize("side", ["theta", "eta"])
+def test_enumerate_iwahori_equals_classes_at_tw(family, n, eps, side):
+    d = _datum(family, n, eps)
+    want = [c for tw in enumerate_admissible_tw(d, 1) for c in classes_at_tw(d, tw, side)]
+    assert enumerate_iwahori(d, 1, side) == want
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Records (side, w) of every torus problem built."""
+    calls = []
+    build = iwahori_orbits.build_torus_problem
+
+    def counting(datum, w, side="theta"):
+        calls.append((side, tuple(w)))
+        return build(datum, w, side)
+
+    monkeypatch.setattr(iwahori_orbits, "build_torus_problem", counting)
+    monkeypatch.setattr(canonicalize, "build_torus_problem", counting, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("family,n,eps", [("split_gl", 3, 1), ("U(1,1)", 2, 1)])
+def test_one_torus_problem_per_weyl_element(builds, family, n, eps):
+    d = _datum(family, n, eps)
+    ws = sorted({tw.w for tw in enumerate_admissible_tw(d, 1)})
+    assert len(ws) < len(enumerate_admissible_tw(d, 1))
+    for side in ("theta", "eta"):
+        builds.clear()
+        enumerate_iwahori(d, 1, side)
+        assert sorted(builds) == [(side, w) for w in ws]
+    builds.clear()
+    duality.match_iwahori(d, 1)
+    assert sorted(builds) == sorted((side, w) for side in ("theta", "eta") for w in ws)
+
+
+def test_match_iwahori_class_builds_once(builds):
+    d = gc.build_datum("split_gl", 2, 1)
+    for tw in enumerate_admissible_tw(d, 1):
+        for cls in classes_at_tw(d, tw, "eta"):
+            if cls.g0 is None:
+                continue
+            diag = [cls.g0.coeff(i, i, 0) for i in range(d.n)]
+            builds.clear()
+            assert canonicalize._match_iwahori_class(d, tw, "eta", diag) == cls
+            assert builds == [("eta", tw.w)]
 
 
 def test_classes_carry_anti_fixed_reps():
@@ -65,12 +131,19 @@ def test_gl2r_iwahori_goldens():
     assert tuple(classes[0].component_group) == ()
 
 
-def test_spherical_projection():
-    d = gc.build_datum("split_gl", 2, 1)
-    for cls in enumerate_iwahori(d, 1, "eta"):
-        parent = spherical_projection(cls)
-        assert tuple(parent.lam) == tuple(
-            sorted(cls.tw.lam, reverse=True))
+def test_eta_reps_canonicalize_to_the_dominant_coweight():
+    seen = 0
+    for family, n in (("split_gl", 2), ("split_gl", 3), ("unitary", 2), ("unitary", 3),
+                      ("quaternionic_gl", 2)):
+        for eps in (1, -1):
+            d = gc.build_datum(family, n, eps)
+            for cls in enumerate_iwahori(d, 1, "eta"):
+                if cls.loop_rep is None:
+                    continue
+                seen += 1
+                lam = canonicalize.canonicalize_eta(cls.loop_rep, d).lam
+                assert lam == tuple(sorted(cls.tw.lam, reverse=True))
+    assert seen == 156
 
 
 def test_twisted_iwahori_transport():
