@@ -115,13 +115,17 @@ def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
     n = datum.n
     if len(p.lam) != n or p.g.n != n or not p.g.is_constant():
         return False
-    base = datum.untwisted()
+    if datum.twist is not None:
+        # the identities hold at the base datum, reached by x -> x * c
+        s = gc.twist_scalar(datum, datum.twist, "eta")
+        p = KottwitzPoint(p.lam, gc.transport_to_base(p.g, datum), p.z * s)
+        datum = gc.base_datum(datum, "eta")
     want = _lam_of_eps(p.lam, datum.epsilon).scale(p.z)
-    if p.g * gc.eta0(p.g, base) != want:
+    if p.g * gc.eta0(p.g, datum) != want:
         return False
     lam_t = LaurentMatrix.t_power(list(p.lam))
     lam_tinv = LaurentMatrix.t_power([-v for v in p.lam])
-    return p.g.inverse() * lam_t * p.g == gc.theta0(lam_tinv, base)
+    return p.g.inverse() * lam_t * p.g == gc.theta0(lam_tinv, datum)
 
 
 def kottwitz_to_loop(p: KottwitzPoint, datum: GroupDatum) -> LaurentMatrix:
@@ -133,11 +137,8 @@ def kottwitz_to_loop(p: KottwitzPoint, datum: GroupDatum) -> LaurentMatrix:
     return loop
 
 
-def enumerate_kottwitz(datum: GroupDatum, bound: int,
-                       z: QI | int | None = None) -> List[KottwitzPoint]:
+def enumerate_kottwitz(datum: GroupDatum, bound: int) -> List[KottwitzPoint]:
     """One Kottwitz point per eta-class up to the coweight bound."""
-    if z is not None and QI.of(z) != datum.z:
-        datum = gc.build_datum(datum.family, datum.n, datum.epsilon, z)
     out = []
     for adm in enumerate_admissible(datum, bound):
         for cls in classify_eta(datum, adm):
@@ -151,12 +152,12 @@ def enumerate_kottwitz(datum: GroupDatum, bound: int,
 
 def twist_kottwitz(p: KottwitzPoint, h: LaurentMatrix,
                    datum: GroupDatum) -> KottwitzPoint:
-    """The equivalent point (h lam h^-1, h g eta0(h)^-1).
+    """The equivalent point (h lam h^-1, h g eta0(h)^-1), taken at the base
+    datum for a twisted one.
 
     h must be a constant matrix normalizing lam(t); in the diagonal
     torus picture that means permuting equal entries of lam.
     """
-    base = datum.untwisted()
     lam_t = LaurentMatrix.t_power(list(p.lam))
     conj = h * lam_t * h.inverse()
     new_lam = []
@@ -168,5 +169,7 @@ def twist_kottwitz(p: KottwitzPoint, h: LaurentMatrix,
         if v != QI(1):
             raise InvalidInputError("h does not normalize the cocharacter")
         new_lam.append(k)
-    return KottwitzPoint(lam=tuple(new_lam),
-                         g=h * p.g * gc.eta0(h, base).inverse(), z=p.z)
+    g = h * gc.transport_to_base(p.g, datum) * gc.eta0(h, datum).inverse()
+    if datum.twist is not None:
+        g = g * datum.twist.inverse()
+    return KottwitzPoint(lam=tuple(new_lam), g=g, z=p.z)

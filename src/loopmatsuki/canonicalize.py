@@ -35,8 +35,10 @@ from .gaussian import QI
 from .group_catalog import GroupDatum
 from .intlat import eliminate, mat_mul
 from .iwahori_orbits import (
+    _QUARTER_VALS,
     AffineWeylElement,
     IwahoriClass,
+    _transport,
     classes_at_tw,
 )
 from .laurent import (
@@ -136,10 +138,6 @@ def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMat
 # theta side
 
 
-def _series_of(m: LaurentMatrix, precision: int) -> SeriesMatrix:
-    return SeriesMatrix.from_laurent(m, precision)
-
-
 def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """Reduce a theta-anti-fixed series loop to t^lam * g0 * w1^{-1}.
 
@@ -177,8 +175,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     h_acc = g1.inverse()
     cur = conjugate(x, h_acc, g1)
 
-    tlam_inv = _series_of(LaurentMatrix.t_power([-v for v in lam]), big)
-    w1s = _series_of(datum.w1, big)
+    tlam_inv = SeriesMatrix.from_laurent(LaurentMatrix.t_power([-v for v in lam]), big)
+    w1s = SeriesMatrix.from_laurent(datum.w1, big)
 
     def gform(xc: SeriesMatrix) -> SeriesMatrix:
         return tlam_inv * xc * w1s
@@ -196,7 +194,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     u0 = ell.inverse() * LaurentMatrix.from_scalars(c0)
     if u0 != LaurentMatrix.identity(n):
         h0 = datum.w1.inverse() * gc.theta0(u0, datum) * datum.w1
-        h0s = _series_of(h0, big)
+        h0s = SeriesMatrix.from_laurent(h0, big)
         cur = conjugate(cur, h0s, None)
         h_acc = h0s * h_acc
         g = gform(cur)
@@ -229,7 +227,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         return a_rows
 
     solvers = {}  # epsilon^k -> the solver of its layer system, built on first use
-    ell_inv_s = _series_of(ell_inv, big)
+    ell_inv_s = SeriesMatrix.from_laurent(ell_inv, big)
     depth = g.precision
     red = ell_inv_s * g
     for k in range(1, depth):
@@ -246,7 +244,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                             for j in range(n)] for i in range(n)])
         if y.is_zero():
             continue
-        ys = _series_of(y, big)
+        ys = SeriesMatrix.from_laurent(y, big)
         if gc.inverse_is_free(datum, "theta"):
             h, h_inv = series_exp(ys), None
         else:
@@ -397,14 +395,6 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     return best
 
 
-_QUARTER_ROOTS = {
-    Fraction(0): QI(1),
-    Fraction(1, 4): QI(0, 1),
-    Fraction(1, 2): QI(-1),
-    Fraction(3, 4): QI(0, -1),
-}
-
-
 def _same_class_multiplicative(characters, rep_args: Sequence[Fraction],
                                diag: Sequence[QI]) -> bool:
     """Class test for an exact diagonal, possibly of infinite order.
@@ -420,7 +410,7 @@ def _same_class_multiplicative(characters, rep_args: Sequence[Fraction],
             if ki:
                 val = val * v ** ki
         want = sum((ki * a for ki, a in zip(k, rep_args)), Fraction(0)) % 1
-        root = _QUARTER_ROOTS.get(want)
+        root = _QUARTER_VALS.get(want)
         if root is None:
             return False
         # conjugation-twisted actions move character values by positive
@@ -534,11 +524,8 @@ def _iwahori_reduce_twisted(tw: AffineWeylElement, g, datum: GroupDatum,
     reduce = iwahori_reduce_theta if side == "theta" else iwahori_reduce_eta
     form = reduce(tw, gc.transport_to_base(g, datum), gc.base_datum(datum, side))
     cinv = datum.twist.inverse()
-    found = [c for c in classes_at_tw(datum, tw, side)
-             if c.g0_args == form.orbit_class.g0_args]
-    certify(bool(found), "the twisted datum has no class matching the base one")
-    return replace(form, g0=form.g0 * cinv, orbit_class=found[0],
-                   loop_rep=form.loop_rep * cinv)
+    return replace(form, g0=form.g0 * cinv, loop_rep=form.loop_rep * cinv,
+                   orbit_class=_transport(form.orbit_class, datum))
 
 
 def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
@@ -615,23 +602,11 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
         gcur = tw_loop.inverse() * x
         d = _diag_const_part(gcur, n)
         u = d.inverse() * gcur
-        nil = u - LaurentMatrix.identity(n)
-        if nil.is_zero():
+        if u == LaurentMatrix.identity(n):
             break
         guard += 1
         if guard > 2 * n + 4:
             raise InvalidInputError("Iwahori eta reduction did not terminate")
-        power = nil
-        for _ in range(n - 1):
-            power = power * nil
-        if not power.is_zero():
-            # t-degree layers can still be nilpotent; take enough extra powers
-            span = (nil.maxdeg() or 0) - (nil.val() or 0) + n
-            power = nil
-            for _ in range(span + n):
-                power = power * nil
-            if not power.is_zero():
-                raise InvalidInputError("unipotent defect is not nilpotent")
         carrier = tw_loop * d
         carrier_inv = carrier.inverse()
         root = unipotent_sqrt(u)

@@ -33,7 +33,7 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum,
+    theta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum, _involution,
 )
 from .intlat import mat_mul
 from .laurent import LaurentMatrix
@@ -241,8 +241,7 @@ def _eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
 
 def _equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: str) -> bool:
     """The spherical equation of g0 at lambda (see the module docstring)."""
-    sigma0_inv = (theta0(g0, datum).inverse() if side == "theta"
-                  else eta0(g0.inverse(), datum))
+    sigma0_inv = _involution(g0, datum, side, True, None, constant=True)
     rhs = (datum.w2 * (datum.w1.inverse() * sigma0_inv * datum.w1)
            * _eps_lambda(datum, lam)).scale(datum.z)
     return g0 == rhs

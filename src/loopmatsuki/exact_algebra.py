@@ -1,8 +1,8 @@
 """Exact matrix algebra over Q(i)[t, t^-1] and Q(i)[[t]].
 
 The operations here are the computational backbone: valuation coweights,
-Smith positioning over the power-series DVR, Birkhoff factorization and
-splitting type, unipotent square roots, and exact Cayley unitaries.
+Smith positioning over the power-series DVR, Birkhoff factorization,
+unipotent square roots, and exact Cayley unitaries.
 """
 
 from __future__ import annotations
@@ -234,65 +234,6 @@ def birkhoff_factor(
     certify((gplus.val() or 0) >= 0, "g_plus escaped G[t]")
     certify((gminus.maxdeg() or 0) <= 0, "g_minus escaped G[t^-1]")
     return gplus, lam, gminus
-
-
-# ---------------------------------------------------------------------------
-# Birkhoff splitting type from section-space dimension jumps
-
-
-def birkhoff_type(gamma: LaurentMatrix) -> List[int]:
-    """Splitting type (dominant) computed from block-Toeplitz rank profiles.
-
-    This route is independent of :func:`birkhoff_factor`: it measures the
-    dimension of {v polynomial : exponents of gamma^{-1} v <= m} as m
-    varies and reads the type off the dimension jumps.
-    """
-    delta = gamma.inverse()
-    lo = delta.val()
-    hi = delta.maxdeg()
-    if lo is None or hi is None:
-        raise InvalidInputError("zero matrix has no splitting type")
-    n = gamma.n
-    gdeg = gamma.maxdeg() or 0
-    mus: List[int] = []
-    m = lo - 1
-    prev = _section_dim(delta, m, gdeg + m)
-    # exponents mu_j all lie in [lo, hi + n] comfortably; scan until found
-    while len(mus) < n:
-        m += 1
-        if m > hi + n * (abs(hi) + abs(lo) + 2) + 2:
-            raise InvalidInputError("splitting-type scan failed to converge")
-        cur = _section_dim(delta, m, gdeg + m)
-        jump = cur - prev - len(mus)
-        for _ in range(jump):
-            mus.append(m)
-        prev = cur
-    return sorted([-x for x in mus], reverse=True)
-
-
-def _section_dim(delta: LaurentMatrix, m: int, dmax: int) -> int:
-    """dim over Q(i) of {v poly vector, deg <= dmax : exps(delta v) <= m}."""
-    n = delta.n
-    if dmax < 0:
-        return 0
-    nvars = n * (dmax + 1)
-    # constraints: coefficient of t^e in (delta v)_i must vanish for e > m
-    emax = (delta.maxdeg() or 0) + dmax
-    rows: List[List[QI]] = []
-    for i in range(n):
-        for e in range(m + 1, emax + 1):
-            row = [ZERO] * nvars
-            nonzero = False
-            for j in range(n):
-                ent = delta.rows[i][j]
-                for k, coeff in ent.items():
-                    dcoef = e - k
-                    if 0 <= dcoef <= dmax:
-                        row[j * (dmax + 1) + dcoef] = row[j * (dmax + 1) + dcoef] + coeff
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    return nvars - len(eliminate(rows)[1])
 
 
 # ---------------------------------------------------------------------------

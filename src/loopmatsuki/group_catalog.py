@@ -14,12 +14,17 @@ so the compact form is U(n).  Loop involutions are
   theta(gamma)(t) = theta0(gamma(epsilon t))
   eta(gamma)(t)   = eta0(gamma(epsilon t^-1))   (coefficientwise conjugation)
 
+One table (_INVERSE_TRANSPOSE and the J conjugation, in _involution) gives
+both the loop involutions and their constant case theta0, eta0.
+
 A datum may carry a pure inner twist c, a constant matrix with both
 c*theta0(c) and c*eta0(c) scalar; both loop involutions are then conjugated
-by c (e.g. U(2) -> U(1,1) with c = diag(1,-1)).  This module alone relates a
-twisted datum to its base: x -> x * c (transport_to_base) carries its
-anti-fixed loops to those of base_datum(datum, side), the untwisted datum at
-the matching central sector, where tables and canonical forms are computed.
+by c (e.g. U(2) -> U(1,1) with c = diag(1,-1)).  theta0 and eta0 stay the
+base datum's constant involutions: only the loop involutions and
+transport_to_base see the twist.  This module alone relates a twisted datum
+to its base: x -> x * c (transport_to_base) carries its anti-fixed loops to
+those of base_datum(datum, side), the untwisted datum at the matching central
+sector, where tables and canonical forms are computed.
 """
 
 from __future__ import annotations
@@ -63,22 +68,7 @@ class GroupDatum:
     w1: LaurentMatrix
     w2: LaurentMatrix
     real_form: str
-    compact_form: str
-    symmetric_subgroup: str
     twist: Optional[LaurentMatrix] = None  # inner twist c, or None
-
-    def untwisted(self) -> "GroupDatum":
-        if self.twist is None:
-            return self
-        return build_datum(self.family, self.n, self.epsilon, self.z)
-
-
-def _names(family: str, n: int) -> tuple:
-    if family == SPLIT_GL:
-        return (f"GL{n}(R)", f"U({n})", f"O({n},C)")
-    if family == QUATERNIONIC_GL:
-        return (f"GL{n // 2}(H)", f"U({n})", f"Sp({n},C)")
-    return (f"U({n})", f"U({n})", f"GL{n}(C)")
 
 
 def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatum:
@@ -95,14 +85,12 @@ def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatu
         raise InvalidInputError("central twist z must be a 4th root of unity")
 
     if family == SPLIT_GL:
-        w1 = LaurentMatrix.identity(n)
+        w1, real = LaurentMatrix.identity(n), f"GL{n}(R)"
     elif family == QUATERNIONIC_GL:
-        w1 = j_matrix(n)
+        w1, real = j_matrix(n), f"GL{n // 2}(H)"
     else:
-        w1 = antidiagonal_matrix(n)
-    real, compact, symm = _names(family, n)
-    datum = GroupDatum(family, n, epsilon, zq, w1, LaurentMatrix.identity(n),
-                       real, compact, symm)
+        w1, real = antidiagonal_matrix(n), f"U({n})"
+    datum = GroupDatum(family, n, epsilon, zq, w1, LaurentMatrix.identity(n), real)
     w2 = theta0(w1, datum) * w1
     return replace(datum, w2=w2)
 
@@ -156,43 +144,15 @@ def _config_scalar(x, what: str) -> QI:
 
 
 # ---------------------------------------------------------------------------
-# constant-level involutions
-
-
-def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """The symmetric-subgroup involution, applied entrywise to a Laurent matrix
-    (no substitution in t)."""
-    if datum.family == SPLIT_GL:
-        return m.inverse().transpose()
-    if datum.family == QUATERNIONIC_GL:
-        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
-        return j * m.inverse().transpose() * -j  # J^-1 = -J
-    return m
-
-
-def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """The real-form involution on constant matrices (entrywise for Laurent
-    matrices; no substitution in t).  Honors the datum's inner twist."""
-    if datum.family == SPLIT_GL:
-        out = m.substitute(ONE, invert=False, conj=True)
-    elif datum.family == QUATERNIONIC_GL:
-        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
-        out = j * m.substitute(ONE, invert=False, conj=True) * -j
-    else:
-        out = m.substitute(ONE, invert=False, conj=True).inverse().transpose()
-    if datum.twist is not None:
-        out = datum.twist * out * datum.twist.inverse()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# loop-level involutions
+# involutions
 
 
 # Each loop involution is sigma(gamma) = Ad_c Ad_M f(gamma(s(t))): s is
 # t -> epsilon*t (theta) or t -> epsilon/t with conjugated coefficients
 # (eta), M is J on quaternionic_gl, c the inner twist, and f the inverse
-# transpose on the families listed here, the identity on the others.
+# transpose on the families listed here, the identity on the others.  The
+# constant involution sigma0 = Ad_M f (conjugated coefficients on eta) is
+# the same table with neither s nor c.
 _INVERSE_TRANSPOSE = {"theta": (SPLIT_GL, QUATERNIONIC_GL), "eta": (UNITARY,)}
 
 
@@ -209,8 +169,10 @@ def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
     return a * m * a_inv
 
 
-def _involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv):
-    """sigma(gamma), or sigma(gamma)^-1 = sigma(gamma^-1) when invert is set.
+def _involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
+                constant: bool = False):
+    """sigma(gamma), or sigma(gamma)^-1 = sigma(gamma^-1) when invert is set;
+    sigma0 in place of sigma when constant is set.
 
     An inverse is taken only when f and invert do not cancel: so never for
     sigma(gamma)^-1 on an inverse-transpose family, and from gamma_inv,
@@ -223,15 +185,32 @@ def _involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv):
     g = gamma
     if invert != transpose:
         g = gamma_inv if gamma_inv is not None else gamma.inverse()
-    g = g.substitute(QI(datum.epsilon), invert=eta, conj=eta)
+    if not constant:
+        g = g.substitute(QI(datum.epsilon), invert=eta, conj=eta)
+    elif eta:
+        g = g.substitute(ONE, invert=False, conj=True)
     if transpose:
         g = g.transpose()
     if datum.family == QUATERNIONIC_GL:
         j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
         g = _conjugate_by(g, j, -j)  # J^-1 = -J
-    if datum.twist is not None:
+    if datum.twist is not None and not constant:
         g = _conjugate_by(g, datum.twist, datum.twist.inverse())
     return g
+
+
+def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
+    """The base datum's constant symmetric-subgroup involution, entrywise on
+    a Laurent matrix: no substitution in t, and no inner twist, which only
+    the loop involutions and transport_to_base see."""
+    return _involution(m, datum, "theta", False, None, constant=True)
+
+
+def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
+    """The base datum's constant real-form involution, entrywise on a
+    Laurent matrix: no substitution in t, and no inner twist, which only
+    the loop involutions and transport_to_base see."""
+    return _involution(m, datum, "eta", False, None, constant=True)
 
 
 def apply_theta(gamma, datum: GroupDatum):
@@ -262,13 +241,12 @@ def apply_eta_inv(gamma: LaurentMatrix, datum: GroupDatum,
 
 
 def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """Differential of theta0 at the identity."""
-    if datum.family == SPLIT_GL:
-        return -y.transpose()
-    if datum.family == QUATERNIONIC_GL:
-        j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
-        return j * y.transpose() * j  # -(J y^T J^-1) with J^-1 = -J
-    return y
+    """Differential of theta0 at the identity: theta0 itself where theta0
+    is linear, and -Ad_M(y^T) on the inverse-transpose families, where the
+    table's theta0(y)^-1 takes no inverse and gives Ad_M(y^T)."""
+    inv_t = inverse_is_free(datum, "theta")
+    dy = _involution(y, datum, "theta", inv_t, None, constant=True)
+    return -dy if inv_t else dy
 
 
 def _is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
@@ -295,11 +273,10 @@ def is_anti_fixed_eta(gamma: LaurentMatrix, datum: GroupDatum) -> bool:
 
 def twist_scalar(datum: GroupDatum, g: LaurentMatrix, side: str) -> QI:
     """For a candidate inner twist g, return the scalar s with
-    g * sigma0(g) = s * I, sigma0 the base theta0 or eta0 as side says;
+    g * sigma0(g) = s * I, sigma0 the constant theta0 or eta0 as side says;
     raises if the product is not scalar."""
     name = f"g * {side}0(g)"
-    sigma0 = theta0 if side == "theta" else eta0
-    prod = g * sigma0(g, datum.untwisted())
+    prod = g * _involution(g, datum, side, False, None, constant=True)
     const = prod.constant_matrix() if prod.is_constant() else None
     if const is None:
         raise InvalidInputError(f"{name} is not constant")

@@ -81,13 +81,11 @@ class AffineWeylElement:
     lam: Tuple[int, ...]
     w: Tuple[int, ...]  # permutation, w[i] = image of index i
     lift: LaurentMatrix
-    signs: Tuple[int, ...]
 
     @staticmethod
     def of(lam: Sequence[int], w: Sequence[int]) -> "AffineWeylElement":
         w = tuple(w)
-        return AffineWeylElement(tuple(int(x) for x in lam), w,
-                                 perm_matrix(w), (1,) * len(w))
+        return AffineWeylElement(tuple(int(x) for x in lam), w, perm_matrix(w))
 
     def loop(self) -> LaurentMatrix:
         return LaurentMatrix.t_power(list(self.lam)) * self.lift
@@ -212,7 +210,6 @@ class TorusProblem:
             key = self.canon([x + o for x, o in zip(a0, off)])
             if key not in seen:
                 seen[key] = tuple(x % 1 for x in key)
-        parent = tuple(sorted(tw.lam, reverse=True))
         out = []
         for args in sorted(seen.values()):
             img = mat_vec(self.m_eq, list(args))
@@ -224,7 +221,7 @@ class TorusProblem:
                 loop = tw.loop() * g0
                 _check_anti_fixed(loop, self.datum, tw, self.side)
             out.append(IwahoriClass(self.datum, tw, self.side, args, g0, loop,
-                                    self.component_group, parent, self))
+                                    self.component_group, self))
         return out
 
 
@@ -321,7 +318,6 @@ class IwahoriClass:
     g0: Optional[LaurentMatrix]
     loop_rep: Optional[LaurentMatrix]
     component_group: Tuple[int, ...]
-    spherical_parent: Tuple[int, ...]
     problem: TorusProblem = field(compare=False, repr=False)
 
 

@@ -401,9 +401,6 @@ class LaurentMatrix:
             [[ONE_ENTRY.shift(int(k)) if i == j else ZERO_ENTRY for j in range(n)]
              for i, k in enumerate(lam)])
 
-    def copy(self) -> "LaurentMatrix":
-        return LaurentMatrix._of(self.rows)
-
     # -- basic queries -------------------------------------------------------
     def entry(self, i: int, j: int) -> Entry:
         return self.rows[i][j]
@@ -563,9 +560,6 @@ class SeriesMatrix:
     def to_laurent(self) -> LaurentMatrix:
         """Forget the truncation marker (the caller asserts exactness)."""
         return LaurentMatrix._of(self.rows)
-
-    def copy(self) -> "SeriesMatrix":
-        return SeriesMatrix._of(self.rows, self.precision)
 
     # -- queries ------------------------------------------------------------------
     def entry(self, i: int, j: int) -> Entry:
@@ -727,7 +721,7 @@ def laurent_log_unipotent(u: LaurentMatrix) -> LaurentMatrix:
     n = u.n
     x = u - LaurentMatrix.identity(n)
     # check nilpotency
-    p = x.copy()
+    p = x
     order = 1
     while not p.is_zero():
         p = p * x

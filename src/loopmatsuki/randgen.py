@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional
 
 from .errors import InvalidInputError, certify
 from .exact_algebra import cayley_unitary
-from .gaussian import QI
+from .gaussian import FOURTH_ROOTS, QI
 from .group_catalog import GroupDatum, QUATERNIONIC_GL, SPLIT_GL, UNITARY, j_matrix
 from .laurent import LaurentMatrix, SeriesMatrix
-
-FOURTH_ROOTS = [QI(1), QI(0, 1), QI(-1), QI(0, -1)]
 
 
 def random_qi(rng: random.Random, bound: int = 3, den: int = 2) -> QI:

@@ -25,10 +25,6 @@ def const_matrix_to_json(m: LaurentMatrix) -> List[List[str]]:
     c = m.constant_matrix()
     return [[qi_to_str(v) for v in row] for row in c]
 
-def const_matrix_from_json(rows: List[List[str]]) -> LaurentMatrix:
-    return LaurentMatrix.from_scalars([[qi_from_str(v) for v in row]
-                                       for row in rows])
-
 def laurent_to_json(m: Union[LaurentMatrix, SeriesMatrix]) -> dict:
     entries = [[{str(k): qi_to_str(v) for k, v in sorted(e.items())}
                 for e in row] for row in m.rows]

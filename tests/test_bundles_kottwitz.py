@@ -20,6 +20,7 @@ from loopmatsuki.coweight_orbits import classify_eta, enumerate_admissible
 from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
 from loopmatsuki.laurent import LaurentMatrix
+from loopmatsuki.randgen import random_constant_invertible
 
 
 def test_bundle_labels_split_antiholomorphic():
@@ -85,6 +86,25 @@ def test_kottwitz_twist_invariance():
         form = canonicalize_eta(kottwitz_to_loop(q, d), d)
         assert (form.lam, form.orbit_class.label) == (
             base.lam, base.orbit_class.label)
+
+
+@pytest.mark.parametrize("family,eps", [("split_gl", -1), ("unitary", 1)])
+def test_kottwitz_of_twisted_data(family, eps):
+    # the identities hold at the base datum the transport x -> x * c reaches
+    d = gc.pure_inner_twist(gc.build_datum(family, 2, eps),
+                            gc.matrix_from_config([["1", "0"], ["0", "-1"]], 2))
+    points = enumerate_kottwitz(d, 1)
+    assert len(points) == sum(len(classify_eta(d, a)) for a in enumerate_admissible(d, 1))
+    rng = random.Random(5)
+    labels = set()
+    for p in points:
+        form = canonicalize_eta(kottwitz_to_loop(p, d), d)
+        labels.add((form.lam, form.orbit_class.label))
+        if p.lam[0] == p.lam[1]:
+            q = twist_kottwitz(p, random_constant_invertible(2, rng), d)
+            moved = canonicalize_eta(kottwitz_to_loop(q, d), d)
+            assert (moved.lam, moved.orbit_class.label) == (form.lam, form.orbit_class.label)
+    assert len(labels) == len(points)
 
 
 def test_kottwitz_rejects_bad_points():

@@ -154,6 +154,18 @@ def test_iwahori_reducers():
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
 
 
+def test_non_unipotent_eta_defect_is_invalid_input():
+    # g is real, orthogonal and symmetric, so eta-anti-fixed at t~w = 1, but
+    # its defect from the diagonal part is not unipotent
+    d = gc.build_datum("split_gl", 2, 1)
+    tw = AffineWeylElement.of((0, 0), (0, 1))
+    g = LaurentMatrix.from_scalars([[QI(Fraction(3, 5)), QI(Fraction(4, 5))],
+                                    [QI(Fraction(4, 5)), QI(Fraction(-3, 5))]])
+    assert gc.is_anti_fixed_eta(tw.loop() * g, d)
+    with pytest.raises(InvalidInputError, match="not unipotent"):
+        iwahori_reduce_eta(tw, g, d)
+
+
 def test_precision_floor_raises():
     d = gc.build_datum("split_gl", 2, 1)
     x = SeriesMatrix.from_laurent(LaurentMatrix.t_power([2, 1]), 4)

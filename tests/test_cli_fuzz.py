@@ -1,0 +1,134 @@
+"""Fuzz the CLI with JSON documents: every input, however malformed, must end
+in a documented exit code (0, or 2-5 for rejected input) and never in a
+traceback.  Exit 1 is reserved for failed checks, which no input may cause.
+
+Integers and exponents stay small: a datum of rank n allocates n x n
+matrices, and an entry stores a dense list as long as its exponent span.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings, strategies as st
+
+from loopmatsuki.cli import main
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+FAMILIES = ["split_gl", "quaternionic_gl", "unitary"]
+
+small_ints = st.integers(-8, 8)
+arbitrary_json = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+units = st.sampled_from(["1", "-1", "i", "-i", "2", "1/2"])
+scalars = units | st.sampled_from(
+    ["0", "-3/5", "0/1+1/1*i", "1+i", "1/0", "", "x", 1, 0, -1, 0.5, None, True, [],
+     {"num_re": 1}, {"num_re": 1, "den_re": 0}]) | arbitrary_json
+
+
+def square(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def sign_twist(n):
+    """diag(1, -1, ...): a valid inner twist of unitary and of split_gl."""
+    return [["0" if i != j else ("1" if i % 2 == 0 else "-1") for j in range(n)]
+            for i in range(n)]
+
+
+def twists(n):
+    return st.just(sign_twist(n)) | square(n, units) | square(n, scalars) | arbitrary_json
+
+
+exponents = st.integers(-8, 8).map(str) | st.sampled_from(["x", "1.5", "", "+2"])
+entries = (st.builds(lambda k, c: {str(k): c}, small_ints, units)
+           | st.dictionaries(exponents, scalars, max_size=3) | arbitrary_json)
+
+
+def diagonal_loops(n):
+    """Diagonals of signed t-powers: anti-fixed for many data."""
+    terms = st.builds(lambda k, c: {str(k): c}, st.integers(-3, 3), units)
+    return st.lists(terms, min_size=n, max_size=n).map(lambda diag: {
+        "n": n, "entries": [[diag[i] if i == j else {} for j in range(n)]
+                            for i in range(n)]})
+
+
+def loop_documents(n):
+    """Loops of rank n with a wrong rank, shape, entry or precision now and then."""
+    return st.fixed_dictionaries(
+        {"n": st.sampled_from([n, n, n, 0, -1, 4, "2", None]),
+         "entries": square(n, entries) | arbitrary_json},
+        optional={"precision": st.integers(-2, 12) | arbitrary_json}) | arbitrary_json
+
+
+@st.composite
+def configs(draw, n):
+    cfg = {"family": draw(st.sampled_from(FAMILIES + ["symplectic", 3, None])),
+           "n": draw(st.just(n) | st.sampled_from([0, -1, "2", 2.5, None])),
+           "epsilon": draw(st.sampled_from([1, -1, 0, 2, "1", None]))}
+    if draw(st.booleans()):
+        cfg["z"] = draw(st.sampled_from(["1", "-1", "i"]) | scalars)
+    if draw(st.booleans()):
+        cfg["inner_twist"] = draw(twists(n))
+    dropped = draw(st.sampled_from([None, None, None, "family", "n", "epsilon"]))
+    if dropped is not None:
+        del cfg[dropped]
+    return cfg
+
+
+@st.composite
+def invocations(draw):
+    """argv, with the JSON documents it names, for one CLI call.  A tame call
+    keeps the datum and loop well formed, so that the canonicalizers and
+    enumerators run to their own checks; the others are fuzzed throughout."""
+    tame = draw(st.booleans())
+    n = draw(st.integers(1, 3))
+    docs = {}
+    command = draw(st.sampled_from(["canonicalize", "orbits", "kottwitz", "bundle"]))
+    argv = [command]
+    # the CLI reads --inner-twist only when no --config is given
+    if not tame and draw(st.booleans()):
+        docs["config"] = draw(configs(n) | arbitrary_json)
+        argv += ["--config", "config"]
+    else:
+        argv += ["--family", draw(st.sampled_from(FAMILIES)), "--n", str(n),
+                 "--epsilon", draw(st.sampled_from(["1", "-1"]))]
+        if draw(st.booleans()):
+            docs["twist"] = draw(st.just(sign_twist(n)) if tame else twists(n))
+            argv += ["--inner-twist", "twist"]
+    if command == "canonicalize" or (command == "bundle" and draw(st.booleans())):
+        docs["loop"] = draw(diagonal_loops(n) if tame else loop_documents(n))
+        argv += ["--input", "loop"]
+    if command == "canonicalize":
+        argv += ["--side", draw(st.sampled_from(["theta", "eta"]))]
+        precision = draw(st.integers(6, 12) if tame else st.integers(-2, 12) | st.none())
+        if precision is not None:
+            argv += ["--precision", str(precision)]
+    else:
+        argv += ["--bound", draw(st.sampled_from(["0", "1"]))]
+        if command == "orbits":
+            argv += ["--level", draw(st.sampled_from(["spherical", "iwahori"]))]
+    return argv, docs
+
+
+def run_cli(argv, docs):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            with open(os.path.join(tmp, name), "w") as f:
+                json.dump(doc, f)
+        argv = [os.path.join(tmp, a) if a in docs else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(invocations())
+def test_cli_json_inputs_end_in_a_documented_exit_code(invocation):
+    assert run_cli(*invocation) in EXIT_CODES

@@ -47,12 +47,16 @@ def test_verify_datum_invariants():
             assert gc.theta0(gc.eta0(m, datum), datum) == gc.eta0(gc.theta0(m, datum), datum)
         assert datum.w2 == gc.theta0(datum.w1, datum) * datum.w1
 
-        # Ad_{w1^-1} o theta0 sends lower elementary generators to upper matrices
+        # Ad_{w1^-1} o theta0 sends lower elementary generators to upper matrices;
+        # on I + y with y^2 = 0, theta0 is exactly I + d_theta0(y)
         w1i = datum.w1.inverse()
         for i in range(n):
             for j in range(i):
                 rows = [[QI(1) if a == b else QI(0) for b in range(n)] for a in range(n)]
                 rows[i][j] = QI(2)
+                y = LaurentMatrix.monomial(n, i, j, c=2)
+                assert gc.theta0(LaurentMatrix.from_scalars(rows), datum) == \
+                    LaurentMatrix.identity(n) + gc.d_theta0(y, datum)
                 img = w1i * gc.theta0(LaurentMatrix.from_scalars(rows), datum) * datum.w1
                 const = img.constant_matrix()
                 assert img.is_constant()

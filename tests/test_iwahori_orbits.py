@@ -107,6 +107,20 @@ def test_match_iwahori_class_builds_once(builds):
             assert builds == [("eta", tw.w)]
 
 
+def test_twisted_iwahori_reduction_builds_once(builds):
+    # the twisted reduction transports the base class it matched, so each
+    # reduction builds one torus problem: the base datum's
+    d = _u11()
+    tw = AffineWeylElement.of((0, 0), (0, 1))
+    classes = classes_at_tw(d, tw, "eta")
+    assert len(classes) == 4 and all(c.loop_rep is not None for c in classes)
+    builds.clear()
+    for cls in classes:
+        form = canonicalize.iwahori_reduce_eta(tw, tw.loop().inverse() * cls.loop_rep, d)
+        assert form.orbit_class == cls
+    assert builds == [("eta", tw.w)] * 4
+
+
 def test_classes_carry_anti_fixed_reps():
     for family in ("split_gl", "unitary"):
         for eps in (1, -1):
