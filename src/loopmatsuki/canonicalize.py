@@ -3,8 +3,11 @@
 The tau maps land arbitrary loops in the anti-fixed sets.  The two
 spherical canonicalizers reduce an anti-fixed loop to its normal form
 t^lam * g0 * w1^{-1}: exactly on the eta side, and to a certified
-residual precision on the theta side.  The Iwahori reducers handle
-pre-positioned inputs t~w * g and return the torus part.
+residual precision on the theta side.  The Iwahori reducers take
+pre-positioned loops t~w * g with g in the Iwahori subgroup and return the
+torus form t~w * d; the library's own callers (intersection sampling and
+parabolic bundles) send compact torus twists, whose t~w^-1 * x is already
+diagonal.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .intlat import eliminate, mat_mul
 from .iwahori_orbits import (
     _QUARTER_VALS,
     AffineWeylElement,
-    IwahoriClass,
     _transport,
     classes_at_tw,
 )
@@ -321,12 +323,9 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         raise InvalidInputError("unipotent factor is not strictly block-upper")
     tlam = LaurentMatrix.t_power(lam)
     tlam_inv = LaurentMatrix.t_power([-v for v in lam])
-    root = unipotent_sqrt(u)
-    h = tlam * root.inverse() * tlam_inv
+    h, cur = _unipotent_step(cur, tlam, tlam_inv, u, datum)
     hv = h.val()
     certify(hv is None or hv >= 0, "eta unipotent conjugator has negative valuation")
-    h_inv = None if gc.inverse_is_free(datum, "eta") else tlam * root * tlam_inv
-    cur = h * cur * gc.apply_eta_inv(h, datum, h_inv)
     h_acc = h * h_acc
 
     g0 = ell
@@ -421,22 +420,28 @@ def _same_class_multiplicative(characters, rep_args: Sequence[Fraction],
     return True
 
 
-def _check_torus_diag(d: LaurentMatrix, n: int) -> List[QI]:
-    vals = []
-    for i in range(n):
-        v = d.coeff(i, i, 0)
-        if v.is_zero():
-            raise InvalidInputError("reduced torus element is singular")
-        vals.append(v)
-    return vals
-
-
-def _match_iwahori_class(datum: GroupDatum, tw: AffineWeylElement, side: str,
-                         diag: Sequence[QI]) -> IwahoriClass:
+def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: str,
+                tw_loop: LaurentMatrix, d: LaurentMatrix, certificate,
+                residual: Optional[int]) -> CanonicalForm:
+    """The reduced loop t~w * d as a canonical form, with d's class."""
+    diag = [d.coeff(i, i, 0) for i in range(datum.n)]
+    if any(v.is_zero() for v in diag):
+        raise InvalidInputError("reduced torus element is singular")
     for cls in classes_at_tw(datum, tw, side):
         if _same_class_multiplicative(cls.problem.act_characters, cls.g0_args, diag):
-            return cls
+            return CanonicalForm(lam=tuple(tw.lam), g0=d, orbit_class=cls,
+                                 certificate=certificate, residual_precision=residual,
+                                 side=side, loop_rep=tw_loop * d)
     raise CertificateError("certificate failed: reduced torus element matches no classified class")
+
+
+def _unipotent_step(x: LaurentMatrix, carrier: LaurentMatrix, carrier_inv: LaurentMatrix,
+                    u: LaurentMatrix, datum: GroupDatum):
+    """h and h * x * eta(h)^-1 for h = carrier * sqrt(u)^-1 * carrier^-1."""
+    root = unipotent_sqrt(u)
+    h = carrier * root.inverse() * carrier_inv
+    h_inv = None if gc.inverse_is_free(datum, "eta") else carrier * root * carrier_inv
+    return h, h * x * gc.apply_eta_inv(h, datum, h_inv)
 
 
 def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
@@ -445,16 +450,16 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
     """Conjugators whose combined first-order effect clears the dirty layer.
 
     Candidates are the elementary Iwahori elements I + Ad_{t~w d}(t^m E_ij);
-    each response is probed exactly at the clean torus point and kept only
-    if it touches nothing below the current layer, so that applying the
-    solved combination makes strict progress in the layer order.
+    each response is read off d_theta0 at the clean torus point and kept
+    only if it touches nothing below the current layer, so that applying
+    the solved combination makes strict progress in the layer order.
     """
     n = red.n
     k, off = key
     stripe = [(i, j) for i in range(n) for j in range(n)
               if j - i == off and not (k == 0 and i == j)]
     target = [-red.coeff(i, j, k) for (i, j) in stripe]
-    pp = k + 3
+    eps = QI(datum.epsilon)
     ident = LaurentMatrix.identity(n)
     cols: List[List[QI]] = []
     moves: List[LaurentMatrix] = []
@@ -477,29 +482,19 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
                     if any(not c0[i][j].is_zero()
                            for i in range(n) for j in range(i + 1)):
                         continue  # would leave the Iwahori subgroup
-                hs = SeriesMatrix.from_laurent(ident + ad, pp)
-                s_full = gc.apply_theta_inv(hs, datum) - SeriesMatrix.identity(n, pp)
-                admissible = True
-                for i in range(n):
-                    if not admissible:
-                        break
-                    for j in range(n):
-                        if not admissible:
-                            break
-                        for deg, v in s_full.entry(i, j).items():
-                            if v.is_zero():
-                                continue
-                            if (deg == 0 and i == j) or (deg, j - i) < key:
-                                admissible = False
-                                break
-                if not admissible:
+                # theta(I + ad)^-1 = I - d_theta0(ad(eps t)) exactly when
+                # ad^2 = 0; a diagonal ad squares to degree >= 2m > k,
+                # beyond this layer and above the key
+                resp = -gc.d_theta0(ad.substitute(eps), datum)
+                if any((deg == 0 and i == j) or (deg, j - i) < key
+                       for i in range(n) for j in range(n)
+                       for deg, v in resp.entry(i, j).items() if not v.is_zero()):
                     continue
-                # at the clean torus point, red responds exactly by
-                # (I + yb) * theta(I + ad)^-1; every product of the two
-                # admissible factors lands strictly above the layer, so
-                # the stripe coefficients below are genuinely linear
-                col = [yb.coeff(i, j, k) + s_full.coeff(i, j, k)
-                       for (i, j) in stripe]
+                # at the clean torus point, red responds by (I + yb) *
+                # theta(I + ad)^-1; every product of the two admissible
+                # factors lands strictly above the layer, so the stripe
+                # coefficients below are genuinely linear
+                col = [yb.coeff(i, j, k) + resp.coeff(i, j, k) for (i, j) in stripe]
                 if all(v.is_zero() for v in col):
                     continue
                 cols.append(col)
@@ -538,15 +533,13 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
     c = g.constant_matrix()
     if any(not c[i][j].is_zero() for i in range(n) for j in range(i)) or g.val() < 0:
         raise InvalidInputError("g is not an Iwahori element")
-    x = SeriesMatrix.from_laurent(tw_loop, g.precision + 2 * max(
-        abs(v) for v in list(tw.lam) + [1])) * g
+    lam_span = max(abs(v) for v in list(tw.lam) + [1])
+    x = SeriesMatrix.from_laurent(tw_loop, g.precision + 2 * lam_span) * g
     if not gc.is_anti_fixed_theta(x, datum):
         raise NotAntiFixedError("t~w * g violates the Iwahori membership equation")
 
-    lam_span = max(abs(v) for v in list(tw.lam) + [1])
     h_acc = SeriesMatrix.identity(n, x.precision + 4)
     tw_inv = SeriesMatrix.from_laurent(tw_loop.inverse(), x.precision + 4 + 2 * lam_span)
-    guard = 0
     last_key: Optional[Tuple[int, int]] = None
     while True:
         gcur = tw_inv * x
@@ -555,34 +548,16 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
         key = _first_dirt(red)
         if key is None:
             break
+        # keys (k, j - i) rise strictly and are bounded by the precision
         if last_key is not None and key <= last_key:
             raise PrecisionError("Iwahori reduction stalled; precision exhausted")
         last_key = key
-        guard += 1
-        if guard > 4 * n * (gcur.precision + 1):
-            raise PrecisionError("Iwahori reduction exceeded its step bound")
         carrier = tw_loop * d
-        carrier_inv = carrier.inverse()
-        steps = _theta_layer_steps(datum, carrier, carrier_inv, red, key,
-                                   lam_span)
+        steps = _theta_layer_steps(datum, carrier, carrier.inverse(), red, key, lam_span)
         for hs in steps:
             x = hs * x * gc.apply_theta_inv(hs, datum)
             h_acc = hs * h_acc
-
-    gcur = tw_inv * x
-    d = _diag_const_part(gcur, n)
-    args = _check_torus_diag(d, n)
-    cls = _match_iwahori_class(datum, tw, "theta", args)
-    loop_rep = tw_loop * d
-    return CanonicalForm(
-        lam=tuple(tw.lam),
-        g0=d,
-        orbit_class=cls,
-        certificate=h_acc,
-        residual_precision=gcur.precision,
-        side="theta",
-        loop_rep=loop_rep,
-    )
+    return _torus_form(datum, tw, "theta", tw_loop, d, h_acc, gcur.precision)
 
 
 def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
@@ -597,32 +572,15 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
         raise NotAntiFixedError("t~w * g violates the Iwahori membership equation")
 
     h_acc = LaurentMatrix.identity(n)
-    guard = 0
-    while True:
+    for _ in range(2 * n + 5):
         gcur = tw_loop.inverse() * x
         d = _diag_const_part(gcur, n)
         u = d.inverse() * gcur
         if u == LaurentMatrix.identity(n):
             break
-        guard += 1
-        if guard > 2 * n + 4:
-            raise InvalidInputError("Iwahori eta reduction did not terminate")
         carrier = tw_loop * d
-        carrier_inv = carrier.inverse()
-        root = unipotent_sqrt(u)
-        h = carrier * root.inverse() * carrier_inv
-        h_inv = None if gc.inverse_is_free(datum, "eta") else carrier * root * carrier_inv
-        x = h * x * gc.apply_eta_inv(h, datum, h_inv)
+        h, x = _unipotent_step(x, carrier, carrier.inverse(), u, datum)
         h_acc = h * h_acc
-
-    args = _check_torus_diag(d, n)
-    cls = _match_iwahori_class(datum, tw, "eta", args)
-    return CanonicalForm(
-        lam=tuple(tw.lam),
-        g0=d,
-        orbit_class=cls,
-        certificate=h_acc,
-        residual_precision=None,
-        side="eta",
-        loop_rep=tw_loop * d,
-    )
+    else:
+        raise InvalidInputError("Iwahori eta reduction did not terminate")
+    return _torus_form(datum, tw, "eta", tw_loop, d, h_acc, None)

@@ -41,8 +41,8 @@ def _add_datum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="datum configuration JSON file")
     p.add_argument("--family",
                    choices=["split_gl", "quaternionic_gl", "unitary"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--epsilon", type=int, default=1, choices=[1, -1])
+    p.add_argument("--n", type=int, help="rank (default 2)")
+    p.add_argument("--epsilon", type=int, choices=[1, -1], help="default 1")
     p.add_argument("--z", default=None,
                    help="central sector, e.g. '1', '-1' or '0/1+1/1*i'")
     p.add_argument("--inner-twist", dest="inner_twist",
@@ -56,11 +56,17 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 def _datum_of(args) -> gc.GroupDatum:
     if args.config:
+        given = [f for f in ("family", "n", "epsilon", "z", "inner_twist")
+                 if getattr(args, f) is not None]
+        if given:
+            raise InvalidInputError("--config cannot be combined with " + ", ".join(
+                "--" + f.replace("_", "-") for f in given))
         with open(args.config) as f:
             return gc.datum_from_config(json.load(f))
     if not args.family:
         raise InvalidInputError("either --config or --family is required")
-    cfg = {"family": args.family, "n": args.n, "epsilon": args.epsilon}
+    cfg = {"family": args.family, "n": 2 if args.n is None else args.n,
+           "epsilon": 1 if args.epsilon is None else args.epsilon}
     if args.z is not None:
         cfg["z"] = args.z
     if args.inner_twist:

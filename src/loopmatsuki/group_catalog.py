@@ -41,6 +41,8 @@ SPLIT_GL = "split_gl"
 QUATERNIONIC_GL = "quaternionic_gl"
 UNITARY = "unitary"
 FAMILIES = (SPLIT_GL, QUATERNIONIC_GL, UNITARY)
+# build_datum makes n x n matrices at once: rank 1000 takes tens of seconds
+MAX_CONFIG_RANK = 256
 
 
 def j_matrix(n: int) -> LaurentMatrix:
@@ -104,6 +106,8 @@ def datum_from_config(cfg: dict) -> GroupDatum:
         epsilon = int(cfg["epsilon"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad datum config: {exc}") from exc
+    if n > MAX_CONFIG_RANK:
+        raise InvalidInputError(f"rank {n} is above the limit {MAX_CONFIG_RANK}")
     z: QI | int = 1
     if cfg.get("z") is not None:
         z = _config_scalar(cfg["z"], "z")

@@ -19,6 +19,9 @@ from .gaussian import qi_from_str, qi_to_str
 from .iwahori_orbits import IwahoriClass
 from .laurent import LaurentMatrix, SeriesMatrix
 
+# an Entry allocates its whole exponent span, two 8-byte slots per exponent
+MAX_LOOP_SLOTS = 2 ** 20
+
 def const_matrix_to_json(m: LaurentMatrix) -> List[List[str]]:
     if not m.is_constant():
         raise InvalidInputError("matrix is not constant")
@@ -45,6 +48,9 @@ def laurent_from_json(doc) -> Union[LaurentMatrix, SeriesMatrix]:
             or any(not isinstance(row, list) or len(row) != n for row in entries)):
         raise InvalidInputError(f"'entries' must be {n} arrays of {n} entries each")
     rows = [[_entry_from_json(e) for e in row] for row in entries]
+    if sum(max(e) - min(e) + 1 for row in rows for e in row if e) > MAX_LOOP_SLOTS:
+        raise InvalidInputError(
+            f"the entries' exponent spans exceed the limit of {MAX_LOOP_SLOTS} slots")
     if "precision" in doc:
         if type(doc["precision"]) is not int:
             raise InvalidInputError("'precision' must be an integer")

@@ -1,5 +1,6 @@
 """Canonical forms: invariance under twists, certificate replay, reducers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -21,7 +22,9 @@ from loopmatsuki.gaussian import QI
 from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw, \
     enumerate_admissible_tw
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
-from loopmatsuki.randgen import random_arc_element, random_poly_element
+from loopmatsuki.randgen import random_arc_element, random_poly_element, random_qi, \
+    random_rational
+from loopmatsuki.serialize import dumps, laurent_to_json
 
 
 def _data():
@@ -187,3 +190,97 @@ def test_missing_datum_is_invalid_input():
         canonicalize_theta(x)
     with pytest.raises(InvalidInputError):
         canonicalize_eta(x)
+
+
+def _elementary_iwahori_twist(n, rng):
+    """A product of three elementary Iwahori matrices I + c t^k E_ij: k in
+    [0, 2] above the diagonal and in [1, 3] below it."""
+    h = LaurentMatrix.identity(n)
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(0, 2) if i < j else rng.randint(1, 3)
+        h = h * (LaurentMatrix.identity(n)
+                 + LaurentMatrix.monomial(n, i, j, k, random_qi(rng)))
+    return h
+
+
+def _is_iwahori(g):
+    n = g.n
+    c = g.constant_matrix()
+    return (g.val() or 0) >= 0 and all(c[i][j].is_zero() for i in range(n) for j in range(i))
+
+
+def _positioned_reductions():
+    """Non-torus positioned inputs t~w * g for both Iwahori reducers: theta
+    ones are twists of torus representatives by elementary Iwahori
+    matrices, eta ones twists of t^lam representatives (lam weakly
+    increasing, w = 1) by constant real upper-triangular matrices."""
+    rng = random.Random(1)
+    u2 = gc.build_datum("unitary", 2, 1)
+    # (datum, twists tried per class, most inputs kept): rank 3 is capped
+    # for time
+    theta_data = [(gc.build_datum("split_gl", 2, 1), 2, None),
+                  (gc.build_datum("split_gl", 2, -1), 2, None),
+                  (gc.build_datum("split_gl", 3, 1), 1, 6),
+                  (u2, 2, None), (gc.build_datum("unitary", 2, -1), 2, None),
+                  (gc.build_datum("quaternionic_gl", 2, -1), 2, None),
+                  (gc.pure_inner_twist(u2, LaurentMatrix.diag_scalars([1, -1])), 2, None)]
+    cases = []
+    for d, tries, cap in theta_data:
+        found = []
+        for tw in enumerate_admissible_tw(d, 1):
+            for cls in classes_at_tw(d, tw, "theta"):
+                for _ in range(tries if cls.loop_rep is not None else 0):
+                    h = _elementary_iwahori_twist(d.n, rng)
+                    x = h * cls.loop_rep * gc.apply_theta_inv(h, d)
+                    g = tw.loop().inverse() * x
+                    if x != cls.loop_rep and _is_iwahori(g):
+                        found.append(("theta", d, tw, cls, x, SeriesMatrix.from_laurent(g, 16)))
+        cases += found[:cap]
+    # at eps = -1 the one such class is the identity's, which every real
+    # constant twist fixes, so only eps = 1 yields eta inputs
+    for n, eps in [(2, 1), (2, -1), (3, 1), (3, -1)]:
+        d = gc.build_datum("split_gl", n, eps)
+        for tw in enumerate_admissible_tw(d, 1):
+            if tw.w != tuple(range(n)) or list(tw.lam) != sorted(tw.lam):
+                continue
+            for cls in classes_at_tw(d, tw, "eta"):
+                for _ in range(2 if cls.loop_rep is not None else 0):
+                    h = LaurentMatrix.from_scalars(
+                        [[QI(1) if i == j else QI(random_rational(rng)) if i < j else QI(0)
+                          for j in range(n)] for i in range(n)])
+                    x = h * cls.loop_rep * gc.apply_eta_inv(h, d)
+                    if x != cls.loop_rep:
+                        cases.append(("eta", d, tw, cls, x, tw.loop().inverse() * x))
+    return cases
+
+
+# sha256 of (g0_args, g0, certificate, residual_precision) over every
+# reduction of _positioned_reductions()
+POSITIONED_DIGEST = "6557a69a328b4b10bf3d0d3993c42d992a377a930a484e4c66fdb4585989d665"
+
+
+def test_positioned_iwahori_reductions_golden():
+    cases = _positioned_reductions()
+    assert sum(side == "theta" for side, *_ in cases) >= 30
+    assert any(side == "eta" for side, *_ in cases)
+    docs = []
+    for side, d, tw, cls, x, g in cases:
+        if side == "theta":
+            form = iwahori_reduce_theta(tw, g, d)
+            h, r = form.certificate, form.residual_precision
+            # r certifies the positioned factor t~w^-1 * x, whose rows carry
+            # t^-lam_i against the loop's
+            xs = SeriesMatrix.from_laurent(x, 24)
+            tw_inv = SeriesMatrix.from_laurent(tw.loop().inverse(), 24)
+            lhs = tw_inv * h * xs * gc.apply_theta_inv(h, d)
+            assert lhs.retruncate(r) == SeriesMatrix.from_laurent(form.g0, r)
+        else:
+            form = iwahori_reduce_eta(tw, g, d)
+            h = form.certificate
+            assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
+        assert form.orbit_class.g0_args == cls.g0_args
+        docs.append([[str(a) for a in form.orbit_class.g0_args], laurent_to_json(form.g0),
+                     laurent_to_json(form.certificate), form.residual_precision])
+    digest = hashlib.sha256(dumps(docs).encode()).hexdigest()
+    assert digest == POSITIONED_DIGEST

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -190,6 +191,34 @@ def test_malformed_config_exits_2(tmp_path, capsys, extra):
     rc, out, err = run(capsys, "orbits", "--config", cfg, "--bound", "0")
     assert rc == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--family", "split_gl"), ("--n", "5"), ("--epsilon", "-1"), ("--z", "-1"),
+    ("--inner-twist", None),
+], ids=["family", "n", "epsilon", "z", "inner-twist"])
+def test_config_with_datum_flag_exits_2(tmp_path, capsys, flag, value):
+    cfg = write_json(tmp_path / "cfg.json", {"family": "unitary", "n": 2, "epsilon": 1})
+    if value is None:
+        value = write_json(tmp_path / "c.json", [["1", "0"], ["0", "-1"]])
+    rc, out, err = run(capsys, "orbits", "--config", cfg, flag, value, "--bound", "0")
+    assert rc == 2
+    assert out == "" and flag in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["orbits", "--family", "split_gl", "--n", "100000"], None),
+    (["canonicalize", "--family", "split_gl", "--side", "eta"],
+     {"n": 2, "entries": [[{"0": "1", "1000000000": "1"}, {}], [{}, {"0": "1"}]]}),
+], ids=["rank", "exponent-span"])
+def test_unbounded_inputs_exit_2_at_once(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        argv = argv + ["--input", write_json(tmp_path / "x.json", doc)]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert out == "" and "limit" in err
 
 
 # sha256 of the JSON n = 4 Iwahori orbit tables on stdout

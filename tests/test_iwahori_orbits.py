@@ -101,9 +101,9 @@ def test_match_iwahori_class_builds_once(builds):
         for cls in classes_at_tw(d, tw, "eta"):
             if cls.g0 is None:
                 continue
-            diag = [cls.g0.coeff(i, i, 0) for i in range(d.n)]
             builds.clear()
-            assert canonicalize._match_iwahori_class(d, tw, "eta", diag) == cls
+            form = canonicalize._torus_form(d, tw, "eta", tw.loop(), cls.g0, None, None)
+            assert form.orbit_class == cls
             assert builds == [("eta", tw.w)]
 
 
