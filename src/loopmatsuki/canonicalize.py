@@ -300,8 +300,9 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         return _canonicalize_twisted(x, datum, "eta")
 
     n = x.n
-    gplus, lam, _ = birkhoff_factor(x)
-    h_acc = gplus.inverse()
+    gplus, lam, _, h_acc = birkhoff_factor(x)
+    certify(h_acc * gplus == LaurentMatrix.identity(n),
+            "Birkhoff g_plus inverse does not invert g_plus")
     cur = h_acc * x * gc.apply_eta_inv(h_acc, datum, gplus)
 
     m = LaurentMatrix.t_power([-v for v in lam]) * cur * datum.w1

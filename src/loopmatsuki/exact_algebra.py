@@ -8,12 +8,14 @@ unipotent square roots, and exact Cayley unitaries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
+from math import gcd, lcm
 from typing import List, Tuple
 
 from .errors import InvalidInputError, PrecisionError, certify
 from .gaussian import QI, ONE, ZERO
-from .intlat import eliminate, kernel_basis, mat_mul, transpose
+from .intlat import mat_mul
 from .laurent import (
     ONE_ENTRY,
     ZERO_ENTRY,
@@ -165,14 +167,61 @@ def smith_over_dvr(
 # Birkhoff factorization gamma = g_plus t^lam g_minus
 
 
+def _lead_dependency(p_rows: List[List[Entry]], degs: List[int]) -> List[QI] | None:
+    """The left null vector c, c_f = 1, of the leading-coefficient matrix at
+    its first dependent row f, or None.  Each row, scaled to Z[i], is reduced
+    fraction-free against the echelon rows before it, carrying the transform
+    t (reduced row = sum_j t_j * leading row j); contents are divided out."""
+    n = len(p_rows)
+    echelon = []  # (pivot, vr, vi, tr, ti)
+    for f, dg in enumerate(degs):
+        lead = [(j, e) for j, e in enumerate(p_rows[f]) if e.deg() == dg]
+        den = reduce(lcm, (e._d for _, e in lead), 1)
+        vr, vi, tr, ti = [0] * n, [0] * n, [0] * n, [0] * n
+        for j, e in lead:
+            vr[j], vi[j] = e._re[-1] * (den // e._d), e._im[-1] * (den // e._d)
+        tr[f] = den
+        for p, er, ei, etr, eti in echelon:
+            ar, ai = vr[p], vi[p]
+            if not (ar or ai):
+                continue
+            br, bi = er[p], ei[p]
+            # v <- b * v - a * e, and the same on the transform
+            for x, y, ex, ey in ((vr, vi, er, ei), (tr, ti, etr, eti)):
+                for j in range(n):
+                    xr, xi, yr, yi = x[j], y[j], ex[j], ey[j]
+                    x[j] = br * xr - bi * xi - ar * yr + ai * yi
+                    y[j] = br * xi + bi * xr - ar * yi - ai * yr
+            g = reduce(gcd, chain(vr, vi, tr, ti))
+            for x in (vr, vi, tr, ti):
+                x[:] = [a // g for a in x]
+        p = next((j for j in range(n) if vr[j] or vi[j]), None)
+        if p is None:
+            a, b = tr[f], ti[f]  # c = t / t_f, supported on rows 0..f
+            norm = a * a + b * b
+            return [QI(Fraction(x * a + y * b, norm), Fraction(y * a - x * b, norm))
+                    for x, y in zip(tr, ti)]
+        echelon.append((p, vr, vi, tr, ti))
+    return None
+
+
 def birkhoff_factor(
     gamma: LaurentMatrix,
-) -> Tuple[LaurentMatrix, List[int], LaurentMatrix]:
+) -> Tuple[LaurentMatrix, List[int], LaurentMatrix, LaurentMatrix]:
     """Exact Birkhoff factorization by polynomial row reduction.
 
     gamma must be invertible over Q(i)[t, t^-1] (monomial determinant).
-    Returns (g_plus, lam, g_minus) with g_plus in G[t], lam dominant,
-    g_minus in G[t^-1], and gamma == g_plus * t^lam * g_minus exactly.
+    Returns (g_plus, lam, g_minus, g_plus_inv) with g_plus in G[t], lam
+    dominant, g_minus in G[t^-1], gamma == g_plus * t^lam * g_minus exactly
+    and g_plus_inv * g_plus == 1.
+
+    A step takes the first row f of the leading-coefficient matrix L that
+    depends on the rows before it.  Rows 0..f-1 are independent, so the left
+    null vector c of L with support in {0..f} and c_f = 1 is unique: the
+    kernel vector of L^T at its first free column in reduced echelon form.
+    Row i0, of largest degree where c is nonzero, becomes the lower-degree
+    sum_j c_j t^(d_i0 - d_j) row_j; that row operation E on an identity-started
+    matrix gives g_plus_inv = P * E_k ... E_1, and g_plus takes E^-1.
     """
     n = gamma.n
     d = gamma.det()
@@ -181,7 +230,8 @@ def birkhoff_factor(
     m = gamma.val()
     certify(m is not None, "a loop with a unit determinant is zero")
     p_rows: List[List[Entry]] = [[e.shift(-m) for e in r] for r in gamma.rows]
-    gplus = LaurentMatrix.identity(n)
+    gplus = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
+    ginv = [list(r) for r in gplus]
 
     def row_deg(i: int) -> int:
         degs = [e.deg() for e in p_rows[i] if e]
@@ -191,49 +241,43 @@ def birkhoff_factor(
         degs = [row_deg(i) for i in range(n)]
         if any(dd < 0 for dd in degs):
             raise InvalidInputError("Birkhoff row reduction hit a zero row")
-        lead = [[p_rows[i][j].get(degs[i], ZERO) for j in range(n)] for i in range(n)]
-        # a left null vector of lead: the kernel vector of its transpose
-        # at the first free column
-        rows, pivots, _ = eliminate(transpose(lead))
-        if len(pivots) == n:
+        c = _lead_dependency(p_rows, degs)
+        if c is None:
             break
-        c = kernel_basis(rows, pivots)[0]
         # pick the row of maximal degree among those with nonzero coefficient
         i0 = max((i for i in range(n) if c[i]), key=lambda i: degs[i])
         # row_i0 <- sum_j c_j t^{d_i0 - d_j} row_j  (degree of row i0 drops)
-        new_row = [ZERO_ENTRY] * n
-        for j in range(n):
-            if c[j].is_zero():
-                continue
-            shift = degs[i0] - degs[j]
-            for col in range(n):
-                new_row[col] = new_row[col] + p_rows[j][col].scale(c[j]).shift(shift)
-        # accumulate gplus <- gplus * E^{-1}, E the row operation just applied
-        ci_inv = c[i0].inv()
-        einv_rows = [list(r) for r in LaurentMatrix.identity(n).rows]
-        einv_rows[i0] = [Entry.term(degs[i0] - degs[j], -(c[j] * ci_inv)) for j in range(n)]
-        einv_rows[i0][i0] = Entry.term(0, ci_inv)
-        gplus = gplus * LaurentMatrix(einv_rows)
-        p_rows[i0] = new_row
+        ce = [Entry.term(0, x) for x in c]
+        shifts = [degs[i0] - dj for dj in degs]
+        for rows in (p_rows, ginv):
+            new_row = [ZERO_ENTRY] * n
+            for r, x, k in zip(rows, ce, shifts):
+                if x:
+                    new_row = [acc + (e * x).shift(k) for acc, e in zip(new_row, r)]
+            rows[i0] = new_row
+        # gplus <- gplus * E^{-1} = gplus + (column i0) * (row i0 of E^{-1} - e_i0)
+        ci_inv = Entry.term(0, c[i0].inv())
+        einv = [(-(x * ci_inv)).shift(k) for x, k in zip(ce, shifts)]
+        einv[i0] = ci_inv - ONE_ENTRY
+        for r in gplus:
+            r[:] = [x + r[i0] * y for x, y in zip(r, einv)]
 
     degs = [row_deg(i) for i in range(n)]
     lam_unsorted = [m + dd for dd in degs]
-    gminus_rows = [[e.shift(-degs[i]) for e in r] for i, r in enumerate(p_rows)]
 
     # sort lam weakly decreasing: gamma = (gplus P^-1) t^{sorted} (P gminus)
     order = sorted(range(n), key=lambda i: -lam_unsorted[i])
     lam = [lam_unsorted[i] for i in order]
-    perm = LaurentMatrix.from_scalars(
-        [[1 if j == old_i else 0 for j in range(n)] for old_i in order])
-    gplus = gplus * perm.inverse()
-    gminus = perm * LaurentMatrix(gminus_rows)
+    gplus = LaurentMatrix([[r[i] for i in order] for r in gplus])
+    gminus = LaurentMatrix([[e.shift(-degs[i]) for e in p_rows[i]] for i in order])
+    gplus_inv = LaurentMatrix([ginv[i] for i in order])
 
     # exactness and membership checks
     certify(gplus * LaurentMatrix.t_power(lam) * gminus == gamma,
             "Birkhoff factors do not multiply back")
     certify((gplus.val() or 0) >= 0, "g_plus escaped G[t]")
     certify((gminus.maxdeg() or 0) <= 0, "g_minus escaped G[t^-1]")
-    return gplus, lam, gminus
+    return gplus, lam, gminus, gplus_inv
 
 
 # ---------------------------------------------------------------------------

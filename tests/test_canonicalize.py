@@ -61,6 +61,41 @@ def test_theta_invariance_and_replay():
             form.loop_rep, r)
 
 
+# The classes of the theta_twist benchmark round: (datum, lambda, label).
+THETA_ROUND = [
+    (("split_gl", 2, 1), (1, 0), "Sym|Sym"),
+    (("unitary", 2, 1), (0, 0), "(1,1)"),
+    (("quaternionic_gl", 2, -1), (1, -1), "Sym|Sym"),
+    (("split_gl", 3, 1), (1, 0, -1), "Sym|Sym|Sym"),
+    (("unitary", 2, 1), (1, -1), "(0,0)"),
+    (("split_gl", 2, -1), (-1, -1), "Alt"),
+    (("unitary", 2, 1), (0, 0), "(1,1)"),
+]
+
+
+def test_lower_precision_never_changes_the_label():
+    """Truncating a theta twist gives its (lambda, label) or PrecisionError,
+    never another class."""
+    rng = random.Random(21)
+    for key, lam, label in THETA_ROUND:
+        d = gc.build_datum(*key)
+        (cls,) = [c for c in classify_theta(d, lam) if c.label == label]
+        for _ in range(3):
+            h = random_arc_element(d.n, 8, rng)
+            hs = SeriesMatrix.from_laurent(
+                LaurentMatrix([[h.entry(r, c) for c in range(d.n)] for r in range(d.n)]), 14)
+            x = hs * SeriesMatrix.from_laurent(cls.loop_rep, 14) \
+                * gc.apply_theta(hs, d).inverse()
+            # the products leave x known below t^14 when the representative has a pole
+            for precision in range(x.precision, 3, -1):
+                y = x.retruncate(precision)
+                try:
+                    form = canonicalize_theta(y, d)
+                except PrecisionError:
+                    continue
+                assert (form.lam, form.orbit_class.label) == (lam, label), precision
+
+
 def test_eta_invariance_and_replay():
     rng = random.Random(14)
     reps = [(d, c) for d in _data()

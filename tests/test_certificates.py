@@ -3,6 +3,8 @@
 A subprocess runs with ``-O`` (which strips every ``assert``), injects a
 fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
+A corrupted g_plus inverse from the Birkhoff row reduction must likewise
+stop ``canonicalize_eta``.
 Faults in the spherical classifier, the duality matcher, the selftest and
 the internal checks of the exact algebra must likewise end in exit code 1.
 """
@@ -89,6 +91,57 @@ def test_injected_fault_is_caught_under_optimize(tmp_path, mode, failed_check):
     assert caught.startswith("CertificateError: " + failed_check)
     assert code == "1"
     assert failed_check in proc.stderr
+
+
+# One entry of the g_plus inverse that birkhoff_factor accumulates from its
+# row operations is corrupted; canonicalize_eta must refuse it before using
+# it, and the canonicalize command must exit 1 without printing a form.
+BIRKHOFF_SCRIPT = r"""
+import json, random, sys
+from loopmatsuki import canonicalize, cli, serialize
+from loopmatsuki import group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.laurent import Entry
+from loopmatsuki.randgen import random_poly_element
+
+assert False, "asserts must be stripped"
+d = gc.build_datum("split_gl", 3, 1)
+(cls,) = classify_eta(d, (1, 0, -1))
+h = random_poly_element(3, 3, random.Random(4))
+x = h * cls.loop_rep * gc.apply_eta(h, d).inverse()
+print(canonicalize.canonicalize_eta(x, d).orbit_class.label)
+path = sys.argv[1] + "/x.json"
+with open(path, "w") as f:
+    json.dump(serialize.laurent_to_json(x), f)
+
+birkhoff = canonicalize.birkhoff_factor
+
+def corrupted_birkhoff(gamma):
+    gplus, lam, gminus, gplus_inv = birkhoff(gamma)
+    gplus_inv.rows[1][2] = gplus_inv.rows[1][2] + Entry.term(1, 1)
+    return gplus, lam, gminus, gplus_inv
+
+canonicalize.birkhoff_factor = corrupted_birkhoff
+try:
+    canonicalize.canonicalize_eta(x, d)
+    print("no error")
+except CertificateError as exc:
+    print("CertificateError:", exc)
+print(cli.main(["canonicalize", "--family", "split_gl", "--n", "3", "--side", "eta",
+                "--input", path]))
+"""
+
+
+def test_corrupted_birkhoff_inverse_is_caught_under_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", BIRKHOFF_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    failed_check = "certificate failed: Birkhoff g_plus inverse does not invert g_plus"
+    assert proc.stdout.split("\n") == [
+        "Sym|Sym|Sym", "CertificateError: " + failed_check, "1", ""]
+    assert proc.stderr == f"error: {failed_check}\n"
 
 
 # The classifier's anti-fixedness check is forced to fail ("classify"), or

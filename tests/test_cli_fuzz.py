@@ -2,8 +2,10 @@
 in a documented exit code (0, or 2-5 for rejected input) and never in a
 traceback.  Exit 1 is reserved for failed checks, which no input may cause.
 
-Integers and exponents stay small: a datum of rank n allocates n x n
-matrices, and an entry stores a dense list as long as its exponent span.
+Integers and exponents stay small in the general fuzz: a datum of rank n
+allocates n x n matrices, and an entry stores a dense list as long as its
+exponent span.  Exponents up to 10^9 and ranks above the config limit have a
+test of their own: they must exit 2 before anything of that size is built.
 """
 
 import contextlib
@@ -11,10 +13,13 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.cli import main
+from loopmatsuki.group_catalog import MAX_CONFIG_RANK
+from loopmatsuki.serialize import MAX_LOOP_SLOTS
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 FAMILIES = ["split_gl", "quaternionic_gl", "unitary"]
@@ -132,3 +137,65 @@ def run_cli(argv, docs):
 @given(invocations())
 def test_cli_json_inputs_end_in_a_documented_exit_code(invocation):
     assert run_cli(*invocation) in EXIT_CODES
+
+
+BIG = 10 ** 9
+
+
+@st.composite
+def wide_loops(draw, n):
+    """Rank-n loops whose entries' exponent spans add up past MAX_LOOP_SLOTS:
+    one entry with exponents up to +-10^9, or every entry a little wide."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-BIG, BIG - MAX_LOOP_SLOTS))
+        hi = draw(st.integers(lo + MAX_LOOP_SLOTS, BIG))
+        wide = {"i": draw(st.integers(0, n - 1)), "j": draw(st.integers(0, n - 1)),
+                "entry": {str(lo): draw(units), str(hi): draw(units)}}
+        return {"n": n, "entries": [
+            [wide["entry"] if (i, j) == (wide["i"], wide["j"]) else ({"0": "1"} if i == j else {})
+             for j in range(n)] for i in range(n)]}
+    span = MAX_LOOP_SLOTS // (n * n) + 1
+    return {"n": n, "entries": [[{"0": "1", str(span - 1): "1"}] * n for _ in range(n)]}
+
+
+@st.composite
+def oversized_invocations(draw):
+    """argv and documents with a loop past MAX_LOOP_SLOTS or a rank past
+    MAX_CONFIG_RANK, as a --config document or as --n."""
+    n = draw(st.integers(1, 3))
+    command = draw(st.sampled_from(["canonicalize", "orbits", "kottwitz", "bundle", "match"]))
+    docs = {}
+    argv = [command]
+    # quaternionic_gl needs an even rank, or the datum exits 3 first
+    family = draw(st.sampled_from(FAMILIES if n % 2 == 0 else FAMILIES[::2]))
+    if draw(st.booleans()):
+        argv += ["--family", family, "--n", str(n)]
+        docs["loop"] = draw(wide_loops(n))
+    else:
+        rank = draw(st.integers(MAX_CONFIG_RANK + 1, BIG))
+        if draw(st.booleans()):
+            docs["config"] = {"family": family, "n": rank, "epsilon": 1}
+            argv += ["--config", "config"]
+        else:
+            argv += ["--family", family, "--n", str(rank)]
+        if command in ("canonicalize", "bundle"):
+            docs["loop"] = draw(diagonal_loops(n))
+    if "loop" in docs:
+        command = argv[0] = draw(st.sampled_from(["canonicalize", "bundle"]))
+        argv += ["--input", "loop"]
+    if command == "canonicalize":
+        argv += ["--side", draw(st.sampled_from(["theta", "eta"])), "--precision", "8"]
+    return argv, docs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(oversized_invocations())
+def test_oversized_loops_and_ranks_exit_2_without_allocating(invocation):
+    tracemalloc.start()
+    try:
+        code = run_cli(*invocation)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2 ** 22

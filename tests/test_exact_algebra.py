@@ -1,16 +1,20 @@
 import random
+from fractions import Fraction
 from typing import List
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import loopmatsuki.group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
 from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.exact_algebra import (
-    birkhoff_factor, cayley_unitary, conj_transpose,
+    _lead_dependency, birkhoff_factor, cayley_unitary, conj_transpose,
     hermitian_signature, smith_over_dvr, unipotent_sqrt, valuation_coweight,
 )
 from loopmatsuki.gaussian import QI, ZERO
-from loopmatsuki.intlat import eliminate
-from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
+from loopmatsuki.intlat import eliminate, kernel_basis, transpose
+from loopmatsuki.laurent import Entry, LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_poly_element
 
 
@@ -80,17 +84,64 @@ def _random_laurent_unit(n, rng):
                 QI(1), invert=True, conj=False))
 
 
+def _check_birkhoff(gamma: LaurentMatrix) -> List[int]:
+    gplus, lam, gminus, gplus_inv = birkhoff_factor(gamma)
+    assert sorted(lam, reverse=True) == list(lam)
+    assert gplus * LaurentMatrix.t_power(lam) * gminus == gamma
+    assert (gplus.val() or 0) >= 0
+    assert (gminus.maxdeg() or 0) <= 0
+    # the inverse from the row operations is the cofactor inverse, field
+    # for field (Entry equality compares the normal-form fields)
+    assert gplus_inv == gplus.inverse()
+    assert gplus_inv * gplus == LaurentMatrix.identity(gamma.n)
+    return lam
+
+
 def test_birkhoff_random():
     rng = random.Random(5)
     for _ in range(15):
         n = rng.choice([1, 2, 3])
         gamma = _random_laurent_unit(n, rng)
-        gplus, lam, gminus = birkhoff_factor(gamma)
-        assert sorted(lam, reverse=True) == list(lam)
-        assert gplus * LaurentMatrix.t_power(lam) * gminus == gamma
-        assert (gplus.val() or 0) >= 0
-        assert (gminus.maxdeg() or 0) <= 0
-        assert birkhoff_type(gamma) == list(lam)
+        assert birkhoff_type(gamma) == list(_check_birkhoff(gamma))
+    # one split_gl rank-7 eta twist, the rank the row reduction is for
+    d = gc.build_datum("split_gl", 7, 1)
+    (cls,) = classify_eta(d, (1, 0, 0, 0, 0, 0, -1))
+    h = random_poly_element(7, 3, rng)
+    gamma = h * cls.loop_rep * gc.apply_eta(h, d).inverse()
+    assert _check_birkhoff(gamma) == list(cls.lam)
+
+
+def _gaussian_rationals():
+    return st.builds(lambda a, b, d: QI(Fraction(a, d), Fraction(b, d)),
+                     st.integers(-4, 4), st.integers(-4, 4), st.integers(1, 6))
+
+
+@st.composite
+def _leading_rows(draw):
+    """Rows of Entries whose leading coefficients form a rank-r matrix A * B
+    (some rows zeroed), each row with lower terms below its degree."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(0, n))
+    qi = _gaussian_rationals()
+    a = draw(st.lists(st.lists(qi, min_size=r, max_size=r), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(qi, min_size=n, max_size=n), min_size=r, max_size=r))
+    zeroed = draw(st.sets(st.integers(0, n - 1)))
+    lead = [[ZERO if i in zeroed else sum((a[i][k] * b[k][j] for k in range(r)), ZERO)
+             for j in range(n)] for i in range(n)]
+    degs = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    lower = draw(st.lists(st.lists(qi, min_size=n, max_size=n), min_size=n, max_size=n))
+    rows = [[Entry.of({degs[i]: lead[i][j], degs[i] - 1: lower[i][j]}) for j in range(n)]
+            for i in range(n)]
+    return rows, degs, lead
+
+
+@settings(max_examples=200, deadline=None)
+@given(_leading_rows())
+def test_lead_dependency_against_elimination(case):
+    rows, degs, lead = case
+    reduced, pivots, _ = eliminate(transpose(lead))
+    basis = kernel_basis(reduced, pivots)
+    assert _lead_dependency(rows, degs) == (basis[0] if basis else None)
 
 
 def test_birkhoff_rejects_non_unit():
