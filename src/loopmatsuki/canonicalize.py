@@ -23,6 +23,7 @@ from .coweight_orbits import (
     blocks_of,
     classify_eta,
     classify_theta,
+    transport_class,
 )
 from .errors import (
     CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError, certify,
@@ -355,11 +356,9 @@ def _canonicalize_twisted(x, datum: GroupDatum, side: str) -> CanonicalForm:
         h = form.certificate
         certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
                 "twisted eta certificate does not replay")
-    classify = classify_theta if side == "theta" else classify_eta
-    found = [c for c in classify(datum, form.lam) if c.label == form.orbit_class.label]
-    certify(bool(found), "the twisted datum has no class matching the base one")
     return replace(form, g0=form.g0 * datum.w1.inverse() * twist_inv * datum.w1,
-                   orbit_class=found[0], loop_rep=loop_rep)
+                   orbit_class=transport_class(form.orbit_class, datum),
+                   loop_rep=loop_rep)
 
 
 # ---------------------------------------------------------------------------

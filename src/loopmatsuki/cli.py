@@ -104,9 +104,8 @@ def cmd_orbits(args) -> int:
             for side in sides:
                 rows.extend(orbit_row(c) for c in classify[side](datum, adm))
     else:
-        for side in sides:
-            rows.extend(orbit_row(c)
-                        for c in enumerate_iwahori(datum, args.bound, side))
+        for classes in enumerate_iwahori(datum, args.bound, sides).values():
+            rows.extend(orbit_row(c) for c in classes)
     rows.sort(key=lambda r: (r["lambda"], r.get("w", []),
                              r["side"], r["label"]))
     _emit(args, rows_to_tsv(rows) if args.format == "tsv" else dumps(rows))

@@ -33,7 +33,7 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    theta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum, _involution,
+    theta0, is_anti_fixed, base_datum, _involution,
 )
 from .intlat import mat_mul
 from .laurent import LaurentMatrix
@@ -226,8 +226,7 @@ def _finish_class(datum: GroupDatum, adm: AdmissibleCoweight, side: str,
                   label: str, g0: LaurentMatrix, types, sig=None) -> SphericalClass:
     loop = LaurentMatrix.t_power(list(adm.lam)) * g0 * datum.w1.inverse()
     where = f"{side} class {label} at lambda={adm.lam}"
-    is_anti_fixed = is_anti_fixed_theta if side == "theta" else is_anti_fixed_eta
-    certify(is_anti_fixed(loop, datum), f"{where}: representative not anti-fixed")
+    certify(is_anti_fixed(loop, datum, side), f"{where}: representative not anti-fixed")
     certify(_equation_holds(datum, adm.lam, g0, side), f"{where}: g0 fails its equation")
     aut = _aut_label(datum, types, sig) if side == "eta" else None
     return SphericalClass(datum, adm.lam, side, label, g0, loop,
@@ -303,15 +302,18 @@ def _classify_twisted(datum: GroupDatum, adm: AdmissibleCoweight,
                       side: str) -> List[SphericalClass]:
     """Classify via the transport bijection x -> x * c between the twisted
     anti-fixed set and the base anti-fixed set at the matching z-sector."""
-    base_classes = _classify(base_datum(datum, side), adm, side)
-    is_anti_fixed = is_anti_fixed_theta if side == "theta" else is_anti_fixed_eta
+    return [transport_class(cls, datum)
+            for cls in _classify(base_datum(datum, side), adm, side)]
+
+
+def transport_class(cls: SphericalClass, datum: GroupDatum) -> SphericalClass:
+    """A class of base_datum(datum, cls.side) as a class of the twisted
+    datum, its representative carried by x -> x * c^-1 and certified
+    anti-fixed; the label is shared."""
     cinv = datum.twist.inverse()
-    out = []
-    for cls in base_classes:
-        loop = cls.loop_rep * cinv
-        g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
-        certify(is_anti_fixed(loop, datum),
-                f"twisted {side} class {cls.label} at lambda={adm.lam}: "
-                "transported representative not anti-fixed")
-        out.append(replace(cls, datum=datum, g0=g0, loop_rep=loop))
-    return out
+    loop = cls.loop_rep * cinv
+    g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
+    certify(is_anti_fixed(loop, datum, cls.side),
+            f"twisted {cls.side} class {cls.label} at lambda={cls.lam}: "
+            "transported representative not anti-fixed")
+    return replace(cls, datum=datum, g0=g0, loop_rep=loop)

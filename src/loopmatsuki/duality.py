@@ -78,8 +78,8 @@ def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
 
 def match_iwahori(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     """Pairs at every admissible t~w; both sides share the torus problem."""
-    thetas = enumerate_iwahori(datum, bound, "theta")
-    etas = enumerate_iwahori(datum, bound, "eta")
+    classes = enumerate_iwahori(datum, bound)
+    thetas, etas = classes["theta"], classes["eta"]
     certify(len(thetas) == len(etas), "class count mismatch between the sides")
     by_key: Dict[tuple, IwahoriClass] = {
         (c.tw.lam, c.tw.w, tuple(c.g0_args)): c for c in etas}

@@ -9,7 +9,7 @@ rationals:
   unitary          theta0(g) = g,                    eta0(g) = transpose(conj(g))^-1
 
 In every family the compact involution is eta_{c,0}(g) = transpose(conj(g))^-1,
-so the compact form is U(n).  Loop involutions are
+so the compact form is U(n), and eta0 = theta0 o eta_{c,0}.  Loop involutions are
 
   theta(gamma)(t) = theta0(gamma(epsilon t))
   eta(gamma)(t)   = eta0(gamma(epsilon t^-1))   (coefficientwise conjugation)
@@ -253,8 +253,8 @@ def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     return -dy if inv_t else dy
 
 
-def _is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
-    """Whether gamma * sigma(gamma) = z, to gamma's precision for a series."""
+def is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
+    """Whether gamma * sigma_side(gamma) = z, to gamma's precision for a series."""
     sigma = apply_theta if side == "theta" else apply_eta
     prod = gamma * sigma(gamma, datum)
     zid = LaurentMatrix.diag_scalars([datum.z] * datum.n)
@@ -264,11 +264,11 @@ def _is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
 
 
 def is_anti_fixed_theta(gamma, datum: GroupDatum) -> bool:
-    return _is_anti_fixed(gamma, datum, "theta")
+    return is_anti_fixed(gamma, datum, "theta")
 
 
 def is_anti_fixed_eta(gamma: LaurentMatrix, datum: GroupDatum) -> bool:
-    return _is_anti_fixed(gamma, datum, "eta")
+    return is_anti_fixed(gamma, datum, "eta")
 
 
 # ---------------------------------------------------------------------------

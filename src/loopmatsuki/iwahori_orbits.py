@@ -7,15 +7,17 @@ permutation lift) gives a twisted-conjugation problem on the diagonal torus:
   action     g  ->  Ad_{w^-1}(h) * g * theta0(h)^-1  (h in the torus)
 
 Writing torus elements multiplicatively, both maps are given by integer
-matrices M_eq and M_act on exponent/argument vectors.  They depend on w
-alone, so one TorusProblem per Weyl element holds them with their Smith
-forms, characters and canonicalizer, and lambda enters only through the
-target t_tw * z.  Over the divisible group the equation is solvable iff every
-integer character vanishing on the image kills the target; the class set is
-the finite quotient of the solution coset by the action image, and the
-stabilizer component group is read off the Smith normal form of M_act.
-Arguments are kept as exact rationals mod 1, so representatives are roots of
-unity (embedded into Q(i) when their order divides 4).
+matrices M_eq and M_act on exponent/argument vectors; eta0 acts on the torus
+by the same matrix as theta0.  They depend on w alone: one torus problem per
+Weyl element, shared by both sides and every central sector, holds them with
+their Smith forms, characters and canonicalizer, and lambda enters only
+through the target t_tw * z.  Over the divisible group the equation is
+solvable iff every integer character vanishing on the image kills the
+target; the class set is the finite quotient of the solution coset by the
+action image, and the stabilizer component group is read off the Smith
+normal form of M_act.  Arguments are kept as exact rationals mod 1, so
+representatives are roots of unity (embedded into Q(i) when their order
+divides 4).
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, InvalidInputError, certify
 from .gaussian import QI
-from .group_catalog import (
-    GroupDatum, theta0, eta0, is_anti_fixed_theta, is_anti_fixed_eta, base_datum,
-)
+from .group_catalog import GroupDatum, theta0, is_anti_fixed, base_datum
 from .intlat import (
     as_fractions, eliminate, kernel_basis, snf_int, mat_mul, mat_vec,
     integer_left_kernel_basis, lattice_basis, snf_diagonal, transpose,
@@ -98,33 +98,21 @@ def _ad_matrix(w: Sequence[int]) -> List[List[int]]:
     return [[1 if w[k] == i else 0 for k in range(n)] for i in range(n)]
 
 
-def _involution_torus_matrix(datum: GroupDatum, side: str) -> List[List[int]]:
-    """E with involution(torus element of argument a) having arguments E a.
-    The theta path probes t-powers; the eta path probes 4th roots of unity in
-    the compact torus."""
+def _involution_torus_matrix(datum: GroupDatum) -> List[List[int]]:
+    """E with theta0(torus element of argument a) having arguments E a, read
+    off theta0 on t-powers.  It serves eta0 too: eta0 = theta0 o eta_{c,0},
+    and eta_{c,0} fixes the compact torus, so eta0 and theta0 agree there."""
     n = datum.n
     cols = []
-    if side == "theta":
-        for k in range(n):
-            e = [0] * n
-            e[k] = 1
-            img = theta0(LaurentMatrix.t_power(e), datum)
-            col = []
-            for i in range(n):
-                ent = img.entry(i, i)
-                col.append(min(ent) if ent else 0)
-            cols.append(col)
-    else:
-        for k in range(n):
-            vals = [QI(1)] * n
-            vals[k] = QI(0, 1)  # argument 1/4 in coordinate k
-            img = eta0(LaurentMatrix.diag_scalars(vals), datum)
-            col = []
-            for i in range(n):
-                a = qi_arg(img.constant_matrix()[i][i])
-                c = int(4 * a)
-                col.append(c - 4 if c > 1 else c)  # entries lie in {-1,0,1}
-            cols.append(col)
+    for k in range(n):
+        e = [0] * n
+        e[k] = 1
+        img = theta0(LaurentMatrix.t_power(e), datum)
+        col = []
+        for i in range(n):
+            ent = img.entry(i, i)
+            col.append(min(ent) if ent else 0)
+        cols.append(col)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -148,7 +136,7 @@ def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylEle
     theta0(lambda) = -w^-1 lambda."""
     if bound < 0:
         raise InvalidInputError("bound must be nonnegative")
-    e = _involution_torus_matrix(datum, "theta")
+    e = _involution_torus_matrix(datum)
     out = []
     for w in permutations(range(datum.n)):
         winv = _perm_inverse(w)
@@ -163,15 +151,11 @@ def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylEle
 
 @dataclass(frozen=True, eq=False)
 class TorusProblem:
-    """The torus problem at one Weyl element w, for every lambda at once.
+    """The torus problem at one Weyl element w, shared by both sides and
+    every central sector: it depends on (family, n, w) alone and is certified
+    when build_torus_problem makes it.  lambda, epsilon and z enter only
+    through the target t_tw * z, which classes(tw, datum, side) solves."""
 
-    Everything here depends on (datum, side, w) alone and is certified when
-    build_torus_problem makes it; lambda enters only through the target
-    t_tw * z, which classes(tw) forms and solves.
-    """
-
-    datum: GroupDatum
-    side: str
     w: Tuple[int, ...]
     m_eq: List[List[int]]
     m_act: List[List[int]]
@@ -183,16 +167,18 @@ class TorusProblem:
     offsets: List[List[Fraction]]  # the torsion of the solution coset
     canon: Callable[[Sequence[Fraction]], Args]
     component_group: Tuple[int, ...]
-    base_target: Tuple[Fraction, ...]  # arguments of z * (w * theta0(w))^-1
+    base_target: Tuple[Fraction, ...]  # arguments of (w * theta0(w))^-1
 
-    def classes(self, tw: AffineWeylElement) -> List["IwahoriClass"]:
-        """The classes at t^lambda * w: one canonical solution of the
-        equation per orbit of the action, sorted by arguments."""
+    def classes(self, tw: AffineWeylElement, datum: GroupDatum,
+                side: str) -> List["IwahoriClass"]:
+        """The classes of the untwisted datum on side at t^lambda * w: one
+        canonical solution of the equation per orbit of the action, sorted
+        by arguments."""
         if tw.w != self.w:
             raise InvalidInputError(f"t~w has Weyl part {tw.w}, the problem {self.w}")
-        # t_tw = eps^lambda * (w * theta0(w))^-1: eps = -1 adds 1/2 at odd lambda_i
-        sign_arg = Fraction(1 - self.datum.epsilon, 4)
-        targ = [(b + sign_arg * (l % 2)) % 1 for b, l in zip(self.base_target, tw.lam)]
+        # t_tw * z = eps^lambda * (w * theta0(w))^-1 * z: eps = -1 adds 1/2 at odd lambda_i
+        sign_arg, zarg = Fraction(1 - datum.epsilon, 4), qi_arg(datum.z)
+        targ = [(b + zarg + sign_arg * (l % 2)) % 1 for b, l in zip(self.base_target, tw.lam)]
         for k in self.eq_characters:
             if sum(ki * t for ki, t in zip(k, targ)).denominator != 1:
                 return []
@@ -219,18 +205,17 @@ class TorusProblem:
             loop = None
             if g0 is not None:
                 loop = tw.loop() * g0
-                _check_anti_fixed(loop, self.datum, tw, self.side)
-            out.append(IwahoriClass(self.datum, tw, self.side, args, g0, loop,
+                _check_anti_fixed(loop, datum, tw, side)
+            out.append(IwahoriClass(datum, tw, side, args, g0, loop,
                                     self.component_group, self))
         return out
 
 
-def build_torus_problem(datum: GroupDatum, w: Sequence[int],
-                        side: str = "theta") -> TorusProblem:
-    """The torus problem of an untwisted datum at the Weyl element w."""
+def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
+    """The torus problem of datum's family and rank at the Weyl element w."""
     w = tuple(w)
     n = datum.n
-    e = _involution_torus_matrix(datum, side)
+    e = _involution_torus_matrix(datum)
     a_w = _ad_matrix(w)
     a_winv = _ad_matrix(_perm_inverse(w))
     m_eq = [[a_w[i][j] + e[i][j] for j in range(n)] for i in range(n)]
@@ -248,8 +233,7 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int],
     if not m.is_constant() or any(
             not const[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
         raise InvalidInputError("w * theta0(w) is not a torus element")
-    zarg = qi_arg(datum.z)
-    base_target = tuple(qi_arg(const[i][i]) + zarg for i in range(n))
+    base_target = tuple(qi_arg(const[i][i]) for i in range(n))
     u, d, v = snf_int(m_eq)
     snf_d = snf_diagonal(d)
     offsets = [[Fraction(0)] * n]
@@ -259,7 +243,7 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int],
             offsets = [[x + k * gx for x, gx in zip(off, g)]
                        for off in offsets for k in range(di)]
     comp = tuple(f for f in snf_diagonal(snf_int(m_act)[1]) if f > 1)
-    return TorusProblem(datum, side, w, m_eq, m_act, integer_left_kernel_basis(m_eq),
+    return TorusProblem(w, m_eq, m_act, integer_left_kernel_basis(m_eq),
                         integer_left_kernel_basis(m_act), u, snf_d, v, offsets,
                         _canonicalizer(m_act), comp, base_target)
 
@@ -323,8 +307,7 @@ class IwahoriClass:
 
 def _check_anti_fixed(loop: LaurentMatrix, datum: GroupDatum,
                       tw: AffineWeylElement, side: str) -> None:
-    is_anti_fixed = is_anti_fixed_eta if side == "eta" else is_anti_fixed_theta
-    certify(is_anti_fixed(loop, datum),
+    certify(is_anti_fixed(loop, datum, side),
             f"the representative at lambda={list(tw.lam)}, w={list(tw.w)} is not "
             f"{side}-anti-fixed")
 
@@ -342,23 +325,25 @@ def _transport(cls: IwahoriClass, datum: GroupDatum) -> IwahoriClass:
 
 
 def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
-                  side: str = "theta") -> List[IwahoriClass]:
+                  side: str) -> List[IwahoriClass]:
     """The classes at one t^lambda * w, from a torus problem of its own."""
-    if datum.twist is not None:
-        return [_transport(cls, datum)
-                for cls in classes_at_tw(base_datum(datum, side), tw, side)]
-    return build_torus_problem(datum, tw.w, side).classes(tw)
-
-
-def enumerate_iwahori(datum: GroupDatum, bound: int, side: str = "theta") -> List[IwahoriClass]:
-    """The classes at every admissible t^lambda * w with |lambda_i| <= bound,
-    in (lambda, w) order, from one torus problem per Weyl element."""
     base = base_datum(datum, side)
+    classes = build_torus_problem(datum, tw.w).classes(tw, base, side)
+    return classes if base is datum else [_transport(cls, datum) for cls in classes]
+
+
+def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[str] = ("theta", "eta")
+                      ) -> Dict[str, List[IwahoriClass]]:
+    """For each side, the classes at every admissible t^lambda * w with
+    |lambda_i| <= bound, in (lambda, w) order.  The sides share one
+    enumeration and one torus problem per Weyl element."""
+    bases = {side: base_datum(datum, side) for side in sides}
     problems = {}
-    out = []
+    out = {side: [] for side in sides}
     for tw in enumerate_admissible_tw(datum, bound):
         if tw.w not in problems:
-            problems[tw.w] = build_torus_problem(base, tw.w, side)
-        for cls in problems[tw.w].classes(tw):
-            out.append(cls if base is datum else _transport(cls, datum))
+            problems[tw.w] = build_torus_problem(datum, tw.w)
+        for side, base in bases.items():
+            for cls in problems[tw.w].classes(tw, base, side):
+                out[side].append(cls if base is datum else _transport(cls, datum))
     return out

@@ -154,7 +154,7 @@ from loopmatsuki.errors import CertificateError
 
 mode = sys.argv[1]
 if mode == "classify":
-    coweight_orbits.is_anti_fixed_theta = lambda loop, datum: False
+    coweight_orbits.is_anti_fixed = lambda loop, datum, side: False
     try:
         coweight_orbits.classify_theta(gc.build_datum("split_gl", 2, 1), (1, 0))
         print("no error")
@@ -230,36 +230,38 @@ def test_internal_fault_in_eta_reduction_exits_1(tmp_path, monkeypatch, capsys):
     assert "certificate failed: square root failed to square back" in capsys.readouterr().err
 
 
-# A base class with no twisted counterpart is an internal fault: the
-# transport back through the inner twist must end in exit 1, not in an
-# escaped StopIteration.
+# The class a twisted canonicalization matched on the base datum is carried
+# back through the inner twist by transport_class, whose anti-fixedness
+# certificate is forced to fail for the twisted datum alone: the command must
+# exit 1 with nothing on stdout.
 TWISTED_SCRIPT = r"""
 import json, sys
-from loopmatsuki import canonicalize, cli, serialize
+from loopmatsuki import cli, coweight_orbits, serialize
 from loopmatsuki import group_catalog as gc
 
 twist = [["1", "0"], ["0", "-1"]]
 d = gc.datum_from_config({"family": "unitary", "n": 2, "epsilon": 1, "inner_twist": twist})
-cls = canonicalize.classify_eta(d, (0, 0))[0]
+cls = coweight_orbits.classify_eta(d, (0, 0))[0]
 workdir = sys.argv[1]
 with open(workdir + "/twist.json", "w") as f:
     json.dump(twist, f)
 with open(workdir + "/x.json", "w") as f:
     json.dump(serialize.laurent_to_json(cls.loop_rep), f)
-classify_eta = canonicalize.classify_eta
-canonicalize.classify_eta = lambda datum, lam: (
-    [] if datum.twist is not None else classify_eta(datum, lam))
-print(cli.main(["canonicalize", "--family", "unitary", "--n", "2", "--inner-twist",
-                workdir + "/twist.json", "--side", "eta", "--input", workdir + "/x.json"]))
+is_anti_fixed = coweight_orbits.is_anti_fixed
+coweight_orbits.is_anti_fixed = lambda loop, datum, side: (
+    datum.twist is None and is_anti_fixed(loop, datum, side))
+sys.exit(cli.main(["canonicalize", "--family", "unitary", "--n", "2", "--inner-twist",
+                   workdir + "/twist.json", "--side", "eta", "--input", workdir + "/x.json"]))
 """
 
 
 @pytest.mark.parametrize("optimize", [True, False])
-def test_missing_twisted_class_exits_1(tmp_path, optimize):
+def test_twisted_transport_fault_exits_1(tmp_path, optimize):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     flags = ["-O"] if optimize else []
     proc = subprocess.run([sys.executable, *flags, "-c", TWISTED_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "1"
-    assert proc.stderr.startswith("error: certificate failed: ")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: certificate failed: twisted eta class (2,0) at "
+                           "lambda=(0, 0): transported representative not anti-fixed\n")

@@ -9,9 +9,10 @@ from loopmatsuki import group_catalog as gc
 from loopmatsuki.errors import CertificateError
 from loopmatsuki.intlat import integer_left_kernel_basis
 from loopmatsuki.iwahori_orbits import (
-    AffineWeylElement, _ad_matrix, build_torus_problem, classes_at_tw,
-    enumerate_admissible_tw, enumerate_iwahori, perm_matrix,
+    AffineWeylElement, _ad_matrix, _involution_torus_matrix, build_torus_problem,
+    classes_at_tw, enumerate_admissible_tw, enumerate_iwahori, perm_matrix, qi_arg,
 )
+from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix
 
 
@@ -36,9 +37,9 @@ def test_torus_problem_classes_invariants():
         for eps in (1, -1):
             d = gc.build_datum(family, n, eps)
             for tw in enumerate_admissible_tw(d, 1):
+                problem = build_torus_problem(d, tw.w)
                 for side in ("theta", "eta"):
-                    problem = build_torus_problem(d, tw.w, side)
-                    args = [c.g0_args for c in problem.classes(tw)]
+                    args = [c.g0_args for c in problem.classes(tw, d, side)]
                     # canonical representatives are pairwise inequivalent
                     for i, a in enumerate(args):
                         for b in args[i + 1:]:
@@ -63,18 +64,19 @@ def _datum(family, n, eps):
 def test_enumerate_iwahori_equals_classes_at_tw(family, n, eps, side):
     d = _datum(family, n, eps)
     want = [c for tw in enumerate_admissible_tw(d, 1) for c in classes_at_tw(d, tw, side)]
-    assert enumerate_iwahori(d, 1, side) == want
+    assert enumerate_iwahori(d, 1, (side,))[side] == want
+    assert enumerate_iwahori(d, 1)[side] == want
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Records (side, w) of every torus problem built."""
+    """Records w of every torus problem built."""
     calls = []
     build = iwahori_orbits.build_torus_problem
 
-    def counting(datum, w, side="theta"):
-        calls.append((side, tuple(w)))
-        return build(datum, w, side)
+    def counting(datum, w):
+        calls.append(tuple(w))
+        return build(datum, w)
 
     monkeypatch.setattr(iwahori_orbits, "build_torus_problem", counting)
     monkeypatch.setattr(canonicalize, "build_torus_problem", counting, raising=False)
@@ -82,17 +84,35 @@ def builds(monkeypatch):
 
 
 @pytest.mark.parametrize("family,n,eps", [("split_gl", 3, 1), ("U(1,1)", 2, 1)])
-def test_one_torus_problem_per_weyl_element(builds, family, n, eps):
+def test_one_torus_problem_per_weyl_element(builds, monkeypatch, tmp_path, capsys,
+                                            family, n, eps):
+    # both sides share one enumeration and one problem per Weyl element
     d = _datum(family, n, eps)
     ws = sorted({tw.w for tw in enumerate_admissible_tw(d, 1)})
     assert len(ws) < len(enumerate_admissible_tw(d, 1))
-    for side in ("theta", "eta"):
+    enumerations = []
+    enumerate_tw = iwahori_orbits.enumerate_admissible_tw
+    monkeypatch.setattr(iwahori_orbits, "enumerate_admissible_tw",
+                        lambda *a: enumerations.append(a) or enumerate_tw(*a))
+    argv = ["orbits", "--level", "iwahori", "--bound", "1", "--side", "both"]
+    if family == "U(1,1)":
+        path = tmp_path / "twist.json"
+        path.write_text(json.dumps([["1", "0"], ["0", "-1"]]))
+        argv += ["--family", "unitary", "--n", "2", "--inner-twist", str(path)]
+    else:
+        argv += ["--family", family, "--n", str(n), "--epsilon", str(eps)]
+    runs = [(side, lambda side=side: enumerate_iwahori(d, 1, (side,)))
+            for side in ("theta", "eta")]
+    runs += [("both", lambda: enumerate_iwahori(d, 1)),
+             ("cli", lambda: cli.main(argv) == 0 or pytest.fail("orbits exited nonzero")),
+             ("match", lambda: duality.match_iwahori(d, 1))]
+    for name, run in runs:
         builds.clear()
-        enumerate_iwahori(d, 1, side)
-        assert sorted(builds) == [(side, w) for w in ws]
-    builds.clear()
-    duality.match_iwahori(d, 1)
-    assert sorted(builds) == sorted((side, w) for side in ("theta", "eta") for w in ws)
+        enumerations.clear()
+        run()
+        assert sorted(builds) == ws, name
+        assert len(enumerations) == 1, name
+    capsys.readouterr()
 
 
 def test_match_iwahori_class_builds_once(builds):
@@ -104,7 +124,7 @@ def test_match_iwahori_class_builds_once(builds):
             builds.clear()
             form = canonicalize._torus_form(d, tw, "eta", tw.loop(), cls.g0, None, None)
             assert form.orbit_class == cls
-            assert builds == [("eta", tw.w)]
+            assert builds == [tw.w]
 
 
 def test_twisted_iwahori_reduction_builds_once(builds):
@@ -118,17 +138,18 @@ def test_twisted_iwahori_reduction_builds_once(builds):
     for cls in classes:
         form = canonicalize.iwahori_reduce_eta(tw, tw.loop().inverse() * cls.loop_rep, d)
         assert form.orbit_class == cls
-    assert builds == [("eta", tw.w)] * 4
+    assert builds == [tw.w] * 4
 
 
 def test_classes_carry_anti_fixed_reps():
     for family in ("split_gl", "unitary"):
         for eps in (1, -1):
             d = gc.build_datum(family, 2, eps)
-            for cls in enumerate_iwahori(d, 1, "eta"):
+            classes = enumerate_iwahori(d, 1)
+            for cls in classes["eta"]:
                 if cls.loop_rep is not None:
                     assert gc.is_anti_fixed_eta(cls.loop_rep, d)
-            for cls in enumerate_iwahori(d, 1, "theta"):
+            for cls in classes["theta"]:
                 if cls.loop_rep is not None:
                     assert gc.is_anti_fixed_theta(cls.loop_rep, d)
 
@@ -151,7 +172,7 @@ def test_eta_reps_canonicalize_to_the_dominant_coweight():
                       ("quaternionic_gl", 2)):
         for eps in (1, -1):
             d = gc.build_datum(family, n, eps)
-            for cls in enumerate_iwahori(d, 1, "eta"):
+            for cls in enumerate_iwahori(d, 1, ("eta",))["eta"]:
                 if cls.loop_rep is None:
                     continue
                 seen += 1
@@ -180,7 +201,7 @@ def test_twisted_iwahori_transport():
 
 def test_g0_args_are_fractions():
     d = gc.build_datum("split_gl", 2, -1)
-    for cls in enumerate_iwahori(d, 1, "eta"):
+    for cls in enumerate_iwahori(d, 1, ("eta",))["eta"]:
         assert all(isinstance(a, Fraction) for a in cls.g0_args)
 
 
@@ -243,9 +264,34 @@ def test_failed_anti_fixed_check_is_certificate_error(tmp_path, capsys, monkeypa
         argv += ["--inner-twist", str(path)]
     tw = AffineWeylElement.of((0, 0), (0, 1))
     assert any(c.loop_rep is not None for c in classes_at_tw(d, tw, side))
-    monkeypatch.setattr(iwahori_orbits, "is_anti_fixed_theta", lambda *a: False)
-    monkeypatch.setattr(iwahori_orbits, "is_anti_fixed_eta", lambda *a: False)
+    monkeypatch.setattr(iwahori_orbits, "is_anti_fixed", lambda *a: False)
     with pytest.raises(CertificateError, match="anti-fixed"):
         classes_at_tw(d, tw, side)
     assert cli.main(argv) == 1
     assert "certificate failed" in capsys.readouterr().err
+
+
+def _eta0_torus_probe(d):
+    """E read off eta0 on 4th roots of unity in the compact torus: the
+    eta-side probe that _involution_torus_matrix's theta0 probe replaces."""
+    n = d.n
+    cols = []
+    for k in range(n):
+        vals = [QI(1)] * n
+        vals[k] = QI(0, 1)  # argument 1/4 in coordinate k
+        img = gc.eta0(LaurentMatrix.diag_scalars(vals), d)
+        col = []
+        for i in range(n):
+            c = int(4 * qi_arg(img.constant_matrix()[i][i]))
+            col.append(c - 4 if c > 1 else c)  # entries lie in {-1,0,1}
+        cols.append(col)
+    return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in ("split_gl", "unitary")
+                                      for n in range(1, 7)]
+                         + [("quaternionic_gl", n) for n in (2, 4, 6)])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_eta0_acts_on_the_torus_by_theta0s_matrix(family, n, eps):
+    d = gc.build_datum(family, n, eps)
+    assert _eta0_torus_probe(d) == _involution_torus_matrix(d)
