@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import group_catalog as gc
 from .canonicalize import canonicalize_eta, iwahori_reduce_eta
-from .coweight_orbits import classify_eta, enumerate_admissible
+from .coweight_orbits import classify_eta, enumerate_admissible, eps_lambda
 from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
@@ -96,18 +96,14 @@ def loop_to_parabolic_bundle(x: LaurentMatrix, tw: AffineWeylElement,
 
 
 def enumerate_bundles(datum: GroupDatum, bound: int) -> List[RealBundleDatum]:
-    """One bundle datum per eta-class with splitting bounded by bound."""
-    out = []
-    for adm in enumerate_admissible(datum, bound):
-        for cls in classify_eta(datum, adm):
-            out.append(loop_to_bundle(cls.loop_rep, datum))
-    return out
-
-
-def _lam_of_eps(lam, epsilon: int) -> LaurentMatrix:
-    return LaurentMatrix.from_scalars(
-        [[QI(epsilon) ** lam[i] if i == j else QI(0)
-          for j in range(len(lam))] for i in range(len(lam))])
+    """One bundle datum per eta-class with splitting bounded by bound, read
+    off the class: its representative t^lam * g0 * w1^-1, which the
+    classifier certified anti-fixed, is already in canonical form."""
+    w1_inv = datum.w1.inverse()
+    return [RealBundleDatum(epsilon=datum.epsilon, z=datum.z, splitting=cls.lam,
+                            gluing=cls.g0 * w1_inv, aut_label=cls.aut_label or "unlabeled")
+            for adm in enumerate_admissible(datum, bound)
+            for cls in classify_eta(datum, adm)]
 
 
 def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
@@ -120,7 +116,7 @@ def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
         s = gc.twist_scalar(datum, datum.twist, "eta")
         p = KottwitzPoint(p.lam, gc.transport_to_base(p.g, datum), p.z * s)
         datum = gc.base_datum(datum, "eta")
-    want = _lam_of_eps(p.lam, datum.epsilon).scale(p.z)
+    want = eps_lambda(datum, p.lam).scale(p.z)
     if p.g * gc.eta0(p.g, datum) != want:
         return False
     lam_t = LaurentMatrix.t_power(list(p.lam))

@@ -13,16 +13,15 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
 from .coweight_orbits import (
     SphericalClass,
-    _equation_holds,
     blocks_of,
     classify_eta,
     classify_theta,
+    equation_holds,
     transport_class,
 )
 from .errors import (
@@ -39,10 +38,9 @@ from .gaussian import QI
 from .group_catalog import GroupDatum
 from .intlat import eliminate, mat_mul
 from .iwahori_orbits import (
-    _QUARTER_VALS,
     AffineWeylElement,
-    _transport,
     classes_at_tw,
+    transport_iwahori_class,
 )
 from .laurent import (
     Entry,
@@ -108,18 +106,15 @@ def _middle_invariant(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, 
     mid = _middle_block(lam)
     certify(mid is not None, "middle-block invariant of a coweight without a middle block")
     start, m = mid
-    rev = [[QI(1) if r == m - 1 - s else QI(0) for s in range(m)] for r in range(m)]
     b = [[g0.coeff(start + r, start + s, 0) for s in range(m)] for r in range(m)]
-    mm = mat_mul(rev, b)
+    mm = mat_mul(gc.antidiagonal_matrix(m).constant_matrix(), b)
     if side == "theta":
         tr = sum((mm[r][r] for r in range(m)), QI(0))
         return ("trace", str(tr))
-    h = mm
-    if not datum.z.is_real():
-        raise InvalidInputError("unitary classification requires z in {1, -1}")
+    # z is 1 or -1: the classifier ran first and rejects any other z
     if datum.z == QI(-1):
-        h = [[QI(0, 1) * x for x in row] for row in h]
-    return ("signature", hermitian_signature(h))
+        mm = [[QI(0, 1) * x for x in row] for row in mm]
+    return ("signature", hermitian_signature(mm))
 
 
 def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix,
@@ -261,7 +256,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 f"layers 1..{k} are not killed")
 
     g0 = ell
-    if not _equation_holds(datum, lam, g0, "theta"):
+    if not equation_holds(datum, lam, g0, "theta"):
         raise PrecisionError("constant term equation not certified at this precision")
     loop_rep = LaurentMatrix.t_power(lam) * g0 * datum.w1.inverse()
     # the certified window: g was cleaned to its own precision, and row i of
@@ -333,7 +328,7 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     g0 = ell
     loop_rep = tlam * g0 * datum.w1.inverse()
     certify(cur == loop_rep, "eta reduction does not replay to the representative")
-    certify(_equation_holds(datum, lam, g0, "eta"), "eta spherical equation fails for g0")
+    certify(equation_holds(datum, lam, g0, "eta"), "eta spherical equation fails for g0")
     orbit_class = _match_spherical_class(datum, lam, g0, "eta")
     return CanonicalForm(
         lam=tuple(lam),
@@ -394,32 +389,6 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     return best
 
 
-def _same_class_multiplicative(characters, rep_args: Sequence[Fraction],
-                               diag: Sequence[QI]) -> bool:
-    """Class test for an exact diagonal, possibly of infinite order.
-
-    The reduction can land on any diagonal solution in the divisible
-    torus; classes are separated by the integer characters vanishing on
-    the action image, evaluated multiplicatively on the candidate and
-    by argument arithmetic on the torsion representative.
-    """
-    for k in characters:
-        val = QI(1)
-        for ki, v in zip(k, diag):
-            if ki:
-                val = val * v ** ki
-        want = sum((ki * a for ki, a in zip(k, rep_args)), Fraction(0)) % 1
-        root = _QUARTER_VALS.get(want)
-        if root is None:
-            return False
-        # conjugation-twisted actions move character values by positive
-        # reals only, which never mixes the quarter-root fibres
-        q = val / root
-        if not q.is_real() or q.re <= 0:
-            return False
-    return True
-
-
 def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: str,
                 tw_loop: LaurentMatrix, d: LaurentMatrix, certificate,
                 residual: Optional[int]) -> CanonicalForm:
@@ -428,7 +397,7 @@ def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: str,
     if any(v.is_zero() for v in diag):
         raise InvalidInputError("reduced torus element is singular")
     for cls in classes_at_tw(datum, tw, side):
-        if _same_class_multiplicative(cls.problem.act_characters, cls.g0_args, diag):
+        if cls.contains(diag):
             return CanonicalForm(lam=tuple(tw.lam), g0=d, orbit_class=cls,
                                  certificate=certificate, residual_precision=residual,
                                  side=side, loop_rep=tw_loop * d)
@@ -520,7 +489,7 @@ def _iwahori_reduce_twisted(tw: AffineWeylElement, g, datum: GroupDatum,
     form = reduce(tw, gc.transport_to_base(g, datum), gc.base_datum(datum, side))
     cinv = datum.twist.inverse()
     return replace(form, g0=form.g0 * cinv, loop_rep=form.loop_rep * cinv,
-                   orbit_class=_transport(form.orbit_class, datum))
+                   orbit_class=transport_iwahori_class(form.orbit_class, datum))
 
 
 def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,

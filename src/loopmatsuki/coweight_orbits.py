@@ -33,7 +33,7 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    theta0, is_anti_fixed, base_datum, _involution,
+    antidiagonal_matrix, base_datum, involution, is_anti_fixed, j_matrix, theta0,
 )
 from .intlat import mat_mul
 from .laurent import LaurentMatrix
@@ -118,21 +118,6 @@ def _identity_block(m: int) -> List[List[QI]]:
     return [[QI(1) if a == b else QI(0) for b in range(m)] for a in range(m)]
 
 
-def _skew_block(m: int) -> List[List[QI]]:
-    rows = [[QI(0)] * m for _ in range(m)]
-    for b in range(m // 2):
-        rows[2 * b][2 * b + 1] = QI(1)
-        rows[2 * b + 1][2 * b] = QI(-1)
-    return rows
-
-
-def _reversal_block(m: int) -> List[List[QI]]:
-    rows = [[QI(0)] * m for _ in range(m)]
-    for a in range(m):
-        rows[a][m - 1 - a] = QI(1)
-    return rows
-
-
 def _assemble(n: int, blocks: Sequence[Block], parts: Sequence[List[List[QI]]]) -> LaurentMatrix:
     rows = [[QI(0)] * n for _ in range(n)]
     for (start, size, _), part in zip(blocks, parts):
@@ -170,7 +155,7 @@ def _classify_symalt(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> L
             parts.append(_identity_block(size))
             types.append(("Sym", size))
         elif c == QI(-1) and size % 2 == 0:
-            parts.append(_skew_block(size))
+            parts.append(j_matrix(size).constant_matrix())
             types.append(("Alt", size))
         else:
             return []
@@ -208,7 +193,7 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
 
     m = mid[1]
     scale = QI(1) if z == ONE else QI(0, 1)  # M^2 = z needs eigenvalues sqrt(z)
-    rev = _reversal_block(m)
+    rev = antidiagonal_matrix(m).constant_matrix()
     for p in range(m, -1, -1):
         q = m - p
         sig = [[scale * (QI(1) if a < p else QI(-1)) if a == b else QI(0)
@@ -227,22 +212,25 @@ def _finish_class(datum: GroupDatum, adm: AdmissibleCoweight, side: str,
     loop = LaurentMatrix.t_power(list(adm.lam)) * g0 * datum.w1.inverse()
     where = f"{side} class {label} at lambda={adm.lam}"
     certify(is_anti_fixed(loop, datum, side), f"{where}: representative not anti-fixed")
-    certify(_equation_holds(datum, adm.lam, g0, side), f"{where}: g0 fails its equation")
+    certify(equation_holds(datum, adm.lam, g0, side), f"{where}: g0 fails its equation")
     aut = _aut_label(datum, types, sig) if side == "eta" else None
     return SphericalClass(datum, adm.lam, side, label, g0, loop,
                           tuple(_component_group(types)), aut)
 
 
-def _eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
+def eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
+    """The constant diagonal matrix eps^lambda = diag(epsilon^lambda_i)."""
     return LaurentMatrix.diag_scalars(
         [_sign_power(datum.epsilon, mu) for mu in lam])
 
 
-def _equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: str) -> bool:
-    """The spherical equation of g0 at lambda (see the module docstring)."""
-    sigma0_inv = _involution(g0, datum, side, True, None, constant=True)
+def equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: str) -> bool:
+    """Whether the constant g0 solves the spherical equation of side at
+    lambda (see the module docstring); the canonicalizers certify their
+    reduced g0 with it."""
+    sigma0_inv = involution(g0, datum, side, True, None, constant=True)
     rhs = (datum.w2 * (datum.w1.inverse() * sigma0_inv * datum.w1)
-           * _eps_lambda(datum, lam)).scale(datum.z)
+           * eps_lambda(datum, lam)).scale(datum.z)
     return g0 == rhs
 
 

@@ -14,7 +14,7 @@ so the compact form is U(n), and eta0 = theta0 o eta_{c,0}.  Loop involutions ar
   theta(gamma)(t) = theta0(gamma(epsilon t))
   eta(gamma)(t)   = eta0(gamma(epsilon t^-1))   (coefficientwise conjugation)
 
-One table (_INVERSE_TRANSPOSE and the J conjugation, in _involution) gives
+One table (_INVERSE_TRANSPOSE and the J conjugation, in involution) gives
 both the loop involutions and their constant case theta0, eta0.
 
 A datum may carry a pure inner twist c, a constant matrix with both
@@ -173,10 +173,11 @@ def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
     return a * m * a_inv
 
 
-def _involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
-                constant: bool = False):
-    """sigma(gamma), or sigma(gamma)^-1 = sigma(gamma^-1) when invert is set;
-    sigma0 in place of sigma when constant is set.
+def involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
+               constant: bool = False):
+    """The involution table of side: sigma(gamma), or sigma(gamma)^-1 =
+    sigma(gamma^-1) when invert is set; the constant sigma0 (no
+    t-substitution, no inner twist) in place of sigma when constant is set.
 
     An inverse is taken only when f and invert do not cancel: so never for
     sigma(gamma)^-1 on an inverse-transpose family, and from gamma_inv,
@@ -207,41 +208,41 @@ def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """The base datum's constant symmetric-subgroup involution, entrywise on
     a Laurent matrix: no substitution in t, and no inner twist, which only
     the loop involutions and transport_to_base see."""
-    return _involution(m, datum, "theta", False, None, constant=True)
+    return involution(m, datum, "theta", False, None, constant=True)
 
 
 def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """The base datum's constant real-form involution, entrywise on a
     Laurent matrix: no substitution in t, and no inner twist, which only
     the loop involutions and transport_to_base see."""
-    return _involution(m, datum, "eta", False, None, constant=True)
+    return involution(m, datum, "eta", False, None, constant=True)
 
 
 def apply_theta(gamma, datum: GroupDatum):
     """theta(gamma)(t) = theta0(gamma(epsilon t)), conjugated by the inner
     twist when one is present.  Accepts LaurentMatrix or SeriesMatrix
     (precision is tracked by the series arithmetic)."""
-    return _involution(gamma, datum, "theta", False, None)
+    return involution(gamma, datum, "theta", False, None)
 
 
 def apply_theta_inv(gamma, datum: GroupDatum, gamma_inv=None):
     """theta(gamma)^-1 = theta(gamma^-1).  No inverse is taken on split_gl
     and quaternionic_gl; on unitary, gamma_inv is used when given.  On G(O)
     series inputs the precision equals that of apply_theta(gamma).inverse()."""
-    return _involution(gamma, datum, "theta", True, gamma_inv)
+    return involution(gamma, datum, "theta", True, gamma_inv)
 
 
 def apply_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """eta(gamma)(t) = eta0(gamma(epsilon t^-1)), with exact coefficientwise
     conjugation.  Laurent matrices only."""
-    return _involution(gamma, datum, "eta", False, None)
+    return involution(gamma, datum, "eta", False, None)
 
 
 def apply_eta_inv(gamma: LaurentMatrix, datum: GroupDatum,
                   gamma_inv: Optional[LaurentMatrix] = None) -> LaurentMatrix:
     """eta(gamma)^-1 = eta(gamma^-1).  No inverse is taken on unitary; on
     split_gl and quaternionic_gl, gamma_inv is used when given."""
-    return _involution(gamma, datum, "eta", True, gamma_inv)
+    return involution(gamma, datum, "eta", True, gamma_inv)
 
 
 def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
@@ -249,7 +250,7 @@ def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     is linear, and -Ad_M(y^T) on the inverse-transpose families, where the
     table's theta0(y)^-1 takes no inverse and gives Ad_M(y^T)."""
     inv_t = inverse_is_free(datum, "theta")
-    dy = _involution(y, datum, "theta", inv_t, None, constant=True)
+    dy = involution(y, datum, "theta", inv_t, None, constant=True)
     return -dy if inv_t else dy
 
 
@@ -280,7 +281,7 @@ def twist_scalar(datum: GroupDatum, g: LaurentMatrix, side: str) -> QI:
     g * sigma0(g) = s * I, sigma0 the constant theta0 or eta0 as side says;
     raises if the product is not scalar."""
     name = f"g * {side}0(g)"
-    prod = g * _involution(g, datum, side, False, None, constant=True)
+    prod = g * involution(g, datum, side, False, None, constant=True)
     const = prod.constant_matrix() if prod.is_constant() else None
     if const is None:
         raise InvalidInputError(f"{name} is not constant")

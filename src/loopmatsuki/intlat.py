@@ -1,9 +1,11 @@
 """Exact linear algebra: Gauss-Jordan over Q and Q(i), integer lattices.
 
 Provides the one exact elimination kernel of the package (over
-``fractions.Fraction`` or ``QI``), Smith normal form with unimodular
-certificates, integer kernels and lattice bases.  All matrices are plain
-lists of lists (rows) of ``int``, ``Fraction`` or ``QI``.
+``fractions.Fraction`` or ``QI``), integer Smith normal form with its
+transforms, the integer left kernel and lattice bases.  Kernels over a
+field are read off where they are needed: the Iwahori torus problem takes
+its characters from the rows of the Smith transform U.  All matrices are
+plain lists of lists (rows) of ``int``, ``Fraction`` or ``QI``.
 """
 
 from __future__ import annotations
@@ -102,29 +104,6 @@ def eliminate(a: Sequence[Sequence]) -> Tuple[list, List[int], Callable]:
         return x
 
     return rows, pivots, solve
-
-
-def kernel_basis(rows: Sequence[Sequence], pivots: Sequence[int]) -> list:
-    """Basis of the right kernel, read off the reduced rows of ``eliminate``.
-
-    One vector per free column, in column order: 1 at that column and
-    minus the pivot rows' entries there at the pivots.
-    """
-    cols = len(rows[0]) if rows else 0
-    if not cols:
-        return []
-    kind = type(rows[0][0])
-    zero, one = kind(0), kind(1)
-    basis = []
-    for f in range(cols):
-        if f in pivots:
-            continue
-        v = [zero] * cols
-        v[f] = one
-        for i, c in enumerate(pivots):
-            v[c] = -rows[i][f]
-        basis.append(v)
-    return basis
 
 
 def snf_int(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:

@@ -10,14 +10,16 @@ Writing torus elements multiplicatively, both maps are given by integer
 matrices M_eq and M_act on exponent/argument vectors; eta0 acts on the torus
 by the same matrix as theta0.  They depend on w alone: one torus problem per
 Weyl element, shared by both sides and every central sector, holds them with
-their Smith forms, characters and canonicalizer, and lambda enters only
-through the target t_tw * z.  Over the divisible group the equation is
-solvable iff every integer character vanishing on the image kills the
-target; the class set is the finite quotient of the solution coset by the
-action image, and the stabilizer component group is read off the Smith
-normal form of M_act.  Arguments are kept as exact rationals mod 1, so
-representatives are roots of unity (embedded into Q(i) when their order
-divides 4).
+one certified Smith form each and the canonicalizer, and lambda enters only
+through the target t_tw * z.  Everything else is read off the two Smith
+forms U * M * V = D (Newman, Integral Matrices, ch. II): over the divisible
+group the equation is solvable iff the rows of U_eq at the zero entries of
+D_eq, the characters vanishing on the image, kill the target; the rows of
+U_act at the zero entries of D_act are the class invariants, and the entries
+of D_act above 1 give the stabilizer component group.  The class set is the
+finite quotient of the solution coset by the action image.  Arguments are
+kept as exact rationals mod 1, so representatives are roots of unity
+(embedded into Q(i) when their order divides 4).
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .errors import CertificateError, InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum, theta0, is_anti_fixed, base_datum
 from .intlat import (
-    as_fractions, eliminate, kernel_basis, snf_int, mat_mul, mat_vec,
-    integer_left_kernel_basis, lattice_basis, snf_diagonal, transpose,
+    as_fractions, eliminate, snf_int, mat_mul, mat_vec, lattice_basis,
+    snf_diagonal, transpose,
 )
 from .laurent import LaurentMatrix
 
@@ -154,13 +156,13 @@ class TorusProblem:
     """The torus problem at one Weyl element w, shared by both sides and
     every central sector: it depends on (family, n, w) alone and is certified
     when build_torus_problem makes it.  lambda, epsilon and z enter only
-    through the target t_tw * z, which classes(tw, datum, side) solves."""
+    through the target t_tw * z, which classes(tw, datum, side) solves
+    through the Smith form of m_eq."""
 
     w: Tuple[int, ...]
     m_eq: List[List[int]]
     m_act: List[List[int]]
-    eq_characters: List[List[int]]  # integer characters killing the image of m_eq
-    act_characters: List[List[int]]  # those killing the action image: class invariants
+    act_characters: List[List[int]]  # characters killing the action image: class invariants
     snf_u: List[List[int]]  # U * m_eq * V = diag(snf_d)
     snf_d: List[int]
     snf_v: List[List[int]]
@@ -173,20 +175,18 @@ class TorusProblem:
                 side: str) -> List["IwahoriClass"]:
         """The classes of the untwisted datum on side at t^lambda * w: one
         canonical solution of the equation per orbit of the action, sorted
-        by arguments."""
+        by arguments; none when the equation is unsolvable."""
         if tw.w != self.w:
             raise InvalidInputError(f"t~w has Weyl part {tw.w}, the problem {self.w}")
         # t_tw * z = eps^lambda * (w * theta0(w))^-1 * z: eps = -1 adds 1/2 at odd lambda_i
         sign_arg, zarg = Fraction(1 - datum.epsilon, 4), qi_arg(datum.z)
         targ = [(b + zarg + sign_arg * (l % 2)) % 1 for b, l in zip(self.base_target, tw.lam)]
-        for k in self.eq_characters:
-            if sum(ki * t for ki, t in zip(k, targ)).denominator != 1:
-                return []
         c = []
         for uti, di in zip(mat_vec(self.snf_u, targ), self.snf_d):
             if di == 0:
-                certify(uti.denominator == 1,
-                        "torus equation unsolvable after the character test")
+                # row i of U kills the image of m_eq: the character test
+                if uti.denominator != 1:
+                    return []
                 c.append(Fraction(0))
             else:
                 c.append(uti / di)
@@ -211,8 +211,26 @@ class TorusProblem:
         return out
 
 
+def _certified_smith(m: List[List[int]], name: str):
+    """(U, diagonal of D, V) for the Smith form U * m * V = D of snf_int,
+    certified by multiplying back and checking that D is diagonal."""
+    u, d, v = snf_int(m)
+    certify(mat_mul(mat_mul(u, m), v) == d
+            and not any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j),
+            f"the Smith form of {name} does not reproduce it")
+    return u, snf_diagonal(d), v
+
+
 def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
-    """The torus problem of datum's family and rank at the Weyl element w."""
+    """The torus problem of datum's family and rank at the Weyl element w.
+
+    The solutions modulo the action are finite when ker M_eq = im M_act over
+    Q, which the two certified Smith forms show by rank alone: rank D <=
+    rank M for any integer U and V with U * M * V = D, so
+    rank D_eq + rank D_act = n gives rank M_eq + rank M_act >= n, while
+    M_eq * M_act = 0 puts im M_act inside ker M_eq and gives <= n.  No
+    appeal to the unimodularity of U or V is needed.
+    """
     w = tuple(w)
     n = datum.n
     e = _involution_torus_matrix(datum)
@@ -222,10 +240,9 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
     m_act = [[a_winv[i][j] - e[i][j] for j in range(n)] for i in range(n)]
     certify(not any(x for row in mat_mul(m_eq, m_act) for x in row),
             "the torus action does not preserve the equation")
-    # solutions modulo the action must form a finite set
-    eq_rows, eq_pivots, _ = eliminate(as_fractions(m_eq))
-    solve_act = eliminate(as_fractions(m_act))[2]
-    certify(all(solve_act(v) is not None for v in kernel_basis(eq_rows, eq_pivots)),
+    u, snf_d, v = _certified_smith(m_eq, "M_eq")
+    u_act, d_act, _ = _certified_smith(m_act, "M_act")
+    certify(sum(1 for x in snf_d + d_act if x) == n,
             "equation kernel escapes the action image")
     lift = perm_matrix(w)
     m = (lift * theta0(lift, datum)).inverse()
@@ -234,17 +251,15 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
             not const[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
         raise InvalidInputError("w * theta0(w) is not a torus element")
     base_target = tuple(qi_arg(const[i][i]) for i in range(n))
-    u, d, v = snf_int(m_eq)
-    snf_d = snf_diagonal(d)
     offsets = [[Fraction(0)] * n]
     for i, di in enumerate(snf_d):
         if di > 1:
             g = [Fraction(v[j][i], di) for j in range(n)]
             offsets = [[x + k * gx for x, gx in zip(off, g)]
                        for off in offsets for k in range(di)]
-    comp = tuple(f for f in snf_diagonal(snf_int(m_act)[1]) if f > 1)
-    return TorusProblem(w, m_eq, m_act, integer_left_kernel_basis(m_eq),
-                        integer_left_kernel_basis(m_act), u, snf_d, v, offsets,
+    act_characters = [row for row, di in zip(u_act, d_act) if di == 0]
+    comp = tuple(f for f in d_act if f > 1)
+    return TorusProblem(w, m_eq, m_act, act_characters, u, snf_d, v, offsets,
                         _canonicalizer(m_act), comp, base_target)
 
 
@@ -304,6 +319,31 @@ class IwahoriClass:
     component_group: Tuple[int, ...]
     problem: TorusProblem = field(compare=False, repr=False)
 
+    def contains(self, diag: Sequence[QI]) -> bool:
+        """Whether the exact diagonal torus element diag, possibly of
+        infinite order, lies in this class.
+
+        A reduction can land on any diagonal solution in the divisible
+        torus; classes are separated by the problem's integer characters
+        vanishing on the action image, evaluated multiplicatively on diag
+        and by argument arithmetic on the torsion representative.
+        """
+        for k in self.problem.act_characters:
+            val = QI(1)
+            for ki, v in zip(k, diag):
+                if ki:
+                    val = val * v ** ki
+            want = sum((ki * a for ki, a in zip(k, self.g0_args)), Fraction(0)) % 1
+            root = _QUARTER_VALS.get(want)
+            if root is None:
+                return False
+            # conjugation-twisted actions move character values by positive
+            # reals only, which never mixes the quarter-root fibres
+            q = val / root
+            if not q.is_real() or q.re <= 0:
+                return False
+        return True
+
 
 def _check_anti_fixed(loop: LaurentMatrix, datum: GroupDatum,
                       tw: AffineWeylElement, side: str) -> None:
@@ -312,10 +352,11 @@ def _check_anti_fixed(loop: LaurentMatrix, datum: GroupDatum,
             f"{side}-anti-fixed")
 
 
-def _transport(cls: IwahoriClass, datum: GroupDatum) -> IwahoriClass:
+def transport_iwahori_class(cls: IwahoriClass, datum: GroupDatum) -> IwahoriClass:
     """A class of base_datum(datum, cls.side) as a class of the twisted datum:
     x -> x * c^-1 carries the base anti-fixed set at the matching z-sector to
-    the twisted one, and class labels are shared."""
+    the twisted one, and class labels, arguments and the torus problem are
+    shared.  The transported representative is certified anti-fixed."""
     g0 = loop = None
     if cls.g0 is not None:
         g0 = cls.g0 * datum.twist.inverse()
@@ -329,7 +370,7 @@ def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
     """The classes at one t^lambda * w, from a torus problem of its own."""
     base = base_datum(datum, side)
     classes = build_torus_problem(datum, tw.w).classes(tw, base, side)
-    return classes if base is datum else [_transport(cls, datum) for cls in classes]
+    return classes if base is datum else [transport_iwahori_class(cls, datum) for cls in classes]
 
 
 def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[str] = ("theta", "eta")
@@ -345,5 +386,5 @@ def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[str] = ("th
             problems[tw.w] = build_torus_problem(datum, tw.w)
         for side, base in bases.items():
             for cls in problems[tw.w].classes(tw, base, side):
-                out[side].append(cls if base is datum else _transport(cls, datum))
+                out[side].append(cls if base is datum else transport_iwahori_class(cls, datum))
     return out

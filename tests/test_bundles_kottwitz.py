@@ -56,6 +56,26 @@ def test_enumerate_bundles_matches_classes():
     assert len(enumerate_bundles(d, 1)) == total
 
 
+BUNDLE_DATA = ([("split_gl", n) for n in range(1, 5)] + [("quaternionic_gl", 2),
+                ("quaternionic_gl", 4)] + [("unitary", n) for n in range(1, 5)])
+
+
+@pytest.mark.parametrize("family,n", BUNDLE_DATA + [("U(1,1)", 2)])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_enumerate_bundles_equals_canonicalized_class_loops(family, n, eps):
+    # bundles read off the class table equal those canonicalized from the
+    # class representatives
+    if family == "U(1,1)":
+        data = [gc.pure_inner_twist(gc.build_datum("unitary", 2, eps),
+                                    gc.matrix_from_config([["1", "0"], ["0", "-1"]], 2))]
+    else:
+        data = [gc.build_datum(family, n, eps, z) for z in (1, -1)]
+    for d in data:
+        want = [loop_to_bundle(cls.loop_rep, d)
+                for adm in enumerate_admissible(d, 2) for cls in classify_eta(d, adm)]
+        assert enumerate_bundles(d, 2) == want
+
+
 def test_kottwitz_enumeration_and_roundtrip():
     for family, eps in [("split_gl", 1), ("split_gl", -1),
                         ("quaternionic_gl", -1), ("unitary", 1)]:

@@ -5,8 +5,9 @@ fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
 A corrupted g_plus inverse from the Birkhoff row reduction must likewise
 stop ``canonicalize_eta``.
-Faults in the spherical classifier, the duality matcher, the selftest and
-the internal checks of the exact algebra must likewise end in exit code 1.
+Faults in the spherical classifier, the duality matcher, the selftest, the
+internal checks of the exact algebra and the Smith forms of the Iwahori
+torus problem must likewise end in exit code 1.
 """
 
 import json
@@ -265,3 +266,44 @@ def test_twisted_transport_fault_exits_1(tmp_path, optimize):
     assert proc.stdout == ""
     assert proc.stderr == ("error: certificate failed: twisted eta class (2,0) at "
                            "lambda=(0, 0): transported representative not anti-fixed\n")
+
+
+# The torus problem's Smith forms come from iwahori_orbits.snf_int, patched
+# here: "reproduce" returns a D off by one in its first entry, which the
+# multiply-back must refuse; "zero" returns U = 0 and D = 0, which pass the
+# multiply-back, so the rank certificate must refuse them.
+SMITH_SCRIPT = r"""
+import sys
+from loopmatsuki import cli, iwahori_orbits
+
+mode = sys.argv[1]
+snf_int = iwahori_orbits.snf_int
+
+def faulty_snf(m):
+    u, d, v = snf_int(m)
+    n = len(m)
+    if mode == "reproduce":
+        d[0][0] += 1
+        return u, d, v
+    zero = [[0] * n for _ in range(n)]
+    return zero, [row[:] for row in zero], v
+
+iwahori_orbits.snf_int = faulty_snf
+sys.exit(cli.main(["orbits", "--family", "split_gl", "--n", "2", "--level", "iwahori",
+                   "--bound", "1"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("mode, failed_check", [
+    ("reproduce", "the Smith form of M_eq does not reproduce it"),
+    ("zero", "equation kernel escapes the action image"),
+])
+def test_torus_smith_form_faults_exit_1(mode, failed_check, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", SMITH_SCRIPT, mode],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: certificate failed: {failed_check}\n"

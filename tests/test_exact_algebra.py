@@ -13,9 +13,10 @@ from loopmatsuki.exact_algebra import (
     hermitian_signature, smith_over_dvr, unipotent_sqrt, valuation_coweight,
 )
 from loopmatsuki.gaussian import QI, ZERO
-from loopmatsuki.intlat import eliminate, kernel_basis, transpose
+from loopmatsuki.intlat import eliminate, transpose
 from loopmatsuki.laurent import Entry, LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_poly_element
+from test_intlat import kernel_basis
 
 
 # The Birkhoff splitting type from section-space dimension jumps: an oracle

@@ -6,9 +6,36 @@ from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.gaussian import QI
 from loopmatsuki.intlat import (
-    as_fractions, eliminate, integer_left_kernel_basis, kernel_basis,
-    lattice_basis, mat_mul, snf_diagonal, snf_int,
+    as_fractions, eliminate, integer_left_kernel_basis, lattice_basis, mat_mul,
+    snf_diagonal, snf_int,
 )
+
+
+# The right kernel over a field, read off the reduced rows of eliminate: an
+# oracle independent of the kernels the library reads off Smith forms and
+# Birkhoff row reductions, against which they are tested.
+
+def kernel_basis(rows, pivots) -> list:
+    """Basis of the right kernel, read off the reduced rows of ``eliminate``.
+
+    One vector per free column, in column order: 1 at that column and
+    minus the pivot rows' entries there at the pivots.
+    """
+    cols = len(rows[0]) if rows else 0
+    if not cols:
+        return []
+    kind = type(rows[0][0])
+    zero, one = kind(0), kind(1)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [zero] * cols
+        v[f] = one
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][f]
+        basis.append(v)
+    return basis
 
 
 def _random_int_matrix(rng, rows, cols, bound=5):

@@ -7,13 +7,17 @@ import pytest
 from loopmatsuki import canonicalize, cli, duality, iwahori_orbits
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.errors import CertificateError
-from loopmatsuki.intlat import integer_left_kernel_basis
+from loopmatsuki.intlat import (
+    as_fractions, eliminate, integer_left_kernel_basis, mat_mul, mat_vec,
+)
 from loopmatsuki.iwahori_orbits import (
-    AffineWeylElement, _ad_matrix, _involution_torus_matrix, build_torus_problem,
-    classes_at_tw, enumerate_admissible_tw, enumerate_iwahori, perm_matrix, qi_arg,
+    AffineWeylElement, _ad_matrix, _involution_torus_matrix, _perm_inverse,
+    build_torus_problem, classes_at_tw, enumerate_admissible_tw, enumerate_iwahori,
+    perm_matrix, qi_arg,
 )
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix
+from test_intlat import kernel_basis
 
 
 def test_admissible_tw_condition():
@@ -295,3 +299,81 @@ def _eta0_torus_probe(d):
 def test_eta0_acts_on_the_torus_by_theta0s_matrix(family, n, eps):
     d = gc.build_datum(family, n, eps)
     assert _eta0_torus_probe(d) == _involution_torus_matrix(d)
+
+
+def _torus_matrices(e, w):
+    """M_eq and M_act at w for the torus involution matrix e."""
+    n = len(w)
+    a_w, a_winv = _ad_matrix(w), _ad_matrix(_perm_inverse(w))
+    return ([[a_w[i][j] + e[i][j] for j in range(n)] for i in range(n)],
+            [[a_winv[i][j] - e[i][j] for j in range(n)] for i in range(n)])
+
+
+def _kernel_in_image(m_eq, m_act):
+    """Whether every right-kernel vector of m_eq solves in the image of
+    m_act, by elimination over Q: the finiteness oracle."""
+    rows, pivots, _ = eliminate(as_fractions(m_eq))
+    solve = eliminate(as_fractions(m_act))[2]
+    return all(solve(v) is not None for v in kernel_basis(rows, pivots))
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in ("split_gl", "unitary")
+                                      for n in range(1, 6)]
+                         + [("quaternionic_gl", n) for n in (2, 4)])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_rank_certificate_matches_the_elimination_oracle(family, n, eps):
+    # wherever the action preserves the equation, the problem builds (the
+    # rank certificate holds) exactly when the oracle finds ker M_eq inside
+    # im M_act; elsewhere the preservation certificate refuses it first
+    d = gc.build_datum(family, n, eps)
+    e = _involution_torus_matrix(d)
+    built = 0
+    for w in permutations(range(n)):
+        m_eq, m_act = _torus_matrices(e, w)
+        if any(x for row in mat_mul(m_eq, m_act) for x in row):
+            with pytest.raises(CertificateError, match="does not preserve the equation"):
+                build_torus_problem(d, w)
+            continue
+        assert _kernel_in_image(m_eq, m_act), w
+        problem = build_torus_problem(d, w)
+        assert (problem.m_eq, problem.m_act) == (m_eq, m_act)
+        built += 1
+    assert built
+
+
+def test_rank_certificate_refuses_an_infinite_quotient(monkeypatch):
+    # E = -A_w at a 4-cycle gives M_eq = 0 and M_act = A_w + A_w^-1 of rank
+    # 2: the action preserves the equation, but the oracle finds kernel
+    # outside the image, so the rank certificate must fail
+    d = gc.build_datum("split_gl", 4, 1)
+    w = (1, 2, 3, 0)
+    e = [[-x for x in row] for row in _ad_matrix(w)]
+    m_eq, m_act = _torus_matrices(e, w)
+    assert not any(x for row in mat_mul(m_eq, m_act) for x in row)
+    assert not _kernel_in_image(m_eq, m_act)
+    monkeypatch.setattr(iwahori_orbits, "_involution_torus_matrix", lambda datum: e)
+    with pytest.raises(CertificateError, match="equation kernel escapes the action image"):
+        build_torus_problem(d, w)
+
+
+@pytest.mark.parametrize("side", ["theta", "eta"])
+def test_solvability_matches_the_character_oracle(side):
+    # classes() is empty exactly when a character killing the image of
+    # M_eq fails on the target t_tw * z
+    seen = set()
+    for family, n, eps in IWAHORI_DATA + [("U(1,1)", 2, 1)]:
+        d = _datum(family, n, eps)
+        base = gc.base_datum(d, side)
+        problems = {}
+        for tw in enumerate_admissible_tw(d, 2):
+            if tw.w not in problems:
+                problems[tw.w] = build_torus_problem(d, tw.w)
+            problem = problems[tw.w]
+            sign = Fraction(1 - base.epsilon, 4)
+            targ = [(b + qi_arg(base.z) + sign * (lam % 2)) % 1
+                    for b, lam in zip(problem.base_target, tw.lam)]
+            unsolvable = any(x.denominator != 1 for x in mat_vec(
+                integer_left_kernel_basis(problem.m_eq), targ))
+            assert (problem.classes(tw, base, side) == []) == unsolvable, (family, eps, tw)
+            seen.add(unsolvable)
+    assert seen == {False, True}
