@@ -144,10 +144,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """
     if datum is None:
         raise InvalidInputError("canonicalize_theta needs a group datum")
-    if isinstance(x, LaurentMatrix):
-        top = x.maxdeg() or 0
-        bot = min(x.val() or 0, 0)
-        x = SeriesMatrix.from_laurent(x, top - bot + 2 * MIN_RESIDUAL_PRECISION)
+    if not isinstance(x, SeriesMatrix):
+        raise InvalidInputError("canonicalize_theta takes a series loop")
     if datum.twist is not None:
         return _canonicalize_twisted(x, datum, "theta")
     n = x.n
@@ -240,8 +238,6 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         certify(sol is not None, f"layer {k} has no killing conjugator")
         y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
                             for j in range(n)] for i in range(n)])
-        if y.is_zero():
-            continue
         ys = SeriesMatrix.from_laurent(y, big)
         if gc.inverse_is_free(datum, "theta"):
             h, h_inv = series_exp(ys), None
@@ -313,11 +309,8 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 certify(all(k == 0 for k in e), "Levi part of the positioned loop is not constant")
                 ell_rows[i][j] = e.get(0, QI(0))
     ell = LaurentMatrix.from_scalars(ell_rows)
+    # m is ell on the Levi blocks and zero below them, so u is unipotent
     u = m * ell.inverse()
-    nil = u - LaurentMatrix.identity(n)
-    if any(e for i in range(n) for j in range(n) if bidx[i] >= bidx[j]
-           for e in [nil.entry(i, j)] if e):
-        raise InvalidInputError("unipotent factor is not strictly block-upper")
     tlam = LaurentMatrix.t_power(lam)
     tlam_inv = LaurentMatrix.t_power([-v for v in lam])
     h, cur = _unipotent_step(cur, tlam, tlam_inv, u, datum)
@@ -378,12 +371,10 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     for i in range(n):
         for j in range(n):
             for k, v in red.entry(i, j).items():
-                if v.is_zero() or (k == 0 and i == j and v == QI(1)):
+                # red = d^-1 * gcur, so its diagonal constant terms are 1
+                if v.is_zero() or (k == 0 and i == j):
                     continue
-                if k == 0 and i == j:
-                    key = (0, 0)
-                else:
-                    key = (k, j - i)
+                key = (k, j - i)
                 if best is None or key < best:
                     best = key
     return best
@@ -407,10 +398,9 @@ def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: str,
 def _unipotent_step(x: LaurentMatrix, carrier: LaurentMatrix, carrier_inv: LaurentMatrix,
                     u: LaurentMatrix, datum: GroupDatum):
     """h and h * x * eta(h)^-1 for h = carrier * sqrt(u)^-1 * carrier^-1."""
-    root = unipotent_sqrt(u)
-    h = carrier * root.inverse() * carrier_inv
-    h_inv = None if gc.inverse_is_free(datum, "eta") else carrier * root * carrier_inv
-    return h, h * x * gc.apply_eta_inv(h, datum, h_inv)
+    root, root_inv = unipotent_sqrt(u)
+    h = carrier * root_inv * carrier_inv
+    return h, h * x * gc.apply_eta_inv(h, datum, carrier * root * carrier_inv)
 
 
 def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
@@ -419,9 +409,9 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
     """Conjugators whose combined first-order effect clears the dirty layer.
 
     Candidates are the elementary Iwahori elements I + Ad_{t~w d}(t^m E_ij);
-    each response is read off d_theta0 at the clean torus point and kept
-    only if it touches nothing below the current layer, so that applying
-    the solved combination makes strict progress in the layer order.
+    each response is read off d_theta0 at the clean torus point.  A move
+    that fails to make progress in the layer order stalls the caller's
+    loop, which then raises PrecisionError.
     """
     n = red.n
     k, off = key
@@ -455,14 +445,9 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
                 # ad^2 = 0; a diagonal ad squares to degree >= 2m > k,
                 # beyond this layer and above the key
                 resp = -gc.d_theta0(ad.substitute(eps), datum)
-                if any((deg == 0 and i == j) or (deg, j - i) < key
-                       for i in range(n) for j in range(n)
-                       for deg, v in resp.entry(i, j).items() if not v.is_zero()):
-                    continue
-                # at the clean torus point, red responds by (I + yb) *
-                # theta(I + ad)^-1; every product of the two admissible
-                # factors lands strictly above the layer, so the stripe
-                # coefficients below are genuinely linear
+                # at the clean torus point, red responds to first order by
+                # yb + resp; a product term left in the layer keeps the key
+                # from rising, and the caller's stall check refuses that
                 col = [yb.coeff(i, j, k) + resp.coeff(i, j, k) for (i, j) in stripe]
                 if all(v.is_zero() for v in col):
                     continue

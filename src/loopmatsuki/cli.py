@@ -61,8 +61,7 @@ def _datum_of(args) -> gc.GroupDatum:
         if given:
             raise InvalidInputError("--config cannot be combined with " + ", ".join(
                 "--" + f.replace("_", "-") for f in given))
-        with open(args.config) as f:
-            return gc.datum_from_config(json.load(f))
+        return gc.datum_from_config(_read_json(args.config))
     if not args.family:
         raise InvalidInputError("either --config or --family is required")
     cfg = {"family": args.family, "n": 2 if args.n is None else args.n,
@@ -70,8 +69,7 @@ def _datum_of(args) -> gc.GroupDatum:
     if args.z is not None:
         cfg["z"] = args.z
     if args.inner_twist:
-        with open(args.inner_twist) as f:
-            cfg["inner_twist"] = json.load(f)
+        cfg["inner_twist"] = _read_json(args.inner_twist)
     return gc.datum_from_config(cfg)
 
 
@@ -89,9 +87,16 @@ def _seed_of(args) -> int:
     return int(os.environ.get("LOOPMATSUKI_SEED", "0"))
 
 
-def _load_loop(path: str):
+def _read_json(path: str):
     with open(path) as f:
-        return laurent_from_json(json.load(f))
+        try:
+            return json.load(f)
+        except RecursionError:
+            raise InvalidInputError(f"{path}: JSON nested too deeply") from None
+
+
+def _load_loop(path: str):
+    return laurent_from_json(_read_json(path))
 
 
 def cmd_orbits(args) -> int:
@@ -237,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except LoopMatsukiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ValueError) as exc:

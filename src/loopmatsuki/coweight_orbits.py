@@ -89,13 +89,8 @@ def enumerate_admissible(datum: GroupDatum, bound: int) -> List[AdmissibleCoweig
         lam = tuple(sorted(tup, reverse=True))
         if is_admissible(datum, lam):
             out.append(AdmissibleCoweight(lam, tuple(blocks_of(lam))))
-    seen = set()
-    uniq = []
-    for a in sorted(out, key=lambda a: a.lam):
-        if a.lam not in seen:
-            seen.add(a.lam)
-            uniq.append(a)
-    return uniq
+    # each multiset comes once, and sorting it is injective: no duplicates
+    return sorted(out, key=lambda a: a.lam)
 
 
 @dataclass(frozen=True)

@@ -284,12 +284,14 @@ def birkhoff_factor(
 # unipotent square root and Cayley transform
 
 
-def unipotent_sqrt(u: LaurentMatrix) -> LaurentMatrix:
-    """The unique unipotent square root exp(log(u)/2) of a unipotent matrix."""
-    logu = laurent_log_unipotent(u)
-    v = laurent_exp_nilpotent(logu.scale(Fraction(1, 2)))
+def unipotent_sqrt(u: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
+    """The unique unipotent square root v = exp(log(u)/2) of a unipotent
+    matrix, and its inverse exp(-log(u)/2)."""
+    half = laurent_log_unipotent(u).scale(Fraction(1, 2))
+    v, v_inv = laurent_exp_nilpotent(half), laurent_exp_nilpotent(-half)
     certify(v * v == u, "square root failed to square back")
-    return v
+    certify(v * v_inv == LaurentMatrix.identity(u.n), "square root inverse does not invert it")
+    return v, v_inv
 
 
 def conj_transpose(m: LaurentMatrix) -> LaurentMatrix:

@@ -284,15 +284,6 @@ def _subst(a: Entry, unit: QI, invert: bool, conj: bool) -> Entry:
     return Entry(v, re, im, a._d)
 
 
-class _Row(list):
-    """A matrix row; an entry stored into it is converted to an Entry."""
-
-    __slots__ = ()
-
-    def __setitem__(self, j, e) -> None:
-        list.__setitem__(self, j, Entry.of(e))
-
-
 def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
     cols = list(zip(*b))
     out = []
@@ -352,7 +343,7 @@ class LaurentMatrix:
 
     def __init__(self, rows: Sequence[Sequence]):
         self.n = len(rows)
-        self.rows: List[List[Entry]] = [_Row(map(Entry.of, r)) for r in rows]
+        self.rows: List[List[Entry]] = [list(map(Entry.of, r)) for r in rows]
         if any(len(r) != self.n for r in self.rows):
             raise InvalidInputError("matrix must be square")
 
@@ -361,7 +352,7 @@ class LaurentMatrix:
         """A matrix on entries already in normal form."""
         m = LaurentMatrix.__new__(LaurentMatrix)
         m.n = len(rows)
-        m.rows = [_Row(r) for r in rows]
+        m.rows = [list(r) for r in rows]
         return m
 
     # -- constructors ------------------------------------------------------
@@ -445,10 +436,6 @@ class LaurentMatrix:
     def scale(self, c: QI | int | Fraction) -> "LaurentMatrix":
         q = Entry.term(0, c)
         return LaurentMatrix._of([[e * q for e in r] for r in self.rows])
-
-    def shift(self, k: int) -> "LaurentMatrix":
-        """Multiply by the scalar t^k."""
-        return LaurentMatrix._of([[e.shift(k) for e in r] for r in self.rows])
 
     def transpose(self) -> "LaurentMatrix":
         return LaurentMatrix._of([list(c) for c in zip(*self.rows)])
@@ -534,7 +521,7 @@ class SeriesMatrix:
         self.n = len(rows)
         self.precision = int(precision)
         self.rows: List[List[Entry]] = [
-            _Row(Entry.of(e).truncate(self.precision) for e in r) for r in rows
+            [Entry.of(e).truncate(self.precision) for e in r] for r in rows
         ]
         if any(len(r) != self.n for r in self.rows):
             raise InvalidInputError("matrix must be square")
@@ -545,7 +532,7 @@ class SeriesMatrix:
         m = SeriesMatrix.__new__(SeriesMatrix)
         m.n = len(rows)
         m.precision = precision
-        m.rows = [_Row(e.truncate(precision) for e in r) for r in rows]
+        m.rows = [[e.truncate(precision) for e in r] for r in rows]
         return m
 
     # -- constructors -----------------------------------------------------------
@@ -603,11 +590,6 @@ class SeriesMatrix:
     def scale(self, c: QI | int | Fraction) -> "SeriesMatrix":
         q = Entry.term(0, c)
         return SeriesMatrix._of([[e * q for e in r] for r in self.rows], self.precision)
-
-    def shift(self, k: int) -> "SeriesMatrix":
-        return SeriesMatrix._of(
-            [[e.shift(k) for e in r] for r in self.rows], self.precision + k
-        )
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         # product precision: pessimistic rule min(Na + v(B), Nb + v(A))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import loopmatsuki.group_catalog as gc
+from loopmatsuki import canonicalize
 from loopmatsuki.canonicalize import (
     canonicalize_eta,
     canonicalize_theta,
@@ -47,7 +48,7 @@ def test_theta_invariance_and_replay():
         hp = LaurentMatrix.zeros(d.n)
         for r in range(d.n):
             for c in range(d.n):
-                hp.rows[r][c] = dict(h.entry(r, c))
+                hp.rows[r][c] = h.entry(r, c)
         hs = SeriesMatrix.from_laurent(hp, precision + 6)
         x = hs * SeriesMatrix.from_laurent(cls.loop_rep, precision + 6) \
             * gc.apply_theta(hs, d).inverse()
@@ -319,3 +320,30 @@ def test_positioned_iwahori_reductions_golden():
                      laurent_to_json(form.certificate), form.residual_precision])
     digest = hashlib.sha256(dumps(docs).encode()).hexdigest()
     assert digest == POSITIONED_DIGEST
+
+
+def test_theta_takes_series_loops_only():
+    # an exact loop has no precision to certify against; callers convert first
+    d = gc.build_datum("split_gl", 2, 1)
+    with pytest.raises(InvalidInputError, match="series loop"):
+        canonicalize_theta(LaurentMatrix.t_power([2, 1]), d)
+
+
+def test_iwahori_theta_stall_raises_precision_error(monkeypatch):
+    """Layer steps that leave the dirt where it was cannot loop forever: the
+    reducer's stall check raises PrecisionError once the key fails to rise."""
+    d = gc.build_datum("split_gl", 2, 1)
+    rng = random.Random(1)
+    for tw in enumerate_admissible_tw(d, 1):
+        reps = [c.loop_rep for c in classes_at_tw(d, tw, "theta") if c.loop_rep is not None]
+        hs = [_elementary_iwahori_twist(2, rng) for _ in reps]
+        gs = [tw.loop().inverse() * h * rep * gc.apply_theta_inv(h, d)
+              for h, rep in zip(hs, reps)]
+        dirty = [g for g in gs if _is_iwahori(g) and not g.is_constant()]
+        if dirty:
+            break
+    g = SeriesMatrix.from_laurent(dirty[0], 16)
+    assert iwahori_reduce_theta(tw, g, d).residual_precision is not None
+    monkeypatch.setattr(canonicalize, "_theta_layer_steps", lambda *args: [])
+    with pytest.raises(PrecisionError, match="stalled"):
+        iwahori_reduce_theta(tw, g, d)

@@ -3,8 +3,8 @@
 A subprocess runs with ``-O`` (which strips every ``assert``), injects a
 fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
-A corrupted g_plus inverse from the Birkhoff row reduction must likewise
-stop ``canonicalize_eta``.
+A corrupted g_plus inverse from the Birkhoff row reduction, or a wrong
+inverse of the unipotent square root, must likewise stop ``canonicalize_eta``.
 Faults in the spherical classifier, the duality matcher, the selftest, the
 internal checks of the exact algebra and the Smith forms of the Iwahori
 torus problem must likewise end in exit code 1.
@@ -140,6 +140,57 @@ def test_corrupted_birkhoff_inverse_is_caught_under_optimize(tmp_path):
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     failed_check = "certificate failed: Birkhoff g_plus inverse does not invert g_plus"
+    assert proc.stdout.split("\n") == [
+        "Sym|Sym|Sym", "CertificateError: " + failed_check, "1", ""]
+    assert proc.stderr == f"error: {failed_check}\n"
+
+
+# The unipotent square root's inverse exp(-log(u)/2) is doubled; the
+# certificate v * v^-1 = I must stop canonicalize_eta, and the canonicalize
+# command must exit 1 without printing a form.
+UNIPOTENT_SCRIPT = r"""
+import json, random, sys
+from loopmatsuki import canonicalize, cli, exact_algebra, serialize
+from loopmatsuki import group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.randgen import random_poly_element
+
+assert False, "asserts must be stripped"
+d = gc.build_datum("split_gl", 3, 1)
+(cls,) = classify_eta(d, (1, 0, -1))
+h = random_poly_element(3, 3, random.Random(4))
+x = h * cls.loop_rep * gc.apply_eta(h, d).inverse()
+print(canonicalize.canonicalize_eta(x, d).orbit_class.label)
+path = sys.argv[1] + "/x.json"
+with open(path, "w") as f:
+    json.dump(serialize.laurent_to_json(x), f)
+
+exp = exact_algebra.laurent_exp_nilpotent
+calls = [0]
+
+def exp_with_wrong_inverse(a):
+    # unipotent_sqrt takes exp(log(u)/2) first, then its inverse
+    calls[0] += 1
+    return exp(a) if calls[0] % 2 else exp(a).scale(2)
+
+exact_algebra.laurent_exp_nilpotent = exp_with_wrong_inverse
+try:
+    canonicalize.canonicalize_eta(x, d)
+    print("no error")
+except CertificateError as exc:
+    print("CertificateError:", exc)
+print(cli.main(["canonicalize", "--family", "split_gl", "--n", "3", "--side", "eta",
+                "--input", path]))
+"""
+
+
+def test_wrong_unipotent_sqrt_inverse_is_caught_under_optimize(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-O", "-c", UNIPOTENT_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    failed_check = "certificate failed: square root inverse does not invert it"
     assert proc.stdout.split("\n") == [
         "Sym|Sym|Sym", "CertificateError: " + failed_check, "1", ""]
     assert proc.stderr == f"error: {failed_check}\n"

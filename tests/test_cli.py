@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 
 import pytest
@@ -169,7 +170,10 @@ def test_selftest_passes(capsys):
     (["canonicalize", "--side", "eta"], {"n": 2, "entries": 5}, 2),
     (["canonicalize", "--side", "eta"], {"n": 0, "entries": []}, 2),
     (["orbits", "--z", "i"], None, 3),
-], ids=["int-scalar", "zero-denominator", "entries-not-list", "n-zero", "z-i"])
+    (["canonicalize", "--side", "eta"], {**DIAG_T2_T, "precision": 8}, 2),
+    (["canonicalize", "--side", "theta"], DIAG_T2_T, 2),
+], ids=["int-scalar", "zero-denominator", "entries-not-list", "n-zero", "z-i",
+        "eta-series", "theta-exact-without-precision"])
 def test_malformed_input_exit_codes(tmp_path, capsys, argv, doc, code):
     if doc is not None:
         argv = argv + ["--input", write_json(tmp_path / "x.json", doc)]
@@ -191,6 +195,29 @@ def test_malformed_config_exits_2(tmp_path, capsys, extra):
     rc, out, err = run(capsys, "orbits", "--config", cfg, "--bound", "0")
     assert rc == 2
     assert out == "" and err.startswith("error: ")
+
+
+# each file flag pointed at a directory, or at a file its user cannot read or write
+FILE_FLAG_CALLS = {
+    "--config": ["orbits", "--config"],
+    "--inner-twist": ["orbits", "--family", "unitary", "--inner-twist"],
+    "--input": ["canonicalize", "--family", "split_gl", "--side", "eta", "--input"],
+    "--out": ["kottwitz", "--family", "split_gl", "--bound", "0", "--out"],
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", pytest.param("unreadable", marks=pytest.mark.skipif(
+    os.geteuid() == 0, reason="root reads and writes any file"))])
+@pytest.mark.parametrize("flag", list(FILE_FLAG_CALLS))
+def test_unusable_file_flag_exits_2(tmp_path, capsys, flag, kind):
+    path = tmp_path
+    if kind == "unreadable":
+        path = tmp_path / "locked.json"
+        path.write_text("{}")
+        path.chmod(0)
+    rc, out, err = run(capsys, *FILE_FLAG_CALLS[flag], str(path))
+    assert rc == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -235,3 +262,21 @@ def test_iwahori_orbits_n4_golden(capsys, family, eps):
                      "--level", "iwahori", "--bound", "1", "--format", "json")
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == N4_IWAHORI_DIGESTS[family, eps]
+
+
+def test_iwahori_tables_at_z_i(capsys):
+    """At z = i unitary n = 2 has Iwahori classes without a representative;
+    the table lists them and match pairs them with a null common_rep."""
+    datum = ["--family", "unitary", "--n", "2", "--level", "iwahori", "--bound", "1",
+             "--z", "i"]
+    rc, out, _ = run(capsys, "orbits", *datum)
+    assert rc == 0
+    rows = json.loads(out)
+    assert len(rows) == 14
+    assert sum("representative" not in r for r in rows) == 8
+    rc, out, _ = run(capsys, "match", *datum, "--verify-samples", "2")
+    assert rc == 0
+    doc = json.loads(out)
+    assert len(doc["pairs"]) == 7
+    assert sum(p["common_rep"] is None for p in doc["pairs"]) == 4
+    assert doc["total_failures"] == 0

@@ -6,6 +6,7 @@ Integers and exponents stay small in the general fuzz: a datum of rank n
 allocates n x n matrices, and an entry stores a dense list as long as its
 exponent span.  Exponents up to 10^9 and ranks above the config limit have a
 test of their own: they must exit 2 before anything of that size is built.
+So do documents nested 10^5 deep, which the JSON parser cannot read.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import os
 import tempfile
 import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.cli import main
@@ -137,6 +139,28 @@ def run_cli(argv, docs):
 @given(invocations())
 def test_cli_json_inputs_end_in_a_documented_exit_code(invocation):
     assert run_cli(*invocation) in EXIT_CODES
+
+
+# each JSON file flag given a document nested 10^5 deep, as arrays or objects
+DEEP_JSON_CALLS = [
+    ["orbits", "--config"],
+    ["orbits", "--family", "unitary", "--inner-twist"],
+    ["canonicalize", "--family", "split_gl", "--side", "eta", "--input"],
+]
+
+
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")],
+                         ids=["arrays", "objects"])
+@pytest.mark.parametrize("argv", DEEP_JSON_CALLS, ids=lambda argv: argv[-1])
+def test_deeply_nested_json_exits_2(tmp_path, argv, opener, closer):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 10 ** 5 + "0" + closer * 10 ** 5)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [str(path)])
+    assert code == 2
+    assert out.getvalue() == "" and "nested too deeply" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 BIG = 10 ** 9

@@ -169,12 +169,14 @@ def test_smith_over_dvr_random():
 
 def test_unipotent_sqrt():
     u = LaurentMatrix.from_scalars([[1, 3], [0, 1]])
-    r = unipotent_sqrt(u)
+    r, r_inv = unipotent_sqrt(u)
     assert r * r == u
+    assert r * r_inv == LaurentMatrix.identity(2)
     u2 = LaurentMatrix.identity(2)
-    u2.rows[0][1] = {2: QI(0, 1)}
-    r2 = unipotent_sqrt(u2)
+    u2.rows[0][1] = Entry.of({2: QI(0, 1)})
+    r2, r2_inv = unipotent_sqrt(u2)
     assert r2 * r2 == u2
+    assert r2_inv * r2 == LaurentMatrix.identity(2)
 
 
 def test_cayley_unitary():

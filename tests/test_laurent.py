@@ -26,7 +26,7 @@ def test_laurent_inverse_random():
 
 def test_transpose_and_substitute():
     m = LaurentMatrix.zeros(2)
-    m.rows[0][1] = {3: QI(2, 1)}
+    m.rows[0][1] = Entry.of({3: QI(2, 1)})
     mt = m.transpose()
     assert mt.coeff(1, 0, 3) == QI(2, 1)
     s = m.substitute(QI(-1), invert=False, conj=True)
@@ -54,7 +54,7 @@ def test_series_inverse():
 
 def test_series_inverse_rejects_singular():
     m = LaurentMatrix.zeros(2)
-    m.rows[0][0] = {1: QI(1)}
+    m.rows[0][0] = Entry.of({1: QI(1)})
     s = SeriesMatrix.from_laurent(m, 3)
     with pytest.raises((InvalidInputError, PrecisionError)):
         s.inverse()
@@ -62,7 +62,7 @@ def test_series_inverse_rejects_singular():
 
 def test_series_exp_of_nilpotent_layer():
     y = LaurentMatrix.zeros(2)
-    y.rows[0][1] = {1: QI(1)}
+    y.rows[0][1] = Entry.of({1: QI(1)})
     e = series_exp(SeriesMatrix.from_laurent(y, 6))
     assert e.coeff(0, 1, 1) == QI(1)
     assert e.coeff(0, 0, 0) == QI(1)
