@@ -43,6 +43,7 @@ from .iwahori_orbits import (
     transport_iwahori_class,
 )
 from .laurent import (
+    ONE_ENTRY,
     Entry,
     LaurentMatrix,
     SeriesMatrix,
@@ -88,6 +89,19 @@ def _block_index(lam: Sequence[int]) -> List[int]:
         for i in range(start, start + size):
             idx[i] = b
     return idx
+
+
+def _signed_permutation(w: LaurentMatrix) -> List[Tuple[int, bool]]:
+    """For each column of w, (i, negated): the column's one entry sits in
+    row i and is -1 if negated, else 1.  Certifies that w is a signed
+    permutation matrix."""
+    src = {}
+    for i, r in enumerate(w.rows):
+        hits = [(j, e) for j, e in enumerate(r) if e]
+        certify(len(hits) == 1 and hits[0][1] in (ONE_ENTRY, -ONE_ENTRY)
+                and hits[0][0] not in src, "w1 is not a signed permutation matrix")
+        src[hits[0][0]] = (i, hits[0][1] != ONE_ENTRY)
+    return [src[j] for j in range(w.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +185,19 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     h_acc = g1.inverse()
     cur = conjugate(x, h_acc, g1)
 
-    tlam_inv = SeriesMatrix.from_laurent(LaurentMatrix.t_power([-v for v in lam]), big)
-    w1s = SeriesMatrix.from_laurent(datum.w1, big)
+    w1_cols = _signed_permutation(datum.w1)
 
     def gform(xc: SeriesMatrix) -> SeriesMatrix:
-        return tlam_inv * xc * w1s
+        """t^-lam * xc * w1, both factors carried at precision big, as index
+        moves: row i shifts by -lam_i, then column j is column i of that,
+        negated where w1's entry (i, j) is -1.  Each step keeps the precision
+        of its product, min(Na + vB, Nb + vA), with v = -lam_0 for t^-lam and
+        v = 0 for w1; the truncations below that are implied."""
+        shifted = SeriesMatrix([[e.shift(-s) for e in r] for s, r in zip(lam, xc.rows)],
+                               min(big + xc.val(), xc.precision - lam[0]))
+        return SeriesMatrix([[-r[i] if negate else r[i] for i, negate in w1_cols]
+                             for r in shifted.rows],
+                            min(shifted.precision, big + shifted.val()))
 
     g = gform(cur)
     bidx = _block_index(lam)
@@ -238,7 +260,14 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         certify(sol is not None, f"layer {k} has no killing conjugator")
         y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
                             for j in range(n)] for i in range(n)])
-        ys = SeriesMatrix.from_laurent(y, big)
+        # h = exp(y) has valuation 0.  By min(Na + vB, Nb + vA), each of
+        # h * cur, (h * cur) * theta(h)^-1 and h * h_acc keeps its other
+        # factor's precision N and reads h only below N - v, v that factor's
+        # valuation (val(h * cur) >= val(cur)), once h is known that far.
+        # As exp(y mod t^p) = exp(y) mod t^p for val(y) >= 1, h built to p
+        # gives the same products as h built to big; p > k keeps y's layer k.
+        ys = SeriesMatrix.from_laurent(y, min(big, max(cur.precision - cur.val(),
+                                                       h_acc.precision - h_acc.val(), k + 1)))
         if gc.inverse_is_free(datum, "theta"):
             h, h_inv = series_exp(ys), None
         else:

@@ -10,7 +10,9 @@ terms are nonzero and gcd(d, re, im) = 1, so equal entries have equal
 fields.  ``QI`` (and so ``Fraction``) is built only where a coefficient
 leaves the kernel: ``coeff``, ``constant_matrix`` and the entry's
 read-only mapping view ``exponent -> QI`` that serialization reads.
-An entry product is an integer schoolbook loop over the two lists.
+An entry product is an integer schoolbook loop over the two lists; its
+outer loop runs over the operand with more zero terms and skips them, so
+a series like 1 + O(t^k) costs as much as its nonzero terms.
 
 ``LaurentMatrix`` is exact; ``SeriesMatrix`` carries an explicit precision
 ``N`` meaning the entry coefficients are known for all exponents ``< N``
@@ -24,6 +26,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, KeysView, Mapping, ValuesView
 from fractions import Fraction
 from math import gcd, lcm
+from operator import or_
 from typing import List, Sequence
 
 from .errors import InvalidInputError, PrecisionError
@@ -118,9 +121,19 @@ class Entry:
         m, n = len(ar), len(br)
         if not m or not n:
             return ZERO_ENTRY
+        # the outer loop skips zero terms, so it runs over the operand with
+        # more of them (x | y is 0 exactly when both integers are); a zero
+        # term has a zero real part, and the nonzero end terms leave an
+        # entry of two terms or fewer none, so most products count nothing
+        if n > 2 and 0 in br:
+            zb = list(map(or_, br, bi)).count(0)
+            if zb and (m <= 2 or 0 not in ar or list(map(or_, ar, ai)).count(0) < zb):
+                ar, ai, br, bi = br, bi, ar, ai
         re = [0] * (m + n - 1)
         im = [0] * (m + n - 1)
         for i, (xr, xi) in enumerate(zip(ar, ai)):
+            if not (xr or xi):
+                continue
             for j, (yr, yi) in enumerate(zip(br, bi), i):
                 re[j] += xr * yr - xi * yi
                 im[j] += xr * yi + xi * yr

@@ -21,6 +21,7 @@ from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
 from loopmatsuki.laurent import LaurentMatrix
 from loopmatsuki.randgen import random_constant_invertible
+from loopmatsuki.serialize import bundle_to_json
 
 
 def test_bundle_labels_split_antiholomorphic():
@@ -43,11 +44,14 @@ def test_parabolic_bundle_lines():
     b = loop_to_parabolic_bundle(cls.loop_rep, tw, d)
     assert b.lines is not None and b.lines[0] != b.lines[1]
     assert b.aut_label == "C*"
+    # the marked lines are part of the bundle's JSON form
+    assert bundle_to_json(b)["lines"] == {"l0": ["1", "0"], "linf": ["0", "1"]}
     tw = AffineWeylElement.of((1, 0), (0, 1))
     (cls,) = classes_at_tw(d, tw, "eta")
     b = loop_to_parabolic_bundle(cls.loop_rep, tw, d)
     assert b.lines[0] == b.lines[1]
     assert b.aut_label == "R* x R*"
+    assert bundle_to_json(b)["lines"] == {"l0": ["1", "0"], "linf": ["1", "0"]}
 
 
 def test_enumerate_bundles_matches_classes():

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,14 +19,15 @@ from loopmatsuki.canonicalize import (
 )
 from loopmatsuki.coweight_orbits import classify_eta, classify_theta, \
     enumerate_admissible
-from loopmatsuki.errors import InvalidInputError, NotAntiFixedError, PrecisionError
+from loopmatsuki.errors import CertificateError, InvalidInputError, NotAntiFixedError, \
+    PrecisionError
 from loopmatsuki.gaussian import QI
 from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw, \
     enumerate_admissible_tw
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element, random_qi, \
     random_rational
-from loopmatsuki.serialize import dumps, laurent_to_json
+from loopmatsuki.serialize import canonical_form_to_json, dumps, laurent_to_json
 
 
 def _data():
@@ -95,6 +97,45 @@ def test_lower_precision_never_changes_the_label():
                 except PrecisionError:
                     continue
                 assert (form.lam, form.orbit_class.label) == (lam, label), precision
+
+
+# sha256 of canonical_form_to_json over the twists of
+# test_theta_bytes_above_bench_ranks
+RANK45_THETA_DIGEST = "c00b4d00214140c7432d654ee87ad12fbc2eeb6775ad99d91867925d0b19c61c"
+
+
+def test_theta_bytes_above_bench_ranks():
+    """Canonical forms at ranks 4 and 5, beyond the benchmark's 2 and 3, are
+    pinned byte for byte: three twists per datum at lambda = (1, 0, .., 0, -1),
+    known to precision 6 and carried at 12, cycling through the classes."""
+    rng = random.Random(45)
+    docs = []
+    for key in [("split_gl", 4, 1), ("split_gl", 5, 1), ("unitary", 4, 1),
+                ("quaternionic_gl", 4, -1)]:
+        d = gc.build_datum(*key)
+        lam = (1,) + (0,) * (d.n - 2) + (-1,)
+        classes = classify_theta(d, lam)
+        for i in range(3):
+            cls = classes[i % len(classes)]
+            h = random_arc_element(d.n, 6, rng)
+            hs = SeriesMatrix.from_laurent(
+                LaurentMatrix([[h.entry(r, c) for c in range(d.n)] for r in range(d.n)]), 12)
+            x = hs * SeriesMatrix.from_laurent(cls.loop_rep, 12) * gc.apply_theta(hs, d).inverse()
+            form = canonicalize_theta(x, d)
+            assert (form.lam, form.orbit_class.label) == (lam, cls.label)
+            docs.append(canonical_form_to_json(form))
+    assert hashlib.sha256(dumps(docs).encode()).hexdigest() == RANK45_THETA_DIGEST
+
+
+def test_theta_certifies_w1_is_a_signed_permutation():
+    # canonicalize_theta applies w1 as a signed column permutation
+    d = gc.build_datum("split_gl", 2, 1)
+    (cls,) = classify_theta(d, (1, 0))
+    x = SeriesMatrix.from_laurent(cls.loop_rep, 12)
+    for w1 in ([[{0: 1}, {0: 1}], [{}, {0: 1}]], [[{0: 2}, {}], [{}, {0: 1}]],
+               [[{0: 1}, {}], [{0: -1}, {}]], [[{0: 1}, {}], [{}, {1: 1}]]):
+        with pytest.raises(CertificateError, match="signed permutation"):
+            canonicalize_theta(x, replace(d, w1=LaurentMatrix(w1)))
 
 
 def test_eta_invariance_and_replay():

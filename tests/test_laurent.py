@@ -168,6 +168,37 @@ def test_entry_mul_matches_schoolbook(a, b):
     assert len(prod) == len(ref_mul(a, b))
 
 
+nonzero = scalars.filter(lambda q: not q.is_zero())
+
+
+def _gapped(start, head, gap, body, tail_gap, tail):
+    cs = head + [QI(0)] * gap + body + ([QI(0)] * tail_gap + tail if tail else [])
+    return dict(enumerate(cs, start))
+
+
+# interior zero runs, the shape of a layer conjugator's diagonal 1 + O(t^k):
+# c0 + c_k t^k + ..., with a run of zeros on one side of the body or on both
+gapped = st.builds(_gapped, st.integers(-6, 6), st.lists(nonzero, min_size=1, max_size=3),
+                   st.integers(1, 12), st.lists(nonzero, min_size=1, max_size=4),
+                   st.integers(1, 12), st.lists(nonzero, max_size=3))
+
+
+def fields(e):
+    return e._v, e._re, e._im, e._d
+
+
+@KERNEL
+@given(gapped, st.one_of(gapped, entries))
+def test_entry_mul_skips_zero_runs(a, b):
+    ea, eb = Entry.of(a), Entry.of(b)
+    # the zero skip has work to do
+    assert any(not r and not i for r, i in zip(ea._re, ea._im))
+    want = Entry.of(ref_mul(a, b))
+    assert dict((ea * eb).items()) == ref_mul(a, b)
+    assert fields(ea * eb) == fields(want)
+    assert fields(eb * ea) == fields(want)
+
+
 @KERNEL
 @given(entries, entries)
 def test_entry_add_matches_schoolbook(a, b):
@@ -218,6 +249,36 @@ def test_substitute_matches_termwise_oracle(a, unit, invert, conj):
         s = m.truncate(25).substitute(unit, conj=conj)
         assert dict(s.entry(0, 0).items()) == ref_clean(
             {k: v for k, v in ref_subst(a, unit, False, conj).items() if k < 25})
+
+
+small = st.builds(QI, st.fractions(-3, 3, max_denominator=4), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def layer_conjugators(draw):
+    """(y, k, p): y of valuation k >= 1 with single-term entries c * t^(k + s),
+    as a theta layer builds them, known to some N, and k < p <= N."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = [[draw(st.one_of(st.just({}), st.builds(lambda s, c: {k + s: c}, st.integers(0, 3), small)))
+             for _ in range(n)] for _ in range(n)]
+    rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = {k: draw(small.filter(bool))}
+    top = draw(st.integers(k + 1, k + 10))
+    return SeriesMatrix(rows, top), k, draw(st.integers(k + 1, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(layer_conjugators())
+def test_series_exp_commutes_with_truncation(case):
+    # canonicalize_theta builds each layer's exp(y) only to the precision its
+    # products read; this lemma keeps those products unchanged
+    y, k, p = case
+    assert y.val() == k
+    low, full = series_exp(y.retruncate(p)), series_exp(y).retruncate(p)
+    assert low.precision == full.precision == p and low.rows == full.rows
+    pairs = zip(series_exp(y.retruncate(p), with_inverse=True), series_exp(y, with_inverse=True))
+    for low, full in pairs:
+        full = full.retruncate(p)
+        assert low.precision == full.precision == p and low.rows == full.rows
 
 
 # ---------------------------------------------------------------------------
