@@ -175,17 +175,17 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         )
     big = prec_in + 2 * spread + 2 * max(abs(lam[0]), abs(lam[-1]), 1) + 8
 
-    g1, lam2, _, _ = smith_over_dvr(x)
+    g1, lam2, h_acc = smith_over_dvr(x)
     certify(lam2 == lam, "Smith positioning disagrees with the valuation coweight")
 
     def conjugate(cur: SeriesMatrix, h: SeriesMatrix,
                   h_inv: Optional[SeriesMatrix]) -> SeriesMatrix:
         return h * cur * gc.apply_theta_inv(h, datum, h_inv)
 
-    h_acc = g1.inverse()
     cur = conjugate(x, h_acc, g1)
 
     w1_cols = _signed_permutation(datum.w1)
+    w1_inv = datum.w1.inverse()
 
     def gform(xc: SeriesMatrix) -> SeriesMatrix:
         """t^-lam * xc * w1, both factors carried at precision big, as index
@@ -209,9 +209,10 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
             "constant term escapes the parabolic P_lambda")
     ell_rows = [[c0[i][j] if bidx[i] == bidx[j] else QI(0) for j in range(n)] for i in range(n)]
     ell = LaurentMatrix.from_scalars(ell_rows)
-    u0 = ell.inverse() * LaurentMatrix.from_scalars(c0)
+    ell_inv = ell.inverse()
+    u0 = ell_inv * LaurentMatrix.from_scalars(c0)
     if u0 != LaurentMatrix.identity(n):
-        h0 = datum.w1.inverse() * gc.theta0(u0, datum) * datum.w1
+        h0 = w1_inv * gc.theta0(u0, datum) * datum.w1
         h0s = SeriesMatrix.from_laurent(h0, big)
         cur = conjugate(cur, h0s, None)
         h_acc = h0s * h_acc
@@ -220,10 +221,9 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 "layer-0 conjugation left a unipotent constant term")
 
     # precomputed first-order responses of twisted conjugation at ell
-    ell_inv = ell.inverse()
     left_resp = [[(ell_inv * LaurentMatrix.monomial(n, i, j) * ell).constant_matrix()
                   for j in range(n)] for i in range(n)]
-    right_resp = [[(datum.w1.inverse() * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
+    right_resp = [[(w1_inv * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
                     * datum.w1).constant_matrix() for j in range(n)] for i in range(n)]
 
     # y_(i,j) conjugator coefficients; effect on the t^k layer: left factor
@@ -283,7 +283,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     g0 = ell
     if not equation_holds(datum, lam, g0, "theta"):
         raise PrecisionError("constant term equation not certified at this precision")
-    loop_rep = LaurentMatrix.t_power(lam) * g0 * datum.w1.inverse()
+    loop_rep = LaurentMatrix.t_power(lam) * g0 * w1_inv
     # the certified window: g was cleaned to its own precision, and row i of
     # the loop carries an extra t^{lam_i}; the worst row bounds the claim
     residual = min(residual, cur.precision, g.precision + min(lam[-1], 0))
@@ -322,8 +322,6 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
 
     n = x.n
     gplus, lam, _, h_acc = birkhoff_factor(x)
-    certify(h_acc * gplus == LaurentMatrix.identity(n),
-            "Birkhoff g_plus inverse does not invert g_plus")
     cur = h_acc * x * gc.apply_eta_inv(h_acc, datum, gplus)
 
     m = LaurentMatrix.t_power([-v for v in lam]) * cur * datum.w1

@@ -2,7 +2,10 @@
 
 The operations here are the computational backbone: valuation coweights,
 Smith positioning over the power-series DVR, Birkhoff factorization,
-unipotent square roots, and exact Cayley unitaries.
+unipotent square roots, and exact Cayley unitaries.  Smith positioning and
+Birkhoff factorization run row operations only; each returns the inverse of
+its left factor as the product of those operations, certified against the
+factor, so no caller inverts it by cofactors.
 """
 
 from __future__ import annotations
@@ -77,27 +80,25 @@ def valuation_coweight(s: SeriesMatrix) -> List[int]:
 # Smith positioning over the DVR Q(i)[[t]]
 
 
-def _entry_prec_div(e: Entry, pivot: Entry, a: int, prec: int) -> Entry:
-    """e / pivot where pivot = t^a * unit; result truncated to prec - a."""
-    rec = pivot.shift(-a).reciprocal(max(prec - a, 0))
-    return (e * rec).shift(-a).truncate(prec - a)
-
-
-def smith_over_dvr(
-    s: SeriesMatrix,
-) -> Tuple[SeriesMatrix, List[int], SeriesMatrix, int]:
+def smith_over_dvr(s: SeriesMatrix) -> Tuple[SeriesMatrix, List[int], SeriesMatrix]:
     """Position a series matrix as g1 * t^lam * g2 with g1, g2 in G(O).
 
-    Returns (g1, lam, g2, out_precision) with lam dominant.  The
-    factorisation holds modulo t^out_precision; out_precision accounts
-    pessimistically for divisions by positive-valuation pivots.
+    Returns (g1, lam, g1_inv), lam dominant, g1_inv * g1 = I certified, both
+    modulo t^(s.precision - max(0, lam_0)) to pay for positive-valuation
+    pivots.  g2 = t^-lam * g1_inv * s is not built.  Only row operations
+    run: pivot k, t^a * u of least valuation in rows and columns >= k, is
+    swapped to (k, k), row i > k loses (e_ik / t^a u) * row k, and row k is
+    divided by u.  g1_inv is their product, g1 that of their inverses.  1/u
+    is taken once, to precision s.precision - min(a, 0): 1/u mod t^p is
+    unique and each eliminated e_ik has valuation >= a, so every factor is
+    the one a division per entry gives.  No later step reads row k, or any
+    column <= k of the rows below it, so no column operation clears them.
     """
     n = s.n
     prec = s.precision
     a_rows: List[List[Entry]] = [list(r) for r in s.rows]
-
-    linv = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
-    rinv = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
+    g1 = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
+    g1_inv = [list(r) for r in g1]
 
     pivots: List[int] = []
     for k in range(n):
@@ -112,45 +113,29 @@ def smith_over_dvr(
             raise PrecisionError("matrix singular to recorded precision in Smith positioning")
         i0, j0, a = piv
         if i0 != k:
-            a_rows[k], a_rows[i0] = a_rows[i0], a_rows[k]
-            # linv tracks the inverse of the accumulated row ops: swap columns
-            for r in linv:
+            for rows in (a_rows, g1_inv):
+                rows[k], rows[i0] = rows[i0], rows[k]
+            for r in g1:
                 r[k], r[i0] = r[i0], r[k]
         if j0 != k:
-            for r in a_rows:
+            for r in a_rows[k:]:
                 r[k], r[j0] = r[j0], r[k]
-            rinv[k], rinv[j0] = rinv[j0], rinv[k]
-        pivot = a_rows[k][k]
+        unit = a_rows[k][k].shift(-a)
+        rec = unit.reciprocal(prec - min(a, 0))
         for i in range(k + 1, n):
             if a_rows[i][k]:
-                f = _entry_prec_div(a_rows[i][k], pivot, a, prec)
-                # row_i -= f * row_k ; linv col update: col_k += f * col_i
-                for j in range(k, n):
+                f = (a_rows[i][k] * rec).shift(-a).truncate(prec - a)
+                # row_i -= f * row_k; on g1 the inverse: col_k += f * col_i
+                for j in range(k + 1, n):
                     a_rows[i][j] = (a_rows[i][j] - f * a_rows[k][j]).truncate(prec)
-                for r in range(n):
-                    linv[r][k] = (linv[r][k] + f * linv[r][i]).truncate(prec)
-        for j in range(k + 1, n):
-            if a_rows[k][j]:
-                f = _entry_prec_div(a_rows[k][j], pivot, a, prec)
-                for i in range(k, n):
-                    a_rows[i][j] = (a_rows[i][j] - a_rows[i][k] * f).truncate(prec)
-                for c in range(n):
-                    rinv[k][c] = (rinv[k][c] + f * rinv[j][c]).truncate(prec)
+                g1_inv[i] = [(x - f * y).truncate(prec) for x, y in zip(g1_inv[i], g1_inv[k])]
+                for r in g1:
+                    r[k] = (r[k] + f * r[i]).truncate(prec)
+        # row_k /= u; on g1 the inverse: col_k *= u
+        g1_inv[k] = [(x * rec).truncate(prec) for x in g1_inv[k]]
+        for r in g1:
+            r[k] = (r[k] * unit).truncate(prec)
         pivots.append(a)
-        # normalize the pivot to exactly t^a: fold the unit into linv
-        unit = pivot.shift(-a)
-        rec = unit.reciprocal(prec)
-        for j in range(k, n):
-            a_rows[k][j] = (a_rows[k][j].shift(-a) * rec).shift(a).truncate(prec)
-        for r in range(n):
-            linv[r][k] = (linv[r][k] * unit).truncate(prec)
-
-    # sort exponents weakly decreasing with a two-sided permutation
-    order = sorted(range(n), key=lambda i: -pivots[i])
-    lam = [pivots[i] for i in order]
-    # t^lam = P t^pivots P^{-1}; absorb P into both factors
-    linv2 = [[linv[r][order[c]] for c in range(n)] for r in range(n)]
-    rinv2 = [[rinv[order[r]][c] for c in range(n)] for r in range(n)]
 
     out_prec = prec - max(0, max(pivots))
     if out_prec < SeriesMatrix.MIN_RESIDUAL:
@@ -158,9 +143,15 @@ def smith_over_dvr(
             f"Smith positioning would leave precision {out_prec} < "
             f"{SeriesMatrix.MIN_RESIDUAL}; supply more input precision"
         )
-    g1 = SeriesMatrix(linv2, out_prec)
-    g2 = SeriesMatrix(rinv2, out_prec)
-    return g1, lam, g2, out_prec
+    # sort exponents weakly decreasing: t^lam = P t^pivots P^-1, and P moves
+    # the columns of g1 and the rows of g1_inv
+    order = sorted(range(n), key=lambda i: -pivots[i])
+    lam = [pivots[i] for i in order]
+    g1 = SeriesMatrix([[r[i] for i in order] for r in g1], out_prec)
+    g1_inv = SeriesMatrix([g1_inv[i] for i in order], out_prec)
+    certify(g1_inv * g1 == SeriesMatrix.identity(n, out_prec),
+            "Smith g1 inverse does not invert g1")
+    return g1, lam, g1_inv
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +263,13 @@ def birkhoff_factor(
     gminus = LaurentMatrix([[e.shift(-degs[i]) for e in p_rows[i]] for i in order])
     gplus_inv = LaurentMatrix([ginv[i] for i in order])
 
-    # exactness and membership checks
+    # exactness, membership and inverse checks
     certify(gplus * LaurentMatrix.t_power(lam) * gminus == gamma,
             "Birkhoff factors do not multiply back")
     certify((gplus.val() or 0) >= 0, "g_plus escaped G[t]")
     certify((gminus.maxdeg() or 0) <= 0, "g_minus escaped G[t^-1]")
+    certify(gplus_inv * gplus == LaurentMatrix.identity(n),
+            "Birkhoff g_plus inverse does not invert g_plus")
     return gplus, lam, gminus, gplus_inv
 
 

@@ -696,7 +696,8 @@ def series_exp(a: SeriesMatrix, with_inverse: bool = False):
 
 
 def laurent_exp_nilpotent(a: LaurentMatrix) -> LaurentMatrix:
-    """Exact exp of a nilpotent Laurent matrix."""
+    """Exact exp of a nilpotent Laurent matrix; nilpotency is not checked
+    here, as unipotent_sqrt, the one caller, certifies its result."""
     n = a.n
     out = LaurentMatrix.identity(n)
     term = LaurentMatrix.identity(n)
@@ -705,27 +706,21 @@ def laurent_exp_nilpotent(a: LaurentMatrix) -> LaurentMatrix:
         if term.is_zero():
             break
         out = out + term
-    else:
-        if not (term * a).is_zero():
-            raise InvalidInputError("matrix is not nilpotent")
     return out
 
 
 def laurent_log_unipotent(u: LaurentMatrix) -> LaurentMatrix:
-    """Exact log of a unipotent Laurent matrix (u - 1 nilpotent)."""
+    """Exact log of a unipotent Laurent matrix; one sequence of powers of
+    x = u - 1 serves the series and the nilpotency check x^n = 0."""
     n = u.n
     x = u - LaurentMatrix.identity(n)
-    # check nilpotency
-    p = x
-    order = 1
-    while not p.is_zero():
-        p = p * x
-        order += 1
-        if order > n + 1:
-            raise InvalidInputError("matrix is not unipotent (u-1 not nilpotent)")
     out = LaurentMatrix.zeros(n)
-    term = LaurentMatrix.identity(n)
-    for m in range(1, order):
-        term = term * x
-        out = out + term.scale(Fraction((-1) ** (m + 1), m))
+    p = x
+    m = 1
+    while not p.is_zero():
+        if m == n:
+            raise InvalidInputError("matrix is not unipotent (u-1 not nilpotent)")
+        out = out + p.scale(Fraction((-1) ** (m + 1), m))
+        p = p * x
+        m += 1
     return out

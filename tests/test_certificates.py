@@ -78,9 +78,11 @@ print(cli.main(["canonicalize", "--family", "split_gl", "--side", "theta",
 
 @pytest.mark.parametrize("mode, failed_check", [
     ("every", "certificate failed"),
-    # one corrupted product breaks the layer-0 parabolic shape, which an
-    # input that passed the anti-fixedness check cannot lack
-    ("first", "certificate failed: constant term escapes the parabolic P_lambda"),
+    # the one corrupted product is the first of the Newton steps for the
+    # first pivot's reciprocal 1/u: row k of g1^-1 is divided by that wrong
+    # reciprocal while column k of g1 is multiplied by u, so Smith
+    # positioning's own certificate g1^-1 * g1 = I fails
+    ("first", "certificate failed: Smith g1 inverse does not invert g1"),
 ])
 def test_injected_fault_is_caught_under_optimize(tmp_path, mode, failed_check):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -94,16 +96,19 @@ def test_injected_fault_is_caught_under_optimize(tmp_path, mode, failed_check):
     assert failed_check in proc.stderr
 
 
-# One entry of the g_plus inverse that birkhoff_factor accumulates from its
-# row operations is corrupted; canonicalize_eta must refuse it before using
-# it, and the canonicalize command must exit 1 without printing a form.
+# The first product birkhoff_factor takes on the identity that its g_plus
+# inverse starts from, an entry of the first row operation, is off by 1 in
+# its lowest coefficient.  g_plus, built from the inverse operations, stays
+# right, so the factors still multiply back; birkhoff_factor's own
+# certificate g_plus_inv * g_plus = 1 must stop canonicalize_eta, and the
+# canonicalize command must exit 1 without printing a form.
 BIRKHOFF_SCRIPT = r"""
 import json, random, sys
 from loopmatsuki import canonicalize, cli, serialize
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.coweight_orbits import classify_eta
 from loopmatsuki.errors import CertificateError
-from loopmatsuki.laurent import Entry
+from loopmatsuki.laurent import ONE_ENTRY, Entry
 from loopmatsuki.randgen import random_poly_element
 
 assert False, "asserts must be stripped"
@@ -116,14 +121,22 @@ path = sys.argv[1] + "/x.json"
 with open(path, "w") as f:
     json.dump(serialize.laurent_to_json(x), f)
 
-birkhoff = canonicalize.birkhoff_factor
+fault = {"left": 0}
+mul, birkhoff = Entry.__mul__, canonicalize.birkhoff_factor
 
-def corrupted_birkhoff(gamma):
-    gplus, lam, gminus, gplus_inv = birkhoff(gamma)
-    gplus_inv.rows[1][2] = gplus_inv.rows[1][2] + Entry.term(1, 1)
-    return gplus, lam, gminus, gplus_inv
+def faulty_mul(a, b):
+    e = mul(a, b)
+    if fault["left"] and a is ONE_ENTRY and e:
+        fault["left"] -= 1
+        return e + Entry.term(e.val(), 1)
+    return e
 
-canonicalize.birkhoff_factor = corrupted_birkhoff
+def birkhoff_with_fault(gamma):
+    fault["left"] = 1
+    return birkhoff(gamma)
+
+Entry.__mul__ = faulty_mul
+canonicalize.birkhoff_factor = birkhoff_with_fault
 try:
     canonicalize.canonicalize_eta(x, d)
     print("no error")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopmatsuki.group_catalog as gc
-from loopmatsuki.coweight_orbits import classify_eta
+from loopmatsuki.coweight_orbits import classify_eta, classify_theta
 from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.exact_algebra import (
     _lead_dependency, birkhoff_factor, cayley_unitary, conj_transpose,
@@ -15,7 +15,7 @@ from loopmatsuki.exact_algebra import (
 from loopmatsuki.gaussian import QI, ZERO
 from loopmatsuki.intlat import eliminate, transpose
 from loopmatsuki.laurent import Entry, LaurentMatrix, SeriesMatrix
-from loopmatsuki.randgen import random_poly_element
+from loopmatsuki.randgen import random_arc_element, random_poly_element
 from test_intlat import kernel_basis
 
 
@@ -158,13 +158,44 @@ def test_smith_over_dvr_random():
         lam = sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True)
         x = SeriesMatrix.from_laurent(
             random_poly_element(n, 2, rng) * LaurentMatrix.t_power(lam), 10)
-        g1, got, g2, prec = smith_over_dvr(x)
+        g1, got, g1_inv = smith_over_dvr(x)
         assert got == lam
-        lhs = g1 * SeriesMatrix.from_laurent(LaurentMatrix.t_power(got),
-                                             prec + 4) * g2
-        k = min(prec, lhs.precision, x.precision)
-        assert lhs.retruncate(k) == x.retruncate(k)
+        assert g1_inv * g1 == SeriesMatrix.identity(n, g1.precision)
+        assert g1.val() >= 0 and g1_inv.val() >= 0
+        # g2 = t^-lam * g1^-1 * x lies in G(O): no negative exponent and an
+        # invertible constant term
+        t_neg = SeriesMatrix.from_laurent(LaurentMatrix.t_power([-v for v in got]), 20)
+        g2 = t_neg * (g1_inv * x)
+        assert g2.val() >= 0
+        assert LaurentMatrix.from_scalars(g2.constant_matrix()).det()
         assert valuation_coweight(x) == lam
+
+
+def _smith_negative_pivot_inputs(rng):
+    """Theta twists of the lam = (1, -1) classes and random loops whose
+    least coweight entry is negative, so some Smith pivot has valuation < 0."""
+    d = gc.build_datum("split_gl", 2, 1)
+    for cls in classify_theta(d, (1, -1)):
+        for _ in range(3):
+            h = SeriesMatrix.from_laurent(random_arc_element(2, 6, rng).to_laurent(), 14)
+            yield h * SeriesMatrix.from_laurent(cls.loop_rep, 14) * gc.apply_theta(h, d).inverse()
+    for _ in range(12):
+        n = rng.choice([2, 3, 4])
+        lam = sorted([rng.randint(-2, 2) for _ in range(n - 1)] + [rng.randint(-3, -1)],
+                     reverse=True)
+        yield SeriesMatrix.from_laurent(random_poly_element(n, 2, rng) * LaurentMatrix.t_power(lam)
+                                        * random_poly_element(n, 2, rng), 12)
+
+
+def test_smith_inverse_is_the_cofactor_inverse():
+    # the inverse from the row operations is the cofactor inverse of g1,
+    # field for field and at the same precision
+    for x in _smith_negative_pivot_inputs(random.Random(9)):
+        g1, lam, g1_inv = smith_over_dvr(x)
+        assert lam[-1] < 0
+        oracle = g1.inverse()
+        assert g1_inv.precision == oracle.precision
+        assert g1_inv.rows == oracle.rows
 
 
 def test_unipotent_sqrt():
