@@ -36,7 +36,7 @@ from .exact_algebra import (
 )
 from .gaussian import QI
 from .group_catalog import GroupDatum
-from .intlat import eliminate, mat_mul
+from .intlat import eliminate
 from .iwahori_orbits import (
     AffineWeylElement,
     classes_at_tw,
@@ -121,7 +121,7 @@ def _middle_invariant(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, 
     certify(mid is not None, "middle-block invariant of a coweight without a middle block")
     start, m = mid
     b = [[g0.coeff(start + r, start + s, 0) for s in range(m)] for r in range(m)]
-    mm = mat_mul(gc.antidiagonal_matrix(m).constant_matrix(), b)
+    mm = b[::-1]  # R * b for the antidiagonal R
     if side == "theta":
         tr = sum((mm[r][r] for r in range(m)), QI(0))
         return ("trace", str(tr))

@@ -33,9 +33,8 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    antidiagonal_matrix, base_datum, involution, is_anti_fixed, j_matrix, theta0,
+    base_datum, involution, is_anti_fixed, j_matrix, theta0,
 )
-from .intlat import mat_mul
 from .laurent import LaurentMatrix
 
 Block = Tuple[int, int, int]  # (start, size, lambda-value)
@@ -188,12 +187,11 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
 
     m = mid[1]
     scale = QI(1) if z == ONE else QI(0, 1)  # M^2 = z needs eigenvalues sqrt(z)
-    rev = antidiagonal_matrix(m).constant_matrix()
     for p in range(m, -1, -1):
         q = m - p
         sig = [[scale * (QI(1) if a < p else QI(-1)) if a == b else QI(0)
                 for b in range(m)] for a in range(m)]
-        mid_part = mat_mul(rev, sig)  # B = R * M_{p,q}
+        mid_part = sig[::-1]  # B = R * M_{p,q} for the antidiagonal R
         parts = [pair_parts[i] if i != half else mid_part for i in range(r)]
         g0 = _assemble(datum.n, blocks, parts)
         out.append(_finish_class(datum, adm, side, f"({p},{q})", g0,

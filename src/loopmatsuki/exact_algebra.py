@@ -17,8 +17,7 @@ from math import gcd, lcm
 from typing import List, Tuple
 
 from .errors import InvalidInputError, PrecisionError, certify
-from .gaussian import QI, ONE, ZERO
-from .intlat import mat_mul
+from .gaussian import QI, ONE
 from .laurent import (
     ONE_ENTRY,
     ZERO_ENTRY,
@@ -308,46 +307,47 @@ def cayley_unitary(s: LaurentMatrix) -> LaurentMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact Hermitian signature (used by the eta-side classifier)
-
-
-def char_poly(m: List[List[QI]]) -> List[QI]:
-    """Coefficients [c_0, ..., c_n] of det(x I - M), c_n = 1 (Faddeev-LeVerrier)."""
-    n = len(m)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mprev = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]  # identity
-    for k in range(1, n + 1):
-        prod = mat_mul(m, mprev) if k > 1 else [row[:] for row in m]
-        tr = sum((prod[i][i] for i in range(n)), ZERO)
-        c = tr * Fraction(-1, k)
-        coeffs[n - k] = c
-        if k < n:
-            mprev = [
-                [prod[i][j] + (c if i == j else ZERO) for j in range(n)]
-                for i in range(n)
-            ]
-    return coeffs
+# exact Hermitian signature (the canonicalizers' class matcher compares it)
 
 
 def hermitian_signature(h: List[List[QI]]) -> Tuple[int, int]:
     """Signature (p, q) of a nondegenerate Hermitian Q(i) matrix, exactly.
 
-    All eigenvalues are real, so Descartes' rule on the characteristic
-    polynomial is exact.
+    Congruence elimination: pivot k takes a nonzero diagonal entry of the
+    remaining block, and the Schur complement keeps the block Hermitian, so
+    every pivot is real and, by Sylvester's law of inertia, p counts the
+    positive ones.  When that diagonal is all zero, row k gains c * row j and
+    column k gains conj(c) * column j for c = conj(h_jk), which puts
+    2 |h_jk|^2 > 0 at (k, k); a zero column k then means a degenerate form.
     """
     n = len(h)
     for i in range(n):
         for j in range(n):
             if h[i][j] != h[j][i].conj():
                 raise InvalidInputError("matrix is not Hermitian")
-    coeffs = char_poly(h)
-    reals: List[Fraction] = []
-    for c in coeffs:
-        certify(c.is_real(), "Hermitian char poly not real")
-        reals.append(c.re)
-    if reals[0] == 0:
-        raise InvalidInputError("Hermitian form is degenerate")
-    signs = [c for c in reals if c != 0]
-    pos = sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+    a = [list(r) for r in h]
+    pos = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][i]), None)
+        if piv is not None:
+            a[k], a[piv] = a[piv], a[k]
+            for r in a:
+                r[k], r[piv] = r[piv], r[k]
+        else:
+            j = next((j for j in range(k + 1, n) if a[j][k]), None)
+            if j is None:
+                raise InvalidInputError("Hermitian form is degenerate")
+            hjk = a[j][k]
+            c = hjk.conj()
+            a[k] = [x + c * y for x, y in zip(a[k], a[j])]
+            for r in a:
+                r[k] += hjk * r[j]  # conj(c) * column j
+        d = a[k][k]
+        certify(d.is_real(), "Hermitian congruence pivot is not real")
+        pos += d.re > 0
+        inv_d = 1 / d.re
+        for i in range(k + 1, n):
+            f = a[i][k] * inv_d
+            if f:
+                a[i] = a[i][:k + 1] + [x - f * y for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
     return pos, n - pos

@@ -208,6 +208,42 @@ def test_inner_twist_transports(family, n, twist, eps):
             assert lhs.retruncate(r) == SeriesMatrix.from_laurent(form.loop_rep, r)
 
 
+UNITARY_DATA = [(n, eps) for n in range(1, 6) for eps in (1, -1)] + [(2, "U(1,1)")]
+
+
+@pytest.mark.parametrize("n, eps", UNITARY_DATA,
+                         ids=[f"U({n})-eps={e}" if e != "U(1,1)" else e
+                              for n, e in UNITARY_DATA])
+def test_unitary_class_matching_round_trip(n, eps):
+    """Every unitary class at bound 1, on both sides, canonicalizes back to
+    its lambda and label from its representative and from a sign-diagonal
+    twist of it; where a middle block carries several classes, this is the
+    signature (eta) or trace (theta) match that picks the label."""
+    if eps == "U(1,1)":
+        d = gc.pure_inner_twist(gc.build_datum("unitary", 2, 1),
+                                LaurentMatrix.from_scalars([[1, 0], [0, -1]]))
+    else:
+        d = gc.build_datum("unitary", n, eps)
+    s = LaurentMatrix.diag_scalars([(-1) ** (i + 1) for i in range(d.n)])
+    ss = SeriesMatrix.from_laurent(s, 14)
+    several = False
+    for adm in enumerate_admissible(d, 1):
+        for side, classify in (("eta", classify_eta), ("theta", classify_theta)):
+            classes = classify(d, adm)
+            several |= len(classes) > 1
+            for cls in classes:
+                if side == "eta":
+                    loops = [cls.loop_rep, s * cls.loop_rep * gc.apply_eta_inv(s, d)]
+                    forms = [canonicalize_eta(x, d) for x in loops]
+                else:
+                    rep = SeriesMatrix.from_laurent(cls.loop_rep, 14)
+                    loops = [rep, ss * rep * gc.apply_theta_inv(ss, d)]
+                    forms = [canonicalize_theta(x, d) for x in loops]
+                for form in forms:
+                    assert (form.lam, form.orbit_class.label) == (cls.lam, cls.label)
+    assert several
+
+
 def test_tau_maps_land_in_sector_one():
     d = gc.build_datum("split_gl", 2, -1)
     d1 = gc.build_datum("split_gl", 2, -1, 1)

@@ -1,5 +1,9 @@
 """Matched pairs: counts, component groups, sampled intersections."""
 
+from math import factorial
+
+import pytest
+
 import loopmatsuki.group_catalog as gc
 from loopmatsuki.duality import (
     finite_matsuki,
@@ -82,3 +86,39 @@ def test_iwahori_verification_with_negative_coweight_entry():
     assert gc.is_anti_fixed_theta(rep, d) and gc.is_anti_fixed_eta(rep, d)
     pair = MatchedPair(theta_class=th, eta_class=et, common_rep=rep, level="iwahori")
     assert verify_intersection(pair, 2, 1) == {"samples": 2, "failures": []}
+
+
+def _involutions(n):
+    """Involutions in S_n: a(n) = a(n-1) + (n-1) a(n-2)."""
+    a, b = 1, 1
+    for k in range(2, n + 1):
+        a, b = b, b + (k - 1) * a
+    return b
+
+
+def _clans(n):
+    """Sum over p + q = n of the (p, q)-clan count,
+    sum_k n! / ((p-k)! (q-k)! k! 2^k)."""
+    return sum(factorial(n) // (factorial(p - k) * factorial(n - p - k) * factorial(k) * 2 ** k)
+               for p in range(n + 1) for k in range(min(p, n - p) + 1))
+
+
+def _odd_double_factorial(m):
+    """(2m - 1)!! = (2m)! / (m! 2^m)."""
+    return factorial(2 * m) // (factorial(m) * 2 ** m)
+
+
+FINITE_COUNTS = ([("split_gl", n, _involutions(n)) for n in range(1, 6)]
+                 + [("quaternionic_gl", n, _odd_double_factorial(n // 2)) for n in (2, 4)]
+                 + [("unitary", n, _clans(n)) for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("eps", [1, -1], ids=["eps=1", "eps=-1"])
+@pytest.mark.parametrize("family, n, count", FINITE_COUNTS,
+                         ids=[f"{f}-{n}" for f, n, _ in FINITE_COUNTS])
+def test_finite_borel_counts_match_closed_forms(family, n, count, eps):
+    """The Borel-level pairs of the constant specialization are the K-orbits
+    on the flag variety: involutions of S_n for GL_n(R), (2m - 1)!! for
+    GL_m(H) and the (p, q)-clans summed over p + q = n for U(p, q)
+    (Richardson-Springer; Matsuki-Oshima; Yamamoto)."""
+    assert len(finite_matsuki(gc.build_datum(family, n, eps))["borel"]) == count

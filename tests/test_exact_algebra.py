@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from loopmatsuki.exact_algebra import (
     hermitian_signature, smith_over_dvr, unipotent_sqrt, valuation_coweight,
 )
 from loopmatsuki.gaussian import QI, ZERO
-from loopmatsuki.intlat import eliminate, transpose
+from loopmatsuki.intlat import eliminate, mat_mul, transpose
 from loopmatsuki.laurent import Entry, LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element
 from test_intlat import kernel_basis
@@ -218,7 +218,108 @@ def test_cayley_unitary():
     assert k * conj_transpose(k) == LaurentMatrix.identity(2)
 
 
+# The signature from Descartes' rule on the characteristic polynomial: an
+# oracle independent of the congruence elimination in hermitian_signature.
+
+def char_poly(m: List[List[QI]]) -> List[QI]:
+    """Coefficients [c_0, ..., c_n] of det(x I - M), c_n = 1 (Faddeev-LeVerrier)."""
+    n = len(m)
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = QI(1)
+    mprev = [[QI(1) if i == j else ZERO for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = mat_mul(m, mprev) if k > 1 else [row[:] for row in m]
+        c = sum((prod[i][i] for i in range(n)), ZERO) * Fraction(-1, k)
+        coeffs[n - k] = c
+        if k < n:
+            mprev = [[prod[i][j] + (c if i == j else ZERO) for j in range(n)]
+                     for i in range(n)]
+    return coeffs
+
+
+def descartes_signature(h: List[List[QI]]) -> Tuple[int, int]:
+    """All eigenvalues of a Hermitian matrix are real, so the sign changes
+    of its characteristic polynomial count the positive ones exactly."""
+    n = len(h)
+    if any(h[i][j] != h[j][i].conj() for i in range(n) for j in range(n)):
+        raise InvalidInputError("matrix is not Hermitian")
+    coeffs = char_poly(h)
+    assert all(c.is_real() for c in coeffs)
+    if not coeffs[0]:
+        raise InvalidInputError("Hermitian form is degenerate")
+    signs = [c.re for c in coeffs if c]
+    pos = sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+    return pos, n - pos
+
+
+def _both(h):
+    """(signature, oracle signature), each an InvalidInputError if it raises."""
+    out = []
+    for f in (hermitian_signature, descartes_signature):
+        try:
+            out.append(f(h))
+        except InvalidInputError:
+            out.append(InvalidInputError)
+    return tuple(out)
+
+
+_I, _MI = QI(0, 1), QI(0, -1)
+
+
 def test_hermitian_signature():
-    assert hermitian_signature([[QI(2), QI(0)], [QI(0), QI(-3)]]) == (1, 1)
-    assert hermitian_signature([[QI(1), QI(0, 1)],
-                                [QI(0, -1), QI(2)]]) == (2, 0)
+    for h, sig in [
+        ([[QI(2), ZERO], [ZERO, QI(-3)]], (1, 1)),
+        ([[QI(1), _I], [_MI, QI(2)]], (2, 0)),
+        ([[ZERO, _I], [_MI, ZERO]], (1, 1)),  # zero diagonal
+        ([[ZERO, QI(1, 1), QI(1)], [QI(1, -1), ZERO, QI(2)], [QI(1), QI(2), ZERO]], (1, 2)),
+        ([[ZERO, ZERO, QI(1)], [ZERO, QI(-1), ZERO], [QI(1), ZERO, ZERO]], (1, 2)),
+    ]:
+        assert _both(h) == (sig, sig)
+
+
+@pytest.mark.parametrize("h", [
+    [[ZERO]],
+    [[ZERO, ZERO], [ZERO, ZERO]],
+    [[QI(1), _I], [_MI, QI(1)]],
+    [[ZERO, ZERO, QI(1)], [ZERO, ZERO, QI(1)], [QI(1), QI(1), ZERO]],
+    [[ZERO, _I, ZERO], [_MI, ZERO, ZERO], [ZERO, ZERO, ZERO]],
+    [[_I]],
+    [[QI(1), _I], [_I, QI(1)]],
+    [[ZERO, QI(1)], [QI(2), ZERO]],
+], ids=["zero", "zero-2", "rank-1", "zero-diagonal-rank-2", "zero-row",
+        "imaginary-diagonal", "symmetric-complex", "asymmetric"])
+def test_hermitian_signature_rejects_degenerate_or_non_hermitian(h):
+    assert _both(h) == (InvalidInputError, InvalidInputError)
+
+
+_small_q = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _hermitian(draw):
+    """Hermitian Q(i) matrices, n <= 5: zero diagonals, complex and zero
+    off-diagonal entries, and low-rank Gram forms, which are degenerate."""
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 4)) == 0:  # V* D V with fewer rows than n
+        r = draw(st.integers(0, n - 1))
+        v = [[QI(draw(_small_q), draw(_small_q)) for _ in range(n)] for _ in range(r)]
+        d = [draw(st.sampled_from([1, -1])) for _ in range(r)]
+        return [[sum((v[k][i].conj() * v[k][j] * d[k] for k in range(r)), ZERO)
+                 for j in range(n)] for i in range(n)]
+    zero_diag = draw(st.booleans())
+    h = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        h[i][i] = ZERO if zero_diag else QI(draw(_small_q))
+        for j in range(i + 1, n):
+            h[i][j] = QI(draw(_small_q), draw(_small_q))
+            h[j][i] = h[i][j].conj()
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermitian())
+def test_hermitian_signature_matches_descartes(h):
+    sig, oracle = _both(h)
+    assert sig == oracle
+    if sig is not InvalidInputError:
+        assert sum(sig) == len(h)
