@@ -119,9 +119,11 @@ def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
     want = eps_lambda(datum, p.lam).scale(p.z)
     if p.g * gc.eta0(p.g, datum) != want:
         return False
+    # g * eta0(g) is a nonzero scalar, so g is invertible and
+    # g^-1 lam(t) g = theta0(lam(t^-1)) is a comparison of products
     lam_t = LaurentMatrix.t_power(list(p.lam))
     lam_tinv = LaurentMatrix.t_power([-v for v in p.lam])
-    return p.g.inverse() * lam_t * p.g == gc.theta0(lam_tinv, datum)
+    return lam_t * p.g == p.g * gc.theta0(lam_tinv, datum)
 
 
 def kottwitz_to_loop(p: KottwitzPoint, datum: GroupDatum) -> LaurentMatrix:

@@ -150,6 +150,13 @@ def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMat
 # theta side
 
 
+def _carry(cur: SeriesMatrix, h_acc: SeriesMatrix) -> int:
+    """How far h * cur, (h * cur) * theta(h)^-1 and h * h_acc read a
+    valuation-0 conjugator h: by min(Na + vB, Nb + vA) each keeps its other
+    factor's precision N and reads h below N - v(that factor) only."""
+    return max(cur.precision - cur.val(), h_acc.precision - h_acc.val())
+
+
 def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """Reduce a theta-anti-fixed series loop to t^lam * g0 * w1^{-1}.
 
@@ -173,7 +180,6 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         raise PrecisionError(
             f"residual precision {residual} below the floor {MIN_RESIDUAL_PRECISION}"
         )
-    big = prec_in + 2 * spread + 2 * max(abs(lam[0]), abs(lam[-1]), 1) + 8
 
     g1, lam2, h_acc = smith_over_dvr(x)
     certify(lam2 == lam, "Smith positioning disagrees with the valuation coweight")
@@ -182,22 +188,22 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                   h_inv: Optional[SeriesMatrix]) -> SeriesMatrix:
         return h * cur * gc.apply_theta_inv(h, datum, h_inv)
 
+    # No working precision: each exact factor is carried as far as its
+    # product reads it (gform, _carry).  Conjugation by G(O) never lifts
+    # cur's precision above prec_in, and val(cur) >= lam[-1] >= -max|lam|.
     cur = conjugate(x, h_acc, g1)
 
     w1_cols = _signed_permutation(datum.w1)
     w1_inv = datum.w1.inverse()
 
     def gform(xc: SeriesMatrix) -> SeriesMatrix:
-        """t^-lam * xc * w1, both factors carried at precision big, as index
-        moves: row i shifts by -lam_i, then column j is column i of that,
-        negated where w1's entry (i, j) is -1.  Each step keeps the precision
-        of its product, min(Na + vB, Nb + vA), with v = -lam_0 for t^-lam and
-        v = 0 for w1; the truncations below that are implied."""
-        shifted = SeriesMatrix([[e.shift(-s) for e in r] for s, r in zip(lam, xc.rows)],
-                               min(big + xc.val(), xc.precision - lam[0]))
+        """t^-lam * xc * w1 as index moves: row i shifts by -lam_i, then
+        column j is column i of that, negated where w1's entry (i, j) is -1.
+        Both factors are exact and t^-lam has valuation -lam_0, so by
+        min(Na + vB, Nb + vA) the product keeps xc.precision - lam_0."""
+        shifted = [[e.shift(-s) for e in r] for s, r in zip(lam, xc.rows)]
         return SeriesMatrix([[-r[i] if negate else r[i] for i, negate in w1_cols]
-                             for r in shifted.rows],
-                            min(shifted.precision, big + shifted.val()))
+                             for r in shifted], xc.precision - lam[0])
 
     g = gform(cur)
     bidx = _block_index(lam)
@@ -209,21 +215,25 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
             "constant term escapes the parabolic P_lambda")
     ell_rows = [[c0[i][j] if bidx[i] == bidx[j] else QI(0) for j in range(n)] for i in range(n)]
     ell = LaurentMatrix.from_scalars(ell_rows)
-    ell_inv = ell.inverse()
-    u0 = ell_inv * LaurentMatrix.from_scalars(c0)
+    u0 = ell.inverse() * LaurentMatrix.from_scalars(c0)
     if u0 != LaurentMatrix.identity(n):
         h0 = w1_inv * gc.theta0(u0, datum) * datum.w1
-        h0s = SeriesMatrix.from_laurent(h0, big)
+        h0s = SeriesMatrix.from_laurent(h0, _carry(cur, h_acc))
         cur = conjugate(cur, h0s, None)
         h_acc = h0s * h_acc
         g = gform(cur)
         certify(LaurentMatrix.from_scalars(g.constant_matrix()) == ell,
                 "layer-0 conjugation left a unipotent constant term")
 
-    # precomputed first-order responses of twisted conjugation at ell
-    left_resp = [[(ell_inv * LaurentMatrix.monomial(n, i, j) * ell).constant_matrix()
+    # The layers are solved on g itself.  ell is constant and invertible, so
+    # g and ell^-1 * g vanish in the same layers, and g's layer system is
+    # (ell (x) I) times that of ell^-1 * g: the same reduced rows, so
+    # eliminate's solve, zero at the free columns, gives the same y.  The
+    # first-order responses at ell: E_ij * ell on the left and
+    # ell * w1^-1 d_theta0(E_ij) w1 on the right.
+    left_resp = [[(LaurentMatrix.monomial(n, i, j) * ell).constant_matrix()
                   for j in range(n)] for i in range(n)]
-    right_resp = [[(w1_inv * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
+    right_resp = [[(ell * w1_inv * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
                     * datum.w1).constant_matrix() for j in range(n)] for i in range(n)]
 
     # y_(i,j) conjugator coefficients; effect on the t^k layer: left factor
@@ -232,24 +242,13 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     unknowns = [(i, j) for i in range(n) for j in range(n)]
 
     def layer_system(epsk: QI) -> List[List[QI]]:
-        a_rows = [[QI(0)] * len(unknowns) for _ in range(n * n)]
-        for col, (i, j) in enumerate(unknowns):
-            if lam[i] >= lam[j]:
-                for r in range(n):
-                    for s in range(n):
-                        a_rows[r * n + s][col] = a_rows[r * n + s][col] + left_resp[i][j][r][s]
-            if lam[i] <= lam[j]:
-                for r in range(n):
-                    for s in range(n):
-                        a_rows[r * n + s][col] = a_rows[r * n + s][col] - epsk * right_resp[i][j][r][s]
-        return a_rows
+        return [[(left_resp[i][j][r][s] if lam[i] >= lam[j] else QI(0))
+                 - (epsk * right_resp[i][j][r][s] if lam[i] <= lam[j] else QI(0))
+                 for i, j in unknowns] for r in range(n) for s in range(n)]
 
     solvers = {}  # epsilon^k -> the solver of its layer system, built on first use
-    ell_inv_s = SeriesMatrix.from_laurent(ell_inv, big)
-    depth = g.precision
-    red = ell_inv_s * g
-    for k in range(1, depth):
-        layer = [[red.coeff(i, j, k) for j in range(n)] for i in range(n)]
+    for k in range(1, g.precision):
+        layer = [[g.coeff(i, j, k) for j in range(n)] for i in range(n)]
         if all(v.is_zero() for row in layer for v in row):
             continue
         rhs = [-layer[r][s] for r in range(n) for s in range(n)]
@@ -260,23 +259,12 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         certify(sol is not None, f"layer {k} has no killing conjugator")
         y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
                             for j in range(n)] for i in range(n)])
-        # h = exp(y) has valuation 0.  By min(Na + vB, Nb + vA), each of
-        # h * cur, (h * cur) * theta(h)^-1 and h * h_acc keeps its other
-        # factor's precision N and reads h only below N - v, v that factor's
-        # valuation (val(h * cur) >= val(cur)), once h is known that far.
-        # As exp(y mod t^p) = exp(y) mod t^p for val(y) >= 1, h built to p
-        # gives the same products as h built to big; p > k keeps y's layer k.
-        ys = SeriesMatrix.from_laurent(y, min(big, max(cur.precision - cur.val(),
-                                                       h_acc.precision - h_acc.val(), k + 1)))
-        if gc.inverse_is_free(datum, "theta"):
-            h, h_inv = series_exp(ys), None
-        else:
-            h, h_inv = series_exp(ys, with_inverse=True)
+        # exp(y mod t^p) = exp(y) mod t^p for val(y) >= 1; p > k keeps layer k
+        h, h_inv = series_exp(SeriesMatrix.from_laurent(y, max(_carry(cur, h_acc), k + 1)))
         cur = conjugate(cur, h, h_inv)
         h_acc = h * h_acc
         g = gform(cur)
-        red = ell_inv_s * g
-        certify(all(red.coeff(i, j, kk).is_zero()
+        certify(all(g.coeff(i, j, kk).is_zero()
                      for kk in range(1, k + 1) for i in range(n) for j in range(n)),
                 f"layers 1..{k} are not killed")
 

@@ -58,10 +58,10 @@ def is_dominant(lam: Sequence[int]) -> bool:
 
 
 def is_admissible(datum: GroupDatum, lam: Sequence[int]) -> bool:
-    """lambda = -w1^{-1} theta0(lambda), checked on torus loops."""
+    """lambda = -w1^{-1} theta0(lambda), checked on torus loops as
+    theta0(t^lam) * w1 * t^lam = w1."""
     tl = LaurentMatrix.t_power(list(lam))
-    img = datum.w1.inverse() * theta0(tl, datum) * datum.w1
-    return img * tl == LaurentMatrix.identity(datum.n)
+    return theta0(tl, datum) * datum.w1 * tl == datum.w1
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ so the compact form is U(n), and eta0 = theta0 o eta_{c,0}.  Loop involutions ar
   eta(gamma)(t)   = eta0(gamma(epsilon t^-1))   (coefficientwise conjugation)
 
 One table (_INVERSE_TRANSPOSE and the J conjugation, in involution) gives
-both the loop involutions and their constant case theta0, eta0.
+both the loop involutions and their constant case theta0, eta0.  Where it
+holds the inverse transpose, sigma(gamma)^-1 takes no inverse, so
+is_anti_fixed tests gamma * sigma(gamma) = z as gamma = z * sigma(gamma)^-1.
 
 A datum may carry a pure inner twist c, a constant matrix with both
 c*theta0(c) and c*eta0(c) scalar; both loop involutions are then conjugated
@@ -166,10 +168,12 @@ def inverse_is_free(datum: GroupDatum, side: str) -> bool:
 
 
 def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
-    """a * m * a_inv for constant a, carried at m's precision."""
+    """a * m * a_inv for constant a, keeping m's precision N: the products
+    read a only below N - val(m), so a is carried that far where m has a pole."""
     if isinstance(m, SeriesMatrix):
-        a = SeriesMatrix.from_laurent(a, m.precision)
-        a_inv = SeriesMatrix.from_laurent(a_inv, m.precision)
+        p = m.precision - min(m.val(), 0)
+        a = SeriesMatrix.from_laurent(a, p)
+        a_inv = SeriesMatrix.from_laurent(a_inv, p)
     return a * m * a_inv
 
 
@@ -255,13 +259,19 @@ def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
 
 
 def is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
-    """Whether gamma * sigma_side(gamma) = z, to gamma's precision for a series."""
-    sigma = apply_theta if side == "theta" else apply_eta
-    prod = gamma * sigma(gamma, datum)
+    """Whether gamma * sigma_side(gamma) = z, to gamma's precision for a series.
+    Where sigma holds the inverse transpose, sigma(gamma)^-1 takes no inverse,
+    and gamma = z * sigma(gamma)^-1 is tested instead, at gamma's precision:
+    stricter than the product test, which it implies."""
+    theta = side == "theta"
+    if inverse_is_free(datum, side):
+        sigma_inv = apply_theta_inv if theta else apply_eta_inv
+        return gamma == sigma_inv(gamma, datum).scale(datum.z)
+    prod = gamma * (apply_theta if theta else apply_eta)(gamma, datum)
     zid = LaurentMatrix.diag_scalars([datum.z] * datum.n)
     if isinstance(prod, SeriesMatrix):
         zid = SeriesMatrix.from_laurent(zid, prod.precision)
-    return all(not e for row in (prod - zid).rows for e in row)
+    return prod == zid
 
 
 def is_anti_fixed_theta(gamma, datum: GroupDatum) -> bool:

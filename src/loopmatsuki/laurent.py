@@ -330,6 +330,19 @@ def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int])
     return out
 
 
+def _adjugate_times(rows: Sequence[Sequence[Entry]], unit: Entry, k: int) -> List[List[Entry]]:
+    """adj(rows) * unit * t^-k, by cofactors: the inverse when det(rows) =
+    t^k / unit."""
+    n = len(rows)
+    idx = list(range(n))
+    out = [[ZERO_ENTRY] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            e = det_minor(rows, [r for r in idx if r != j], [c for c in idx if c != i]) * unit
+            out[i][j] = (-e if (i + j) % 2 else e).shift(-k)
+    return out
+
+
 def _monomial_inverse(rows: Sequence[Sequence[Entry]]) -> List[List[Entry]] | None:
     """Rows of the inverse of a monomial matrix, or None for any other matrix."""
     n = len(rows)
@@ -477,17 +490,7 @@ class LaurentMatrix:
                 f"(det has {len(d)} terms)"
             )
         k = d._v
-        dinv = d.shift(-k).reciprocal(1)
-        n = self.n
-        rows = [[ZERO_ENTRY] * n for _ in range(n)]
-        idx = list(range(n))
-        for i in range(n):
-            for j in range(n):
-                minor = det_minor(self.rows, [r for r in idx if r != j],
-                                  [cc for cc in idx if cc != i])
-                e = minor * dinv
-                rows[i][j] = (-e if (i + j) % 2 else e).shift(-k)
-        return LaurentMatrix._of(rows)
+        return LaurentMatrix._of(_adjugate_times(self.rows, d.shift(-k).reciprocal(1), k))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
@@ -646,15 +649,7 @@ class SeriesMatrix:
         out_prec = min(adj_prec - k, adj_val + dprec - 2 * k)
         if out_prec <= -10**6:
             raise PrecisionError("inverse precision collapsed")
-        rows = [[ZERO_ENTRY] * n for _ in range(n)]
-        idx = list(range(n))
-        for i in range(n):
-            for j in range(n):
-                minor = det_minor(self.rows, [r for r in idx if r != j],
-                                  [c for c in idx if c != i])
-                e = minor * uinv
-                rows[i][j] = (-e if (i + j) % 2 else e).shift(-k)
-        return SeriesMatrix._of(rows, out_prec)
+        return SeriesMatrix._of(_adjugate_times(self.rows, uinv, k), out_prec)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeriesMatrix):
@@ -668,31 +663,20 @@ class SeriesMatrix:
         return f"Series(prec={self.precision}, {LaurentMatrix._of(self.rows)!r})"
 
 
-def series_exp(a: SeriesMatrix, with_inverse: bool = False):
-    """exp of a series matrix with strictly positive valuation.
-
-    With ``with_inverse``, the pair (exp(a), exp(-a)): the terms of the
-    two series differ only in sign, so the inverse costs additions only.
-    """
+def series_exp(a: SeriesMatrix):
+    """The pair (exp(a), exp(-a)) for a series matrix a with strictly
+    positive valuation, both at a's precision: the terms of the two series
+    differ only in sign, so the inverse costs additions only."""
     v = a.val()
     if v < 1:
         raise PrecisionError("series exp requires valuation >= 1")
-    n = a.n
-    out = SeriesMatrix.identity(n, a.precision)
-    inv = out
-    term = SeriesMatrix.identity(n, a.precision)
-    m = 0
-    while True:
-        m += 1
-        if m * v >= a.precision:
-            break
+    out = inv = term = SeriesMatrix.identity(a.n, a.precision)
+    # terms of order m * v >= a.precision vanish at this precision
+    for m in range(1, (a.precision - 1) // v + 1):
         term = (term * a).scale(Fraction(1, m))
         out = out + term
-        if with_inverse:
-            inv = inv - term if m % 2 else inv + term
-    if with_inverse:
-        return out.retruncate(a.precision), inv.retruncate(a.precision)
-    return out.retruncate(a.precision)
+        inv = inv - term if m % 2 else inv + term
+    return out, inv
 
 
 def laurent_exp_nilpotent(a: LaurentMatrix) -> LaurentMatrix:

@@ -9,7 +9,7 @@ default (smaller) sample sizes so a fresh checkout verifies quickly.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
 from .bundles_kottwitz import (
@@ -21,7 +21,7 @@ from .bundles_kottwitz import (
 )
 from .canonicalize import canonicalize_eta, canonicalize_theta, tau_theta
 from .coweight_orbits import classify_eta, classify_theta, enumerate_admissible
-from .duality import finite_matsuki, match_spherical, verify_intersection
+from .duality import finite_matsuki, match_iwahori, match_spherical, verify_intersection
 from .errors import certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
@@ -200,17 +200,22 @@ def check_tau_remark() -> None:
     certify(len(keys) == 4, "the four tau images are not distinct classes")
 
 
-def check_duality(bound: int = 2, samples: int = 20, seed: int = 2026) -> None:
-    """Matched pairs over the catalog: labels, component groups, twists."""
-    for datum in _catalog():
-        for pair in match_spherical(datum, bound):
-            certify(tuple(pair.theta_class.component_group)
-                    == tuple(pair.eta_class.component_group),
-                    f"{datum.real_form}: component groups differ at {pair.theta_class.lam}")
+def check_duality(bound: int = 2, samples: int = 20, seed: int = 2026,
+                  data: Optional[Sequence[GroupDatum]] = None,
+                  level: str = "spherical") -> None:
+    """Matched pairs over data (the rank-two catalog by default) at the
+    spherical or Iwahori level: labels, component groups, twists."""
+    match = match_spherical if level == "spherical" else match_iwahori
+    for datum in _catalog() if data is None else data:
+        for pair in match(datum, bound):
+            th = pair.theta_class
+            at = th.lam if level == "spherical" else (th.tw.lam, th.tw.w)
+            certify(tuple(th.component_group) == tuple(pair.eta_class.component_group),
+                    f"{datum.real_form}: component groups differ at {at}")
             if pair.common_rep is None:
                 continue  # twisted data need not share exact representatives
             report = verify_intersection(pair, samples, seed)
-            certify(not report["failures"], f"{datum.real_form} at {pair.theta_class.lam}: "
+            certify(not report["failures"], f"{datum.real_form} at {at}: "
                     f"{report['failures'][:1]}")
 
 
@@ -267,11 +272,14 @@ def check_coweight_agreement(count: int = 50, seed: int = 5) -> None:
                         f"{family}, epsilon={eps}, lambda={lam}")
 
 
-def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3) -> None:
-    """Kottwitz enumeration matches the eta classification exactly."""
+def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3,
+                   data: Optional[Sequence[GroupDatum]] = None) -> None:
+    """Kottwitz enumeration matches the eta classification exactly, over
+    data (the untwisted rank-two catalog by default)."""
     rng = random.Random(seed)
-    for datum in [_split(1), _split(-1), _quat(1), _quat(-1),
-                  _uni(1), _uni(-1)]:
+    if data is None:
+        data = [_split(1), _split(-1), _quat(1), _quat(-1), _uni(1), _uni(-1)]
+    for datum in data:
         points = enumerate_kottwitz(datum, bound)
         total = sum(len(classify_eta(datum, adm))
                     for adm in enumerate_admissible(datum, bound))

@@ -127,6 +127,35 @@ def test_theta_bytes_above_bench_ranks():
     assert hashlib.sha256(dumps(docs).encode()).hexdigest() == RANK45_THETA_DIGEST
 
 
+# sha256 of canonical_form_to_json over the twists of
+# test_theta_bytes_with_non_diagonal_levi
+LEVI_THETA_DIGEST = "2d5dca98974b8306dbc7dd88e4ad95a1ab630db276a749c813524383eed8f22e"
+
+
+def test_theta_bytes_with_non_diagonal_levi():
+    """Canonical forms whose Levi block ell is not diagonal, so that the
+    layer systems mix the rows of a block, are pinned byte for byte: one
+    twist per theta class at bound 1 of U(4) and GL_2(H) at epsilon = -1,
+    known to precision 8 and carried at 14 as in the benchmark."""
+    rng = random.Random(17)
+    docs = []
+    for key in [("unitary", 4, 1), ("quaternionic_gl", 4, -1)]:
+        d = gc.build_datum(*key)
+        for adm in enumerate_admissible(d, 1):
+            for cls in classify_theta(d, adm):
+                h = random_arc_element(d.n, 8, rng)
+                hs = SeriesMatrix.from_laurent(
+                    LaurentMatrix([[h.entry(r, c) for c in range(d.n)] for r in range(d.n)]), 14)
+                x = hs * SeriesMatrix.from_laurent(cls.loop_rep, 14) \
+                    * gc.apply_theta(hs, d).inverse()
+                form = canonicalize_theta(x, d)
+                assert (form.lam, form.orbit_class.label) == (cls.lam, cls.label)
+                assert any(form.g0.entry(i, j) for i in range(d.n) for j in range(d.n) if i != j)
+                docs.append(canonical_form_to_json(form))
+    assert len(docs) == 18
+    assert hashlib.sha256(dumps(docs).encode()).hexdigest() == LEVI_THETA_DIGEST
+
+
 def test_theta_certifies_w1_is_a_signed_permutation():
     # canonicalize_theta applies w1 as a signed column permutation
     d = gc.build_datum("split_gl", 2, 1)

@@ -50,6 +50,16 @@ def test_match_golden(capsys):
     assert doc["total_failures"] == 0
 
 
+def test_match_verifies_a_quaternionic_pole(capsys):
+    """GL_2(H) at epsilon = -1 has a common representative with a pole at
+    lambda = (1, 1, 1, -1); its theta anti-fixedness test takes no inverse,
+    so the twisted loop needs no precision beyond its own."""
+    rc, out, _ = run(capsys, "match", "--family", "quaternionic_gl", "--n", "4",
+                     "--epsilon", "-1", "--bound", "1", "--verify-samples", "3", "--seed", "7")
+    assert rc == 0
+    assert json.loads(out)["total_failures"] == 0
+
+
 def test_match_deterministic(tmp_path, capsys):
     argv = ["match", "--family", "split_gl", "--epsilon", "-1",
             "--bound", "1", "--verify-samples", "5", "--seed", "3"]

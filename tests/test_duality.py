@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 import loopmatsuki.group_catalog as gc
+from loopmatsuki import selftest
 from loopmatsuki.duality import (
     finite_matsuki,
     match_iwahori,
@@ -122,3 +123,20 @@ def test_finite_borel_counts_match_closed_forms(family, n, count, eps):
     GL_m(H) and the (p, q)-clans summed over p + q = n for U(p, q)
     (Richardson-Springer; Matsuki-Oshima; Yamamoto)."""
     assert len(finite_matsuki(gc.build_datum(family, n, eps))["borel"]) == count
+
+
+RANK_N_DATA = [("split_gl", 3), ("split_gl", 4), ("unitary", 3), ("unitary", 4),
+               ("quaternionic_gl", 4)]
+
+
+@pytest.mark.parametrize("eps", [1, -1], ids=["eps=1", "eps=-1"])
+@pytest.mark.parametrize("family, n", RANK_N_DATA, ids=[f"{f}-{n}" for f, n in RANK_N_DATA])
+def test_rank_two_suites_at_rank_n(family, n, eps):
+    """The selftest's duality and Kottwitz suites, written for the rank-two
+    tables, hold above rank two at bound 1: matched labels and component
+    groups, twisted representatives that keep their labels at both levels,
+    and one Kottwitz point per eta class."""
+    data = [gc.build_datum(family, n, eps)]
+    selftest.check_duality(bound=1, samples=2, seed=7, data=data)
+    selftest.check_duality(bound=1, samples=1, seed=7, data=data, level="iwahori")
+    selftest.check_kottwitz(bound=1, hsamples=1, seed=3, data=data)

@@ -63,14 +63,15 @@ def test_series_inverse_rejects_singular():
 def test_series_exp_of_nilpotent_layer():
     y = LaurentMatrix.zeros(2)
     y.rows[0][1] = Entry.of({1: QI(1)})
-    e = series_exp(SeriesMatrix.from_laurent(y, 6))
+    e, _ = series_exp(SeriesMatrix.from_laurent(y, 6))
     assert e.coeff(0, 1, 1) == QI(1)
     assert e.coeff(0, 0, 0) == QI(1)
     assert e * e.inverse() == SeriesMatrix.identity(2, e.precision)
-    # with_inverse returns exp(-y) too; a non-nilpotent y uses every term sign
+    # the pair carries exp(-y) too; a non-nilpotent y uses every term sign
     y = SeriesMatrix.from_laurent(LaurentMatrix([[{1: 1}, {1: 3}], [{2: 1}, {1: -2}]]), 8)
-    e, e_inv = series_exp(y, with_inverse=True)
-    assert e == series_exp(y) and e_inv == series_exp(y.scale(-1))
+    e, e_inv = series_exp(y)
+    minus_inv, minus = series_exp(y.scale(-1))
+    assert e == minus and e_inv == minus_inv
     assert e_inv.precision == e.precision == 8
     assert e * e_inv == SeriesMatrix.identity(2, 8)
 
@@ -273,10 +274,8 @@ def test_series_exp_commutes_with_truncation(case):
     # products read; this lemma keeps those products unchanged
     y, k, p = case
     assert y.val() == k
-    low, full = series_exp(y.retruncate(p)), series_exp(y).retruncate(p)
-    assert low.precision == full.precision == p and low.rows == full.rows
-    pairs = zip(series_exp(y.retruncate(p), with_inverse=True), series_exp(y, with_inverse=True))
-    for low, full in pairs:
+    # both halves of the pair: exp(y), then exp(-y)
+    for low, full in zip(series_exp(y.retruncate(p)), series_exp(y)):
         full = full.retruncate(p)
         assert low.precision == full.precision == p and low.rows == full.rows
 
