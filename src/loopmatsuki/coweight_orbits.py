@@ -33,7 +33,7 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    base_datum, involution, is_anti_fixed, j_matrix, theta0,
+    base_datum, check_bound, involution, is_anti_fixed, j_matrix, theta0,
 )
 from .laurent import LaurentMatrix
 
@@ -80,8 +80,7 @@ class AdmissibleCoweight:
 
 
 def enumerate_admissible(datum: GroupDatum, bound: int) -> List[AdmissibleCoweight]:
-    if bound < 0:
-        raise InvalidInputError("bound must be nonnegative")
+    check_bound(bound, datum.n)
     out = []
     vals = range(-bound, bound + 1)
     for tup in combinations_with_replacement(vals, datum.n):

@@ -45,6 +45,21 @@ UNITARY = "unitary"
 FAMILIES = (SPLIT_GL, QUATERNIONIC_GL, UNITARY)
 # build_datum makes n x n matrices at once: rank 1000 takes tens of seconds
 MAX_CONFIG_RANK = 256
+# the admissible enumerations walk every lambda with |lambda_i| <= bound, a
+# box of (2 * bound + 1)^n points (per Weyl element at the Iwahori level):
+# 10^4 admits bound 49 at n = 2, bound 4 at n = 4 and bound 1 up to n = 8
+MAX_COWEIGHT_BOX = 10 ** 4
+
+
+def check_bound(bound: int, n: int) -> None:
+    """Refuse a coweight bound whose box is negative or past MAX_COWEIGHT_BOX,
+    before anything walks it."""
+    if bound < 0:
+        raise InvalidInputError("bound must be nonnegative")
+    width = 2 * bound + 1
+    if width > MAX_COWEIGHT_BOX or width ** n > MAX_COWEIGHT_BOX:
+        raise InvalidInputError(f"bound {bound} at rank {n} spans more than the limit of "
+                                f"{MAX_COWEIGHT_BOX} coweights")
 
 
 def j_matrix(n: int) -> LaurentMatrix:

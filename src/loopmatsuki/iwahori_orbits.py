@@ -17,9 +17,17 @@ group the equation is solvable iff the rows of U_eq at the zero entries of
 D_eq, the characters vanishing on the image, kill the target; the rows of
 U_act at the zero entries of D_act are the class invariants, and the entries
 of D_act above 1 give the stabilizer component group.  The class set is the
-finite quotient of the solution coset by the action image.  Arguments are
-kept as exact rationals mod 1, so representatives are roots of unity
-(embedded into Q(i) when their order divides 4).
+finite quotient of the solution coset by the action image.
+
+Arguments are exact rationals mod 1, so representatives are roots of unity
+(embedded into Q(i) when their order divides 4).  Every denominator the
+per-lambda solve meets divides one scale fixed per problem, so the solve
+runs on int numerators: the target in quarter turns (z, epsilon and the
+arguments of (w * theta0(w))^-1 are all 4th roots of unity), the solution
+and torsion offsets over 4 * lcm of the nonzero d_i of D_eq, and the
+canonical representative over that times the denominators of the
+canonicalizer's rational bases.  Fraction appears only at the label
+boundary, in IwahoriClass.g0_args.
 """
 
 from __future__ import annotations
@@ -27,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, InvalidInputError, certify
 from .gaussian import QI
-from .group_catalog import GroupDatum, theta0, is_anti_fixed, base_datum
+from .group_catalog import GroupDatum, base_datum, check_bound, is_anti_fixed, theta0
 from .intlat import (
     as_fractions, eliminate, snf_int, mat_mul, mat_vec, lattice_basis,
     snf_diagonal, transpose,
@@ -40,26 +49,26 @@ from .laurent import LaurentMatrix
 
 Args = Tuple[Fraction, ...]
 
-_QUARTER_ARGS = {QI(1): Fraction(0), QI(0, 1): Fraction(1, 4),
-                 QI(-1): Fraction(1, 2), QI(0, -1): Fraction(3, 4)}
-_QUARTER_VALS = {v: k for k, v in _QUARTER_ARGS.items()}
+_QUARTER_ROOTS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))  # i^k at index k
+_QUARTERS = {v: k for k, v in enumerate(_QUARTER_ROOTS)}
 
 
-def qi_arg(x: QI) -> Fraction:
-    if x not in _QUARTER_ARGS:
+def qi_quarter(x: QI) -> int:
+    """The k in 0..3 with x = i^k: x's argument in quarter turns."""
+    if x not in _QUARTERS:
         raise InvalidInputError(f"{x} is not a 4th root of unity")
-    return _QUARTER_ARGS[x]
+    return _QUARTERS[x]
 
 
-def args_to_matrix(args: Sequence[Fraction]) -> Optional[LaurentMatrix]:
-    """Diagonal root-of-unity matrix for argument vector, or None when some
-    entry has order not dividing 4 (outside Q(i))."""
+def args_to_matrix(nums: Sequence[int], scale: int) -> Optional[LaurentMatrix]:
+    """Diagonal root-of-unity matrix for the argument vector nums / scale, or
+    None when some entry has order not dividing 4 (outside Q(i))."""
     vals = []
-    for a in args:
-        key = Fraction(a) % 1
-        if key not in _QUARTER_VALS:
+    for a in nums:
+        k, r = divmod(4 * a, scale)
+        if r:
             return None
-        vals.append(_QUARTER_VALS[key])
+        vals.append(_QUARTER_ROOTS[k % 4])
     return LaurentMatrix.diag_scalars(vals)
 
 
@@ -136,8 +145,7 @@ def theta0_weyl(datum: GroupDatum, w: Sequence[int]) -> Tuple[int, ...]:
 def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylElement]:
     """The t^lambda * w with |lambda_i| <= bound, theta0(w) = w^-1 in W and
     theta0(lambda) = -w^-1 lambda."""
-    if bound < 0:
-        raise InvalidInputError("bound must be nonnegative")
+    check_bound(bound, datum.n)
     e = _involution_torus_matrix(datum)
     out = []
     for w in permutations(range(datum.n)):
@@ -157,7 +165,9 @@ class TorusProblem:
     every central sector: it depends on (family, n, w) alone and is certified
     when build_torus_problem makes it.  lambda, epsilon and z enter only
     through the target t_tw * z, which classes(tw, datum, side) solves
-    through the Smith form of m_eq."""
+    through the Smith form of m_eq.  Argument vectors are int numerators:
+    targets in quarter turns, solutions and offsets over scale, canonical
+    representatives over arg_scale."""
 
     w: Tuple[int, ...]
     m_eq: List[List[int]]
@@ -166,10 +176,12 @@ class TorusProblem:
     snf_u: List[List[int]]  # U * m_eq * V = diag(snf_d)
     snf_d: List[int]
     snf_v: List[List[int]]
-    offsets: List[List[Fraction]]  # the torsion of the solution coset
-    canon: Callable[[Sequence[Fraction]], Args]
+    scale: int  # 4 * lcm of the nonzero snf_d: every solution is an int vector over it
+    offsets: List[List[int]]  # the torsion of the solution coset, over scale
+    canon: Callable[[Sequence[int]], Tuple[int, ...]]  # over scale in, arg_scale out
+    arg_scale: int
     component_group: Tuple[int, ...]
-    base_target: Tuple[Fraction, ...]  # arguments of (w * theta0(w))^-1
+    base_target: Tuple[int, ...]  # arguments of (w * theta0(w))^-1, in quarter turns
 
     def classes(self, tw: AffineWeylElement, datum: GroupDatum,
                 side: str) -> List["IwahoriClass"]:
@@ -178,36 +190,33 @@ class TorusProblem:
         by arguments; none when the equation is unsolvable."""
         if tw.w != self.w:
             raise InvalidInputError(f"t~w has Weyl part {tw.w}, the problem {self.w}")
-        # t_tw * z = eps^lambda * (w * theta0(w))^-1 * z: eps = -1 adds 1/2 at odd lambda_i
-        sign_arg, zarg = Fraction(1 - datum.epsilon, 4), qi_arg(datum.z)
-        targ = [(b + zarg + sign_arg * (l % 2)) % 1 for b, l in zip(self.base_target, tw.lam)]
+        # t_tw * z = eps^lambda * (w * theta0(w))^-1 * z: eps = -1 adds a half turn at odd lambda_i
+        sign, zq = 1 - datum.epsilon, qi_quarter(datum.z)
+        targ = [(b + zq + sign * (l % 2)) % 4 for b, l in zip(self.base_target, tw.lam)]
         c = []
         for uti, di in zip(mat_vec(self.snf_u, targ), self.snf_d):
             if di == 0:
                 # row i of U kills the image of m_eq: the character test
-                if uti.denominator != 1:
+                if uti % 4:
                     return []
-                c.append(Fraction(0))
+                c.append(0)
             else:
-                c.append(uti / di)
+                c.append(uti * (self.scale // (4 * di)))  # uti / (4 * di) over scale
         a0 = mat_vec(self.snf_v, c)
-        seen = {}
-        for off in self.offsets:
-            key = self.canon([x + o for x, o in zip(a0, off)])
-            if key not in seen:
-                seen[key] = tuple(x % 1 for x in key)
+        reps = sorted({self.canon([x + o for x, o in zip(a0, off)]) for off in self.offsets})
+        scale = self.arg_scale
         out = []
-        for args in sorted(seen.values()):
-            img = mat_vec(self.m_eq, list(args))
-            certify(all((x - t).denominator == 1 for x, t in zip(img, targ)),
+        for args in reps:
+            img = mat_vec(self.m_eq, args)
+            certify(all((x - t * scale // 4) % scale == 0 for x, t in zip(img, targ)),
                     "a canonical torus representative does not solve the equation")
-            g0 = args_to_matrix(args)
+            g0 = args_to_matrix(args, scale)
             loop = None
             if g0 is not None:
                 loop = tw.loop() * g0
                 _check_anti_fixed(loop, datum, tw, side)
-            out.append(IwahoriClass(datum, tw, side, args, g0, loop,
-                                    self.component_group, self))
+            out.append(IwahoriClass(datum, tw, side, tuple(Fraction(a, scale) for a in args),
+                                    g0, loop, self.component_group, self))
         return out
 
 
@@ -250,58 +259,75 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
     if not m.is_constant() or any(
             not const[i][j].is_zero() for i in range(n) for j in range(n) if i != j):
         raise InvalidInputError("w * theta0(w) is not a torus element")
-    base_target = tuple(qi_arg(const[i][i]) for i in range(n))
-    offsets = [[Fraction(0)] * n]
+    base_target = tuple(qi_quarter(const[i][i]) for i in range(n))
+    scale = 4 * lcm(*(di for di in snf_d if di))
+    offsets = [[0] * n]
     for i, di in enumerate(snf_d):
         if di > 1:
-            g = [Fraction(v[j][i], di) for j in range(n)]
+            g = [v[j][i] * (scale // di) for j in range(n)]
             offsets = [[x + k * gx for x, gx in zip(off, g)]
                        for off in offsets for k in range(di)]
     act_characters = [row for row, di in zip(u_act, d_act) if di == 0]
     comp = tuple(f for f in d_act if f > 1)
-    return TorusProblem(w, m_eq, m_act, act_characters, u, snf_d, v, offsets,
-                        _canonicalizer(m_act), comp, base_target)
+    canon, arg_scale = _canonicalizer(m_act, scale)
+    return TorusProblem(w, m_eq, m_act, act_characters, u, snf_d, v, scale, offsets,
+                        canon, arg_scale, comp, base_target)
 
 
 # ---------------------------------------------------------------------------
 # solving over the divisible torus, in argument coordinates (Q mod Z)
 
 
-def _reduce_mod_span(v: List[Fraction], basis, pivots) -> List[Fraction]:
-    v = list(v)
-    for b, p in zip(basis, pivots):
-        if v[p]:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, b)]
-    return v
+def _canonicalizer(m_act, scale: int):
+    """(canon, arg_scale): canon maps an int argument vector over scale to
+    the numerators over arg_scale, each in [0, arg_scale), of its canonical
+    representative modulo Z^n + span_Q(columns of m_act).
 
-
-def _canonicalizer(m_act):
-    """Returns a function reducing argument vectors to a canonical
-    representative modulo Z^n + span_Q(columns of m_act)."""
+    The representative is zero at the pivots of the reduced span basis and
+    has lattice coordinates in [0, 1) on the image of Z^n in the quotient.
+    Both bases are rational; with den the lcm of their denominators, every
+    step is an int operation on numerators over arg_scale = scale * den.
+    """
     n = len(m_act)
     # reduced rows of m_act^T: they span the column space of m_act, with
     # zeros at every pivot but their own
     rows, pivots, _ = eliminate(transpose(as_fractions(m_act)))
     basis = rows[:len(pivots)]
-    proj_ints = []
-    for k in range(n):
-        e = [Fraction(1) if i == k else Fraction(0) for i in range(n)]
-        proj_ints.append(_reduce_mod_span(e, basis, pivots))
-    lat = lattice_basis(proj_ints)  # image of Z^n in the quotient space
-    solve_lat = eliminate(transpose(lat))[2] if lat else None
+    # e_k in the quotient: e_k less the basis row pivoting at k, if any
+    by_pivot, zero = dict(zip(pivots, basis)), [Fraction(0)] * n
+    lat = lattice_basis([[int(i == k) - x for i, x in enumerate(by_pivot.get(k, zero))]
+                         for k in range(n)])  # image of Z^n in the quotient space
+    den = lcm(*(x.denominator for b in basis + lat for x in b))
+    span = [(p, [int(x * den) for x in b]) for p, b in zip(pivots, basis)]
+    lat_num = [[int(x * den) for x in b] for b in lat]
+    # the quotient lives on the free columns: lattice coordinates of a
+    # reduced vector are its free entries times coords / den_c
+    free = [j for j in range(n) if j not in pivots]
+    solve_lat = eliminate(transpose([[b[j] for j in free] for b in lat]))[2]
+    coords = [solve_lat([int(i == j) for i in range(len(free))]) for j in range(len(free))]
+    certify(all(c is not None for c in coords), "reduced argument vector outside the lattice span")
+    den_c = lcm(*(x.denominator for c in coords for x in c))
+    coord_cols = [[int(c[i] * den_c) for c in coords] for i in range(len(lat))]
+    arg_scale = scale * den
+    floor_den, check = arg_scale * den_c, den * den_c
 
-    def canon(v: Sequence[Fraction]) -> Args:
-        r = _reduce_mod_span([Fraction(x) for x in v], basis, pivots)
-        if lat:
-            coords = solve_lat(r)
-            certify(coords is not None, "reduced argument vector outside the lattice span")
-            for c, b in zip(coords, lat):
-                f = Fraction(int(c // 1))
-                r = [x - f * y for x, y in zip(r, b)]
-        return tuple(r)
+    def canon(x: Sequence[int]) -> Tuple[int, ...]:
+        r = [den * xi for xi in x]
+        for p, b in span:
+            f = x[p]
+            if f:
+                r = [ri - f * bi for ri, bi in zip(r, b)]
+        cs = [sum(r[j] * cj for j, cj in zip(free, col)) for col in coord_cols]
+        certify([check * ri for ri in r]
+                == [sum(c * b[i] for c, b in zip(cs, lat_num)) for i in range(n)],
+                "reduced argument vector outside the lattice span")
+        for c, b in zip(cs, lat_num):
+            f = scale * (c // floor_den)
+            if f:
+                r = [ri - f * bi for ri, bi in zip(r, b)]
+        return tuple(ri % arg_scale for ri in r)
 
-    return canon
+    return canon, arg_scale
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +359,10 @@ class IwahoriClass:
             for ki, v in zip(k, diag):
                 if ki:
                     val = val * v ** ki
-            want = sum((ki * a for ki, a in zip(k, self.g0_args)), Fraction(0)) % 1
-            root = _QUARTER_VALS.get(want)
-            if root is None:
+            want = 4 * sum((ki * a for ki, a in zip(k, self.g0_args)), Fraction(0))
+            if want.denominator != 1:
                 return False
+            root = _QUARTER_ROOTS[want.numerator % 4]
             # conjugation-twisted actions move character values by positive
             # reals only, which never mixes the quarter-root fibres
             q = val / root

@@ -274,6 +274,22 @@ def test_iwahori_orbits_n4_golden(capsys, family, eps):
     assert hashlib.sha256(out.encode()).hexdigest() == N4_IWAHORI_DIGESTS[family, eps]
 
 
+# sha256 of the JSON n = 5 Iwahori orbit tables on stdout
+N5_IWAHORI_DIGESTS = {
+    ("split_gl", "1"): "ebcf41411e32d70babc1c08aabfa2fc44a22cfac32fb59744c58fe82290ae34a",
+    ("split_gl", "-1"): "6cf8d8e82f7d1afbecf322f3e93e472ba24ebe15c07444b857bd6c83a04a712a",
+    ("unitary", "1"): "e0402393fcc4108a50a54d8df08efc2586d450a70f42f1c13a2f17866e9793b8",
+}
+
+
+@pytest.mark.parametrize("family,eps", list(N5_IWAHORI_DIGESTS))
+def test_iwahori_orbits_n5_golden(capsys, family, eps):
+    rc, out, _ = run(capsys, "orbits", "--family", family, "--n", "5", "--epsilon", eps,
+                     "--level", "iwahori", "--bound", "1", "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == N5_IWAHORI_DIGESTS[family, eps]
+
+
 def test_iwahori_tables_at_z_i(capsys):
     """At z = i unitary n = 2 has Iwahori classes without a representative;
     the table lists them and match pairs them with a null common_rep."""

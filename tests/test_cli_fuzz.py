@@ -6,7 +6,8 @@ Integers and exponents stay small in the general fuzz: a datum of rank n
 allocates n x n matrices, and an entry stores a dense list as long as its
 exponent span.  Exponents up to 10^9 and ranks above the config limit have a
 test of their own: they must exit 2 before anything of that size is built.
-So do documents nested 10^5 deep, which the JSON parser cannot read.
+So do documents nested 10^5 deep, which the JSON parser cannot read, and
+coweight bounds whose box of (2 * bound + 1)^n coweights is past its limit.
 """
 
 import contextlib
@@ -14,13 +15,15 @@ import io
 import json
 import os
 import tempfile
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.cli import main
-from loopmatsuki.group_catalog import MAX_CONFIG_RANK
+from loopmatsuki.errors import InvalidInputError
+from loopmatsuki.group_catalog import MAX_CONFIG_RANK, check_bound
 from loopmatsuki.serialize import MAX_LOOP_SLOTS
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -223,3 +226,24 @@ def test_oversized_loops_and_ranks_exit_2_without_allocating(invocation):
         tracemalloc.stop()
     assert code == 2
     assert peak < 2 ** 22
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--level", "iwahori"], ["orbits", "--level", "spherical"],
+    ["match", "--level", "iwahori"], ["match", "--level", "spherical"],
+    ["bundle"], ["kottwitz"],
+], ids=lambda argv: "-".join(argv))
+def test_bound_past_the_coweight_box_exits_2_at_once(argv):
+    # the enumerations would walk 200001^2 coweights
+    start = time.perf_counter()
+    code = run_cli(argv + ["--family", "split_gl", "--n", "2", "--bound", "100000"], {})
+    assert time.perf_counter() - start < 1
+    assert code == 2
+
+
+def test_coweight_box_limit_is_exact():
+    check_bound(4, 4)  # 9^4 = 6561 coweights
+    check_bound(1, 8)  # 3^8
+    for bound, n in ((5, 4), (1, 9), (5000, 1), (10 ** 100, 256)):
+        with pytest.raises(InvalidInputError, match="limit"):
+            check_bound(bound, n)

@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -8,12 +10,13 @@ from loopmatsuki import canonicalize, cli, duality, iwahori_orbits
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.errors import CertificateError
 from loopmatsuki.intlat import (
-    as_fractions, eliminate, integer_left_kernel_basis, mat_mul, mat_vec,
+    as_fractions, eliminate, integer_left_kernel_basis, lattice_basis, mat_mul, mat_vec,
+    transpose,
 )
 from loopmatsuki.iwahori_orbits import (
     AffineWeylElement, _ad_matrix, _involution_torus_matrix, _perm_inverse,
     build_torus_problem, classes_at_tw, enumerate_admissible_tw, enumerate_iwahori,
-    perm_matrix, qi_arg,
+    perm_matrix, qi_quarter,
 )
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix
@@ -286,7 +289,7 @@ def _eta0_torus_probe(d):
         img = gc.eta0(LaurentMatrix.diag_scalars(vals), d)
         col = []
         for i in range(n):
-            c = int(4 * qi_arg(img.constant_matrix()[i][i]))
+            c = qi_quarter(img.constant_matrix()[i][i])
             col.append(c - 4 if c > 1 else c)  # entries lie in {-1,0,1}
         cols.append(col)
     return [[cols[j][i] for j in range(n)] for i in range(n)]
@@ -369,11 +372,167 @@ def test_solvability_matches_the_character_oracle(side):
             if tw.w not in problems:
                 problems[tw.w] = build_torus_problem(d, tw.w)
             problem = problems[tw.w]
-            sign = Fraction(1 - base.epsilon, 4)
-            targ = [(b + qi_arg(base.z) + sign * (lam % 2)) % 1
+            # base_target and z in quarter turns; eps = -1 adds a half turn at odd lam
+            sign = 1 - base.epsilon
+            targ = [Fraction((b + qi_quarter(base.z) + sign * (lam % 2)) % 4, 4)
                     for b, lam in zip(problem.base_target, tw.lam)]
             unsolvable = any(x.denominator != 1 for x in mat_vec(
                 integer_left_kernel_basis(problem.m_eq), targ))
             assert (problem.classes(tw, base, side) == []) == unsolvable, (family, eps, tw)
             seen.add(unsolvable)
     assert seen == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# the per-lambda solve in Fraction arithmetic: the oracle for the integer one
+
+
+def _reduce_mod_span(v, basis, pivots):
+    v = list(v)
+    for b, p in zip(basis, pivots):
+        if v[p]:
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, b)]
+    return v
+
+
+def _fraction_canonicalizer(m_act):
+    """Canonical representative modulo Z^n + span_Q(columns of m_act), in
+    Fraction: zero at the pivots of the reduced span basis, lattice
+    coordinates in [0, 1) on the image of Z^n in the quotient."""
+    n = len(m_act)
+    rows, pivots, _ = eliminate(transpose(as_fractions(m_act)))
+    basis = rows[:len(pivots)]
+    lat = lattice_basis([_reduce_mod_span([Fraction(int(i == k)) for i in range(n)],
+                                          basis, pivots) for k in range(n)])
+    solve_lat = eliminate(transpose(lat))[2] if lat else None
+
+    def canon(v):
+        r = _reduce_mod_span([Fraction(x) for x in v], basis, pivots)
+        if lat:
+            coords = solve_lat(r)
+            assert coords is not None
+            for c, b in zip(coords, lat):
+                f = Fraction(int(c // 1))
+                r = [x - f * y for x, y in zip(r, b)]
+        return tuple(r)
+
+    return canon
+
+
+def _fraction_classes(problem, tw, datum):
+    """g0_args of the classes at tw, by the target, Smith solve, torsion
+    offsets and canonicalizer carried in Fraction."""
+    n = len(problem.w)
+    sign_arg, zarg = Fraction(1 - datum.epsilon, 4), Fraction(qi_quarter(datum.z), 4)
+    targ = [(Fraction(b, 4) + zarg + sign_arg * (lam % 2)) % 1
+            for b, lam in zip(problem.base_target, tw.lam)]
+    c = []
+    for uti, di in zip(mat_vec(problem.snf_u, targ), problem.snf_d):
+        if di == 0:
+            if uti.denominator != 1:
+                return []
+            c.append(Fraction(0))
+        else:
+            c.append(uti / di)
+    a0 = mat_vec(problem.snf_v, c)
+    offsets = [[Fraction(0)] * n]
+    for i, di in enumerate(problem.snf_d):
+        if di > 1:
+            g = [Fraction(problem.snf_v[j][i], di) for j in range(n)]
+            offsets = [[x + k * gx for x, gx in zip(off, g)]
+                       for off in offsets for k in range(di)]
+    canon = _fraction_canonicalizer(problem.m_act)
+    seen = {}
+    for off in offsets:
+        key = canon([x + o for x, o in zip(a0, off)])
+        seen.setdefault(key, tuple(x % 1 for x in key))
+    out = sorted(seen.values())
+    for args in out:
+        assert all((x - t).denominator == 1
+                   for x, t in zip(mat_vec(problem.m_eq, list(args)), targ))
+    return out
+
+
+@pytest.mark.parametrize("side", ["theta", "eta"])
+def test_integer_solve_matches_the_fraction_oracle(side):
+    data = [(_datum(*fne), 2) for fne in IWAHORI_DATA + [("U(1,1)", 2, 1)]]
+    data.append((gc.build_datum("unitary", 2, 1, QI(0, 1)), 2))
+    empty, orders = set(), set()
+    for d, bound in data:
+        base = gc.base_datum(d, side)
+        problems = {}
+        for tw in enumerate_admissible_tw(d, bound):
+            if tw.w not in problems:
+                problems[tw.w] = build_torus_problem(d, tw.w)
+            got = [c.g0_args for c in problems[tw.w].classes(tw, base, side)]
+            assert got == _fraction_classes(problems[tw.w], tw, base), (d.family, tw)
+            empty.add(not got)
+            orders.update(a.denominator for args in got for a in args)
+    assert empty == {False, True}
+    assert orders == {1, 2, 4, 8}
+
+
+def test_integer_canonicalizer_matches_the_fraction_oracle():
+    # random action matrices, some with non-integral reduced span bases
+    rng = random.Random(5)
+    dens = set()
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m_act = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        scale = 4 * rng.randint(1, 3)
+        canon, arg_scale = iwahori_orbits._canonicalizer(m_act, scale)
+        dens.add(arg_scale // scale)
+        oracle = _fraction_canonicalizer(m_act)
+        for _ in range(5):
+            x = [rng.randint(-3 * scale, 3 * scale) for _ in range(n)]
+            want = tuple(a % 1 for a in oracle([Fraction(xi, scale) for xi in x]))
+            assert tuple(Fraction(a, arg_scale) for a in canon(x)) == want, (m_act, x)
+    assert len(dens) > 1
+
+
+def _unitary_bound0_argv(n, side):
+    return ["orbits", "--family", "unitary", "--n", str(n), "--bound", "0",
+            "--level", "iwahori", "--side", side]
+
+
+@pytest.mark.parametrize("side", ["theta", "eta"])
+def test_unsolving_representative_is_certificate_error(capsys, monkeypatch, side):
+    # a quarter turn added to the first argument of every torsion offset
+    # moves the representatives off the solution coset
+    d = gc.build_datum("unitary", 2, 1)
+    tw = AffineWeylElement.of((0, 0), (0, 1))
+    assert classes_at_tw(d, tw, side)
+    build = iwahori_orbits.build_torus_problem
+
+    def corrupted(datum, w):
+        p = build(datum, w)
+        return replace(p, offsets=[[o[0] + p.scale // 4] + o[1:] for o in p.offsets])
+
+    monkeypatch.setattr(iwahori_orbits, "build_torus_problem", corrupted)
+    with pytest.raises(CertificateError, match="does not solve the equation"):
+        classes_at_tw(d, tw, side)
+    assert cli.main(_unitary_bound0_argv(2, side)) == 1
+    assert "certificate failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["theta", "eta"])
+def test_lattice_coordinates_outside_the_span_are_certificate_error(capsys, monkeypatch,
+                                                                    side):
+    # the lattice basis gains a unit entry at the span pivots, where every
+    # generator vanishes: the free entries, and so the coordinates read off
+    # them, are unchanged, but they no longer rebuild the reduced vector
+    d = gc.build_datum("unitary", 3, 1)
+    tw = AffineWeylElement.of((0, 0, 0), (0, 2, 1))
+    assert classes_at_tw(d, tw, side)
+    basis = iwahori_orbits.lattice_basis
+
+    def corrupted(gens):
+        pivots = [i for i in range(len(gens[0])) if not any(g[i] for g in gens)]
+        return [[x + (i in pivots) for i, x in enumerate(b)] for b in basis(gens)]
+
+    monkeypatch.setattr(iwahori_orbits, "lattice_basis", corrupted)
+    with pytest.raises(CertificateError, match="outside the lattice span"):
+        classes_at_tw(d, tw, side)
+    assert cli.main(_unitary_bound0_argv(3, side)) == 1
+    assert "certificate failed" in capsys.readouterr().err
