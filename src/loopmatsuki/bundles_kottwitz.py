@@ -111,11 +111,11 @@ def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
     n = datum.n
     if len(p.lam) != n or p.g.n != n or not p.g.is_constant():
         return False
-    if datum.twist is not None:
+    base = gc.base_datum(datum, "eta")
+    if base is not datum:
         # the identities hold at the base datum, reached by x -> x * c
-        s = gc.twist_scalar(datum, datum.twist, "eta")
-        p = KottwitzPoint(p.lam, gc.transport_to_base(p.g, datum), p.z * s)
-        datum = gc.base_datum(datum, "eta")
+        p = KottwitzPoint(p.lam, gc.transport_to_base(p.g, datum), p.z * (base.z / datum.z))
+        datum = base
     want = eps_lambda(datum, p.lam).scale(p.z)
     if p.g * gc.eta0(p.g, datum) != want:
         return False
@@ -168,6 +168,4 @@ def twist_kottwitz(p: KottwitzPoint, h: LaurentMatrix,
             raise InvalidInputError("h does not normalize the cocharacter")
         new_lam.append(k)
     g = h * gc.transport_to_base(p.g, datum) * gc.eta0(h, datum).inverse()
-    if datum.twist is not None:
-        g = g * datum.twist.inverse()
-    return KottwitzPoint(lam=tuple(new_lam), g=g, z=p.z)
+    return KottwitzPoint(lam=tuple(new_lam), g=gc.transport_from_base(g, datum), z=p.z)

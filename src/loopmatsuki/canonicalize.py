@@ -12,7 +12,7 @@ diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
@@ -22,7 +22,6 @@ from .coweight_orbits import (
     classify_eta,
     classify_theta,
     equation_holds,
-    transport_class,
 )
 from .errors import (
     CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError, certify,
@@ -37,11 +36,7 @@ from .exact_algebra import (
 from .gaussian import QI
 from .group_catalog import GroupDatum
 from .intlat import eliminate
-from .iwahori_orbits import (
-    AffineWeylElement,
-    classes_at_tw,
-    transport_iwahori_class,
-)
+from .iwahori_orbits import AffineWeylElement, classes_at_tw
 from .laurent import (
     ONE_ENTRY,
     Entry,
@@ -167,8 +162,9 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         raise InvalidInputError("canonicalize_theta needs a group datum")
     if not isinstance(x, SeriesMatrix):
         raise InvalidInputError("canonicalize_theta takes a series loop")
-    if datum.twist is not None:
-        return _canonicalize_twisted(x, datum, "theta")
+    base = gc.base_datum(datum, "theta")
+    if base is not datum:
+        return _reduce_on_base(canonicalize_theta, x, datum, base)
     n = x.n
     if not gc.is_anti_fixed_theta(x, datum):
         raise NotAntiFixedError("loop is not theta-anti-fixed to its precision")
@@ -305,8 +301,9 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     if not gc.is_anti_fixed_eta(x, datum):
         raise NotAntiFixedError("loop is not eta-anti-fixed")
 
-    if datum.twist is not None:
-        return _canonicalize_twisted(x, datum, "eta")
+    base = gc.base_datum(datum, "eta")
+    if base is not datum:
+        return _reduce_on_base(canonicalize_eta, x, datum, base)
 
     n = x.n
     gplus, lam, _, h_acc = birkhoff_factor(x)
@@ -349,19 +346,22 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     )
 
 
-def _canonicalize_twisted(x, datum: GroupDatum, side: str) -> CanonicalForm:
-    """Transport through the pure inner twist, reduce, and transport back."""
-    canonicalize = canonicalize_theta if side == "theta" else canonicalize_eta
-    form = canonicalize(gc.transport_to_base(x, datum), gc.base_datum(datum, side))
-    twist_inv = datum.twist.inverse()
-    loop_rep = form.loop_rep * twist_inv
-    if side == "eta":
+def _reduce_on_base(reduce, x, datum: GroupDatum, base: GroupDatum,
+                    tw: Optional[AffineWeylElement] = None) -> CanonicalForm:
+    """Reduce the loop x of a twisted datum at base, which x -> x * c
+    carries it to, and carry the form back (x is the positioned factor of
+    t~w * x when tw is given).  An eta certificate is replayed on the loop."""
+    xc = gc.transport_to_base(x, datum)
+    if tw is None:
+        form = gc.carry_from_base(reduce(xc, base), datum, datum.w1)
+    else:
+        form = gc.carry_from_base(reduce(tw, xc, base), datum)
+    if form.side == "eta":
         h = form.certificate
-        certify(h * x * gc.apply_eta_inv(h, datum) == loop_rep,
+        loop = x if tw is None else tw.loop() * x
+        certify(h * loop * gc.apply_eta_inv(h, datum) == form.loop_rep,
                 "twisted eta certificate does not replay")
-    return replace(form, g0=form.g0 * datum.w1.inverse() * twist_inv * datum.w1,
-                   orbit_class=transport_class(form.orbit_class, datum),
-                   loop_rep=loop_rep)
+    return form
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +482,12 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
     return steps
 
 
-def _iwahori_reduce_twisted(tw: AffineWeylElement, g, datum: GroupDatum,
-                            side: str) -> CanonicalForm:
-    """Transport through the pure inner twist, reduce, and transport back."""
-    reduce = iwahori_reduce_theta if side == "theta" else iwahori_reduce_eta
-    form = reduce(tw, gc.transport_to_base(g, datum), gc.base_datum(datum, side))
-    cinv = datum.twist.inverse()
-    return replace(form, g0=form.g0 * cinv, loop_rep=form.loop_rep * cinv,
-                   orbit_class=transport_iwahori_class(form.orbit_class, datum))
-
-
 def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
                          datum: GroupDatum) -> CanonicalForm:
     """Reduce t~w * g (g in the Iwahori subgroup) to its torus form."""
-    if datum.twist is not None:
-        return _iwahori_reduce_twisted(tw, g, datum, "theta")
+    base = gc.base_datum(datum, "theta")
+    if base is not datum:
+        return _reduce_on_base(iwahori_reduce_theta, g, datum, base, tw)
     n = g.n
     tw_loop = tw.loop()
     c = g.constant_matrix()
@@ -532,8 +523,9 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
 def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
                        datum: GroupDatum) -> CanonicalForm:
     """Reduce t~w * g (exact, pre-positioned) to its torus form, exactly."""
-    if datum.twist is not None:
-        return _iwahori_reduce_twisted(tw, g, datum, "eta")
+    base = gc.base_datum(datum, "eta")
+    if base is not datum:
+        return _reduce_on_base(iwahori_reduce_eta, g, datum, base, tw)
     n = g.n
     tw_loop = tw.loop()
     x = tw_loop * g

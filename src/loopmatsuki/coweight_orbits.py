@@ -25,7 +25,7 @@ x_lambda on either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
@@ -33,7 +33,7 @@ from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    base_datum, check_bound, involution, is_anti_fixed, j_matrix, theta0,
+    base_datum, carry_from_base, check_bound, involution, is_anti_fixed, j_matrix, theta0,
 )
 from .laurent import LaurentMatrix
 
@@ -271,29 +271,9 @@ def classify_eta(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight) -> 
 def _classify(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight,
               side: str) -> List[SphericalClass]:
     adm = lam if isinstance(lam, AdmissibleCoweight) else AdmissibleCoweight.of(datum, lam)
-    if datum.twist is not None:
-        return _classify_twisted(datum, adm, side)
+    base = base_datum(datum, side)
+    if base is not datum:
+        return [carry_from_base(cls, datum, datum.w1) for cls in _classify(base, adm, side)]
     if datum.family in (SPLIT_GL, QUATERNIONIC_GL):
         return _classify_symalt(datum, adm, side)
     return _classify_unitary(datum, adm, side)
-
-
-def _classify_twisted(datum: GroupDatum, adm: AdmissibleCoweight,
-                      side: str) -> List[SphericalClass]:
-    """Classify via the transport bijection x -> x * c between the twisted
-    anti-fixed set and the base anti-fixed set at the matching z-sector."""
-    return [transport_class(cls, datum)
-            for cls in _classify(base_datum(datum, side), adm, side)]
-
-
-def transport_class(cls: SphericalClass, datum: GroupDatum) -> SphericalClass:
-    """A class of base_datum(datum, cls.side) as a class of the twisted
-    datum, its representative carried by x -> x * c^-1 and certified
-    anti-fixed; the label is shared."""
-    cinv = datum.twist.inverse()
-    loop = cls.loop_rep * cinv
-    g0 = cls.g0 * datum.w1.inverse() * cinv * datum.w1
-    certify(is_anti_fixed(loop, datum, cls.side),
-            f"twisted {cls.side} class {cls.label} at lambda={cls.lam}: "
-            "transported representative not anti-fixed")
-    return replace(cls, datum=datum, g0=g0, loop_rep=loop)

@@ -22,11 +22,13 @@ is_anti_fixed tests gamma * sigma(gamma) = z as gamma = z * sigma(gamma)^-1.
 A datum may carry a pure inner twist c, a constant matrix with both
 c*theta0(c) and c*eta0(c) scalar; both loop involutions are then conjugated
 by c (e.g. U(2) -> U(1,1) with c = diag(1,-1)).  theta0 and eta0 stay the
-base datum's constant involutions: only the loop involutions and
-transport_to_base see the twist.  This module alone relates a twisted datum
-to its base: x -> x * c (transport_to_base) carries its anti-fixed loops to
-those of base_datum(datum, side), the untwisted datum at the matching central
-sector, where tables and canonical forms are computed.
+base datum's constant involutions: only the loop involutions and the
+transports see the twist.  This module alone relates a twisted datum to its
+base: x -> x * c (transport_to_base) carries its anti-fixed loops to those
+of base_datum(datum, side), the untwisted datum at the matching central
+sector, where tables and canonical forms are computed, and carry_from_base
+carries those classes and forms back by x -> x * c^-1 (transport_from_base).
+Other modules ask base_datum(datum, side) is not datum, never for c itself.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidInputError, UnsupportedFamilyError
+from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE, qi_from_str
 from .laurent import LaurentMatrix, SeriesMatrix
 
@@ -226,14 +228,14 @@ def involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
 def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """The base datum's constant symmetric-subgroup involution, entrywise on
     a Laurent matrix: no substitution in t, and no inner twist, which only
-    the loop involutions and transport_to_base see."""
+    the loop involutions and the transports see."""
     return involution(m, datum, "theta", False, None, constant=True)
 
 
 def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """The base datum's constant real-form involution, entrywise on a
     Laurent matrix: no substitution in t, and no inner twist, which only
-    the loop involutions and transport_to_base see."""
+    the loop involutions and the transports see."""
     return involution(m, datum, "eta", False, None, constant=True)
 
 
@@ -358,6 +360,38 @@ def transport_to_base(x, datum: GroupDatum):
     if isinstance(x, SeriesMatrix):
         c = SeriesMatrix.from_laurent(c, x.precision)
     return x * c
+
+
+def transport_from_base(x: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
+    """The mirror of transport_to_base on Laurent matrices: x -> x * c^-1."""
+    if datum.twist is None:
+        return x
+    return x * datum.twist.inverse()
+
+
+def carry_from_base(obj, datum: GroupDatum, r: Optional[LaurentMatrix] = None):
+    """A class or canonical form computed at base_datum(datum, obj.side) as
+    one of datum: loop_rep -> loop_rep * c^-1 and g0 -> g0 * r^-1 * c^-1 * r,
+    where r = w1 for a representative t^lam * g0 * w1^-1 (spherical level)
+    and r = 1 for t~w * g0 (Iwahori level).  A canonical form's orbit class
+    is carried with it; labels, arguments and torus problems are shared.
+    The carried representative is certified anti-fixed."""
+    if datum.twist is None:
+        return obj
+    # a canonical form holds its orbit class, a class its datum
+    if hasattr(obj, "orbit_class"):
+        changes = {"orbit_class": carry_from_base(obj.orbit_class, datum, r)}
+    else:
+        changes = {"datum": datum}
+    if obj.loop_rep is not None:
+        loop = transport_from_base(obj.loop_rep, datum)
+        certify(is_anti_fixed(loop, datum, obj.side),
+                f"twisted {obj.side} representative carried from the base datum "
+                "is not anti-fixed")
+        g0 = (transport_from_base(obj.g0, datum) if r is None
+              else transport_from_base(obj.g0 * r.inverse(), datum) * r)
+        changes.update(loop_rep=loop, g0=g0)
+    return replace(obj, **changes)
 
 
 def base_datum(datum: GroupDatum, side: str) -> GroupDatum:

@@ -32,7 +32,7 @@ boundary, in IwahoriClass.g0_args.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -40,7 +40,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, InvalidInputError, certify
 from .gaussian import QI
-from .group_catalog import GroupDatum, base_datum, check_bound, is_anti_fixed, theta0
+from .group_catalog import (
+    GroupDatum, base_datum, carry_from_base, check_bound, is_anti_fixed, theta0,
+)
 from .intlat import (
     as_fractions, eliminate, snf_int, mat_mul, mat_vec, lattice_basis,
     snf_diagonal, transpose,
@@ -153,9 +155,10 @@ def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylEle
         if theta0_weyl(datum, w) != winv:
             continue
         a_winv = _ad_matrix(winv)
+        lift = perm_matrix(w)  # read only, so every lambda of w shares it
         for lam in product(range(-bound, bound + 1), repeat=datum.n):
             if mat_vec(e, lam) == [-x for x in mat_vec(a_winv, lam)]:
-                out.append(AffineWeylElement.of(lam, w))
+                out.append(AffineWeylElement(lam, w, lift))
     return sorted(out, key=lambda tw: (tw.lam, tw.w))
 
 
@@ -214,7 +217,9 @@ class TorusProblem:
             loop = None
             if g0 is not None:
                 loop = tw.loop() * g0
-                _check_anti_fixed(loop, datum, tw, side)
+                certify(is_anti_fixed(loop, datum, side),
+                        f"the representative at lambda={list(tw.lam)}, w={list(tw.w)} is not "
+                        f"{side}-anti-fixed")
             out.append(IwahoriClass(datum, tw, side, tuple(Fraction(a, scale) for a in args),
                                     g0, loop, self.component_group, self))
         return out
@@ -371,32 +376,11 @@ class IwahoriClass:
         return True
 
 
-def _check_anti_fixed(loop: LaurentMatrix, datum: GroupDatum,
-                      tw: AffineWeylElement, side: str) -> None:
-    certify(is_anti_fixed(loop, datum, side),
-            f"the representative at lambda={list(tw.lam)}, w={list(tw.w)} is not "
-            f"{side}-anti-fixed")
-
-
-def transport_iwahori_class(cls: IwahoriClass, datum: GroupDatum) -> IwahoriClass:
-    """A class of base_datum(datum, cls.side) as a class of the twisted datum:
-    x -> x * c^-1 carries the base anti-fixed set at the matching z-sector to
-    the twisted one, and class labels, arguments and the torus problem are
-    shared.  The transported representative is certified anti-fixed."""
-    g0 = loop = None
-    if cls.g0 is not None:
-        g0 = cls.g0 * datum.twist.inverse()
-        loop = cls.tw.loop() * g0
-        _check_anti_fixed(loop, datum, cls.tw, cls.side)
-    return replace(cls, datum=datum, g0=g0, loop_rep=loop)
-
-
 def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
                   side: str) -> List[IwahoriClass]:
     """The classes at one t^lambda * w, from a torus problem of its own."""
-    base = base_datum(datum, side)
-    classes = build_torus_problem(datum, tw.w).classes(tw, base, side)
-    return classes if base is datum else [transport_iwahori_class(cls, datum) for cls in classes]
+    classes = build_torus_problem(datum, tw.w).classes(tw, base_datum(datum, side), side)
+    return [carry_from_base(cls, datum) for cls in classes]
 
 
 def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[str] = ("theta", "eta")
@@ -411,6 +395,6 @@ def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[str] = ("th
         if tw.w not in problems:
             problems[tw.w] = build_torus_problem(datum, tw.w)
         for side, base in bases.items():
-            for cls in problems[tw.w].classes(tw, base, side):
-                out[side].append(cls if base is datum else transport_iwahori_class(cls, datum))
+            out[side].extend(carry_from_base(cls, datum)
+                             for cls in problems[tw.w].classes(tw, base, side))
     return out

@@ -1,6 +1,7 @@
 """Canonical forms: invariance under twists, certificate replay, reducers."""
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import loopmatsuki.group_catalog as gc
-from loopmatsuki import canonicalize
+from loopmatsuki import canonicalize, cli
 from loopmatsuki.canonicalize import (
     canonicalize_eta,
     canonicalize_theta,
@@ -235,6 +236,46 @@ def test_inner_twist_transports(family, n, twist, eps):
             xs = SeriesMatrix.from_laurent(x, 12)
             lhs = h * xs * gc.apply_theta_inv(h, d)
             assert lhs.retruncate(r) == SeriesMatrix.from_laurent(form.loop_rep, r)
+
+
+# sha256 of the outputs of test_inner_twist_bytes
+TWISTED_DIGEST = "4a7d573723e5dd7680486231cc3915fb55396d2a8305a8cd4b2191c9b82d18a8"
+
+
+def test_inner_twist_bytes(tmp_path, capsys):
+    """The twisted outputs are pinned byte for byte at bound 1, on every
+    INNER_TWISTS datum at both epsilon: the orbits tables at both levels, the
+    bundle and kottwitz commands, and canonical_form_to_json of both
+    canonicalizers and both Iwahori reducers on the class representatives."""
+    docs = []
+    for family, n, twist in INNER_TWISTS:
+        path = tmp_path / "twist.json"
+        path.write_text(json.dumps(twist))
+        for eps in (1, -1):
+            flags = ["--family", family, "--n", str(n), "--epsilon", str(eps),
+                     "--inner-twist", str(path), "--bound", "1"]
+            for argv in (["orbits", "--level", "spherical"], ["orbits", "--level", "iwahori"],
+                         ["bundle"], ["kottwitz"]):
+                assert cli.main(argv + flags) == 0
+                docs.append(capsys.readouterr().out)
+            d = gc.pure_inner_twist(gc.build_datum(family, n, eps),
+                                    LaurentMatrix.from_scalars(twist))
+            for adm in enumerate_admissible(d, 1):
+                for cls in classify_eta(d, adm):
+                    docs.append(canonical_form_to_json(canonicalize_eta(cls.loop_rep, d)))
+                for cls in classify_theta(d, adm):
+                    docs.append(canonical_form_to_json(
+                        canonicalize_theta(SeriesMatrix.from_laurent(cls.loop_rep, 12), d)))
+            for tw in enumerate_admissible_tw(d, 1):
+                for side, reduce in (("eta", iwahori_reduce_eta), ("theta", iwahori_reduce_theta)):
+                    for cls in classes_at_tw(d, tw, side):
+                        if cls.loop_rep is None:
+                            continue
+                        g = tw.loop().inverse() * cls.loop_rep
+                        if side == "theta":
+                            g = SeriesMatrix.from_laurent(g, 12)
+                        docs.append(canonical_form_to_json(reduce(tw, g, d)))
+    assert hashlib.sha256(dumps(docs).encode()).hexdigest() == TWISTED_DIGEST
 
 
 UNITARY_DATA = [(n, eps) for n in range(1, 6) for eps in (1, -1)] + [(2, "U(1,1)")]

@@ -295,41 +295,57 @@ def test_internal_fault_in_eta_reduction_exits_1(tmp_path, monkeypatch, capsys):
     assert "certificate failed: square root failed to square back" in capsys.readouterr().err
 
 
-# The class a twisted canonicalization matched on the base datum is carried
-# back through the inner twist by transport_class, whose anti-fixedness
-# certificate is forced to fail for the twisted datum alone: the command must
-# exit 1 with nothing on stdout.
+# A twisted datum's classes and canonical forms are computed at its base
+# datum and carried back by x -> x * c^-1 (group_catalog.transport_from_base).
+# The fault multiplies that carry by i, which the input checks never read; on
+# unitary, x * i * eta(x * i) = -x * eta(x), so the carried representative's
+# anti-fixedness certificate must fail and the command exit 1 with nothing
+# on stdout.  The spherical case canonicalizes a U(1,1) class representative,
+# the Iwahori case tabulates the U(1,1) Iwahori eta orbits.
 TWISTED_SCRIPT = r"""
 import json, sys
 from loopmatsuki import cli, coweight_orbits, serialize
 from loopmatsuki import group_catalog as gc
+from loopmatsuki.gaussian import QI
 
+level, workdir = sys.argv[1:]
 twist = [["1", "0"], ["0", "-1"]]
 d = gc.datum_from_config({"family": "unitary", "n": 2, "epsilon": 1, "inner_twist": twist})
 cls = coweight_orbits.classify_eta(d, (0, 0))[0]
-workdir = sys.argv[1]
 with open(workdir + "/twist.json", "w") as f:
     json.dump(twist, f)
 with open(workdir + "/x.json", "w") as f:
     json.dump(serialize.laurent_to_json(cls.loop_rep), f)
-is_anti_fixed = coweight_orbits.is_anti_fixed
-coweight_orbits.is_anti_fixed = lambda loop, datum, side: (
-    datum.twist is None and is_anti_fixed(loop, datum, side))
-sys.exit(cli.main(["canonicalize", "--family", "unitary", "--n", "2", "--inner-twist",
-                   workdir + "/twist.json", "--side", "eta", "--input", workdir + "/x.json"]))
+transport_from_base = gc.transport_from_base
+gc.transport_from_base = lambda x, datum: transport_from_base(x, datum).scale(QI(0, 1))
+datum_flags = ["--family", "unitary", "--n", "2", "--inner-twist", workdir + "/twist.json"]
+if level == "spherical":
+    argv = ["canonicalize", *datum_flags, "--side", "eta", "--input", workdir + "/x.json"]
+else:
+    argv = ["orbits", *datum_flags, "--level", "iwahori", "--side", "eta", "--bound", "1"]
+sys.exit(cli.main(argv))
 """
+
+
+def _run_twisted_fault(tmp_path, optimize, level):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", TWISTED_SCRIPT, level, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: certificate failed: twisted eta representative carried "
+                           "from the base datum is not anti-fixed\n")
 
 
 @pytest.mark.parametrize("optimize", [True, False])
 def test_twisted_transport_fault_exits_1(tmp_path, optimize):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    flags = ["-O"] if optimize else []
-    proc = subprocess.run([sys.executable, *flags, "-c", TWISTED_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr == ("error: certificate failed: twisted eta class (2,0) at "
-                           "lambda=(0, 0): transported representative not anti-fixed\n")
+    _run_twisted_fault(tmp_path, optimize, "spherical")
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_twisted_iwahori_transport_fault_exits_1(tmp_path, optimize):
+    _run_twisted_fault(tmp_path, optimize, "iwahori")
 
 
 # The torus problem's Smith forms come from iwahori_orbits.snf_int, patched
