@@ -102,8 +102,8 @@ def enumerate_bundles(datum: GroupDatum, bound: int) -> List[RealBundleDatum]:
     w1_inv = datum.w1.inverse()
     return [RealBundleDatum(epsilon=datum.epsilon, z=datum.z, splitting=cls.lam,
                             gluing=cls.g0 * w1_inv, aut_label=cls.aut_label or "unlabeled")
-            for adm in enumerate_admissible(datum, bound)
-            for cls in classify_eta(datum, adm)]
+            for lam in enumerate_admissible(datum, bound)
+            for cls in classify_eta(datum, lam)]
 
 
 def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
@@ -138,12 +138,12 @@ def kottwitz_to_loop(p: KottwitzPoint, datum: GroupDatum) -> LaurentMatrix:
 def enumerate_kottwitz(datum: GroupDatum, bound: int) -> List[KottwitzPoint]:
     """One Kottwitz point per eta-class up to the coweight bound."""
     out = []
-    for adm in enumerate_admissible(datum, bound):
-        for cls in classify_eta(datum, adm):
-            p = KottwitzPoint(lam=tuple(adm.lam),
+    for lam in enumerate_admissible(datum, bound):
+        for cls in classify_eta(datum, lam):
+            p = KottwitzPoint(lam=lam,
                               g=cls.g0 * datum.w1.inverse(), z=datum.z)
             certify(kottwitz_validate(p, datum),
-                    f"classifier representative at {adm.lam} fails the Kottwitz identities")
+                    f"classifier representative at {lam} fails the Kottwitz identities")
             out.append(p)
     return out
 

@@ -22,13 +22,13 @@ from .coweight_orbits import (
     classify_eta,
     classify_theta,
     equation_holds,
+    middle_label,
 )
 from .errors import (
     CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError, certify,
 )
 from .exact_algebra import (
     birkhoff_factor,
-    hermitian_signature,
     smith_over_dvr,
     unipotent_sqrt,
     valuation_coweight,
@@ -38,7 +38,6 @@ from .group_catalog import GroupDatum
 from .intlat import eliminate
 from .iwahori_orbits import AffineWeylElement, classes_at_tw
 from .laurent import (
-    ONE_ENTRY,
     Entry,
     LaurentMatrix,
     SeriesMatrix,
@@ -86,44 +85,8 @@ def _block_index(lam: Sequence[int]) -> List[int]:
     return idx
 
 
-def _signed_permutation(w: LaurentMatrix) -> List[Tuple[int, bool]]:
-    """For each column of w, (i, negated): the column's one entry sits in
-    row i and is -1 if negated, else 1.  Certifies that w is a signed
-    permutation matrix."""
-    src = {}
-    for i, r in enumerate(w.rows):
-        hits = [(j, e) for j, e in enumerate(r) if e]
-        certify(len(hits) == 1 and hits[0][1] in (ONE_ENTRY, -ONE_ENTRY)
-                and hits[0][0] not in src, "w1 is not a signed permutation matrix")
-        src[hits[0][0]] = (i, hits[0][1] != ONE_ENTRY)
-    return [src[j] for j in range(w.n)]
-
-
 # ---------------------------------------------------------------------------
 # class matching
-
-
-def _middle_block(lam: Sequence[int]):
-    for start, size, value in blocks_of(lam):
-        if value == 0:
-            return start, size
-    return None
-
-
-def _middle_invariant(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, side: str):
-    """Conjugation invariant of the middle (lambda = 0) block of g0."""
-    mid = _middle_block(lam)
-    certify(mid is not None, "middle-block invariant of a coweight without a middle block")
-    start, m = mid
-    b = [[g0.coeff(start + r, start + s, 0) for s in range(m)] for r in range(m)]
-    mm = b[::-1]  # R * b for the antidiagonal R
-    if side == "theta":
-        tr = sum((mm[r][r] for r in range(m)), QI(0))
-        return ("trace", str(tr))
-    # z is 1 or -1: the classifier ran first and rejects any other z
-    if datum.z == QI(-1):
-        mm = [[QI(0, 1) * x for x in row] for row in mm]
-    return ("signature", hermitian_signature(mm))
 
 
 def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix,
@@ -131,14 +94,13 @@ def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMat
     classes = classify_theta(datum, lam) if side == "theta" else classify_eta(datum, lam)
     # the input passed its anti-fixedness check, so a miss here is an internal fault
     certify(bool(classes), "reduced to a coweight with no anti-fixed classes")
-    if datum.family != gc.UNITARY or _middle_block(lam) is None:
+    if datum.family != gc.UNITARY or 0 not in lam:
         certify(len(classes) == 1, "several classes and no middle-block invariant to separate them")
         return classes[0]
-    want = _middle_invariant(datum, lam, g0, side)
-    for cls in classes:
-        if _middle_invariant(datum, lam, cls.g0, side) == want:
-            return cls
-    raise CertificateError("certificate failed: reduced g0 matches no classified class")
+    want = middle_label(datum, lam, g0, side)
+    match = next((cls for cls in classes if cls.label == want), None)
+    certify(match is not None, "reduced g0 matches no classified class")
+    return match
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +151,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     # cur's precision above prec_in, and val(cur) >= lam[-1] >= -max|lam|.
     cur = conjugate(x, h_acc, g1)
 
-    w1_cols = _signed_permutation(datum.w1)
+    w1_cols = gc.signed_permutation(datum.w1)
     w1_inv = datum.w1.inverse()
 
     def gform(xc: SeriesMatrix) -> SeriesMatrix:
@@ -298,12 +260,11 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """Reduce an eta-anti-fixed Laurent loop to t^lam * g0 * w1^{-1}, exactly."""
     if datum is None:
         raise InvalidInputError("canonicalize_eta needs a group datum")
-    if not gc.is_anti_fixed_eta(x, datum):
-        raise NotAntiFixedError("loop is not eta-anti-fixed")
-
     base = gc.base_datum(datum, "eta")
     if base is not datum:
         return _reduce_on_base(canonicalize_eta, x, datum, base)
+    if not gc.is_anti_fixed_eta(x, datum):
+        raise NotAntiFixedError("loop is not eta-anti-fixed")
 
     n = x.n
     gplus, lam, _, h_acc = birkhoff_factor(x)
@@ -484,7 +445,13 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
 
 def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
                          datum: GroupDatum) -> CanonicalForm:
-    """Reduce t~w * g (g in the Iwahori subgroup) to its torus form."""
+    """Reduce t~w * g (g in the Iwahori subgroup) to its torus form.
+
+    residual_precision is that of the positioned factor t~w^-1 * x, which
+    the reduction brings to d: t~w^-1 * h * x * theta(h)^-1 = d to it.  It
+    is not the loop's, which canonicalize_theta reports: t^lambda shifts row
+    i by lambda_i, so h * x * theta(h)^-1 = t~w * d is certified only to
+    residual_precision + min(lambda), less when some lambda_i < 0."""
     base = gc.base_datum(datum, "theta")
     if base is not datum:
         return _reduce_on_base(iwahori_reduce_theta, g, datum, base, tw)

@@ -105,9 +105,9 @@ def cmd_orbits(args) -> int:
     rows: List[dict] = []
     if args.level == "spherical":
         classify = {"theta": classify_theta, "eta": classify_eta}
-        for adm in enumerate_admissible(datum, args.bound):
+        for lam in enumerate_admissible(datum, args.bound):
             for side in sides:
-                rows.extend(orbit_row(c) for c in classify[side](datum, adm))
+                rows.extend(orbit_row(c) for c in classify[side](datum, lam))
     else:
         for classes in enumerate_iwahori(datum, args.bound, sides).values():
             rows.extend(orbit_row(c) for c in classes)
@@ -136,6 +136,8 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_match(args) -> int:
+    if args.verify_samples < 0:
+        raise InvalidInputError("--verify-samples must be nonnegative")
     datum = _datum_of(args)
     matcher = match_spherical if args.level == "spherical" else match_iwahori
     pairs = matcher(datum, args.bound)

@@ -30,10 +30,12 @@ from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedFamilyError, certify
+from .exact_algebra import hermitian_signature
 from .gaussian import QI, ONE
 from .group_catalog import (
     SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
-    base_datum, carry_from_base, check_bound, involution, is_anti_fixed, j_matrix, theta0,
+    base_datum, carry_from_base, check_bound, involution, is_admissible, is_anti_fixed,
+    j_matrix, signed_permutation,
 )
 from .laurent import LaurentMatrix
 
@@ -57,38 +59,19 @@ def is_dominant(lam: Sequence[int]) -> bool:
     return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
 
 
-def is_admissible(datum: GroupDatum, lam: Sequence[int]) -> bool:
-    """lambda = -w1^{-1} theta0(lambda), checked on torus loops as
-    theta0(t^lam) * w1 * t^lam = w1."""
-    tl = LaurentMatrix.t_power(list(lam))
-    return theta0(tl, datum) * datum.w1 * tl == datum.w1
+def _w1_admissible(datum: GroupDatum, lam: Sequence[int]) -> bool:
+    """lambda = -w1^-1 theta0(lambda): the torus predicate at w1's permutation."""
+    return is_admissible(datum, lam, [i for i, _ in signed_permutation(datum.w1)])
 
 
-@dataclass(frozen=True)
-class AdmissibleCoweight:
-    lam: Tuple[int, ...]
-    blocks: Tuple[Block, ...]
-
-    @staticmethod
-    def of(datum: GroupDatum, lam: Sequence[int]) -> "AdmissibleCoweight":
-        lam = tuple(int(x) for x in lam)
-        if not is_dominant(lam):
-            raise InvalidInputError(f"coweight {lam} is not dominant")
-        if not is_admissible(datum, lam):
-            raise InvalidInputError(f"coweight {lam} fails the admissibility equation")
-        return AdmissibleCoweight(lam, tuple(blocks_of(lam)))
-
-
-def enumerate_admissible(datum: GroupDatum, bound: int) -> List[AdmissibleCoweight]:
+def enumerate_admissible(datum: GroupDatum, bound: int) -> List[Tuple[int, ...]]:
+    """The dominant admissible coweights with |lambda_i| <= bound, sorted."""
     check_bound(bound, datum.n)
-    out = []
     vals = range(-bound, bound + 1)
-    for tup in combinations_with_replacement(vals, datum.n):
-        lam = tuple(sorted(tup, reverse=True))
-        if is_admissible(datum, lam):
-            out.append(AdmissibleCoweight(lam, tuple(blocks_of(lam))))
     # each multiset comes once, and sorting it is injective: no duplicates
-    return sorted(out, key=lambda a: a.lam)
+    dominant = (tuple(sorted(tup, reverse=True))
+                for tup in combinations_with_replacement(vals, datum.n))
+    return sorted(lam for lam in dominant if _w1_admissible(datum, lam))
 
 
 @dataclass(frozen=True)
@@ -135,14 +118,15 @@ def _real_z(z: QI) -> QI:
     return z
 
 
-def _classify_symalt(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> List[SphericalClass]:
+def _classify_symalt(datum: GroupDatum, lam: Tuple[int, ...], side: str) -> List[SphericalClass]:
     """split_gl and quaternionic_gl: at most one class, of per-block
     symmetric/alternating types."""
     z = _real_z(datum.z)
     flip = QI(-1) if datum.family == QUATERNIONIC_GL else QI(1)
     parts = []
     types = []
-    for (_, size, mu) in adm.blocks:
+    blocks = blocks_of(lam)
+    for (_, size, mu) in blocks:
         c = flip * _sign_power(datum.epsilon, mu) * z
         if c == ONE:
             parts.append(_identity_block(size))
@@ -152,14 +136,14 @@ def _classify_symalt(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> L
             types.append(("Alt", size))
         else:
             return []
-    g0 = _assemble(datum.n, adm.blocks, parts)
+    g0 = _assemble(datum.n, blocks, parts)
     label = "|".join(t for t, _ in types)
-    return [_finish_class(datum, adm, side, label, g0, types)]
+    return [_finish_class(datum, lam, side, label, g0, types)]
 
 
-def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> List[SphericalClass]:
+def _classify_unitary(datum: GroupDatum, lam: Tuple[int, ...], side: str) -> List[SphericalClass]:
     z = _real_z(datum.z)
-    blocks = adm.blocks
+    blocks = blocks_of(lam)
     r = len(blocks)
     half = r // 2
     mid = blocks[half] if r % 2 == 1 else None
@@ -179,34 +163,50 @@ def _classify_unitary(datum: GroupDatum, adm: AdmissibleCoweight, side: str) -> 
     if mid is None:
         parts = [pair_parts[i] for i in range(r)]
         g0 = _assemble(datum.n, blocks, parts)
-        out.append(_finish_class(datum, adm, side, "(0,0)", g0,
+        out.append(_finish_class(datum, lam, side, "(0,0)", g0,
                                  [("Pair", blocks[i][1]) for i in range(half)],
                                  sig=(0, 0)))
         return out
 
     m = mid[1]
-    scale = QI(1) if z == ONE else QI(0, 1)  # M^2 = z needs eigenvalues sqrt(z)
+    s = QI(1) if z == ONE else QI(0, 1)  # M^2 = z needs eigenvalues sqrt(z)
     for p in range(m, -1, -1):
         q = m - p
-        sig = [[scale * (QI(1) if a < p else QI(-1)) if a == b else QI(0)
+        sig = [[s * (QI(1) if a < p else QI(-1)) if a == b else QI(0)
                 for b in range(m)] for a in range(m)]
-        mid_part = sig[::-1]  # B = R * M_{p,q} for the antidiagonal R
+        mid_part = sig[::-1]  # B = s * R * M_{p,q} for the antidiagonal R
         parts = [pair_parts[i] if i != half else mid_part for i in range(r)]
         g0 = _assemble(datum.n, blocks, parts)
-        out.append(_finish_class(datum, adm, side, f"({p},{q})", g0,
+        out.append(_finish_class(datum, lam, side, f"({p},{q})", g0,
                                  [("Pair", blocks[i][1]) for i in range(half)],
                                  sig=(p, q)))
     return out
 
 
-def _finish_class(datum: GroupDatum, adm: AdmissibleCoweight, side: str,
+def middle_label(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, side: str) -> str:
+    """The label of the unitary class of a reduced g0, read off its middle
+    (lambda = 0) block B by inverting _classify_unitary's B = s * R * M_{p,q}:
+    with M = s^-1 * R * B, p - q = tr M on theta and (p, q) is the signature
+    of M on eta.  A g0 of no class gets a label no class carries."""
+    start, m = next((start, size) for start, size, mu in blocks_of(lam) if mu == 0)
+    # z is 1 or -1: the classifier ran first and rejects any other z
+    s_inv = ONE if datum.z == ONE else QI(0, -1)
+    mm = [[s_inv * g0.coeff(start + r, start + c, 0) for c in range(m)]
+          for r in reversed(range(m))]
+    if side == "theta":
+        p = sum((mm[r][r] for r in range(m)), QI(m)) / 2
+        return f"({p},{m - p})"
+    return "({},{})".format(*hermitian_signature(mm))
+
+
+def _finish_class(datum: GroupDatum, lam: Tuple[int, ...], side: str,
                   label: str, g0: LaurentMatrix, types, sig=None) -> SphericalClass:
-    loop = LaurentMatrix.t_power(list(adm.lam)) * g0 * datum.w1.inverse()
-    where = f"{side} class {label} at lambda={adm.lam}"
+    loop = LaurentMatrix.t_power(list(lam)) * g0 * datum.w1.inverse()
+    where = f"{side} class {label} at lambda={lam}"
     certify(is_anti_fixed(loop, datum, side), f"{where}: representative not anti-fixed")
-    certify(equation_holds(datum, adm.lam, g0, side), f"{where}: g0 fails its equation")
+    certify(equation_holds(datum, lam, g0, side), f"{where}: g0 fails its equation")
     aut = _aut_label(datum, types, sig) if side == "eta" else None
-    return SphericalClass(datum, adm.lam, side, label, g0, loop,
+    return SphericalClass(datum, lam, side, label, g0, loop,
                           tuple(_component_group(types)), aut)
 
 
@@ -260,20 +260,23 @@ def _aut_label(datum: GroupDatum, types, sig) -> str:
 # public classifiers
 
 
-def classify_theta(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight) -> List[SphericalClass]:
+def classify_theta(datum: GroupDatum, lam: Sequence[int]) -> List[SphericalClass]:
     return _classify(datum, lam, "theta")
 
 
-def classify_eta(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight) -> List[SphericalClass]:
+def classify_eta(datum: GroupDatum, lam: Sequence[int]) -> List[SphericalClass]:
     return _classify(datum, lam, "eta")
 
 
-def _classify(datum: GroupDatum, lam: Sequence[int] | AdmissibleCoweight,
-              side: str) -> List[SphericalClass]:
-    adm = lam if isinstance(lam, AdmissibleCoweight) else AdmissibleCoweight.of(datum, lam)
+def _classify(datum: GroupDatum, lam: Sequence[int], side: str) -> List[SphericalClass]:
+    lam = tuple(int(x) for x in lam)
+    if not is_dominant(lam):
+        raise InvalidInputError(f"coweight {lam} is not dominant")
+    if not _w1_admissible(datum, lam):
+        raise InvalidInputError(f"coweight {lam} fails the admissibility equation")
     base = base_datum(datum, side)
     if base is not datum:
-        return [carry_from_base(cls, datum, datum.w1) for cls in _classify(base, adm, side)]
+        return [carry_from_base(cls, datum, datum.w1) for cls in _classify(base, lam, side)]
     if datum.family in (SPLIT_GL, QUATERNIONIC_GL):
-        return _classify_symalt(datum, adm, side)
-    return _classify_unitary(datum, adm, side)
+        return _classify_symalt(datum, lam, side)
+    return _classify_unitary(datum, lam, side)

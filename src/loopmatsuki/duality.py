@@ -57,16 +57,16 @@ def _common_rep(datum: GroupDatum, *candidates) -> Optional[LaurentMatrix]:
 def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     """One matched pair per (admissible coweight, label), both levels full."""
     pairs = []
-    for adm in enumerate_admissible(datum, bound):
-        thetas = {c.label: c for c in classify_theta(datum, adm)}
-        etas = {c.label: c for c in classify_eta(datum, adm)}
+    for lam in enumerate_admissible(datum, bound):
+        thetas = {c.label: c for c in classify_theta(datum, lam)}
+        etas = {c.label: c for c in classify_eta(datum, lam)}
         certify(sorted(thetas) == sorted(etas),
-                f"label mismatch at lambda={adm.lam}: "
+                f"label mismatch at lambda={lam}: "
                 f"theta {sorted(thetas)} vs eta {sorted(etas)}")
         for label in sorted(thetas):
             th, et = thetas[label], etas[label]
             certify(tuple(th.component_group) == tuple(et.component_group),
-                    f"component group mismatch at lambda={adm.lam}, label {label}")
+                    f"component group mismatch at lambda={lam}, label {label}")
             pairs.append(MatchedPair(
                 theta_class=th,
                 eta_class=et,
@@ -153,6 +153,8 @@ def verify_intersection(pair: MatchedPair, samples: int, seed: int) -> dict:
     that the theta- and eta-twists of the representative coincide exactly
     and that both canonical labels are unchanged.
     """
+    if samples < 0:
+        raise InvalidInputError("the sample count must be nonnegative")
     if pair.common_rep is None:
         raise InvalidInputError("pair has no exact common representative")
     datum = pair.theta_class.datum

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE, qi_from_str
-from .laurent import LaurentMatrix, SeriesMatrix
+from .laurent import ONE_ENTRY, LaurentMatrix, SeriesMatrix
 
 SPLIT_GL = "split_gl"
 QUATERNIONIC_GL = "quaternionic_gl"
@@ -90,6 +90,7 @@ class GroupDatum:
     w2: LaurentMatrix
     real_form: str
     twist: Optional[LaurentMatrix] = None  # inner twist c, or None
+    torus: Tuple[Tuple[int, ...], ...] = ()  # rows of E, theta0(t^v) = t^(E v); build_datum sets it
 
 
 def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatum:
@@ -112,8 +113,44 @@ def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatu
     else:
         w1, real = antidiagonal_matrix(n), f"U({n})"
     datum = GroupDatum(family, n, epsilon, zq, w1, LaurentMatrix.identity(n), real)
-    w2 = theta0(w1, datum) * w1
-    return replace(datum, w2=w2)
+    return replace(datum, w2=theta0(w1, datum) * w1, torus=_torus_matrix(datum))
+
+
+def _torus_matrix(datum: GroupDatum) -> Tuple[Tuple[int, ...], ...]:
+    """The rows of E with theta0(t^v) = t^(E v), read off theta0 on the
+    t-powers t^(e_k) and certified to be exactly t^(E e_k).  E serves eta0
+    too: eta0 = theta0 o eta_{c,0}, and eta_{c,0} fixes the compact torus,
+    so eta0 and theta0 agree there."""
+    n = datum.n
+    cols = []
+    for k in range(n):
+        img = theta0(LaurentMatrix.t_power([int(i == k) for i in range(n)]), datum)
+        cols.append([min(img.entry(i, i), default=0) for i in range(n)])
+        certify(img == LaurentMatrix.t_power(cols[-1]),
+                "theta0 of a torus t-power is not a t-power")
+    return tuple(zip(*cols))
+
+
+def signed_permutation(w: LaurentMatrix) -> List[Tuple[int, bool]]:
+    """For each column of w, (i, negated): the column's one entry sits in
+    row i and is -1 if negated, else 1.  Certifies that w, a Weyl lift such
+    as w1 or theta0 of a permutation matrix, is a signed permutation matrix."""
+    src = {}
+    for i, r in enumerate(w.rows):
+        hits = [(j, e) for j, e in enumerate(r) if e]
+        certify(len(hits) == 1 and hits[0][1] in (ONE_ENTRY, -ONE_ENTRY)
+                and hits[0][0] not in src, "a Weyl lift is not a signed permutation matrix")
+        src[hits[0][0]] = (i, hits[0][1] != ONE_ENTRY)
+    return [src[j] for j in range(w.n)]
+
+
+def is_admissible(datum: GroupDatum, lam: Sequence[int], w: Sequence[int]) -> bool:
+    """theta0(lambda) = -w^-1 lambda on the cocharacter lattice, read off
+    the torus matrix: (E lambda)_i = -lambda_(w[i]) for the permutation w
+    (w[i] the image of i).  The spherical level asks it at w1's permutation,
+    the Iwahori level at the Weyl part of t^lambda * w."""
+    return len(lam) == len(datum.torus) and all(
+        sum(e * x for e, x in zip(row, lam)) == -lam[wi] for row, wi in zip(datum.torus, w))
 
 
 def datum_from_config(cfg: dict) -> GroupDatum:

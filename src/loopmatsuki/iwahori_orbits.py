@@ -7,17 +7,18 @@ permutation lift) gives a twisted-conjugation problem on the diagonal torus:
   action     g  ->  Ad_{w^-1}(h) * g * theta0(h)^-1  (h in the torus)
 
 Writing torus elements multiplicatively, both maps are given by integer
-matrices M_eq and M_act on exponent/argument vectors; eta0 acts on the torus
-by the same matrix as theta0.  They depend on w alone: one torus problem per
-Weyl element, shared by both sides and every central sector, holds them with
-one certified Smith form each and the canonicalizer, and lambda enters only
-through the target t_tw * z.  Everything else is read off the two Smith
-forms U * M * V = D (Newman, Integral Matrices, ch. II): over the divisible
-group the equation is solvable iff the rows of U_eq at the zero entries of
-D_eq, the characters vanishing on the image, kill the target; the rows of
-U_act at the zero entries of D_act are the class invariants, and the entries
-of D_act above 1 give the stabilizer component group.  The class set is the
-finite quotient of the solution coset by the action image.
+matrices M_eq and M_act on exponent/argument vectors, built from the torus
+matrix E of theta0 (GroupDatum.torus), by which eta0 acts too.  They depend
+on w alone: one torus problem per Weyl element, shared by both sides and
+every central sector, holds them with one certified Smith form each and the
+canonicalizer, and lambda enters only through the target t_tw * z.
+Everything else is read off the two Smith forms U * M * V = D (Newman,
+Integral Matrices, ch. II): over the divisible group the equation is
+solvable iff the rows of U_eq at the zero entries of D_eq, the characters
+vanishing on the image, kill the target; the rows of U_act at the zero
+entries of D_act are the class invariants, and the entries of D_act above 1
+give the stabilizer component group.  The class set is the finite quotient
+of the solution coset by the action image.
 
 Arguments are exact rationals mod 1, so representatives are roots of unity
 (embedded into Q(i) when their order divides 4).  Every denominator the
@@ -38,10 +39,11 @@ from itertools import permutations, product
 from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import CertificateError, InvalidInputError, certify
+from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import (
-    GroupDatum, base_datum, carry_from_base, check_bound, is_anti_fixed, theta0,
+    GroupDatum, base_datum, carry_from_base, check_bound, is_admissible, is_anti_fixed,
+    signed_permutation, theta0,
 )
 from .intlat import (
     as_fractions, eliminate, snf_int, mat_mul, mat_vec, lattice_basis,
@@ -111,53 +113,22 @@ def _ad_matrix(w: Sequence[int]) -> List[List[int]]:
     return [[1 if w[k] == i else 0 for k in range(n)] for i in range(n)]
 
 
-def _involution_torus_matrix(datum: GroupDatum) -> List[List[int]]:
-    """E with theta0(torus element of argument a) having arguments E a, read
-    off theta0 on t-powers.  It serves eta0 too: eta0 = theta0 o eta_{c,0},
-    and eta_{c,0} fixes the compact torus, so eta0 and theta0 agree there."""
-    n = datum.n
-    cols = []
-    for k in range(n):
-        e = [0] * n
-        e[k] = 1
-        img = theta0(LaurentMatrix.t_power(e), datum)
-        col = []
-        for i in range(n):
-            ent = img.entry(i, i)
-            col.append(min(ent) if ent else 0)
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def theta0_weyl(datum: GroupDatum, w: Sequence[int]) -> Tuple[int, ...]:
     """Permutation part of theta0 applied to the lift of w."""
-    img = theta0(perm_matrix(w), datum)
-    const = img.constant_matrix()
-    n = datum.n
-    out = [0] * n
-    for j in range(n):
-        hits = [i for i in range(n) if not const[i][j].is_zero()]
-        if len(hits) != 1:
-            raise CertificateError("certificate failed: theta0 of a permutation "
-                                   "lift is not a permutation")
-        out[j] = hits[0]
-    return tuple(out)
+    return tuple(i for i, _ in signed_permutation(theta0(perm_matrix(w), datum)))
 
 
 def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylElement]:
     """The t^lambda * w with |lambda_i| <= bound, theta0(w) = w^-1 in W and
     theta0(lambda) = -w^-1 lambda."""
     check_bound(bound, datum.n)
-    e = _involution_torus_matrix(datum)
     out = []
     for w in permutations(range(datum.n)):
-        winv = _perm_inverse(w)
-        if theta0_weyl(datum, w) != winv:
+        if theta0_weyl(datum, w) != _perm_inverse(w):
             continue
-        a_winv = _ad_matrix(winv)
         lift = perm_matrix(w)  # read only, so every lambda of w shares it
         for lam in product(range(-bound, bound + 1), repeat=datum.n):
-            if mat_vec(e, lam) == [-x for x in mat_vec(a_winv, lam)]:
+            if is_admissible(datum, lam, w):
                 out.append(AffineWeylElement(lam, w, lift))
     return sorted(out, key=lambda tw: (tw.lam, tw.w))
 
@@ -247,7 +218,7 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
     """
     w = tuple(w)
     n = datum.n
-    e = _involution_torus_matrix(datum)
+    e = datum.torus
     a_w = _ad_matrix(w)
     a_winv = _ad_matrix(_perm_inverse(w))
     m_eq = [[a_w[i][j] + e[i][j] for j in range(n)] for i in range(n)]

@@ -58,12 +58,11 @@ def _catalog() -> List[GroupDatum]:
 def check_gl2r_split(bound: int = 3) -> None:
     """GL_2(R), eps=1: spherical and Iwahori tables, bundles, lines."""
     d = _split(1)
-    for adm in enumerate_admissible(d, bound):
-        for side, classes in (("theta", classify_theta(d, adm)),
-                              ("eta", classify_eta(d, adm))):
-            certify(len(classes) == 1, f"{side} classes at {adm.lam}: {len(classes)}, want 1")
+    for lam in enumerate_admissible(d, bound):
+        for side, classes in (("theta", classify_theta(d, lam)),
+                              ("eta", classify_eta(d, lam))):
+            certify(len(classes) == 1, f"{side} classes at {lam}: {len(classes)}, want 1")
             cls = classes[0]
-            lam = adm.lam
             want = (2,) if lam[0] == lam[1] else (2, 2)
             certify(tuple(cls.component_group) == want, f"{side} component group at {lam}")
             b = loop_to_bundle(cls.loop_rep, d)
@@ -93,9 +92,8 @@ def check_gl2r_split(bound: int = 3) -> None:
 def check_gl2r_twisted(bound: int = 3) -> None:
     """GL_2(R), eps=-1: parity emptiness, representatives, bundles."""
     d = _split(-1)
-    for adm in enumerate_admissible(d, bound):
-        lam = tuple(adm.lam)
-        classes = classify_eta(d, adm)
+    for lam in enumerate_admissible(d, bound):
+        classes = classify_eta(d, lam)
         if lam[0] != lam[1]:
             if lam[0] % 2 or lam[1] % 2:
                 certify(classes == [], f"regular {lam} should be empty")
@@ -124,19 +122,18 @@ def check_gl2r_twisted(bound: int = 3) -> None:
 def check_gl1h(bound: int = 2) -> None:
     """GL_1(H): admissibility and component groups per the table."""
     d = _quat(1)
-    for adm in enumerate_admissible(d, bound):
-        classes = classify_eta(d, adm)
-        if adm.lam[0] != adm.lam[1]:
-            certify(classes == [], f"{adm.lam} should be empty")
+    for lam in enumerate_admissible(d, bound):
+        classes = classify_eta(d, lam)
+        if lam[0] != lam[1]:
+            certify(classes == [], f"{lam} should be empty")
             continue
         (cls,) = classes
         certify(tuple(cls.component_group) == () and cls.aut_label == "GL1(H)",
-                f"class at {adm.lam}")
+                f"class at {lam}")
     dm = _quat(-1)
     seen = 0
-    for adm in enumerate_admissible(dm, bound):
-        lam = tuple(adm.lam)
-        for cls in classify_eta(dm, adm):
+    for lam in enumerate_admissible(dm, bound):
+        for cls in classify_eta(dm, lam):
             seen += 1
             comp = tuple(cls.component_group)
             aut = cls.aut_label
@@ -161,12 +158,12 @@ def check_u2(bound: int = 2) -> None:
         certify(len(classes) == 1 and tuple(classes[0].component_group) == ()
                 and classes[0].aut_label == "{(z,zbar)}", f"U(2) class at {(mu, -mu)}")
     dt = _u11(1)
-    for adm in enumerate_admissible(d, bound):
+    for lam in enumerate_admissible(d, bound):
         rows = [(c.label, tuple(c.component_group), c.aut_label)
-                for c in classify_eta(d, adm)]
+                for c in classify_eta(d, lam)]
         rows_t = [(c.label, tuple(c.component_group), c.aut_label)
-                  for c in classify_eta(dt, adm)]
-        certify(rows == rows_t, f"U(2) and U(1,1) tables differ at {adm.lam}")
+                  for c in classify_eta(dt, lam)]
+        certify(rows == rows_t, f"U(2) and U(1,1) tables differ at {lam}")
 
 
 def check_tau_remark() -> None:
@@ -225,8 +222,8 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
     rng = random.Random(seed)
     data = [_split(1), _split(-1), _quat(-1), _uni(1)]
     reps = [(d, c) for d in data
-            for adm in enumerate_admissible(d, 1)
-            for c in classify_theta(d, adm)]
+            for lam in enumerate_admissible(d, 1)
+            for c in classify_theta(d, lam)]
     for i in range(theta_twists):
         d, cls = reps[i % len(reps)]
         h = random_arc_element(d.n, precision, rng)
@@ -243,8 +240,8 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
         certify(lhs.retruncate(r) == SeriesMatrix.from_laurent(form.loop_rep, r),
                 "theta certificate replay")
     reps = [(d, c) for d in data
-            for adm in enumerate_admissible(d, 1)
-            for c in classify_eta(d, adm)]
+            for lam in enumerate_admissible(d, 1)
+            for c in classify_eta(d, lam)]
     for i in range(eta_twists):
         d, cls = reps[i % len(reps)]
         h = random_poly_element(d.n, 3, rng)
@@ -281,8 +278,8 @@ def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3,
         data = [_split(1), _split(-1), _quat(1), _quat(-1), _uni(1), _uni(-1)]
     for datum in data:
         points = enumerate_kottwitz(datum, bound)
-        total = sum(len(classify_eta(datum, adm))
-                    for adm in enumerate_admissible(datum, bound))
+        total = sum(len(classify_eta(datum, lam))
+                    for lam in enumerate_admissible(datum, bound))
         certify(len(points) == total, f"{datum.real_form}: {len(points)} points, {total} classes")
         labels = []
         for p in points:

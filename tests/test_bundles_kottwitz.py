@@ -27,12 +27,12 @@ from loopmatsuki.serialize import bundle_to_json
 def test_bundle_labels_split_antiholomorphic():
     d = gc.build_datum("split_gl", 2, -1)
     (cls,) = classify_eta(d, next(
-        a for a in enumerate_admissible(d, 1) if a.lam == (1, 1)))
+        a for a in enumerate_admissible(d, 1) if a == (1, 1)))
     b = loop_to_bundle(cls.loop_rep, d)
     assert b.splitting == (1, 1)
     assert b.aut_label == "GL1(H)"
     (cls,) = classify_eta(d, next(
-        a for a in enumerate_admissible(d, 0) if a.lam == (0, 0)))
+        a for a in enumerate_admissible(d, 0) if a == (0, 0)))
     b = loop_to_bundle(cls.loop_rep, d)
     assert b.aut_label == "GL2(R)"
 

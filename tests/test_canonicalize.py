@@ -65,6 +65,32 @@ def test_theta_invariance_and_replay():
             form.loop_rep, r)
 
 
+def test_twisted_eta_checks_anti_fixedness_once_at_the_base(monkeypatch, tmp_path, capsys):
+    # canonicalize_eta redirects a twisted datum to its base before any
+    # check, so the input is tested for anti-fixedness once, at the base
+    twist = [["1", "0"], ["0", "-1"]]
+    d = gc.pure_inner_twist(gc.build_datum("unitary", 2, 1), gc.matrix_from_config(twist, 2))
+    check = gc.is_anti_fixed_eta
+    calls = []
+    monkeypatch.setattr(gc, "is_anti_fixed_eta",
+                        lambda x, datum: calls.append(datum) or check(x, datum))
+    for lam in enumerate_admissible(d, 1):
+        for cls in classify_eta(d, lam):
+            calls.clear()
+            form = canonicalize_eta(cls.loop_rep, d)
+            assert (form.lam, form.orbit_class.label) == (cls.lam, cls.label)
+            assert calls == [gc.base_datum(d, "eta")]
+    x = LaurentMatrix.from_scalars([[1, 1], [0, 1]])
+    assert not check(x, d)
+    loop, twist_path = tmp_path / "loop.json", tmp_path / "twist.json"
+    loop.write_text(json.dumps(laurent_to_json(x)))
+    twist_path.write_text(json.dumps(twist))
+    capsys.readouterr()
+    assert cli.main(["canonicalize", "--family", "unitary", "--inner-twist", str(twist_path),
+                     "--side", "eta", "--input", str(loop)]) == 5
+    assert capsys.readouterr() == ("", "error: loop is not eta-anti-fixed\n")
+
+
 # The classes of the theta_twist benchmark round: (datum, lambda, label).
 THETA_ROUND = [
     (("split_gl", 2, 1), (1, 0), "Sym|Sym"),

@@ -387,3 +387,39 @@ def test_torus_smith_form_faults_exit_1(mode, failed_check, optimize):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"error: certificate failed: {failed_check}\n"
+
+
+# theta0 of a torus t-power must be exactly t^(E e_k): a non-monomial image
+# ("sum": theta0 + I) or a coefficient other than 1 ("scale": 2 * theta0)
+# must stop build_datum, and the CLI must exit 1.
+TORUS_SCRIPT = r"""
+import sys
+from loopmatsuki import cli, group_catalog as gc
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.laurent import LaurentMatrix
+
+theta0 = gc.theta0
+if sys.argv[1] == "sum":
+    gc.theta0 = lambda m, datum: theta0(m, datum) + LaurentMatrix.identity(datum.n)
+else:
+    gc.theta0 = lambda m, datum: theta0(m, datum).scale(2)
+try:
+    gc.build_datum("split_gl", 2, 1)
+    print("no error")
+except CertificateError as exc:
+    print("CertificateError:", exc)
+print(cli.main(["orbits", "--family", "split_gl", "--bound", "1"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("mode", ["sum", "scale"])
+def test_torus_matrix_certificate_exits_1(mode, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", TORUS_SCRIPT, mode],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    failed_check = "certificate failed: theta0 of a torus t-power is not a t-power"
+    assert proc.stdout.split("\n") == ["CertificateError: " + failed_check, "1", ""]
+    assert proc.stderr == f"error: {failed_check}\n"

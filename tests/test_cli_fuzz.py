@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.cli import main
+from loopmatsuki.duality import match_spherical, verify_intersection
 from loopmatsuki.errors import InvalidInputError
-from loopmatsuki.group_catalog import MAX_CONFIG_RANK, check_bound
+from loopmatsuki.group_catalog import MAX_CONFIG_RANK, build_datum, check_bound
 from loopmatsuki.serialize import MAX_LOOP_SLOTS
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -247,3 +248,15 @@ def test_coweight_box_limit_is_exact():
     for bound, n in ((5, 4), (1, 9), (5000, 1), (10 ** 100, 256)):
         with pytest.raises(InvalidInputError, match="limit"):
             check_bound(bound, n)
+
+
+@pytest.mark.parametrize("level", ["spherical", "iwahori"])
+def test_negative_verify_samples_exit_2(level, capsys):
+    # a negative sample count used to verify nothing and exit 0
+    assert main(["match", "--family", "split_gl", "--level", level,
+                 "--verify-samples", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: --verify-samples must be nonnegative\n")
+    pair = next(p for p in match_spherical(build_datum("split_gl", 2, 1), 1)
+                if p.common_rep is not None)
+    with pytest.raises(InvalidInputError, match="nonnegative"):
+        verify_intersection(pair, -3, 0)

@@ -14,7 +14,7 @@ from loopmatsuki.intlat import (
     transpose,
 )
 from loopmatsuki.iwahori_orbits import (
-    AffineWeylElement, _ad_matrix, _involution_torus_matrix, _perm_inverse,
+    AffineWeylElement, _ad_matrix, _perm_inverse,
     build_torus_problem, classes_at_tw, enumerate_admissible_tw, enumerate_iwahori,
     perm_matrix, qi_quarter,
 )
@@ -280,7 +280,7 @@ def test_failed_anti_fixed_check_is_certificate_error(tmp_path, capsys, monkeypa
 
 def _eta0_torus_probe(d):
     """E read off eta0 on 4th roots of unity in the compact torus: the
-    eta-side probe that _involution_torus_matrix's theta0 probe replaces."""
+    eta-side probe that the theta0 probe of GroupDatum.torus replaces."""
     n = d.n
     cols = []
     for k in range(n):
@@ -301,7 +301,7 @@ def _eta0_torus_probe(d):
 @pytest.mark.parametrize("eps", [1, -1])
 def test_eta0_acts_on_the_torus_by_theta0s_matrix(family, n, eps):
     d = gc.build_datum(family, n, eps)
-    assert _eta0_torus_probe(d) == _involution_torus_matrix(d)
+    assert _eta0_torus_probe(d) == [list(row) for row in d.torus]
 
 
 def _torus_matrices(e, w):
@@ -329,7 +329,7 @@ def test_rank_certificate_matches_the_elimination_oracle(family, n, eps):
     # rank certificate holds) exactly when the oracle finds ker M_eq inside
     # im M_act; elsewhere the preservation certificate refuses it first
     d = gc.build_datum(family, n, eps)
-    e = _involution_torus_matrix(d)
+    e = d.torus
     built = 0
     for w in permutations(range(n)):
         m_eq, m_act = _torus_matrices(e, w)
@@ -344,7 +344,7 @@ def test_rank_certificate_matches_the_elimination_oracle(family, n, eps):
     assert built
 
 
-def test_rank_certificate_refuses_an_infinite_quotient(monkeypatch):
+def test_rank_certificate_refuses_an_infinite_quotient():
     # E = -A_w at a 4-cycle gives M_eq = 0 and M_act = A_w + A_w^-1 of rank
     # 2: the action preserves the equation, but the oracle finds kernel
     # outside the image, so the rank certificate must fail
@@ -354,9 +354,8 @@ def test_rank_certificate_refuses_an_infinite_quotient(monkeypatch):
     m_eq, m_act = _torus_matrices(e, w)
     assert not any(x for row in mat_mul(m_eq, m_act) for x in row)
     assert not _kernel_in_image(m_eq, m_act)
-    monkeypatch.setattr(iwahori_orbits, "_involution_torus_matrix", lambda datum: e)
     with pytest.raises(CertificateError, match="equation kernel escapes the action image"):
-        build_torus_problem(d, w)
+        build_torus_problem(replace(d, torus=e), w)
 
 
 @pytest.mark.parametrize("side", ["theta", "eta"])
