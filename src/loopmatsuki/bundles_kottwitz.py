@@ -111,7 +111,7 @@ def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
     n = datum.n
     if len(p.lam) != n or p.g.n != n or not p.g.is_constant():
         return False
-    base = gc.base_datum(datum, "eta")
+    base = gc.base_datum(datum, gc.ETA)
     if base is not datum:
         # the identities hold at the base datum, reached by x -> x * c
         p = KottwitzPoint(p.lam, gc.transport_to_base(p.g, datum), p.z * (base.z / datum.z))

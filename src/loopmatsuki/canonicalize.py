@@ -34,7 +34,7 @@ from .exact_algebra import (
     valuation_coweight,
 )
 from .gaussian import QI
-from .group_catalog import GroupDatum
+from .group_catalog import ETA, THETA, GroupDatum, Side
 from .intlat import eliminate
 from .iwahori_orbits import AffineWeylElement, classes_at_tw
 from .laurent import (
@@ -90,8 +90,8 @@ def _block_index(lam: Sequence[int]) -> List[int]:
 
 
 def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix,
-                           side: str) -> SphericalClass:
-    classes = classify_theta(datum, lam) if side == "theta" else classify_eta(datum, lam)
+                           side: Side, classes: List[SphericalClass]) -> SphericalClass:
+    """The class of side's classes at lam that the reduced g0 belongs to."""
     # the input passed its anti-fixedness check, so a miss here is an internal fault
     certify(bool(classes), "reduced to a coweight with no anti-fixed classes")
     if datum.family != gc.UNITARY or 0 not in lam:
@@ -124,9 +124,8 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         raise InvalidInputError("canonicalize_theta needs a group datum")
     if not isinstance(x, SeriesMatrix):
         raise InvalidInputError("canonicalize_theta takes a series loop")
-    base = gc.base_datum(datum, "theta")
-    if base is not datum:
-        return _reduce_on_base(canonicalize_theta, x, datum, base)
+    if gc.base_datum(datum, THETA) is not datum:
+        return _reduce_on_base(canonicalize_theta, x, datum, THETA)
     n = x.n
     if not gc.is_anti_fixed_theta(x, datum):
         raise NotAntiFixedError("loop is not theta-anti-fixed to its precision")
@@ -227,7 +226,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 f"layers 1..{k} are not killed")
 
     g0 = ell
-    if not equation_holds(datum, lam, g0, "theta"):
+    if not equation_holds(datum, lam, g0, THETA):
         raise PrecisionError("constant term equation not certified at this precision")
     loop_rep = LaurentMatrix.t_power(lam) * g0 * w1_inv
     # the certified window: g was cleaned to its own precision, and row i of
@@ -240,14 +239,14 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     defect = cur - SeriesMatrix.from_laurent(loop_rep, cur.precision)
     certify(all(not e for row in defect.retruncate(residual).rows for e in row),
             f"theta defect is nonzero below the residual precision {residual}")
-    orbit_class = _match_spherical_class(datum, lam, g0, "theta")
+    orbit_class = _match_spherical_class(datum, lam, g0, THETA, classify_theta(datum, lam))
     return CanonicalForm(
         lam=tuple(lam),
         g0=g0,
         orbit_class=orbit_class,
         certificate=h_acc,
         residual_precision=residual,
-        side="theta",
+        side=THETA.name,
         loop_rep=loop_rep,
     )
 
@@ -260,9 +259,8 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """Reduce an eta-anti-fixed Laurent loop to t^lam * g0 * w1^{-1}, exactly."""
     if datum is None:
         raise InvalidInputError("canonicalize_eta needs a group datum")
-    base = gc.base_datum(datum, "eta")
-    if base is not datum:
-        return _reduce_on_base(canonicalize_eta, x, datum, base)
+    if gc.base_datum(datum, ETA) is not datum:
+        return _reduce_on_base(canonicalize_eta, x, datum, ETA)
     if not gc.is_anti_fixed_eta(x, datum):
         raise NotAntiFixedError("loop is not eta-anti-fixed")
 
@@ -294,30 +292,31 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     g0 = ell
     loop_rep = tlam * g0 * datum.w1.inverse()
     certify(cur == loop_rep, "eta reduction does not replay to the representative")
-    certify(equation_holds(datum, lam, g0, "eta"), "eta spherical equation fails for g0")
-    orbit_class = _match_spherical_class(datum, lam, g0, "eta")
+    certify(equation_holds(datum, lam, g0, ETA), "eta spherical equation fails for g0")
+    orbit_class = _match_spherical_class(datum, lam, g0, ETA, classify_eta(datum, lam))
     return CanonicalForm(
         lam=tuple(lam),
         g0=g0,
         orbit_class=orbit_class,
         certificate=h_acc,
         residual_precision=None,
-        side="eta",
+        side=ETA.name,
         loop_rep=loop_rep,
     )
 
 
-def _reduce_on_base(reduce, x, datum: GroupDatum, base: GroupDatum,
+def _reduce_on_base(reduce, x, datum: GroupDatum, side: Side,
                     tw: Optional[AffineWeylElement] = None) -> CanonicalForm:
-    """Reduce the loop x of a twisted datum at base, which x -> x * c
-    carries it to, and carry the form back (x is the positioned factor of
-    t~w * x when tw is given).  An eta certificate is replayed on the loop."""
-    xc = gc.transport_to_base(x, datum)
+    """Reduce the loop x of a twisted datum at its base datum for side,
+    which x -> x * c carries it to, and carry the form back (x is the
+    positioned factor of t~w * x when tw is given).  An exact form, which
+    only eta gives, has its certificate replayed on the loop."""
+    xc, base = gc.transport_to_base(x, datum), gc.base_datum(datum, side)
     if tw is None:
         form = gc.carry_from_base(reduce(xc, base), datum, datum.w1)
     else:
         form = gc.carry_from_base(reduce(tw, xc, base), datum)
-    if form.side == "eta":
+    if form.residual_precision is None:
         h = form.certificate
         loop = x if tw is None else tw.loop() * x
         certify(h * loop * gc.apply_eta_inv(h, datum) == form.loop_rep,
@@ -356,7 +355,7 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     return best
 
 
-def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: str,
+def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: Side,
                 tw_loop: LaurentMatrix, d: LaurentMatrix, certificate,
                 residual: Optional[int]) -> CanonicalForm:
     """The reduced loop t~w * d as a canonical form, with d's class."""
@@ -367,7 +366,7 @@ def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: str,
         if cls.contains(diag):
             return CanonicalForm(lam=tuple(tw.lam), g0=d, orbit_class=cls,
                                  certificate=certificate, residual_precision=residual,
-                                 side=side, loop_rep=tw_loop * d)
+                                 side=side.name, loop_rep=tw_loop * d)
     raise CertificateError("certificate failed: reduced torus element matches no classified class")
 
 
@@ -452,9 +451,8 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
     is not the loop's, which canonicalize_theta reports: t^lambda shifts row
     i by lambda_i, so h * x * theta(h)^-1 = t~w * d is certified only to
     residual_precision + min(lambda), less when some lambda_i < 0."""
-    base = gc.base_datum(datum, "theta")
-    if base is not datum:
-        return _reduce_on_base(iwahori_reduce_theta, g, datum, base, tw)
+    if gc.base_datum(datum, THETA) is not datum:
+        return _reduce_on_base(iwahori_reduce_theta, g, datum, THETA, tw)
     n = g.n
     tw_loop = tw.loop()
     c = g.constant_matrix()
@@ -484,15 +482,14 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
         for hs in steps:
             x = hs * x * gc.apply_theta_inv(hs, datum)
             h_acc = hs * h_acc
-    return _torus_form(datum, tw, "theta", tw_loop, d, h_acc, gcur.precision)
+    return _torus_form(datum, tw, THETA, tw_loop, d, h_acc, gcur.precision)
 
 
 def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
                        datum: GroupDatum) -> CanonicalForm:
     """Reduce t~w * g (exact, pre-positioned) to its torus form, exactly."""
-    base = gc.base_datum(datum, "eta")
-    if base is not datum:
-        return _reduce_on_base(iwahori_reduce_eta, g, datum, base, tw)
+    if gc.base_datum(datum, ETA) is not datum:
+        return _reduce_on_base(iwahori_reduce_eta, g, datum, ETA, tw)
     n = g.n
     tw_loop = tw.loop()
     x = tw_loop * g
@@ -511,4 +508,4 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
         h_acc = h * h_acc
     else:
         raise InvalidInputError("Iwahori eta reduction did not terminate")
-    return _torus_form(datum, tw, "eta", tw_loop, d, h_acc, None)
+    return _torus_form(datum, tw, ETA, tw_loop, d, h_acc, None)

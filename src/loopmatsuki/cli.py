@@ -101,14 +101,13 @@ def _load_loop(path: str):
 
 def cmd_orbits(args) -> int:
     datum = _datum_of(args)
-    sides = ["theta", "eta"] if args.side == "both" else [args.side]
     rows: List[dict] = []
     if args.level == "spherical":
-        classify = {"theta": classify_theta, "eta": classify_eta}
         for lam in enumerate_admissible(datum, args.bound):
-            for side in sides:
-                rows.extend(orbit_row(c) for c in classify[side](datum, lam))
+            for _, classify in args.side:
+                rows.extend(orbit_row(c) for c in classify(datum, lam))
     else:
+        sides = [side for side, _ in args.side]
         for classes in enumerate_iwahori(datum, args.bound, sides).values():
             rows.extend(orbit_row(c) for c in classes)
     rows.sort(key=lambda r: (r["lambda"], r.get("w", []),
@@ -117,20 +116,23 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+def _canonicalize_theta(x, datum: gc.GroupDatum, precision: Optional[int]):
+    if isinstance(x, LaurentMatrix):
+        if precision is None:
+            raise InvalidInputError("the theta side needs --precision for exact input")
+        x = SeriesMatrix.from_laurent(x, precision)
+    return canonicalize_theta(x, datum)
+
+
+def _canonicalize_eta(x, datum: gc.GroupDatum, precision: Optional[int]):
+    if isinstance(x, SeriesMatrix):
+        raise InvalidInputError("the eta side needs an exact Laurent loop")
+    return canonicalize_eta(x, datum)
+
+
 def cmd_canonicalize(args) -> int:
     datum = _datum_of(args)
-    x = _load_loop(args.input)
-    if args.side == "eta":
-        if isinstance(x, SeriesMatrix):
-            raise InvalidInputError("the eta side needs an exact Laurent loop")
-        form = canonicalize_eta(x, datum)
-    else:
-        if isinstance(x, LaurentMatrix):
-            if args.precision is None:
-                raise InvalidInputError(
-                    "the theta side needs --precision for exact input")
-            x = SeriesMatrix.from_laurent(x, args.precision)
-        form = canonicalize_theta(x, datum)
+    form = args.side(_load_loop(args.input), datum, args.precision)
     _emit(args, dumps(canonical_form_to_json(form)))
     return 0
 
@@ -178,7 +180,18 @@ def cmd_selftest(args) -> int:
     return 0 if all(r["ok"] for r in results) else 1
 
 
+class _Pick(argparse.Action):
+    """Stores the value that the choices dict holds for the given choice."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, self.choices[value])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    # --side maps once, here: orbits to (side, classifier) pairs, canonicalize to a reducer
+    one = {"theta": [(gc.THETA, classify_theta)], "eta": [(gc.ETA, classify_eta)]}
+    orbit_sides = {**one, "both": one["theta"] + one["eta"]}
+    reducers = {"theta": _canonicalize_theta, "eta": _canonicalize_eta}
     parser = argparse.ArgumentParser(
         prog="loopmatsuki",
         description="Exact Matsuki duality for loop groups of classical "
@@ -189,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_datum_flags(p)
     p.add_argument("--level", choices=["spherical", "iwahori"],
                    default="spherical")
-    p.add_argument("--side", choices=["theta", "eta", "both"], default="both")
+    p.add_argument("--side", choices=orbit_sides, action=_Pick, default=orbit_sides["both"])
     p.add_argument("--bound", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(fn=cmd_orbits)
 
     p = sub.add_parser("canonicalize", help="canonical form of a loop")
     _add_datum_flags(p)
-    p.add_argument("--side", choices=["theta", "eta"], required=True)
+    p.add_argument("--side", choices=reducers, action=_Pick, required=True)
     p.add_argument("--input", required=True, help="loop matrix JSON file")
     p.add_argument("--precision", type=int)
     _add_output_flags(p)

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InvalidInputError, UnsupportedFamilyError, certify
+from .errors import CertificateError, InvalidInputError, UnsupportedFamilyError, certify
 from .exact_algebra import hermitian_signature
 from .gaussian import QI, ONE
 from .group_catalog import (
-    SPLIT_GL, QUATERNIONIC_GL, GroupDatum,
+    ETA, SPLIT_GL, QUATERNIONIC_GL, THETA, GroupDatum, Side,
     base_datum, carry_from_base, check_bound, involution, is_admissible, is_anti_fixed,
     j_matrix, signed_permutation,
 )
@@ -118,7 +118,7 @@ def _real_z(z: QI) -> QI:
     return z
 
 
-def _classify_symalt(datum: GroupDatum, lam: Tuple[int, ...], side: str) -> List[SphericalClass]:
+def _classify_symalt(datum: GroupDatum, lam: Tuple[int, ...], side: Side) -> List[SphericalClass]:
     """split_gl and quaternionic_gl: at most one class, of per-block
     symmetric/alternating types."""
     z = _real_z(datum.z)
@@ -141,7 +141,7 @@ def _classify_symalt(datum: GroupDatum, lam: Tuple[int, ...], side: str) -> List
     return [_finish_class(datum, lam, side, label, g0, types)]
 
 
-def _classify_unitary(datum: GroupDatum, lam: Tuple[int, ...], side: str) -> List[SphericalClass]:
+def _classify_unitary(datum: GroupDatum, lam: Tuple[int, ...], side: Side) -> List[SphericalClass]:
     z = _real_z(datum.z)
     blocks = blocks_of(lam)
     r = len(blocks)
@@ -183,30 +183,35 @@ def _classify_unitary(datum: GroupDatum, lam: Tuple[int, ...], side: str) -> Lis
     return out
 
 
-def middle_label(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, side: str) -> str:
+def middle_label(datum: GroupDatum, lam: Sequence[int], g0: LaurentMatrix, side: Side) -> str:
     """The label of the unitary class of a reduced g0, read off its middle
     (lambda = 0) block B by inverting _classify_unitary's B = s * R * M_{p,q}:
     with M = s^-1 * R * B, p - q = tr M on theta and (p, q) is the signature
-    of M on eta.  A g0 of no class gets a label no class carries."""
+    of M on eta.  A g0 of no class gets a label no class carries, and an eta
+    block that is no nondegenerate Hermitian form fails a certificate."""
     start, m = next((start, size) for start, size, mu in blocks_of(lam) if mu == 0)
     # z is 1 or -1: the classifier ran first and rejects any other z
     s_inv = ONE if datum.z == ONE else QI(0, -1)
     mm = [[s_inv * g0.coeff(start + r, start + c, 0) for c in range(m)]
           for r in reversed(range(m))]
-    if side == "theta":
+    if not side.reflect:
         p = sum((mm[r][r] for r in range(m)), QI(m)) / 2
         return f"({p},{m - p})"
-    return "({},{})".format(*hermitian_signature(mm))
+    try:
+        return "({},{})".format(*hermitian_signature(mm))
+    except InvalidInputError as exc:
+        raise CertificateError(f"certificate failed: reduced middle block: {exc}") from None
 
 
-def _finish_class(datum: GroupDatum, lam: Tuple[int, ...], side: str,
+def _finish_class(datum: GroupDatum, lam: Tuple[int, ...], side: Side,
                   label: str, g0: LaurentMatrix, types, sig=None) -> SphericalClass:
     loop = LaurentMatrix.t_power(list(lam)) * g0 * datum.w1.inverse()
-    where = f"{side} class {label} at lambda={lam}"
+    where = f"{side.name} class {label} at lambda={lam}"
     certify(is_anti_fixed(loop, datum, side), f"{where}: representative not anti-fixed")
     certify(equation_holds(datum, lam, g0, side), f"{where}: g0 fails its equation")
-    aut = _aut_label(datum, types, sig) if side == "eta" else None
-    return SphericalClass(datum, lam, side, label, g0, loop,
+    # an eta class is a real bundle, labelled by its automorphism group
+    aut = _aut_label(datum, types, sig) if side.reflect else None
+    return SphericalClass(datum, lam, side.name, label, g0, loop,
                           tuple(_component_group(types)), aut)
 
 
@@ -216,7 +221,7 @@ def eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
         [_sign_power(datum.epsilon, mu) for mu in lam])
 
 
-def equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: str) -> bool:
+def equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: Side) -> bool:
     """Whether the constant g0 solves the spherical equation of side at
     lambda (see the module docstring); the canonicalizers certify their
     reduced g0 with it."""
@@ -261,14 +266,14 @@ def _aut_label(datum: GroupDatum, types, sig) -> str:
 
 
 def classify_theta(datum: GroupDatum, lam: Sequence[int]) -> List[SphericalClass]:
-    return _classify(datum, lam, "theta")
+    return _classify(datum, lam, THETA)
 
 
 def classify_eta(datum: GroupDatum, lam: Sequence[int]) -> List[SphericalClass]:
-    return _classify(datum, lam, "eta")
+    return _classify(datum, lam, ETA)
 
 
-def _classify(datum: GroupDatum, lam: Sequence[int], side: str) -> List[SphericalClass]:
+def _classify(datum: GroupDatum, lam: Sequence[int], side: Side) -> List[SphericalClass]:
     lam = tuple(int(x) for x in lam)
     if not is_dominant(lam):
         raise InvalidInputError(f"coweight {lam} is not dominant")

@@ -14,10 +14,14 @@ so the compact form is U(n), and eta0 = theta0 o eta_{c,0}.  Loop involutions ar
   theta(gamma)(t) = theta0(gamma(epsilon t))
   eta(gamma)(t)   = eta0(gamma(epsilon t^-1))   (coefficientwise conjugation)
 
-One table (_INVERSE_TRANSPOSE and the J conjugation, in involution) gives
-both the loop involutions and their constant case theta0, eta0.  Where it
-holds the inverse transpose, sigma(gamma)^-1 takes no inverse, so
-is_anti_fixed tests gamma * sigma(gamma) = z as gamma = z * sigma(gamma)^-1.
+The two sides differ only in table data, so each is one frozen Side value,
+THETA or ETA: its name (what classes and forms carry and JSON writes),
+whether it reflects t -> epsilon/t with conjugated coefficients (exact
+Laurent input only), and the families whose sigma0 is the inverse
+transpose.  involution reads that table and the J conjugation for both the
+loop involutions and their constant case theta0, eta0.  Where sigma holds
+the inverse transpose, sigma(gamma)^-1 takes no inverse, so is_anti_fixed
+tests gamma * sigma(gamma) = z as gamma = z * sigma(gamma)^-1.
 
 A datum may carry a pure inner twist c, a constant matrix with both
 c*theta0(c) and c*eta0(c) scalar; both loop involutions are then conjugated
@@ -28,14 +32,15 @@ base: x -> x * c (transport_to_base) carries its anti-fixed loops to those
 of base_datum(datum, side), the untwisted datum at the matching central
 sector, where tables and canonical forms are computed, and carry_from_base
 carries those classes and forms back by x -> x * c^-1 (transport_from_base).
-Other modules ask base_datum(datum, side) is not datum, never for c itself.
+pure_inner_twist builds both base data once, with the twist.  Other modules
+ask base_datum(datum, side) is not datum, never for c itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE, qi_from_str
@@ -91,6 +96,8 @@ class GroupDatum:
     real_form: str
     twist: Optional[LaurentMatrix] = None  # inner twist c, or None
     torus: Tuple[Tuple[int, ...], ...] = ()  # rows of E, theta0(t^v) = t^(E v); build_datum sets it
+    # base_datum by side name, built once by pure_inner_twist; empty when untwisted
+    bases: Dict[str, "GroupDatum"] = field(default_factory=dict, compare=False, repr=False)
 
 
 def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatum:
@@ -207,18 +214,21 @@ def _config_scalar(x, what: str) -> QI:
 # involutions
 
 
-# Each loop involution is sigma(gamma) = Ad_c Ad_M f(gamma(s(t))): s is
-# t -> epsilon*t (theta) or t -> epsilon/t with conjugated coefficients
-# (eta), M is J on quaternionic_gl, c the inner twist, and f the inverse
-# transpose on the families listed here, the identity on the others.  The
-# constant involution sigma0 = Ad_M f (conjugated coefficients on eta) is
-# the same table with neither s nor c.
-_INVERSE_TRANSPOSE = {"theta": (SPLIT_GL, QUATERNIONIC_GL), "eta": (UNITARY,)}
+@dataclass(frozen=True)
+class Side:
+    """One loop involution as table data: sigma(gamma) = Ad_c Ad_M f(gamma(s(t))),
+    s the t-substitution, M = J on quaternionic_gl, c the inner twist, f the
+    inverse transpose on the inverse_transpose families, else the identity.
+    Its constant case sigma0 = Ad_M f has neither s nor c."""
+
+    name: str  # "theta" | "eta": what classes and forms carry and JSON writes
+    reflect: bool  # s is t -> epsilon/t, conjugated (else epsilon*t): exact Laurent input only
+    inverse_transpose: Tuple[str, ...]
 
 
-def inverse_is_free(datum: GroupDatum, side: str) -> bool:
-    """True when apply_<side>_inv takes no inverse, so gamma_inv goes unused."""
-    return datum.family in _INVERSE_TRANSPOSE[side]
+THETA = Side("theta", False, (SPLIT_GL, QUATERNIONIC_GL))
+ETA = Side("eta", True, (UNITARY,))
+SIDES = {side.name: side for side in (THETA, ETA)}  # by the name classes carry
 
 
 def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
@@ -231,9 +241,9 @@ def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
     return a * m * a_inv
 
 
-def involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
+def involution(gamma, datum: GroupDatum, side: Side, invert: bool, gamma_inv,
                constant: bool = False):
-    """The involution table of side: sigma(gamma), or sigma(gamma)^-1 =
+    """The involution of side: sigma(gamma), or sigma(gamma)^-1 =
     sigma(gamma^-1) when invert is set; the constant sigma0 (no
     t-substitution, no inner twist) in place of sigma when constant is set.
 
@@ -241,16 +251,15 @@ def involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
     sigma(gamma)^-1 on an inverse-transpose family, and from gamma_inv,
     when given, on the others.
     """
-    eta = side == "eta"
-    if eta and not isinstance(gamma, LaurentMatrix):
-        raise InvalidInputError("eta requires an exact Laurent matrix")
-    transpose = inverse_is_free(datum, side)
+    if side.reflect and not isinstance(gamma, LaurentMatrix):
+        raise InvalidInputError(f"{side.name} requires an exact Laurent matrix")
+    transpose = datum.family in side.inverse_transpose
     g = gamma
     if invert != transpose:
         g = gamma_inv if gamma_inv is not None else gamma.inverse()
     if not constant:
-        g = g.substitute(QI(datum.epsilon), invert=eta, conj=eta)
-    elif eta:
+        g = g.substitute(QI(datum.epsilon), invert=side.reflect, conj=side.reflect)
+    elif side.reflect:
         g = g.substitute(ONE, invert=False, conj=True)
     if transpose:
         g = g.transpose()
@@ -263,65 +272,59 @@ def involution(gamma, datum: GroupDatum, side: str, invert: bool, gamma_inv,
 
 
 def theta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """The base datum's constant symmetric-subgroup involution, entrywise on
-    a Laurent matrix: no substitution in t, and no inner twist, which only
-    the loop involutions and the transports see."""
-    return involution(m, datum, "theta", False, None, constant=True)
+    """The base datum's constant symmetric-subgroup involution (no inner twist)."""
+    return involution(m, datum, THETA, False, None, constant=True)
 
 
 def eta0(m: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
-    """The base datum's constant real-form involution, entrywise on a
-    Laurent matrix: no substitution in t, and no inner twist, which only
-    the loop involutions and the transports see."""
-    return involution(m, datum, "eta", False, None, constant=True)
+    """The base datum's constant real-form involution (no inner twist)."""
+    return involution(m, datum, ETA, False, None, constant=True)
 
 
 def apply_theta(gamma, datum: GroupDatum):
     """theta(gamma)(t) = theta0(gamma(epsilon t)), conjugated by the inner
     twist when one is present.  Accepts LaurentMatrix or SeriesMatrix
     (precision is tracked by the series arithmetic)."""
-    return involution(gamma, datum, "theta", False, None)
+    return involution(gamma, datum, THETA, False, None)
 
 
 def apply_theta_inv(gamma, datum: GroupDatum, gamma_inv=None):
     """theta(gamma)^-1 = theta(gamma^-1).  No inverse is taken on split_gl
     and quaternionic_gl; on unitary, gamma_inv is used when given.  On G(O)
     series inputs the precision equals that of apply_theta(gamma).inverse()."""
-    return involution(gamma, datum, "theta", True, gamma_inv)
+    return involution(gamma, datum, THETA, True, gamma_inv)
 
 
 def apply_eta(gamma: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """eta(gamma)(t) = eta0(gamma(epsilon t^-1)), with exact coefficientwise
     conjugation.  Laurent matrices only."""
-    return involution(gamma, datum, "eta", False, None)
+    return involution(gamma, datum, ETA, False, None)
 
 
 def apply_eta_inv(gamma: LaurentMatrix, datum: GroupDatum,
                   gamma_inv: Optional[LaurentMatrix] = None) -> LaurentMatrix:
     """eta(gamma)^-1 = eta(gamma^-1).  No inverse is taken on unitary; on
     split_gl and quaternionic_gl, gamma_inv is used when given."""
-    return involution(gamma, datum, "eta", True, gamma_inv)
+    return involution(gamma, datum, ETA, True, gamma_inv)
 
 
 def d_theta0(y: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:
     """Differential of theta0 at the identity: theta0 itself where theta0
     is linear, and -Ad_M(y^T) on the inverse-transpose families, where the
     table's theta0(y)^-1 takes no inverse and gives Ad_M(y^T)."""
-    inv_t = inverse_is_free(datum, "theta")
-    dy = involution(y, datum, "theta", inv_t, None, constant=True)
+    inv_t = datum.family in THETA.inverse_transpose
+    dy = involution(y, datum, THETA, inv_t, None, constant=True)
     return -dy if inv_t else dy
 
 
-def is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
+def is_anti_fixed(gamma, datum: GroupDatum, side: Side) -> bool:
     """Whether gamma * sigma_side(gamma) = z, to gamma's precision for a series.
     Where sigma holds the inverse transpose, sigma(gamma)^-1 takes no inverse,
     and gamma = z * sigma(gamma)^-1 is tested instead, at gamma's precision:
     stricter than the product test, which it implies."""
-    theta = side == "theta"
-    if inverse_is_free(datum, side):
-        sigma_inv = apply_theta_inv if theta else apply_eta_inv
-        return gamma == sigma_inv(gamma, datum).scale(datum.z)
-    prod = gamma * (apply_theta if theta else apply_eta)(gamma, datum)
+    if datum.family in side.inverse_transpose:
+        return gamma == involution(gamma, datum, side, True, None).scale(datum.z)
+    prod = gamma * (apply_eta if side.reflect else apply_theta)(gamma, datum)
     zid = LaurentMatrix.diag_scalars([datum.z] * datum.n)
     if isinstance(prod, SeriesMatrix):
         zid = SeriesMatrix.from_laurent(zid, prod.precision)
@@ -329,62 +332,49 @@ def is_anti_fixed(gamma, datum: GroupDatum, side: str) -> bool:
 
 
 def is_anti_fixed_theta(gamma, datum: GroupDatum) -> bool:
-    return is_anti_fixed(gamma, datum, "theta")
+    return is_anti_fixed(gamma, datum, THETA)
 
 
 def is_anti_fixed_eta(gamma: LaurentMatrix, datum: GroupDatum) -> bool:
-    return is_anti_fixed(gamma, datum, "eta")
+    return is_anti_fixed(gamma, datum, ETA)
 
 
 # ---------------------------------------------------------------------------
 # pure inner twists
 
 
-def twist_scalar(datum: GroupDatum, g: LaurentMatrix, side: str) -> QI:
-    """For a candidate inner twist g, return the scalar s with
-    g * sigma0(g) = s * I, sigma0 the constant theta0 or eta0 as side says;
-    raises if the product is not scalar."""
-    name = f"g * {side}0(g)"
+def twist_scalar(datum: GroupDatum, g: LaurentMatrix, side: Side) -> QI:
+    """For a candidate inner twist g, the scalar s with g * sigma0(g) = s * I,
+    sigma0 the constant involution of side; raises unless s exists and is a
+    4th root of unity."""
     prod = g * involution(g, datum, side, False, None, constant=True)
-    const = prod.constant_matrix() if prod.is_constant() else None
-    if const is None:
-        raise InvalidInputError(f"{name} is not constant")
-    s = const[0][0]
-    n = datum.n
-    for i in range(n):
-        for j in range(n):
-            want = s if i == j else QI(0)
-            if const[i][j] != want:
-                raise InvalidInputError(f"{name} is not a scalar matrix")
-    if (s ** 4) != ONE:
-        raise InvalidInputError(f"{name} must be a 4th root of unity")
+    s = prod.coeff(0, 0, 0)
+    if prod != LaurentMatrix.diag_scalars([s] * datum.n):
+        raise InvalidInputError(f"g * {side.name}0(g) is not a scalar matrix")
+    if s ** 4 != ONE:
+        raise InvalidInputError(f"g * {side.name}0(g) must be a 4th root of unity")
     return s
 
 
 def pure_inner_twist(datum: GroupDatum, g: LaurentMatrix) -> GroupDatum:
     """Replace both involutions by their Ad_g twists.  Requires g * eta0(g)
-    and g * theta0(g) scalar (4th roots of unity); w1 is unchanged."""
+    and g * theta0(g) scalar (4th roots of unity); w1 is unchanged.  Each
+    side's base datum, at z times its scalar, is built here once."""
     if datum.twist is not None:
         raise InvalidInputError("datum is already twisted; twist the base datum")
     if not g.is_constant():
         raise InvalidInputError("inner twist must be a constant matrix")
-    twist_scalar(datum, g, "eta")
-    twist_scalar(datum, g, "theta")
+    scalars = {side: twist_scalar(datum, g, side) for side in (ETA, THETA)}
     if g == LaurentMatrix.identity(datum.n):
         return datum
-    real = _twisted_real_form_name(datum, g)
-    return replace(datum, twist=g, real_form=real)
-
-
-def _twisted_real_form_name(datum: GroupDatum, g: LaurentMatrix) -> str:
-    if datum.family == UNITARY:
-        const = g.constant_matrix()
-        n = datum.n
-        diag = all(const[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
-        if diag and all(const[i][i] in (QI(1), QI(-1)) for i in range(n)):
-            p = sum(1 for i in range(n) if const[i][i] == QI(1))
-            return f"U({p},{n - p})"
-    return datum.real_form + " (inner twist)"
+    bases = {side.name: build_datum(datum.family, datum.n, datum.epsilon, datum.z * s)
+             for side, s in scalars.items()}
+    real = datum.real_form + " (inner twist)"
+    signs = [g.coeff(i, i, 0) for i in range(datum.n)]
+    if (datum.family == UNITARY and g == LaurentMatrix.diag_scalars(signs)
+            and all(v in (QI(1), QI(-1)) for v in signs)):
+        real = f"U({signs.count(QI(1))},{signs.count(QI(-1))})"
+    return replace(datum, twist=g, real_form=real, bases=bases)
 
 
 def transport_to_base(x, datum: GroupDatum):
@@ -422,7 +412,7 @@ def carry_from_base(obj, datum: GroupDatum, r: Optional[LaurentMatrix] = None):
         changes = {"datum": datum}
     if obj.loop_rep is not None:
         loop = transport_from_base(obj.loop_rep, datum)
-        certify(is_anti_fixed(loop, datum, obj.side),
+        certify(is_anti_fixed(loop, datum, SIDES[obj.side]),
                 f"twisted {obj.side} representative carried from the base datum "
                 "is not anti-fixed")
         g0 = (transport_from_base(obj.g0, datum) if r is None
@@ -431,11 +421,9 @@ def carry_from_base(obj, datum: GroupDatum, r: Optional[LaurentMatrix] = None):
     return replace(obj, **changes)
 
 
-def base_datum(datum: GroupDatum, side: str) -> GroupDatum:
+def base_datum(datum: GroupDatum, side: Side) -> GroupDatum:
     """The untwisted datum whose anti-fixed set for side the transport
     x -> x * c reaches from this datum's: its central sector is z times the
-    scalar c * sigma0(c)."""
-    if datum.twist is None:
-        return datum
-    return build_datum(datum.family, datum.n, datum.epsilon,
-                       datum.z * twist_scalar(datum, datum.twist, side))
+    scalar c * sigma0(c).  pure_inner_twist built it; an untwisted datum is
+    its own base."""
+    return datum.bases.get(side.name, datum)

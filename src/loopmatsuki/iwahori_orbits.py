@@ -42,8 +42,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import (
-    GroupDatum, base_datum, carry_from_base, check_bound, is_admissible, is_anti_fixed,
-    signed_permutation, theta0,
+    ETA, THETA, GroupDatum, Side, base_datum, carry_from_base, check_bound, is_admissible,
+    is_anti_fixed, signed_permutation, theta0,
 )
 from .intlat import (
     as_fractions, eliminate, snf_int, mat_mul, mat_vec, lattice_basis,
@@ -158,7 +158,7 @@ class TorusProblem:
     base_target: Tuple[int, ...]  # arguments of (w * theta0(w))^-1, in quarter turns
 
     def classes(self, tw: AffineWeylElement, datum: GroupDatum,
-                side: str) -> List["IwahoriClass"]:
+                side: Side) -> List["IwahoriClass"]:
         """The classes of the untwisted datum on side at t^lambda * w: one
         canonical solution of the equation per orbit of the action, sorted
         by arguments; none when the equation is unsolvable."""
@@ -190,8 +190,8 @@ class TorusProblem:
                 loop = tw.loop() * g0
                 certify(is_anti_fixed(loop, datum, side),
                         f"the representative at lambda={list(tw.lam)}, w={list(tw.w)} is not "
-                        f"{side}-anti-fixed")
-            out.append(IwahoriClass(datum, tw, side, tuple(Fraction(a, scale) for a in args),
+                        f"{side.name}-anti-fixed")
+            out.append(IwahoriClass(datum, tw, side.name, tuple(Fraction(a, scale) for a in args),
                                     g0, loop, self.component_group, self))
         return out
 
@@ -348,24 +348,24 @@ class IwahoriClass:
 
 
 def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
-                  side: str) -> List[IwahoriClass]:
+                  side: Side) -> List[IwahoriClass]:
     """The classes at one t^lambda * w, from a torus problem of its own."""
     classes = build_torus_problem(datum, tw.w).classes(tw, base_datum(datum, side), side)
     return [carry_from_base(cls, datum) for cls in classes]
 
 
-def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[str] = ("theta", "eta")
+def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[Side] = (THETA, ETA)
                       ) -> Dict[str, List[IwahoriClass]]:
-    """For each side, the classes at every admissible t^lambda * w with
-    |lambda_i| <= bound, in (lambda, w) order.  The sides share one
-    enumeration and one torus problem per Weyl element."""
+    """For each side, by its name, the classes at every admissible
+    t^lambda * w with |lambda_i| <= bound, in (lambda, w) order.  The sides
+    share one enumeration and one torus problem per Weyl element."""
     bases = {side: base_datum(datum, side) for side in sides}
     problems = {}
-    out = {side: [] for side in sides}
+    out = {side.name: [] for side in sides}
     for tw in enumerate_admissible_tw(datum, bound):
         if tw.w not in problems:
             problems[tw.w] = build_torus_problem(datum, tw.w)
         for side, base in bases.items():
-            out[side].extend(carry_from_base(cls, datum)
-                             for cls in problems[tw.w].classes(tw, base, side))
+            out[side.name].extend(carry_from_base(cls, datum)
+                                  for cls in problems[tw.w].classes(tw, base, side))
     return out

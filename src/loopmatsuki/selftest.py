@@ -20,7 +20,7 @@ from .bundles_kottwitz import (
     twist_kottwitz,
 )
 from .canonicalize import canonicalize_eta, canonicalize_theta, tau_theta
-from .coweight_orbits import classify_eta, classify_theta, enumerate_admissible
+from .coweight_orbits import blocks_of, classify_eta, classify_theta, enumerate_admissible
 from .duality import finite_matsuki, match_iwahori, match_spherical, verify_intersection
 from .errors import certify
 from .gaussian import QI
@@ -71,14 +71,14 @@ def check_gl2r_split(bound: int = 3) -> None:
     # Iwahori level: t^lam has S = Z/2 x Z/2; t^(mu,mu)s is a single
     # class with trivial stabilizer
     tw = AffineWeylElement.of((1, 2), (0, 1))
-    classes = classes_at_tw(d, tw, "eta")
+    classes = classes_at_tw(d, tw, gc.ETA)
     certify(len(classes) == 1 and tuple(classes[0].component_group) == (2, 2),
             "t^(1,2) carries one class with S = Z/2 x Z/2")
     pb = loop_to_parabolic_bundle(classes[0].loop_rep, tw, d)
     certify(pb.lines == ((QI(1), QI(0)), (QI(1), QI(0))), "lines of t^(1,2)")
     certify(pb.aut_label == "R* x R*", "automorphisms of t^(1,2)")
     tws = AffineWeylElement.of((1, 1), (1, 0))
-    classes = classes_at_tw(d, tws, "eta")
+    classes = classes_at_tw(d, tws, gc.ETA)
     certify(len(classes) == 1 and tuple(classes[0].component_group) == (),
             "t^(1,1)s carries one class with trivial S")
     x = classes[0].loop_rep
@@ -114,7 +114,7 @@ def check_gl2r_twisted(bound: int = 3) -> None:
     # stabilizer and is the only class there
     x = LaurentMatrix.monomial(2, 0, 1, 1) + LaurentMatrix.monomial(2, 1, 0, 1, -1)
     certify(gc.is_anti_fixed_eta(x, d), "antidiagonal t^(1,1)s representative")
-    classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), "eta")
+    classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), gc.ETA)
     certify(len(classes) == 1 and tuple(classes[0].component_group) == (),
             "t^(1,1)s carries one class with trivial S")
 
@@ -299,17 +299,11 @@ def _lam_preserving(lam: Tuple[int, ...], rng: random.Random) -> LaurentMatrix:
     """A random constant matrix normalizing the cocharacter t^lam."""
     n = len(lam)
     rows = [[QI(0)] * n for _ in range(n)]
-    start = 0
-    while start < n:
-        stop = start
-        while stop < n and lam[stop] == lam[start]:
-            stop += 1
-        block = random_constant_invertible(stop - start, rng)
-        c = block.constant_matrix()
-        for i in range(stop - start):
-            for j in range(stop - start):
+    for start, size, _ in blocks_of(lam):
+        c = random_constant_invertible(size, rng).constant_matrix()
+        for i in range(size):
+            for j in range(size):
                 rows[start + i][start + j] = c[i][j]
-        start = stop
     return LaurentMatrix.from_scalars(rows)
 
 

@@ -79,7 +79,7 @@ def test_twisted_eta_checks_anti_fixedness_once_at_the_base(monkeypatch, tmp_pat
             calls.clear()
             form = canonicalize_eta(cls.loop_rep, d)
             assert (form.lam, form.orbit_class.label) == (cls.lam, cls.label)
-            assert calls == [gc.base_datum(d, "eta")]
+            assert calls == [gc.base_datum(d, gc.ETA)]
     x = LaurentMatrix.from_scalars([[1, 1], [0, 1]])
     assert not check(x, d)
     loop, twist_path = tmp_path / "loop.json", tmp_path / "twist.json"
@@ -243,7 +243,7 @@ def test_inner_twist_transports(family, n, twist, eps):
              QI(Fraction(8, 17), Fraction(-15, 17))]
     k = LaurentMatrix.diag_scalars(units[:n])
     for tw in enumerate_admissible_tw(d, 1):
-        for cls in classes_at_tw(d, tw, "eta"):
+        for cls in classes_at_tw(d, tw, gc.ETA):
             if cls.loop_rep is None:
                 continue
             x = k * cls.loop_rep * gc.apply_eta_inv(k, d)
@@ -251,7 +251,7 @@ def test_inner_twist_transports(family, n, twist, eps):
             assert form.orbit_class.g0_args == cls.g0_args
             h = form.certificate
             assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
-        for cls in classes_at_tw(d, tw, "theta"):
+        for cls in classes_at_tw(d, tw, gc.THETA):
             if cls.loop_rep is None:
                 continue
             x = k * cls.loop_rep * gc.apply_theta_inv(k, d)
@@ -293,12 +293,13 @@ def test_inner_twist_bytes(tmp_path, capsys):
                     docs.append(canonical_form_to_json(
                         canonicalize_theta(SeriesMatrix.from_laurent(cls.loop_rep, 12), d)))
             for tw in enumerate_admissible_tw(d, 1):
-                for side, reduce in (("eta", iwahori_reduce_eta), ("theta", iwahori_reduce_theta)):
+                for side, reduce in ((gc.ETA, iwahori_reduce_eta),
+                                     (gc.THETA, iwahori_reduce_theta)):
                     for cls in classes_at_tw(d, tw, side):
                         if cls.loop_rep is None:
                             continue
                         g = tw.loop().inverse() * cls.loop_rep
-                        if side == "theta":
+                        if side is gc.THETA:
                             g = SeriesMatrix.from_laurent(g, 12)
                         docs.append(canonical_form_to_json(reduce(tw, g, d)))
     assert hashlib.sha256(dumps(docs).encode()).hexdigest() == TWISTED_DIGEST
@@ -355,12 +356,12 @@ def test_tau_maps_land_in_sector_one():
 def test_iwahori_reducers():
     d = gc.build_datum("split_gl", 2, 1)
     tw = AffineWeylElement.of((2, 1), (0, 1))
-    for cls in classes_at_tw(d, tw, "eta"):
+    for cls in classes_at_tw(d, tw, gc.ETA):
         g = tw.loop().inverse() * cls.loop_rep
         form = iwahori_reduce_eta(tw, g, d)
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
         assert gc.is_anti_fixed_eta(form.loop_rep, d)
-    for cls in classes_at_tw(d, tw, "theta"):
+    for cls in classes_at_tw(d, tw, gc.THETA):
         g = SeriesMatrix.from_laurent(tw.loop().inverse() * cls.loop_rep, 8)
         form = iwahori_reduce_theta(tw, g, d)
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
@@ -438,7 +439,7 @@ def _positioned_reductions():
     for d, tries, cap in theta_data:
         found = []
         for tw in enumerate_admissible_tw(d, 1):
-            for cls in classes_at_tw(d, tw, "theta"):
+            for cls in classes_at_tw(d, tw, gc.THETA):
                 for _ in range(tries if cls.loop_rep is not None else 0):
                     h = _elementary_iwahori_twist(d.n, rng)
                     x = h * cls.loop_rep * gc.apply_theta_inv(h, d)
@@ -453,7 +454,7 @@ def _positioned_reductions():
         for tw in enumerate_admissible_tw(d, 1):
             if tw.w != tuple(range(n)) or list(tw.lam) != sorted(tw.lam):
                 continue
-            for cls in classes_at_tw(d, tw, "eta"):
+            for cls in classes_at_tw(d, tw, gc.ETA):
                 for _ in range(2 if cls.loop_rep is not None else 0):
                     h = LaurentMatrix.from_scalars(
                         [[QI(1) if i == j else QI(random_rational(rng)) if i < j else QI(0)
@@ -508,7 +509,7 @@ def test_iwahori_theta_stall_raises_precision_error(monkeypatch):
     d = gc.build_datum("split_gl", 2, 1)
     rng = random.Random(1)
     for tw in enumerate_admissible_tw(d, 1):
-        reps = [c.loop_rep for c in classes_at_tw(d, tw, "theta") if c.loop_rep is not None]
+        reps = [c.loop_rep for c in classes_at_tw(d, tw, gc.THETA) if c.loop_rep is not None]
         hs = [_elementary_iwahori_twist(2, rng) for _ in reps]
         gs = [tw.loop().inverse() * h * rep * gc.apply_theta_inv(h, d)
               for h, rep in zip(hs, reps)]

@@ -423,3 +423,38 @@ def test_torus_matrix_certificate_exits_1(mode, optimize):
     failed_check = "certificate failed: theta0 of a torus t-power is not a t-power"
     assert proc.stdout.split("\n") == ["CertificateError: " + failed_check, "1", ""]
     assert proc.stderr == f"error: {failed_check}\n"
+
+
+# A reduced g0 has passed its anti-fixedness check, so a middle block that is
+# no nondegenerate Hermitian form can only be an internal fault: the class
+# matcher must fail a certificate (exit 1), not report invalid input (exit 2).
+MIDDLE_SCRIPT = r"""
+import json, sys
+from loopmatsuki import canonicalize, group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.laurent import LaurentMatrix
+
+d = gc.build_datum("unitary", 2, 1)
+g0 = LaurentMatrix.from_scalars(json.loads(sys.argv[1]))
+try:
+    canonicalize._match_spherical_class(d, (0, 0), g0, gc.ETA, classify_eta(d, (0, 0)))
+    print("no error")
+except CertificateError as exc:
+    print(f"CertificateError, exit {exc.exit_code}: {exc}")
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+@pytest.mark.parametrize("g0, fault", [
+    ([[0, 1], [0, 2]], "matrix is not Hermitian"),
+    ([[0, 0], [1, 0]], "Hermitian form is degenerate"),
+], ids=["non-hermitian", "degenerate"])
+def test_faulty_middle_block_is_certificate_error(g0, fault, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", MIDDLE_SCRIPT, json.dumps(g0)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("CertificateError, exit 1: certificate failed: "
+                           f"reduced middle block: {fault}\n")

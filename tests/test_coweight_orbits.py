@@ -114,7 +114,7 @@ def _oracle_invariant(datum, lam, g0, side):
     times i on eta when z = -1, for B the middle block of g0."""
     start, m = next((start, size) for start, size, mu in blocks_of(lam) if mu == 0)
     mm = [[g0.coeff(start + r, start + s, 0) for s in range(m)] for r in range(m)][::-1]
-    if side == "theta":
+    if side is gc.THETA:
         return str(sum((mm[r][r] for r in range(m)), QI(0)))
     if datum.z == QI(-1):
         mm = [[QI(0, 1) * x for x in row] for row in mm]
@@ -122,13 +122,13 @@ def _oracle_invariant(datum, lam, g0, side):
 
 
 def _oracle_match(datum, lam, g0, side):
-    classes = (classify_theta if side == "theta" else classify_eta)(datum, lam)
+    classes = (classify_theta if side is gc.THETA else classify_eta)(datum, lam)
     want = _oracle_invariant(datum, lam, g0, side)
     (cls,) = [c for c in classes if _oracle_invariant(datum, lam, c.g0, side) == want]
     return cls
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_label_lookup_matches_the_invariant_oracle_on_every_class(side):
     seen = 0
     for n, eps, z in product(range(1, 6), (1, -1), (1, -1)):
@@ -136,14 +136,14 @@ def test_label_lookup_matches_the_invariant_oracle_on_every_class(side):
         for lam in enumerate_admissible(d, 1):
             if 0 not in lam:
                 continue
-            for cls in (classify_theta if side == "theta" else classify_eta)(d, lam):
+            for cls in (classify_theta if side is gc.THETA else classify_eta)(d, lam):
                 assert middle_label(d, lam, cls.g0, side) == cls.label
                 assert _oracle_match(d, lam, cls.g0, side).label == cls.label
                 seen += 1
     assert seen > 100
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 @pytest.mark.parametrize("twisted", [False, True], ids=["U(2)", "U(1,1)"])
 def test_label_lookup_matches_the_invariant_oracle_on_twisted_loops(side, twisted):
     # random twists of the class representatives, reduced at the base
@@ -156,8 +156,8 @@ def test_label_lookup_matches_the_invariant_oracle_on_twisted_loops(side, twiste
         for lam in enumerate_admissible(d, 1):
             if 0 not in lam:
                 continue
-            for cls in (classify_theta if side == "theta" else classify_eta)(d, lam):
-                if side == "eta":
+            for cls in (classify_theta if side is gc.THETA else classify_eta)(d, lam):
+                if side is gc.ETA:
                     h = random_poly_element(2, 2, rng)
                     x = h * cls.loop_rep * gc.apply_eta_inv(h, d)
                     form = canonicalize.canonicalize_eta(gc.transport_to_base(x, d), base)
@@ -176,7 +176,7 @@ def test_a_g0_of_no_class_fails_its_certificate():
     # tr(R * B) = 4 on the rank-2 middle block asks for p = 3 of 2
     d = gc.build_datum("unitary", 2, 1)
     g0 = LaurentMatrix.from_scalars([[0, 2], [2, 0]])
-    assert middle_label(d, (0, 0), g0, "theta") == "(3,-1)"
+    assert middle_label(d, (0, 0), g0, gc.THETA) == "(3,-1)"
     with pytest.raises(CertificateError) as exc:
-        canonicalize._match_spherical_class(d, (0, 0), g0, "theta")
+        canonicalize._match_spherical_class(d, (0, 0), g0, gc.THETA, classify_theta(d, (0, 0)))
     assert str(exc.value) == "certificate failed: reduced g0 matches no classified class"

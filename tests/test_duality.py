@@ -81,8 +81,8 @@ def test_iwahori_verification_with_negative_coweight_entry():
     d = gc.build_datum("quaternionic_gl", 4, -1)
     tw = AffineWeylElement.of((-1, 1, 1, 1), (1, 0, 2, 3))
     args = (0, 0, 0, Fraction(1, 2))
-    (th,) = [c for c in classes_at_tw(d, tw, "theta") if tuple(c.g0_args) == args]
-    (et,) = [c for c in classes_at_tw(d, tw, "eta") if tuple(c.g0_args) == args]
+    (th,) = [c for c in classes_at_tw(d, tw, gc.THETA) if tuple(c.g0_args) == args]
+    (et,) = [c for c in classes_at_tw(d, tw, gc.ETA) if tuple(c.g0_args) == args]
     rep = et.loop_rep
     assert gc.is_anti_fixed_theta(rep, d) and gc.is_anti_fixed_eta(rep, d)
     pair = MatchedPair(theta_class=th, eta_class=et, common_rep=rep, level="iwahori")

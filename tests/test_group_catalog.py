@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopmatsuki import group_catalog as gc
+from loopmatsuki.canonicalize import (
+    canonicalize_eta, canonicalize_theta, iwahori_reduce_eta, iwahori_reduce_theta,
+)
+from loopmatsuki.coweight_orbits import classify_eta, classify_theta, enumerate_admissible
 from loopmatsuki.errors import InvalidInputError, UnsupportedFamilyError
+from loopmatsuki.iwahori_orbits import enumerate_iwahori
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element
@@ -122,7 +127,58 @@ def test_twisted_involutions():
     x = LaurentMatrix.diag_scalars([QI(1), QI(-1)])  # anti-fixed for tw
     assert gc.is_anti_fixed_eta(x, tw)
     assert gc.is_anti_fixed_eta(gc.transport_to_base(x, tw),
-                                gc.base_datum(tw, "eta"))
+                                gc.base_datum(tw, gc.ETA))
+
+
+def test_twisted_datum_builds_its_base_once(monkeypatch):
+    uni = gc.build_datum("unitary", 2, 1)
+    c = LaurentMatrix.diag_scalars([QI(1), QI(-1)])
+    tw = gc.pure_inner_twist(uni, c)
+    base = gc.base_datum(tw, gc.ETA)
+    assert base is gc.base_datum(tw, gc.ETA)
+    assert base == gc.build_datum("unitary", 2, 1, tw.z * gc.twist_scalar(tw, c, gc.ETA))
+    assert gc.base_datum(uni, gc.ETA) is uni
+    reps = [cls.loop_rep for lam in enumerate_admissible(tw, 1) for cls in classify_eta(tw, lam)]
+
+    def rebuilt(*args):
+        pytest.fail("a twisted datum rebuilt its base")
+
+    monkeypatch.setattr(gc, "build_datum", rebuilt)
+    monkeypatch.setattr(gc, "twist_scalar", rebuilt)
+    for lam in enumerate_admissible(tw, 1):
+        assert classify_theta(tw, lam)
+    for x in reps:
+        assert canonicalize_eta(x, tw).loop_rep == x
+
+
+def test_classes_and_forms_carry_side_strings():
+    # the benchmark and JSON read .side as the plain strings "theta" and "eta"
+    uni = gc.build_datum("unitary", 2, 1)
+    data = [gc.build_datum("split_gl", 2, 1), uni,
+            gc.pure_inner_twist(uni, LaurentMatrix.diag_scalars([QI(1), QI(-1)]))]
+    seen = set()
+    for d in data:
+        spherical = {"theta": [], "eta": []}
+        for lam in enumerate_admissible(d, 1):
+            spherical["theta"] += classify_theta(d, lam)
+            spherical["eta"] += classify_eta(d, lam)
+        iwahori = {name: [c for c in classes if c.loop_rep is not None]
+                   for name, classes in enumerate_iwahori(d, 1).items()}
+        theta_rep = SeriesMatrix.from_laurent(spherical["theta"][0].loop_rep, 12)
+        forms = [canonicalize_eta(spherical["eta"][0].loop_rep, d),
+                 canonicalize_theta(theta_rep, d)]
+        for reduce, cls, exact in ((iwahori_reduce_eta, iwahori["eta"][0], True),
+                                   (iwahori_reduce_theta, iwahori["theta"][0], False)):
+            g = cls.tw.loop().inverse() * cls.loop_rep
+            forms.append(reduce(cls.tw, g if exact else SeriesMatrix.from_laurent(g, 12), d))
+        objs = forms + [form.orbit_class for form in forms]
+        objs += [c for table in (spherical, iwahori) for cs in table.values() for c in cs]
+        for obj in objs:
+            assert type(obj.side) is str and obj.side in ("theta", "eta")
+            seen.add(obj.side)
+        for table in (spherical, iwahori):
+            assert all(c.side == name for name, cs in table.items() for c in cs)
+    assert seen == {"theta", "eta"}
 
 
 # every family, both epsilons, and U(1,1) (the inner twist diag(1, -1) of U(2))

@@ -45,7 +45,7 @@ def test_torus_problem_classes_invariants():
             d = gc.build_datum(family, n, eps)
             for tw in enumerate_admissible_tw(d, 1):
                 problem = build_torus_problem(d, tw.w)
-                for side in ("theta", "eta"):
+                for side in (gc.THETA, gc.ETA):
                     args = [c.g0_args for c in problem.classes(tw, d, side)]
                     # canonical representatives are pairwise inequivalent
                     for i, a in enumerate(args):
@@ -67,12 +67,12 @@ def _datum(family, n, eps):
 
 
 @pytest.mark.parametrize("family,n,eps", IWAHORI_DATA + [("U(1,1)", 2, 1)])
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_enumerate_iwahori_equals_classes_at_tw(family, n, eps, side):
     d = _datum(family, n, eps)
     want = [c for tw in enumerate_admissible_tw(d, 1) for c in classes_at_tw(d, tw, side)]
-    assert enumerate_iwahori(d, 1, (side,))[side] == want
-    assert enumerate_iwahori(d, 1)[side] == want
+    assert enumerate_iwahori(d, 1, (side,))[side.name] == want
+    assert enumerate_iwahori(d, 1)[side.name] == want
 
 
 @pytest.fixture
@@ -108,8 +108,8 @@ def test_one_torus_problem_per_weyl_element(builds, monkeypatch, tmp_path, capsy
         argv += ["--family", "unitary", "--n", "2", "--inner-twist", str(path)]
     else:
         argv += ["--family", family, "--n", str(n), "--epsilon", str(eps)]
-    runs = [(side, lambda side=side: enumerate_iwahori(d, 1, (side,)))
-            for side in ("theta", "eta")]
+    runs = [(side.name, lambda side=side: enumerate_iwahori(d, 1, (side,)))
+            for side in (gc.THETA, gc.ETA)]
     runs += [("both", lambda: enumerate_iwahori(d, 1)),
              ("cli", lambda: cli.main(argv) == 0 or pytest.fail("orbits exited nonzero")),
              ("match", lambda: duality.match_iwahori(d, 1))]
@@ -125,11 +125,11 @@ def test_one_torus_problem_per_weyl_element(builds, monkeypatch, tmp_path, capsy
 def test_match_iwahori_class_builds_once(builds):
     d = gc.build_datum("split_gl", 2, 1)
     for tw in enumerate_admissible_tw(d, 1):
-        for cls in classes_at_tw(d, tw, "eta"):
+        for cls in classes_at_tw(d, tw, gc.ETA):
             if cls.g0 is None:
                 continue
             builds.clear()
-            form = canonicalize._torus_form(d, tw, "eta", tw.loop(), cls.g0, None, None)
+            form = canonicalize._torus_form(d, tw, gc.ETA, tw.loop(), cls.g0, None, None)
             assert form.orbit_class == cls
             assert builds == [tw.w]
 
@@ -139,7 +139,7 @@ def test_twisted_iwahori_reduction_builds_once(builds):
     # reduction builds one torus problem: the base datum's
     d = _u11()
     tw = AffineWeylElement.of((0, 0), (0, 1))
-    classes = classes_at_tw(d, tw, "eta")
+    classes = classes_at_tw(d, tw, gc.ETA)
     assert len(classes) == 4 and all(c.loop_rep is not None for c in classes)
     builds.clear()
     for cls in classes:
@@ -164,11 +164,11 @@ def test_classes_carry_anti_fixed_reps():
 def test_gl2r_iwahori_goldens():
     d = gc.build_datum("split_gl", 2, 1)
     # t^(1,2) (dominant-sorted there is a single class, group Z/2 x Z/2)
-    classes = classes_at_tw(d, AffineWeylElement.of((1, 2), (0, 1)), "eta")
+    classes = classes_at_tw(d, AffineWeylElement.of((1, 2), (0, 1)), gc.ETA)
     assert len(classes) == 1
     assert tuple(classes[0].component_group) == (2, 2)
     # t^(mu,mu).s is one class with trivial stabilizer
-    classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), "eta")
+    classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), gc.ETA)
     assert len(classes) == 1
     assert tuple(classes[0].component_group) == ()
 
@@ -179,7 +179,7 @@ def test_eta_reps_canonicalize_to_the_dominant_coweight():
                       ("quaternionic_gl", 2)):
         for eps in (1, -1):
             d = gc.build_datum(family, n, eps)
-            for cls in enumerate_iwahori(d, 1, ("eta",))["eta"]:
+            for cls in enumerate_iwahori(d, 1, (gc.ETA,))["eta"]:
                 if cls.loop_rep is None:
                     continue
                 seen += 1
@@ -193,14 +193,14 @@ def test_twisted_iwahori_transport():
     tw_datum = gc.pure_inner_twist(
         uni, gc.matrix_from_config([["1", "0"], ["0", "-1"]], 2))
     for tw in enumerate_admissible_tw(uni, 0):
-        for side in ("theta", "eta"):
+        for side in (gc.THETA, gc.ETA):
             base = classes_at_tw(uni, tw, side)
             twisted = classes_at_tw(tw_datum, tw, side)
             assert [c.g0_args for c in base] == [c.g0_args for c in twisted]
             for c in twisted:
                 if c.loop_rep is None:
                     continue
-                if side == "eta":
+                if side is gc.ETA:
                     assert gc.is_anti_fixed_eta(c.loop_rep, tw_datum)
                 else:
                     assert gc.is_anti_fixed_theta(c.loop_rep, tw_datum)
@@ -208,7 +208,7 @@ def test_twisted_iwahori_transport():
 
 def test_g0_args_are_fractions():
     d = gc.build_datum("split_gl", 2, -1)
-    for cls in enumerate_iwahori(d, 1, ("eta",))["eta"]:
+    for cls in enumerate_iwahori(d, 1, (gc.ETA,))["eta"]:
         assert all(isinstance(a, Fraction) for a in cls.g0_args)
 
 
@@ -256,13 +256,13 @@ def test_enumerate_admissible_tw_matches_definition(family, n, eps):
     assert got == _admissible_reference(d, 1)
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 @pytest.mark.parametrize("twisted", [False, True])
 def test_failed_anti_fixed_check_is_certificate_error(tmp_path, capsys, monkeypatch,
                                                        side, twisted):
     d = gc.build_datum("unitary", 2, 1)
     argv = ["orbits", "--family", "unitary", "--bound", "0", "--level", "iwahori",
-            "--side", side]
+            "--side", side.name]
     if twisted:
         twist = [["1", "0"], ["0", "-1"]]
         d = gc.pure_inner_twist(d, gc.matrix_from_config(twist, 2))
@@ -358,7 +358,7 @@ def test_rank_certificate_refuses_an_infinite_quotient():
         build_torus_problem(replace(d, torus=e), w)
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_solvability_matches_the_character_oracle(side):
     # classes() is empty exactly when a character killing the image of
     # M_eq fails on the target t_tw * z
@@ -453,7 +453,7 @@ def _fraction_classes(problem, tw, datum):
     return out
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_integer_solve_matches_the_fraction_oracle(side):
     data = [(_datum(*fne), 2) for fne in IWAHORI_DATA + [("U(1,1)", 2, 1)]]
     data.append((gc.build_datum("unitary", 2, 1, QI(0, 1)), 2))
@@ -492,10 +492,10 @@ def test_integer_canonicalizer_matches_the_fraction_oracle():
 
 def _unitary_bound0_argv(n, side):
     return ["orbits", "--family", "unitary", "--n", str(n), "--bound", "0",
-            "--level", "iwahori", "--side", side]
+            "--level", "iwahori", "--side", side.name]
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_unsolving_representative_is_certificate_error(capsys, monkeypatch, side):
     # a quarter turn added to the first argument of every torsion offset
     # moves the representatives off the solution coset
@@ -515,7 +515,7 @@ def test_unsolving_representative_is_certificate_error(capsys, monkeypatch, side
     assert "certificate failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("side", ["theta", "eta"])
+@pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_lattice_coordinates_outside_the_span_are_certificate_error(capsys, monkeypatch,
                                                                     side):
     # the lattice basis gains a unit entry at the span pivots, where every
