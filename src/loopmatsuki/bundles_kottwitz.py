@@ -20,7 +20,7 @@ from .coweight_orbits import classify_eta, enumerate_admissible, eps_lambda
 from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
-from .iwahori_orbits import AffineWeylElement
+from .iwahori_orbits import AffineWeylElement, build_torus_problem
 from .laurent import LaurentMatrix
 
 Line = Tuple[QI, ...]
@@ -77,7 +77,7 @@ def loop_to_parabolic_bundle(x: LaurentMatrix, tw: AffineWeylElement,
                              datum: GroupDatum) -> RealBundleDatum:
     """Bundle with marked lines from an Iwahori-positioned loop t~w * g."""
     g = tw.loop().inverse() * x
-    form = iwahori_reduce_eta(tw, g, datum)
+    form = iwahori_reduce_eta(tw, g, datum, build_torus_problem(datum, tw.w))
     c = tw.lift * form.g0  # loop_rep = t^lam * (w-part * torus)
     n = datum.n
     l0 = _normalize_line([QI(1) if i == 0 else QI(0) for i in range(n)])

@@ -36,7 +36,7 @@ from .exact_algebra import (
 from .gaussian import QI
 from .group_catalog import ETA, THETA, GroupDatum, Side
 from .intlat import eliminate
-from .iwahori_orbits import AffineWeylElement, classes_at_tw
+from .iwahori_orbits import AffineWeylElement, TorusProblem, classes_at_tw
 from .laurent import (
     Entry,
     LaurentMatrix,
@@ -306,16 +306,18 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
 
 
 def _reduce_on_base(reduce, x, datum: GroupDatum, side: Side,
-                    tw: Optional[AffineWeylElement] = None) -> CanonicalForm:
+                    tw: Optional[AffineWeylElement] = None,
+                    problem: Optional[TorusProblem] = None) -> CanonicalForm:
     """Reduce the loop x of a twisted datum at its base datum for side,
     which x -> x * c carries it to, and carry the form back (x is the
-    positioned factor of t~w * x when tw is given).  An exact form, which
-    only eta gives, has its certificate replayed on the loop."""
+    positioned factor of t~w * x when tw is given, and the base datum
+    shares the torus problem).  An exact form, which only eta gives, has
+    its certificate replayed on the loop."""
     xc, base = gc.transport_to_base(x, datum), gc.base_datum(datum, side)
     if tw is None:
         form = gc.carry_from_base(reduce(xc, base), datum, datum.w1)
     else:
-        form = gc.carry_from_base(reduce(tw, xc, base), datum)
+        form = gc.carry_from_base(reduce(tw, xc, base, problem), datum)
     if form.residual_precision is None:
         h = form.certificate
         loop = x if tw is None else tw.loop() * x
@@ -357,12 +359,12 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
 
 def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: Side,
                 tw_loop: LaurentMatrix, d: LaurentMatrix, certificate,
-                residual: Optional[int]) -> CanonicalForm:
+                residual: Optional[int], problem: TorusProblem) -> CanonicalForm:
     """The reduced loop t~w * d as a canonical form, with d's class."""
     diag = [d.coeff(i, i, 0) for i in range(datum.n)]
     if any(v.is_zero() for v in diag):
         raise InvalidInputError("reduced torus element is singular")
-    for cls in classes_at_tw(datum, tw, side):
+    for cls in classes_at_tw(datum, tw, side, problem):
         if cls.contains(diag):
             return CanonicalForm(lam=tuple(tw.lam), g0=d, orbit_class=cls,
                                  certificate=certificate, residual_precision=residual,
@@ -443,8 +445,9 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
 
 
 def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
-                         datum: GroupDatum) -> CanonicalForm:
-    """Reduce t~w * g (g in the Iwahori subgroup) to its torus form.
+                         datum: GroupDatum, problem: TorusProblem) -> CanonicalForm:
+    """Reduce t~w * g (g in the Iwahori subgroup) to its torus form; problem
+    is the torus problem at tw's Weyl element, which classes the result.
 
     residual_precision is that of the positioned factor t~w^-1 * x, which
     the reduction brings to d: t~w^-1 * h * x * theta(h)^-1 = d to it.  It
@@ -452,7 +455,7 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
     i by lambda_i, so h * x * theta(h)^-1 = t~w * d is certified only to
     residual_precision + min(lambda), less when some lambda_i < 0."""
     if gc.base_datum(datum, THETA) is not datum:
-        return _reduce_on_base(iwahori_reduce_theta, g, datum, THETA, tw)
+        return _reduce_on_base(iwahori_reduce_theta, g, datum, THETA, tw, problem)
     n = g.n
     tw_loop = tw.loop()
     c = g.constant_matrix()
@@ -482,14 +485,15 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
         for hs in steps:
             x = hs * x * gc.apply_theta_inv(hs, datum)
             h_acc = hs * h_acc
-    return _torus_form(datum, tw, THETA, tw_loop, d, h_acc, gcur.precision)
+    return _torus_form(datum, tw, THETA, tw_loop, d, h_acc, gcur.precision, problem)
 
 
 def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
-                       datum: GroupDatum) -> CanonicalForm:
-    """Reduce t~w * g (exact, pre-positioned) to its torus form, exactly."""
+                       datum: GroupDatum, problem: TorusProblem) -> CanonicalForm:
+    """Reduce t~w * g (exact, pre-positioned) to its torus form, exactly;
+    problem is the torus problem at tw's Weyl element."""
     if gc.base_datum(datum, ETA) is not datum:
-        return _reduce_on_base(iwahori_reduce_eta, g, datum, ETA, tw)
+        return _reduce_on_base(iwahori_reduce_eta, g, datum, ETA, tw, problem)
     n = g.n
     tw_loop = tw.loop()
     x = tw_loop * g
@@ -508,4 +512,4 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
         h_acc = h * h_acc
     else:
         raise InvalidInputError("Iwahori eta reduction did not terminate")
-    return _torus_form(datum, tw, ETA, tw_loop, d, h_acc, None)
+    return _torus_form(datum, tw, ETA, tw_loop, d, h_acc, None, problem)

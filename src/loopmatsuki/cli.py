@@ -10,6 +10,7 @@ checks or verification failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -103,12 +104,12 @@ def cmd_orbits(args) -> int:
     datum = _datum_of(args)
     rows: List[dict] = []
     if args.level == "spherical":
+        classify = {gc.THETA: classify_theta, gc.ETA: classify_eta}
         for lam in enumerate_admissible(datum, args.bound):
-            for _, classify in args.side:
-                rows.extend(orbit_row(c) for c in classify(datum, lam))
+            for side in args.side:
+                rows.extend(orbit_row(c) for c in classify[side](datum, lam))
     else:
-        sides = [side for side, _ in args.side]
-        for classes in enumerate_iwahori(datum, args.bound, sides).values():
+        for classes in enumerate_iwahori(datum, args.bound, args.side).values():
             rows.extend(orbit_row(c) for c in classes)
     rows.sort(key=lambda r: (r["lambda"], r.get("w", []),
                              r["side"], r["label"]))
@@ -187,10 +188,13 @@ class _Pick(argparse.Action):
         setattr(namespace, self.dest, self.choices[value])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # --side maps once, here: orbits to (side, classifier) pairs, canonicalize to a reducer
-    one = {"theta": [(gc.THETA, classify_theta)], "eta": [(gc.ETA, classify_eta)]}
-    orbit_sides = {**one, "both": one["theta"] + one["eta"]}
+    """The argparse tree, built once per process.  It holds no library
+    function (commands look theirs up when they run), so a tree built while
+    the benchmark tracer rebinds library names keeps none of its wrappers."""
+    # --side maps once, here: orbits to sides, canonicalize to a reducer
+    orbit_sides = {"theta": (gc.THETA,), "eta": (gc.ETA,), "both": (gc.THETA, gc.ETA)}
     reducers = {"theta": _canonicalize_theta, "eta": _canonicalize_eta}
     parser = argparse.ArgumentParser(
         prog="loopmatsuki",

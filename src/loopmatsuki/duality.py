@@ -132,15 +132,15 @@ def _labels_match(pair: MatchedPair, xt: LaurentMatrix,
             return (f"theta label moved: {th.orbit_class.label} != "
                     f"{pair.theta_class.label}")
         return None
-    tw = pair.theta_class.tw
+    tw, problem = pair.theta_class.tw, pair.theta_class.problem
     g = tw.loop().inverse() * xt
-    et = iwahori_reduce_eta(tw, g, datum)
+    et = iwahori_reduce_eta(tw, g, datum, problem)
     if et.orbit_class.g0_args != pair.eta_class.g0_args:
         return "eta torus class moved"
     # g carries no t^lam, but the reducer inverts t~w * g, whose valuation
     # min(lam) costs precision in proportion to the coweight spread
     hi = (g.maxdeg() or 0) - (g.val() or 0) + 2 * (max(tw.lam) - min(tw.lam))
-    th = iwahori_reduce_theta(tw, SeriesMatrix.from_laurent(g, hi + 10), datum)
+    th = iwahori_reduce_theta(tw, SeriesMatrix.from_laurent(g, hi + 10), datum, problem)
     if th.orbit_class.g0_args != pair.theta_class.g0_args:
         return "theta torus class moved"
     return None

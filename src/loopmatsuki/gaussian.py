@@ -8,6 +8,7 @@ this package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Union
 
 _FracLike = Union[int, Fraction]
@@ -122,25 +123,35 @@ MINUS_I = QI(0, -1)
 FOURTH_ROOTS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
-def _frac_to_str(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+def _ratio_str(p: int, q: int) -> str:
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
-def qi_to_str(z: QI) -> str:
-    """Canonical wire format ``a/b+c/d*i`` (parts omitted when zero)."""
-    if z.is_zero():
+def _wire_str(a: int, b: int, c: int, d: int) -> str:
+    """The wire format of a/b + (c/d)*i, each part in lowest terms, b, d > 0."""
+    if not a and not c:
         return "0"
     parts = []
-    if z.re:
-        parts.append(_frac_to_str(z.re))
-    if z.im:
-        s = _frac_to_str(z.im)
+    if a:
+        parts.append(_ratio_str(a, b))
+    if c:
+        s = _ratio_str(c, d)
         if parts and not s.startswith("-"):
             parts.append("+")
         parts.append(f"{s}*i" if s not in ("1", "-1") else ("i" if s == "1" else "-i"))
     return "".join(parts)
+
+
+def qi_to_str(z: QI) -> str:
+    """Canonical wire format ``a/b+c/d*i`` (parts omitted when zero)."""
+    return _wire_str(z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator)
+
+
+def int_parts_to_str(re: int, im: int, d: int) -> str:
+    """The wire format of qi_to_str for (re + im*i) / d, d > 0, read off the
+    integers: one gcd per part and no Fraction."""
+    g, h = gcd(re, d), gcd(im, d)
+    return _wire_str(re // g, d // g, im // h, d // h)
 
 
 def qi_from_str(s: str) -> QI:

@@ -359,7 +359,8 @@ def twist_scalar(datum: GroupDatum, g: LaurentMatrix, side: Side) -> QI:
 def pure_inner_twist(datum: GroupDatum, g: LaurentMatrix) -> GroupDatum:
     """Replace both involutions by their Ad_g twists.  Requires g * eta0(g)
     and g * theta0(g) scalar (4th roots of unity); w1 is unchanged.  Each
-    side's base datum, at z times its scalar, is built here once."""
+    side's base datum, at z times its scalar, is built here once, and the
+    sides share it when their scalars agree."""
     if datum.twist is not None:
         raise InvalidInputError("datum is already twisted; twist the base datum")
     if not g.is_constant():
@@ -367,8 +368,9 @@ def pure_inner_twist(datum: GroupDatum, g: LaurentMatrix) -> GroupDatum:
     scalars = {side: twist_scalar(datum, g, side) for side in (ETA, THETA)}
     if g == LaurentMatrix.identity(datum.n):
         return datum
-    bases = {side.name: build_datum(datum.family, datum.n, datum.epsilon, datum.z * s)
-             for side, s in scalars.items()}
+    by_scalar = {s: build_datum(datum.family, datum.n, datum.epsilon, datum.z * s)
+                 for s in set(scalars.values())}
+    bases = {side.name: by_scalar[s] for side, s in scalars.items()}
     real = datum.real_form + " (inner twist)"
     signs = [g.coeff(i, i, 0) for i in range(datum.n)]
     if (datum.family == UNITARY and g == LaurentMatrix.diag_scalars(signs)

@@ -347,10 +347,11 @@ class IwahoriClass:
         return True
 
 
-def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement,
-                  side: Side) -> List[IwahoriClass]:
-    """The classes at one t^lambda * w, from a torus problem of its own."""
-    classes = build_torus_problem(datum, tw.w).classes(tw, base_datum(datum, side), side)
+def classes_at_tw(datum: GroupDatum, tw: AffineWeylElement, side: Side,
+                  problem: TorusProblem) -> List[IwahoriClass]:
+    """The classes at one t^lambda * w, from the caller's torus problem at
+    its Weyl element (build_torus_problem, or a class's problem)."""
+    classes = problem.classes(tw, base_datum(datum, side), side)
     return [carry_from_base(cls, datum) for cls in classes]
 
 

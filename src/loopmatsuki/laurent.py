@@ -9,7 +9,8 @@ common denominator.  Entries are kept in a normal form: the first and last
 terms are nonzero and gcd(d, re, im) = 1, so equal entries have equal
 fields.  ``QI`` (and so ``Fraction``) is built only where a coefficient
 leaves the kernel: ``coeff``, ``constant_matrix`` and the entry's
-read-only mapping view ``exponent -> QI`` that serialization reads.
+read-only mapping view ``exponent -> QI``.  Serialization reads the
+integer terms (``Entry.int_terms``) and builds neither.
 An entry product is an integer schoolbook loop over the two lists; its
 outer loop runs over the operand with more zero terms and skips them, so
 a series like 1 + O(t^k) costs as much as its nonzero terms.
@@ -181,6 +182,12 @@ class Entry:
             ux = (self.truncate(known) * x).truncate(known)
             x = (x * (_TWO - ux)).truncate(known)
         return x
+
+    def int_terms(self):
+        """(k, re, im, d) for each nonzero term (re + i*im) / d * t^k, in
+        increasing k; d is the entry's common denominator."""
+        v, d = self._v, self._d
+        return ((v + i, r, m, d) for i, (r, m) in enumerate(zip(self._re, self._im)) if r or m)
 
     # -- read-only mapping view exponent -> QI -------------------------------
     def coeff(self, k: int) -> QI:

@@ -25,7 +25,7 @@ from .duality import finite_matsuki, match_iwahori, match_spherical, verify_inte
 from .errors import certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
-from .iwahori_orbits import AffineWeylElement, classes_at_tw
+from .iwahori_orbits import AffineWeylElement, build_torus_problem, classes_at_tw
 from .laurent import LaurentMatrix, SeriesMatrix
 from .randgen import random_arc_element, random_constant_invertible, \
     random_poly_element
@@ -71,14 +71,14 @@ def check_gl2r_split(bound: int = 3) -> None:
     # Iwahori level: t^lam has S = Z/2 x Z/2; t^(mu,mu)s is a single
     # class with trivial stabilizer
     tw = AffineWeylElement.of((1, 2), (0, 1))
-    classes = classes_at_tw(d, tw, gc.ETA)
+    classes = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
     certify(len(classes) == 1 and tuple(classes[0].component_group) == (2, 2),
             "t^(1,2) carries one class with S = Z/2 x Z/2")
     pb = loop_to_parabolic_bundle(classes[0].loop_rep, tw, d)
     certify(pb.lines == ((QI(1), QI(0)), (QI(1), QI(0))), "lines of t^(1,2)")
     certify(pb.aut_label == "R* x R*", "automorphisms of t^(1,2)")
     tws = AffineWeylElement.of((1, 1), (1, 0))
-    classes = classes_at_tw(d, tws, gc.ETA)
+    classes = classes_at_tw(d, tws, gc.ETA, build_torus_problem(d, tws.w))
     certify(len(classes) == 1 and tuple(classes[0].component_group) == (),
             "t^(1,1)s carries one class with trivial S")
     x = classes[0].loop_rep
@@ -114,7 +114,8 @@ def check_gl2r_twisted(bound: int = 3) -> None:
     # stabilizer and is the only class there
     x = LaurentMatrix.monomial(2, 0, 1, 1) + LaurentMatrix.monomial(2, 1, 0, 1, -1)
     certify(gc.is_anti_fixed_eta(x, d), "antidiagonal t^(1,1)s representative")
-    classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), gc.ETA)
+    tws = AffineWeylElement.of((1, 1), (1, 0))
+    classes = classes_at_tw(d, tws, gc.ETA, build_torus_problem(d, tws.w))
     certify(len(classes) == 1 and tuple(classes[0].component_group) == (),
             "t^(1,1)s carries one class with trivial S")
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Union
 from .canonicalize import CanonicalForm
 from .coweight_orbits import SphericalClass
 from .errors import InvalidInputError
-from .gaussian import qi_from_str, qi_to_str
+from .gaussian import int_parts_to_str, qi_from_str, qi_to_str
 from .iwahori_orbits import IwahoriClass
 from .laurent import LaurentMatrix, SeriesMatrix
 
@@ -29,7 +29,7 @@ def const_matrix_to_json(m: LaurentMatrix) -> List[List[str]]:
     return [[qi_to_str(v) for v in row] for row in c]
 
 def laurent_to_json(m: Union[LaurentMatrix, SeriesMatrix]) -> dict:
-    entries = [[{str(k): qi_to_str(v) for k, v in sorted(e.items())}
+    entries = [[{str(k): int_parts_to_str(r, i, d) for k, r, i, d in e.int_terms()}
                 for e in row] for row in m.rows]
     out = {"n": m.n, "entries": entries}
     if isinstance(m, SeriesMatrix):

@@ -18,7 +18,7 @@ from loopmatsuki.bundles_kottwitz import (
 from loopmatsuki.canonicalize import canonicalize_eta
 from loopmatsuki.coweight_orbits import classify_eta, enumerate_admissible
 from loopmatsuki.errors import InvalidInputError
-from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
+from loopmatsuki.iwahori_orbits import AffineWeylElement, build_torus_problem, classes_at_tw
 from loopmatsuki.laurent import LaurentMatrix
 from loopmatsuki.randgen import random_constant_invertible
 from loopmatsuki.serialize import bundle_to_json
@@ -40,14 +40,14 @@ def test_bundle_labels_split_antiholomorphic():
 def test_parabolic_bundle_lines():
     d = gc.build_datum("split_gl", 2, 1)
     tw = AffineWeylElement.of((1, 1), (1, 0))
-    (cls,) = classes_at_tw(d, tw, gc.ETA)
+    (cls,) = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
     b = loop_to_parabolic_bundle(cls.loop_rep, tw, d)
     assert b.lines is not None and b.lines[0] != b.lines[1]
     assert b.aut_label == "C*"
     # the marked lines are part of the bundle's JSON form
     assert bundle_to_json(b)["lines"] == {"l0": ["1", "0"], "linf": ["0", "1"]}
     tw = AffineWeylElement.of((1, 0), (0, 1))
-    (cls,) = classes_at_tw(d, tw, gc.ETA)
+    (cls,) = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
     b = loop_to_parabolic_bundle(cls.loop_rep, tw, d)
     assert b.lines[0] == b.lines[1]
     assert b.aut_label == "R* x R*"

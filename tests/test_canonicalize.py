@@ -23,8 +23,8 @@ from loopmatsuki.coweight_orbits import classify_eta, classify_theta, \
 from loopmatsuki.errors import CertificateError, InvalidInputError, NotAntiFixedError, \
     PrecisionError
 from loopmatsuki.gaussian import QI
-from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw, \
-    enumerate_admissible_tw
+from loopmatsuki.iwahori_orbits import AffineWeylElement, build_torus_problem, \
+    classes_at_tw, enumerate_admissible_tw
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element, random_qi, \
     random_rational
@@ -243,20 +243,20 @@ def test_inner_twist_transports(family, n, twist, eps):
              QI(Fraction(8, 17), Fraction(-15, 17))]
     k = LaurentMatrix.diag_scalars(units[:n])
     for tw in enumerate_admissible_tw(d, 1):
-        for cls in classes_at_tw(d, tw, gc.ETA):
+        for cls in classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w)):
             if cls.loop_rep is None:
                 continue
             x = k * cls.loop_rep * gc.apply_eta_inv(k, d)
-            form = iwahori_reduce_eta(tw, tw.loop().inverse() * x, d)
+            form = iwahori_reduce_eta(tw, tw.loop().inverse() * x, d, cls.problem)
             assert form.orbit_class.g0_args == cls.g0_args
             h = form.certificate
             assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
-        for cls in classes_at_tw(d, tw, gc.THETA):
+        for cls in classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w)):
             if cls.loop_rep is None:
                 continue
             x = k * cls.loop_rep * gc.apply_theta_inv(k, d)
             form = iwahori_reduce_theta(
-                tw, SeriesMatrix.from_laurent(tw.loop().inverse() * x, 12), d)
+                tw, SeriesMatrix.from_laurent(tw.loop().inverse() * x, 12), d, cls.problem)
             assert form.orbit_class.g0_args == cls.g0_args
             h, r = form.certificate, form.residual_precision
             xs = SeriesMatrix.from_laurent(x, 12)
@@ -295,13 +295,13 @@ def test_inner_twist_bytes(tmp_path, capsys):
             for tw in enumerate_admissible_tw(d, 1):
                 for side, reduce in ((gc.ETA, iwahori_reduce_eta),
                                      (gc.THETA, iwahori_reduce_theta)):
-                    for cls in classes_at_tw(d, tw, side):
+                    for cls in classes_at_tw(d, tw, side, build_torus_problem(d, tw.w)):
                         if cls.loop_rep is None:
                             continue
                         g = tw.loop().inverse() * cls.loop_rep
                         if side is gc.THETA:
                             g = SeriesMatrix.from_laurent(g, 12)
-                        docs.append(canonical_form_to_json(reduce(tw, g, d)))
+                        docs.append(canonical_form_to_json(reduce(tw, g, d, cls.problem)))
     assert hashlib.sha256(dumps(docs).encode()).hexdigest() == TWISTED_DIGEST
 
 
@@ -356,14 +356,14 @@ def test_tau_maps_land_in_sector_one():
 def test_iwahori_reducers():
     d = gc.build_datum("split_gl", 2, 1)
     tw = AffineWeylElement.of((2, 1), (0, 1))
-    for cls in classes_at_tw(d, tw, gc.ETA):
+    for cls in classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w)):
         g = tw.loop().inverse() * cls.loop_rep
-        form = iwahori_reduce_eta(tw, g, d)
+        form = iwahori_reduce_eta(tw, g, d, cls.problem)
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
         assert gc.is_anti_fixed_eta(form.loop_rep, d)
-    for cls in classes_at_tw(d, tw, gc.THETA):
+    for cls in classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w)):
         g = SeriesMatrix.from_laurent(tw.loop().inverse() * cls.loop_rep, 8)
-        form = iwahori_reduce_theta(tw, g, d)
+        form = iwahori_reduce_theta(tw, g, d, cls.problem)
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
 
 
@@ -376,7 +376,7 @@ def test_non_unipotent_eta_defect_is_invalid_input():
                                     [QI(Fraction(4, 5)), QI(Fraction(-3, 5))]])
     assert gc.is_anti_fixed_eta(tw.loop() * g, d)
     with pytest.raises(InvalidInputError, match="not unipotent"):
-        iwahori_reduce_eta(tw, g, d)
+        iwahori_reduce_eta(tw, g, d, build_torus_problem(d, tw.w))
 
 
 def test_precision_floor_raises():
@@ -439,7 +439,7 @@ def _positioned_reductions():
     for d, tries, cap in theta_data:
         found = []
         for tw in enumerate_admissible_tw(d, 1):
-            for cls in classes_at_tw(d, tw, gc.THETA):
+            for cls in classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w)):
                 for _ in range(tries if cls.loop_rep is not None else 0):
                     h = _elementary_iwahori_twist(d.n, rng)
                     x = h * cls.loop_rep * gc.apply_theta_inv(h, d)
@@ -454,7 +454,7 @@ def _positioned_reductions():
         for tw in enumerate_admissible_tw(d, 1):
             if tw.w != tuple(range(n)) or list(tw.lam) != sorted(tw.lam):
                 continue
-            for cls in classes_at_tw(d, tw, gc.ETA):
+            for cls in classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w)):
                 for _ in range(2 if cls.loop_rep is not None else 0):
                     h = LaurentMatrix.from_scalars(
                         [[QI(1) if i == j else QI(random_rational(rng)) if i < j else QI(0)
@@ -477,7 +477,7 @@ def test_positioned_iwahori_reductions_golden():
     docs = []
     for side, d, tw, cls, x, g in cases:
         if side == "theta":
-            form = iwahori_reduce_theta(tw, g, d)
+            form = iwahori_reduce_theta(tw, g, d, cls.problem)
             h, r = form.certificate, form.residual_precision
             # r certifies the positioned factor t~w^-1 * x, whose rows carry
             # t^-lam_i against the loop's
@@ -486,7 +486,7 @@ def test_positioned_iwahori_reductions_golden():
             lhs = tw_inv * h * xs * gc.apply_theta_inv(h, d)
             assert lhs.retruncate(r) == SeriesMatrix.from_laurent(form.g0, r)
         else:
-            form = iwahori_reduce_eta(tw, g, d)
+            form = iwahori_reduce_eta(tw, g, d, cls.problem)
             h = form.certificate
             assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
         assert form.orbit_class.g0_args == cls.g0_args
@@ -509,7 +509,8 @@ def test_iwahori_theta_stall_raises_precision_error(monkeypatch):
     d = gc.build_datum("split_gl", 2, 1)
     rng = random.Random(1)
     for tw in enumerate_admissible_tw(d, 1):
-        reps = [c.loop_rep for c in classes_at_tw(d, tw, gc.THETA) if c.loop_rep is not None]
+        classes = classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w))
+        reps = [c.loop_rep for c in classes if c.loop_rep is not None]
         hs = [_elementary_iwahori_twist(2, rng) for _ in reps]
         gs = [tw.loop().inverse() * h * rep * gc.apply_theta_inv(h, d)
               for h, rep in zip(hs, reps)]
@@ -517,7 +518,8 @@ def test_iwahori_theta_stall_raises_precision_error(monkeypatch):
         if dirty:
             break
     g = SeriesMatrix.from_laurent(dirty[0], 16)
-    assert iwahori_reduce_theta(tw, g, d).residual_precision is not None
+    problem = build_torus_problem(d, tw.w)
+    assert iwahori_reduce_theta(tw, g, d, problem).residual_precision is not None
     monkeypatch.setattr(canonicalize, "_theta_layer_steps", lambda *args: [])
     with pytest.raises(PrecisionError, match="stalled"):
-        iwahori_reduce_theta(tw, g, d)
+        iwahori_reduce_theta(tw, g, d, problem)

@@ -3,10 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from loopmatsuki import cli
 from loopmatsuki.cli import main
 from loopmatsuki.serialize import TSV_COLUMNS
 
@@ -118,6 +122,35 @@ def test_config_file_and_inner_twist(tmp_path, capsys):
                      "--side", "eta")
     assert rc == 0
     assert len(json.loads(out)) == 3
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "loopmatsuki.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys, monkeypatch):
+    # main() builds its parser once per process; later calls, a --side the
+    # first call did not pick, and an argparse error after a successful call
+    # read as they do in a process of their own
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps usage to the terminal
+    calls = [["orbits", "--family", "unitary", "--bound", "0", "--side", "eta"],
+             ["orbits", "--family", "split_gl", "--bound", "1", "--level", "iwahori",
+              "--side", "theta"],
+             ["orbits", "--family", "split_gl", "--epsilon", "-1", "--bound", "1",
+              "--format", "tsv"]]
+    for argv in calls:
+        assert run(capsys, *argv) == _fresh_process(argv)
+    assert cli.build_parser() is cli.build_parser()
+    bad = ["orbits", "--family", "nope"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    got = capsys.readouterr()
+    assert (2, got.out, got.err) == _fresh_process(bad)
+    assert "invalid choice: 'nope'" in got.err
 
 
 def test_exit_codes(tmp_path, capsys):

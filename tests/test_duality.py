@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 import loopmatsuki.group_catalog as gc
-from loopmatsuki import selftest
+from loopmatsuki import iwahori_orbits, selftest
 from loopmatsuki.duality import (
     finite_matsuki,
     match_iwahori,
@@ -57,6 +57,27 @@ def test_iwahori_matching():
         assert tuple(pair.theta_class.g0_args) == tuple(pair.eta_class.g0_args)
 
 
+@pytest.mark.parametrize("eps,twisted", [(1, False), (-1, False), (1, True)],
+                         ids=["split_gl-eps1", "split_gl-eps-1", "U(1,1)"])
+def test_iwahori_verification_reuses_the_pairs_torus_problem(monkeypatch, eps, twisted):
+    # a torus problem depends on (family, n, w) alone, so both reducers of
+    # every sample run on the one the pair's classes carry
+    if twisted:
+        d = gc.pure_inner_twist(gc.build_datum("unitary", 2, 1),
+                                LaurentMatrix.diag_scalars([1, -1]))
+    else:
+        d = gc.build_datum("split_gl", 2, eps)
+    pairs = match_iwahori(d, 1)
+
+    def refuse(*args):
+        pytest.fail("verify_intersection built a torus problem")
+
+    monkeypatch.setattr(iwahori_orbits, "build_torus_problem", refuse)
+    reports = [verify_intersection(p, 2, 11) for p in pairs if p.common_rep is not None]
+    assert len(reports) == len(pairs)
+    assert all(r == {"samples": 2, "failures": []} for r in reports)
+
+
 def test_twisted_matching():
     base = gc.build_datum("unitary", 2, 1)
     d = gc.pure_inner_twist(base, LaurentMatrix.from_scalars([[1, 0], [0, -1]]))
@@ -76,13 +97,15 @@ def test_iwahori_verification_with_negative_coweight_entry():
     from fractions import Fraction
 
     from loopmatsuki.duality import MatchedPair
-    from loopmatsuki.iwahori_orbits import AffineWeylElement, classes_at_tw
+    from loopmatsuki.iwahori_orbits import AffineWeylElement, build_torus_problem, \
+        classes_at_tw
 
     d = gc.build_datum("quaternionic_gl", 4, -1)
     tw = AffineWeylElement.of((-1, 1, 1, 1), (1, 0, 2, 3))
     args = (0, 0, 0, Fraction(1, 2))
-    (th,) = [c for c in classes_at_tw(d, tw, gc.THETA) if tuple(c.g0_args) == args]
-    (et,) = [c for c in classes_at_tw(d, tw, gc.ETA) if tuple(c.g0_args) == args]
+    problem = build_torus_problem(d, tw.w)
+    (th,) = [c for c in classes_at_tw(d, tw, gc.THETA, problem) if tuple(c.g0_args) == args]
+    (et,) = [c for c in classes_at_tw(d, tw, gc.ETA, problem) if tuple(c.g0_args) == args]
     rep = et.loop_rep
     assert gc.is_anti_fixed_theta(rep, d) and gc.is_anti_fixed_eta(rep, d)
     pair = MatchedPair(theta_class=th, eta_class=et, common_rep=rep, level="iwahori")

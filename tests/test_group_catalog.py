@@ -151,6 +151,19 @@ def test_twisted_datum_builds_its_base_once(monkeypatch):
         assert canonicalize_eta(x, tw).loop_rep == x
 
 
+def test_sides_with_one_twist_scalar_share_one_base_datum(monkeypatch):
+    # on U(1,1), c * theta0(c) = c * eta0(c) = 1: one base datum serves both sides
+    uni = gc.build_datum("unitary", 2, 1)
+    c = LaurentMatrix.diag_scalars([QI(1), QI(-1)])
+    assert gc.twist_scalar(uni, c, gc.THETA) == gc.twist_scalar(uni, c, gc.ETA)
+    builds = []
+    build = gc.build_datum
+    monkeypatch.setattr(gc, "build_datum", lambda *a: builds.append(a) or build(*a))
+    tw = gc.pure_inner_twist(uni, c)
+    assert gc.base_datum(tw, gc.THETA) is gc.base_datum(tw, gc.ETA)
+    assert len(builds) == 1
+
+
 def test_classes_and_forms_carry_side_strings():
     # the benchmark and JSON read .side as the plain strings "theta" and "eta"
     uni = gc.build_datum("unitary", 2, 1)
@@ -170,7 +183,8 @@ def test_classes_and_forms_carry_side_strings():
         for reduce, cls, exact in ((iwahori_reduce_eta, iwahori["eta"][0], True),
                                    (iwahori_reduce_theta, iwahori["theta"][0], False)):
             g = cls.tw.loop().inverse() * cls.loop_rep
-            forms.append(reduce(cls.tw, g if exact else SeriesMatrix.from_laurent(g, 12), d))
+            forms.append(reduce(cls.tw, g if exact else SeriesMatrix.from_laurent(g, 12), d,
+                                cls.problem))
         objs = forms + [form.orbit_class for form in forms]
         objs += [c for table in (spherical, iwahori) for cs in table.values() for c in cs]
         for obj in objs:

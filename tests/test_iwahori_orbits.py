@@ -70,7 +70,8 @@ def _datum(family, n, eps):
 @pytest.mark.parametrize("side", [gc.THETA, gc.ETA], ids=["theta", "eta"])
 def test_enumerate_iwahori_equals_classes_at_tw(family, n, eps, side):
     d = _datum(family, n, eps)
-    want = [c for tw in enumerate_admissible_tw(d, 1) for c in classes_at_tw(d, tw, side)]
+    want = [c for tw in enumerate_admissible_tw(d, 1)
+            for c in classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))]
     assert enumerate_iwahori(d, 1, (side,))[side.name] == want
     assert enumerate_iwahori(d, 1)[side.name] == want
 
@@ -123,29 +124,34 @@ def test_one_torus_problem_per_weyl_element(builds, monkeypatch, tmp_path, capsy
 
 
 def test_match_iwahori_class_builds_once(builds):
+    # a class's torus problem matches every reduced element at its t~w
     d = gc.build_datum("split_gl", 2, 1)
     for tw in enumerate_admissible_tw(d, 1):
-        for cls in classes_at_tw(d, tw, gc.ETA):
+        builds.clear()
+        problem = iwahori_orbits.build_torus_problem(d, tw.w)
+        for cls in classes_at_tw(d, tw, gc.ETA, problem):
             if cls.g0 is None:
                 continue
-            builds.clear()
-            form = canonicalize._torus_form(d, tw, gc.ETA, tw.loop(), cls.g0, None, None)
+            form = canonicalize._torus_form(d, tw, gc.ETA, tw.loop(), cls.g0, None, None,
+                                            cls.problem)
             assert form.orbit_class == cls
-            assert builds == [tw.w]
+        assert builds == [tw.w]
 
 
 def test_twisted_iwahori_reduction_builds_once(builds):
-    # the twisted reduction transports the base class it matched, so each
-    # reduction builds one torus problem: the base datum's
+    # the twisted reduction hands the caller's problem to the base datum and
+    # transports the base class it matched: the table and every reduction
+    # at one t~w share one torus problem
     d = _u11()
     tw = AffineWeylElement.of((0, 0), (0, 1))
-    classes = classes_at_tw(d, tw, gc.ETA)
-    assert len(classes) == 4 and all(c.loop_rep is not None for c in classes)
     builds.clear()
+    classes = classes_at_tw(d, tw, gc.ETA, iwahori_orbits.build_torus_problem(d, tw.w))
+    assert len(classes) == 4 and all(c.loop_rep is not None for c in classes)
     for cls in classes:
-        form = canonicalize.iwahori_reduce_eta(tw, tw.loop().inverse() * cls.loop_rep, d)
+        form = canonicalize.iwahori_reduce_eta(tw, tw.loop().inverse() * cls.loop_rep, d,
+                                               cls.problem)
         assert form.orbit_class == cls
-    assert builds == [tw.w] * 4
+    assert builds == [tw.w]
 
 
 def test_classes_carry_anti_fixed_reps():
@@ -164,11 +170,13 @@ def test_classes_carry_anti_fixed_reps():
 def test_gl2r_iwahori_goldens():
     d = gc.build_datum("split_gl", 2, 1)
     # t^(1,2) (dominant-sorted there is a single class, group Z/2 x Z/2)
-    classes = classes_at_tw(d, AffineWeylElement.of((1, 2), (0, 1)), gc.ETA)
+    tw = AffineWeylElement.of((1, 2), (0, 1))
+    classes = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
     assert len(classes) == 1
     assert tuple(classes[0].component_group) == (2, 2)
     # t^(mu,mu).s is one class with trivial stabilizer
-    classes = classes_at_tw(d, AffineWeylElement.of((1, 1), (1, 0)), gc.ETA)
+    tw = AffineWeylElement.of((1, 1), (1, 0))
+    classes = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
     assert len(classes) == 1
     assert tuple(classes[0].component_group) == ()
 
@@ -194,8 +202,8 @@ def test_twisted_iwahori_transport():
         uni, gc.matrix_from_config([["1", "0"], ["0", "-1"]], 2))
     for tw in enumerate_admissible_tw(uni, 0):
         for side in (gc.THETA, gc.ETA):
-            base = classes_at_tw(uni, tw, side)
-            twisted = classes_at_tw(tw_datum, tw, side)
+            base = classes_at_tw(uni, tw, side, build_torus_problem(uni, tw.w))
+            twisted = classes_at_tw(tw_datum, tw, side, build_torus_problem(tw_datum, tw.w))
             assert [c.g0_args for c in base] == [c.g0_args for c in twisted]
             for c in twisted:
                 if c.loop_rep is None:
@@ -270,10 +278,11 @@ def test_failed_anti_fixed_check_is_certificate_error(tmp_path, capsys, monkeypa
         path.write_text(json.dumps(twist))
         argv += ["--inner-twist", str(path)]
     tw = AffineWeylElement.of((0, 0), (0, 1))
-    assert any(c.loop_rep is not None for c in classes_at_tw(d, tw, side))
+    classes = classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))
+    assert any(c.loop_rep is not None for c in classes)
     monkeypatch.setattr(iwahori_orbits, "is_anti_fixed", lambda *a: False)
     with pytest.raises(CertificateError, match="anti-fixed"):
-        classes_at_tw(d, tw, side)
+        classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))
     assert cli.main(argv) == 1
     assert "certificate failed" in capsys.readouterr().err
 
@@ -501,7 +510,7 @@ def test_unsolving_representative_is_certificate_error(capsys, monkeypatch, side
     # moves the representatives off the solution coset
     d = gc.build_datum("unitary", 2, 1)
     tw = AffineWeylElement.of((0, 0), (0, 1))
-    assert classes_at_tw(d, tw, side)
+    assert classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))
     build = iwahori_orbits.build_torus_problem
 
     def corrupted(datum, w):
@@ -510,7 +519,7 @@ def test_unsolving_representative_is_certificate_error(capsys, monkeypatch, side
 
     monkeypatch.setattr(iwahori_orbits, "build_torus_problem", corrupted)
     with pytest.raises(CertificateError, match="does not solve the equation"):
-        classes_at_tw(d, tw, side)
+        classes_at_tw(d, tw, side, iwahori_orbits.build_torus_problem(d, tw.w))
     assert cli.main(_unitary_bound0_argv(2, side)) == 1
     assert "certificate failed" in capsys.readouterr().err
 
@@ -523,7 +532,7 @@ def test_lattice_coordinates_outside_the_span_are_certificate_error(capsys, monk
     # them, are unchanged, but they no longer rebuild the reduced vector
     d = gc.build_datum("unitary", 3, 1)
     tw = AffineWeylElement.of((0, 0, 0), (0, 2, 1))
-    assert classes_at_tw(d, tw, side)
+    assert classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))
     basis = iwahori_orbits.lattice_basis
 
     def corrupted(gens):
@@ -532,6 +541,6 @@ def test_lattice_coordinates_outside_the_span_are_certificate_error(capsys, monk
 
     monkeypatch.setattr(iwahori_orbits, "lattice_basis", corrupted)
     with pytest.raises(CertificateError, match="outside the lattice span"):
-        classes_at_tw(d, tw, side)
+        classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))
     assert cli.main(_unitary_bound0_argv(3, side)) == 1
     assert "certificate failed" in capsys.readouterr().err

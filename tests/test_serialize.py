@@ -2,13 +2,14 @@
 
 import json
 import random
+from fractions import Fraction
 
 import loopmatsuki.group_catalog as gc
 from loopmatsuki.bundles_kottwitz import enumerate_kottwitz, kottwitz_validate
 from loopmatsuki.canonicalize import canonicalize_eta
 from loopmatsuki.coweight_orbits import classify_eta, enumerate_admissible
-from loopmatsuki.gaussian import qi_from_str
-from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
+from loopmatsuki.gaussian import QI, qi_from_str, qi_to_str
+from loopmatsuki.laurent import Entry, LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element
 from loopmatsuki.serialize import (
     TSV_COLUMNS,
@@ -41,6 +42,52 @@ def test_series_roundtrip_keeps_precision():
     back = laurent_from_json(doc)
     assert isinstance(back, SeriesMatrix)
     assert back == s
+
+
+def _oracle_json(m):
+    """laurent_to_json's entries through the QI mapping view and qi_to_str."""
+    return [[{str(k): qi_to_str(v) for k, v in sorted(e.items())} for e in row]
+            for row in m.rows]
+
+
+def _random_coefficient(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.choice((QI(1), QI(-1), QI(0, 1), QI(0, -1)))
+    part = lambda: Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 4, 6, 12, 35)))
+    if kind == 1:
+        return QI(part(), 0)  # zero imaginary part
+    if kind == 2:
+        return QI(0, part())  # zero real part
+    return QI(part(), part())
+
+
+def test_integer_json_path_matches_the_qi_path():
+    rng = random.Random(24)
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        rows = [[Entry.of({rng.randint(-4, 4): _random_coefficient(rng)
+                           for _ in range(rng.randint(0, 4))}) for _ in range(n)]
+                for _ in range(n)]
+        m = LaurentMatrix(rows)
+        doc = laurent_to_json(m)
+        assert doc == {"n": n, "entries": _oracle_json(m)}
+        assert json.dumps(doc) == json.dumps({"n": n, "entries": _oracle_json(m)})
+        s = SeriesMatrix(rows, trial % 7)
+        assert laurent_to_json(s) == {"n": n, "entries": _oracle_json(s),
+                                      "precision": trial % 7}
+
+
+def test_integer_json_path_on_coefficient_edge_cases():
+    cases = [QI(1), QI(-1), QI(0, 1), QI(0, -1), QI(Fraction(2, 4)), QI(0, Fraction(-6, 8)),
+             QI(Fraction(1, 3), Fraction(-1, 6)), QI(Fraction(-5, 7), 1), QI(3, -1),
+             QI(Fraction(1, 2), Fraction(1, 2))]
+    for c in cases:
+        for k in (-3, 0, 2):
+            m = LaurentMatrix([[Entry.term(k, c), Entry.of({})], [Entry.of({}), Entry.term(k, c)]])
+            assert laurent_to_json(m)["entries"] == _oracle_json(m)
+            assert laurent_to_json(m)["entries"][0][0] == {str(k): qi_to_str(c)}
+    assert laurent_to_json(LaurentMatrix([[Entry.of({})]]))["entries"] == [[{}]]
 
 
 def test_const_matrix_roundtrip():
