@@ -330,13 +330,6 @@ def _reduce_on_base(reduce, x, datum: GroupDatum, side: Side,
 # Iwahori-level reduction (inputs must be pre-positioned as t~w * g)
 
 
-def _diag_const_part(g, n: int) -> LaurentMatrix:
-    c = g.constant_matrix()
-    return LaurentMatrix.from_scalars(
-        [[c[i][j] if i == j else QI(0) for j in range(n)] for i in range(n)]
-    )
-
-
 def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     """Lexicographic defect position of red vs the identity.
 
@@ -471,7 +464,7 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
     last_key: Optional[Tuple[int, int]] = None
     while True:
         gcur = tw_inv * x
-        d = _diag_const_part(gcur, n)
+        d = LaurentMatrix.diag_scalars([r[i] for i, r in enumerate(gcur.constant_matrix())])
         red = SeriesMatrix.from_laurent(d.inverse(), gcur.precision + 4) * gcur
         key = _first_dirt(red)
         if key is None:
@@ -503,7 +496,7 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
     h_acc = LaurentMatrix.identity(n)
     for _ in range(2 * n + 5):
         gcur = tw_loop.inverse() * x
-        d = _diag_const_part(gcur, n)
+        d = LaurentMatrix.diag_scalars([r[i] for i, r in enumerate(gcur.constant_matrix())])
         u = d.inverse() * gcur
         if u == LaurentMatrix.identity(n):
             break

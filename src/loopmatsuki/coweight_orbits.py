@@ -87,28 +87,11 @@ class SphericalClass:
 
 
 # ---------------------------------------------------------------------------
-# building blocks for representatives
-
-
-def _identity_block(m: int) -> List[List[QI]]:
-    return [[QI(1) if a == b else QI(0) for b in range(m)] for a in range(m)]
-
-
-def _assemble(n: int, blocks: Sequence[Block], parts: Sequence[List[List[QI]]]) -> LaurentMatrix:
-    rows = [[QI(0)] * n for _ in range(n)]
-    for (start, size, _), part in zip(blocks, parts):
-        for a in range(size):
-            for b in range(size):
-                rows[start + a][start + b] = part[a][b]
-    return LaurentMatrix.from_scalars(rows)
+# classification
 
 
 def _sign_power(eps: int, mu: int) -> QI:
     return QI(1) if eps == 1 or mu % 2 == 0 else QI(-1)
-
-
-# ---------------------------------------------------------------------------
-# classification
 
 
 def _real_z(z: QI) -> QI:
@@ -129,14 +112,14 @@ def _classify_symalt(datum: GroupDatum, lam: Tuple[int, ...], side: Side) -> Lis
     for (_, size, mu) in blocks:
         c = flip * _sign_power(datum.epsilon, mu) * z
         if c == ONE:
-            parts.append(_identity_block(size))
+            parts.append(LaurentMatrix.identity(size))
             types.append(("Sym", size))
         elif c == QI(-1) and size % 2 == 0:
-            parts.append(j_matrix(size).constant_matrix())
+            parts.append(j_matrix(size))
             types.append(("Alt", size))
         else:
             return []
-    g0 = _assemble(datum.n, blocks, parts)
+    g0 = LaurentMatrix.block_diag(parts)
     label = "|".join(t for t, _ in types)
     return [_finish_class(datum, lam, side, label, g0, types)]
 
@@ -154,15 +137,13 @@ def _classify_unitary(datum: GroupDatum, lam: Tuple[int, ...], side: Side) -> Li
         _, size, _ = blocks[i]
         _, size2, mu2 = blocks[r - 1 - i]
         certify(size == size2, f"mirror blocks {i} and {r - 1 - i} differ in size")
-        pair_parts[i] = _identity_block(size)
-        c = _sign_power(datum.epsilon, mu2) * z
-        pair_parts[r - 1 - i] = [[c if a == b else QI(0) for b in range(size)]
-                                 for a in range(size)]
+        pair_parts[i] = LaurentMatrix.identity(size)
+        pair_parts[r - 1 - i] = LaurentMatrix.diag_scalars(
+            [_sign_power(datum.epsilon, mu2) * z] * size)
 
     out = []
     if mid is None:
-        parts = [pair_parts[i] for i in range(r)]
-        g0 = _assemble(datum.n, blocks, parts)
+        g0 = LaurentMatrix.block_diag([pair_parts[i] for i in range(r)])
         out.append(_finish_class(datum, lam, side, "(0,0)", g0,
                                  [("Pair", blocks[i][1]) for i in range(half)],
                                  sig=(0, 0)))
@@ -172,11 +153,11 @@ def _classify_unitary(datum: GroupDatum, lam: Tuple[int, ...], side: Side) -> Li
     s = QI(1) if z == ONE else QI(0, 1)  # M^2 = z needs eigenvalues sqrt(z)
     for p in range(m, -1, -1):
         q = m - p
-        sig = [[s * (QI(1) if a < p else QI(-1)) if a == b else QI(0)
-                for b in range(m)] for a in range(m)]
-        mid_part = sig[::-1]  # B = s * R * M_{p,q} for the antidiagonal R
-        parts = [pair_parts[i] if i != half else mid_part for i in range(r)]
-        g0 = _assemble(datum.n, blocks, parts)
+        # B = s * R * M_{p,q} for the antidiagonal R
+        mid_part = LaurentMatrix.permutation(range(m - 1, -1, -1),
+                                             [s if a < p else -s for a in range(m)])
+        g0 = LaurentMatrix.block_diag([pair_parts[i] if i != half else mid_part
+                                       for i in range(r)])
         out.append(_finish_class(datum, lam, side, f"({p},{q})", g0,
                                  [("Pair", blocks[i][1]) for i in range(half)],
                                  sig=(p, q)))

@@ -23,7 +23,6 @@ from .canonicalize import (
 from .coweight_orbits import SphericalClass, classify_eta, classify_theta, \
     enumerate_admissible
 from .errors import InvalidInputError, certify
-from .gaussian import QI
 from .group_catalog import GroupDatum
 from .iwahori_orbits import IwahoriClass, enumerate_iwahori
 from .laurent import LaurentMatrix, SeriesMatrix
@@ -98,16 +97,10 @@ def match_iwahori(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     return pairs
 
 
-def _random_torus_compact(n: int, rng: random.Random) -> LaurentMatrix:
-    return LaurentMatrix.from_scalars(
-        [[rng.choice(FOURTH_ROOTS) if i == j else QI(0) for j in range(n)]
-         for i in range(n)])
-
-
 def _compact_sample(datum: GroupDatum, level: str, index: int,
                     rng: random.Random) -> LaurentMatrix:
     if level == "iwahori":
-        return _random_torus_compact(datum.n, rng)
+        return LaurentMatrix.diag_scalars([rng.choice(FOURTH_ROOTS) for _ in range(datum.n)])
     kind = index % 3
     if kind == 0:
         return random_signed_permutation(datum.n, rng)

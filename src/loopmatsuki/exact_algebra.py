@@ -25,7 +25,7 @@ from .laurent import (
     LaurentMatrix,
     SeriesMatrix,
     det_minor,
-    laurent_exp_nilpotent,
+    exp_with_inverse,
     laurent_log_unipotent,
 )
 
@@ -165,11 +165,11 @@ def _lead_dependency(p_rows: List[List[Entry]], degs: List[int]) -> List[QI] | N
     n = len(p_rows)
     echelon = []  # (pivot, vr, vi, tr, ti)
     for f, dg in enumerate(degs):
-        lead = [(j, e) for j, e in enumerate(p_rows[f]) if e.deg() == dg]
-        den = reduce(lcm, (e._d for _, e in lead), 1)
+        lead = [(j, e.lead_parts()) for j, e in enumerate(p_rows[f]) if e.deg() == dg]
+        den = reduce(lcm, (d for _, (_, _, d) in lead), 1)
         vr, vi, tr, ti = [0] * n, [0] * n, [0] * n, [0] * n
-        for j, e in lead:
-            vr[j], vi[j] = e._re[-1] * (den // e._d), e._im[-1] * (den // e._d)
+        for j, (r, m, d) in lead:
+            vr[j], vi[j] = r * (den // d), m * (den // d)
         tr[f] = den
         for p, er, ei, etr, eti in echelon:
             ar, ai = vr[p], vi[p]
@@ -280,7 +280,7 @@ def unipotent_sqrt(u: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
     """The unique unipotent square root v = exp(log(u)/2) of a unipotent
     matrix, and its inverse exp(-log(u)/2)."""
     half = laurent_log_unipotent(u).scale(Fraction(1, 2))
-    v, v_inv = laurent_exp_nilpotent(half), laurent_exp_nilpotent(-half)
+    v, v_inv = exp_with_inverse(half, u.n)  # half is nilpotent: half^n = 0
     certify(v * v == u, "square root failed to square back")
     certify(v * v_inv == LaurentMatrix.identity(u.n), "square root inverse does not invert it")
     return v, v_inv

@@ -71,18 +71,7 @@ def check_bound(bound: int, n: int) -> None:
 
 def j_matrix(n: int) -> LaurentMatrix:
     """Block-diagonal matrix of 2x2 blocks [[0,1],[-1,0]]; requires n even."""
-    rows = [[QI(0)] * n for _ in range(n)]
-    for b in range(n // 2):
-        rows[2 * b][2 * b + 1] = QI(1)
-        rows[2 * b + 1][2 * b] = QI(-1)
-    return LaurentMatrix.from_scalars(rows)
-
-
-def antidiagonal_matrix(n: int) -> LaurentMatrix:
-    rows = [[QI(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = QI(1)
-    return LaurentMatrix.from_scalars(rows)
+    return LaurentMatrix.permutation([i ^ 1 for i in range(n)], [(-1) ** (i + 1) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -118,7 +107,7 @@ def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatu
     elif family == QUATERNIONIC_GL:
         w1, real = j_matrix(n), f"GL{n // 2}(H)"
     else:
-        w1, real = antidiagonal_matrix(n), f"U({n})"
+        w1, real = LaurentMatrix.permutation(range(n - 1, -1, -1)), f"U({n})"
     datum = GroupDatum(family, n, epsilon, zq, w1, LaurentMatrix.identity(n), real)
     return replace(datum, w2=theta0(w1, datum) * w1, torus=_torus_matrix(datum))
 
@@ -321,7 +310,9 @@ def is_anti_fixed(gamma, datum: GroupDatum, side: Side) -> bool:
     """Whether gamma * sigma_side(gamma) = z, to gamma's precision for a series.
     Where sigma holds the inverse transpose, sigma(gamma)^-1 takes no inverse,
     and gamma = z * sigma(gamma)^-1 is tested instead, at gamma's precision:
-    stricter than the product test, which it implies."""
+    stricter than the product test, which it implies.  A gamma of another
+    size than the datum's rank is invalid input."""
+    _check_rank(gamma, datum)
     if datum.family in side.inverse_transpose:
         return gamma == involution(gamma, datum, side, True, None).scale(datum.z)
     prod = gamma * (apply_eta if side.reflect else apply_theta)(gamma, datum)
@@ -329,6 +320,11 @@ def is_anti_fixed(gamma, datum: GroupDatum, side: Side) -> bool:
     if isinstance(prod, SeriesMatrix):
         zid = SeriesMatrix.from_laurent(zid, prod.precision)
     return prod == zid
+
+
+def _check_rank(x, datum: GroupDatum) -> None:
+    if x.n != datum.n:
+        raise InvalidInputError(f"the loop is {x.n}x{x.n} but the datum has rank {datum.n}")
 
 
 def is_anti_fixed_theta(gamma, datum: GroupDatum) -> bool:
@@ -383,6 +379,7 @@ def transport_to_base(x, datum: GroupDatum):
     """Carry a z-anti-fixed loop of the twisted datum to an anti-fixed loop
     of base_datum(datum, side), on either side: x -> x * c.  A series x
     keeps its precision."""
+    _check_rank(x, datum)
     if datum.twist is None:
         return x
     c = datum.twist

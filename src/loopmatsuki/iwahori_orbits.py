@@ -76,14 +76,6 @@ def args_to_matrix(nums: Sequence[int], scale: int) -> Optional[LaurentMatrix]:
     return LaurentMatrix.diag_scalars(vals)
 
 
-def perm_matrix(w: Sequence[int]) -> LaurentMatrix:
-    n = len(w)
-    rows = [[QI(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[w[i]][i] = QI(1)
-    return LaurentMatrix.from_scalars(rows)
-
-
 def _perm_inverse(w: Sequence[int]) -> Tuple[int, ...]:
     inv = [0] * len(w)
     for i, wi in enumerate(w):
@@ -100,7 +92,7 @@ class AffineWeylElement:
     @staticmethod
     def of(lam: Sequence[int], w: Sequence[int]) -> "AffineWeylElement":
         w = tuple(w)
-        return AffineWeylElement(tuple(int(x) for x in lam), w, perm_matrix(w))
+        return AffineWeylElement(tuple(int(x) for x in lam), w, LaurentMatrix.permutation(w))
 
     def loop(self) -> LaurentMatrix:
         return LaurentMatrix.t_power(list(self.lam)) * self.lift
@@ -115,7 +107,7 @@ def _ad_matrix(w: Sequence[int]) -> List[List[int]]:
 
 def theta0_weyl(datum: GroupDatum, w: Sequence[int]) -> Tuple[int, ...]:
     """Permutation part of theta0 applied to the lift of w."""
-    return tuple(i for i, _ in signed_permutation(theta0(perm_matrix(w), datum)))
+    return tuple(i for i, _ in signed_permutation(theta0(LaurentMatrix.permutation(w), datum)))
 
 
 def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylElement]:
@@ -126,7 +118,7 @@ def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylEle
     for w in permutations(range(datum.n)):
         if theta0_weyl(datum, w) != _perm_inverse(w):
             continue
-        lift = perm_matrix(w)  # read only, so every lambda of w shares it
+        lift = LaurentMatrix.permutation(w)  # read only, so every lambda of w shares it
         for lam in product(range(-bound, bound + 1), repeat=datum.n):
             if is_admissible(datum, lam, w):
                 out.append(AffineWeylElement(lam, w, lift))
@@ -229,7 +221,7 @@ def build_torus_problem(datum: GroupDatum, w: Sequence[int]) -> TorusProblem:
     u_act, d_act, _ = _certified_smith(m_act, "M_act")
     certify(sum(1 for x in snf_d + d_act if x) == n,
             "equation kernel escapes the action image")
-    lift = perm_matrix(w)
+    lift = LaurentMatrix.permutation(w)
     m = (lift * theta0(lift, datum)).inverse()
     const = m.constant_matrix()
     if not m.is_constant() or any(

@@ -17,9 +17,18 @@ a series like 1 + O(t^k) costs as much as its nonzero terms.
 
 ``LaurentMatrix`` is exact; ``SeriesMatrix`` carries an explicit precision
 ``N`` meaning the entry coefficients are known for all exponents ``< N``
-(and are zero below the recorded support).  Precision bookkeeping is
-pessimistic: an operation never claims more precision than it can
-certify, and raises ``PrecisionError`` rather than guessing.
+(and are zero below the recorded support).  Both share one core: an exact
+matrix is one with ``precision = None``, and every entrywise operation
+(``+``, ``-``, ``scale``, ``transpose``, ``substitute``, the queries) is
+written once and keeps the least precision of its operands.  Operands of
+different sizes are refused.  Each kind keeps its own product, inverse and
+determinant, whose precision rules differ.  ``LaurentMatrix.permutation``
+(optionally times a diagonal), ``diag_scalars`` and ``block_diag`` build
+the monomial and block matrices, and ``exp_with_inverse`` is the one
+exponential: it returns exp(a) and exp(-a) from a single chain of powers.
+Precision bookkeeping is pessimistic: an operation never claims more
+precision than it can certify, and raises ``PrecisionError`` rather than
+guessing.
 """
 
 from __future__ import annotations
@@ -189,6 +198,10 @@ class Entry:
         v, d = self._v, self._d
         return ((v + i, r, m, d) for i, (r, m) in enumerate(zip(self._re, self._im)) if r or m)
 
+    def lead_parts(self):
+        """(re, im, d) of the highest term (re + i*im) / d * t^deg of a nonzero entry."""
+        return self._re[-1], self._im[-1], self._d
+
     # -- read-only mapping view exponent -> QI -------------------------------
     def coeff(self, k: int) -> QI:
         """The coefficient of t^k (the shared ZERO when absent)."""
@@ -305,6 +318,7 @@ def _subst(a: Entry, unit: QI, invert: bool, conj: bool) -> Entry:
 
 
 def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+    _check_sizes(len(a), len(b))
     cols = list(zip(*b))
     out = []
     for r in a:
@@ -317,6 +331,11 @@ def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]]) -> List[
             row.append(acc)
         out.append(row)
     return out
+
+
+def _check_sizes(n: int, m: int) -> None:
+    if n != m:
+        raise InvalidInputError(f"matrix sizes differ: {n}x{n} against {m}x{m}")
 
 
 def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int]) -> Entry:
@@ -369,10 +388,114 @@ def _monomial_inverse(rows: Sequence[Sequence[Entry]]) -> List[List[Entry]] | No
 # ---------------------------------------------------------------------------
 
 
-class LaurentMatrix:
-    """An exact n-by-n matrix over Q(i)[t, t^-1]."""
+def _matrix(rows: Sequence[Sequence[Entry]], precision: int | None):
+    """A matrix on entries already in normal form: exact when precision is
+    None, else a series truncated to precision."""
+    if precision is None:
+        return LaurentMatrix._of(rows)
+    return SeriesMatrix._of(rows, precision)
+
+
+class _Matrix:
+    """The core both matrix kinds share: n rows of n entries and a
+    ``precision``, None on an exact matrix.  Each operation here works entry
+    by entry, refuses operands of different sizes, and keeps the least
+    precision of its operands, so its result is exact when they all are."""
 
     __slots__ = ("n", "rows")
+    precision: int | None
+
+    # -- queries -----------------------------------------------------------
+    def entry(self, i: int, j: int) -> Entry:
+        return self.rows[i][j]
+
+    def coeff(self, i: int, j: int, k: int) -> QI:
+        if self.precision is not None and k >= self.precision:
+            raise PrecisionError(f"coefficient of t^{k} beyond precision {self.precision}")
+        return self.rows[i][j].coeff(k)
+
+    def val(self) -> int | None:
+        """The least exponent present; on a zero matrix, None if exact, else
+        the precision (so a series gets a certified lower bound)."""
+        vals = [e._v for r in self.rows for e in r if e._re]
+        return min(vals) if vals else self.precision
+
+    def maxdeg(self) -> int | None:
+        degs = [e._v + len(e._re) - 1 for r in self.rows for e in r if e._re]
+        return max(degs) if degs else None
+
+    def is_zero(self) -> bool:
+        return all(not e._re for r in self.rows for e in r)
+
+    def is_constant(self) -> bool:
+        return all(not e._re or (e._v == 0 and len(e._re) == 1)
+                   for r in self.rows for e in r)
+
+    def constant_matrix(self) -> List[List[QI]]:
+        """Coefficient of t^0 in each entry."""
+        if self.precision is not None and self.precision < 1:
+            raise PrecisionError("constant term beyond recorded precision")
+        return [[e.coeff(0) for e in r] for r in self.rows]
+
+    # -- entrywise arithmetic ----------------------------------------------
+    def _zip(self, other: "_Matrix", op):
+        _check_sizes(self.n, other.n)
+        p, q = self.precision, other.precision
+        return _matrix([list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
+                       p if q is None else q if p is None else min(p, q))
+
+    def __add__(self, other: "_Matrix"):
+        return self._zip(other, Entry.__add__)
+
+    def __sub__(self, other: "_Matrix"):
+        return self._zip(other, Entry.__sub__)
+
+    def __neg__(self):
+        return _matrix([[-e for e in r] for r in self.rows], self.precision)
+
+    def scale(self, c: QI | int | Fraction):
+        q = Entry.term(0, c)
+        return _matrix([[e * q for e in r] for r in self.rows], self.precision)
+
+    def transpose(self):
+        return _matrix([list(c) for c in zip(*self.rows)], self.precision)
+
+    def substitute(self, unit: QI, invert: bool = False, conj: bool = False):
+        """Entrywise substitution t -> unit*t, or t -> unit*t^-1 on an exact
+        matrix only, with optional coefficient conjugation."""
+        if invert and self.precision is not None:
+            raise PrecisionError("t -> t^-1 substitution leaves the series model")
+        return _matrix([[_subst(e, unit, invert, conj) for e in r] for r in self.rows],
+                       self.precision)
+
+    def __eq__(self, other) -> bool:
+        """Exact matrices are equal entry for entry, series to the lesser
+        precision; the two kinds never compare equal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.precision is None:
+            return self.rows == other.rows
+        p = min(self.precision, other.precision)
+        return ([[e.truncate(p) for e in r] for r in self.rows]
+                == [[e.truncate(p) for e in r] for r in other.rows])
+
+    def __repr__(self):
+        def fmt(e: Entry) -> str:
+            if not e:
+                return "0"
+            return "+".join(
+                f"({v})t^{k}" if k else f"({v})" for k, v in sorted(e.items())
+            )
+
+        body = "Laurent[" + "; ".join(", ".join(fmt(e) for e in r) for r in self.rows) + "]"
+        return body if self.precision is None else f"Series(prec={self.precision}, {body})"
+
+
+class LaurentMatrix(_Matrix):
+    """An exact n-by-n matrix over Q(i)[t, t^-1]."""
+
+    __slots__ = ()
+    precision = None
 
     def __init__(self, rows: Sequence[Sequence]):
         self.n = len(rows)
@@ -395,8 +518,7 @@ class LaurentMatrix:
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix._of(
-            [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)])
+        return LaurentMatrix.permutation(range(n))
 
     @staticmethod
     def monomial(n: int, i: int, j: int, k: int = 0,
@@ -411,11 +533,28 @@ class LaurentMatrix:
         return LaurentMatrix._of([[Entry.term(0, x) for x in r] for r in rows])
 
     @staticmethod
+    def permutation(w: Sequence[int],
+                    scalars: Sequence[QI | int | Fraction] | None = None) -> "LaurentMatrix":
+        """The permutation matrix of w (w[i] the image of i: a 1 at (w[i], i))
+        times diag(scalars) when scalars are given."""
+        m = LaurentMatrix.zeros(len(w))
+        for i, wi in enumerate(w):
+            m.rows[wi][i] = ONE_ENTRY if scalars is None else Entry.term(0, scalars[i])
+        return m
+
+    @staticmethod
     def diag_scalars(vals: Sequence[QI | int | Fraction]) -> "LaurentMatrix":
-        n = len(vals)
-        return LaurentMatrix._of(
-            [[Entry.term(0, v) if i == j else ZERO_ENTRY for j in range(n)]
-             for i, v in enumerate(vals)])
+        return LaurentMatrix.permutation(range(len(vals)), vals)
+
+    @staticmethod
+    def block_diag(blocks: Sequence["LaurentMatrix"]) -> "LaurentMatrix":
+        """The block-diagonal matrix of the square blocks, in order."""
+        n = sum(b.n for b in blocks)
+        rows, at = [], 0
+        for b in blocks:
+            rows += [[ZERO_ENTRY] * at + r + [ZERO_ENTRY] * (n - at - b.n) for r in b.rows]
+            at += b.n
+        return LaurentMatrix._of(rows)
 
     @staticmethod
     def t_power(lam: Sequence[int]) -> "LaurentMatrix":
@@ -425,57 +564,9 @@ class LaurentMatrix:
             [[ONE_ENTRY.shift(int(k)) if i == j else ZERO_ENTRY for j in range(n)]
              for i, k in enumerate(lam)])
 
-    # -- basic queries -------------------------------------------------------
-    def entry(self, i: int, j: int) -> Entry:
-        return self.rows[i][j]
-
-    def coeff(self, i: int, j: int, k: int) -> QI:
-        return self.rows[i][j].coeff(k)
-
-    def is_zero(self) -> bool:
-        return all(not e._re for r in self.rows for e in r)
-
-    def is_constant(self) -> bool:
-        return all(not e._re or (e._v == 0 and len(e._re) == 1)
-                   for r in self.rows for e in r)
-
-    def constant_matrix(self) -> List[List[QI]]:
-        """Coefficient of t^0 in each entry."""
-        return [[e.coeff(0) for e in r] for r in self.rows]
-
-    def val(self) -> int | None:
-        vals = [e._v for r in self.rows for e in r if e._re]
-        return min(vals) if vals else None
-
-    def maxdeg(self) -> int | None:
-        degs = [e._v + len(e._re) - 1 for r in self.rows for e in r if e._re]
-        return max(degs) if degs else None
-
-    # -- arithmetic ------------------------------------------------------------
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix._of(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        return LaurentMatrix._of(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "LaurentMatrix":
-        return LaurentMatrix._of([[-e for e in r] for r in self.rows])
-
+    # -- products and inverses ---------------------------------------------
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         return LaurentMatrix._of(_matmul(self.rows, other.rows))
-
-    def scale(self, c: QI | int | Fraction) -> "LaurentMatrix":
-        q = Entry.term(0, c)
-        return LaurentMatrix._of([[e * q for e in r] for r in self.rows])
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix._of([list(c) for c in zip(*self.rows)])
-
-    def substitute(self, unit: QI, invert: bool = False, conj: bool = False) -> "LaurentMatrix":
-        """Entrywise substitution t -> unit*t (or unit*t^-1), optional coefficient conjugation."""
-        return LaurentMatrix._of([[_subst(e, unit, invert, conj) for e in r] for r in self.rows])
 
     def det(self) -> Entry:
         return det_minor(self.rows, list(range(self.n)), list(range(self.n)))
@@ -499,44 +590,18 @@ class LaurentMatrix:
         k = d._v
         return LaurentMatrix._of(_adjugate_times(self.rows, d.shift(-k).reciprocal(1), k))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        raise TypeError("LaurentMatrix is not hashable")
-
-    def __repr__(self):
-        def fmt(e: Entry) -> str:
-            if not e:
-                return "0"
-            return "+".join(
-                f"({v})t^{k}" if k else f"({v})" for k, v in sorted(e.items())
-            )
-
-        body = "; ".join(", ".join(fmt(e) for e in r) for r in self.rows)
-        return f"Laurent[{body}]"
-
-    # -- conversions ------------------------------------------------------------
-    def truncate(self, precision: int) -> "SeriesMatrix":
-        v = self.val()
-        if v is not None and v >= precision:
-            raise PrecisionError("truncation precision below the matrix valuation")
-        return SeriesMatrix._of(self.rows, precision)
-
 
 # ---------------------------------------------------------------------------
 
 
-class SeriesMatrix:
+class SeriesMatrix(_Matrix):
     """An n-by-n matrix over Q(i)((t)) known modulo t^precision.
 
     Supports are finite and bounded below; ``precision`` bounds the
     exponents stored (exclusive).
     """
 
-    __slots__ = ("n", "rows", "precision")
+    __slots__ = ("precision",)
 
     MIN_RESIDUAL = 2  # precision floor: below this, computations refuse to answer
 
@@ -558,39 +623,22 @@ class SeriesMatrix:
         m.rows = [[e.truncate(precision) for e in r] for r in rows]
         return m
 
-    # -- constructors -----------------------------------------------------------
+    # -- constructors and conversions ----------------------------------------
     @staticmethod
     def identity(n: int, precision: int) -> "SeriesMatrix":
-        return LaurentMatrix.identity(n).truncate(precision)
+        return SeriesMatrix.from_laurent(LaurentMatrix.identity(n), precision)
 
     @staticmethod
     def from_laurent(m: LaurentMatrix, precision: int) -> "SeriesMatrix":
-        return m.truncate(precision)
+        v = m.val()
+        if v is not None and v >= precision:
+            raise PrecisionError("truncation precision below the matrix valuation")
+        return SeriesMatrix._of(m.rows, precision)
 
     def to_laurent(self) -> LaurentMatrix:
         """Forget the truncation marker (the caller asserts exactness)."""
         return LaurentMatrix._of(self.rows)
 
-    # -- queries ------------------------------------------------------------------
-    def entry(self, i: int, j: int) -> Entry:
-        return self.rows[i][j]
-
-    def coeff(self, i: int, j: int, k: int) -> QI:
-        if k >= self.precision:
-            raise PrecisionError(f"coefficient of t^{k} beyond precision {self.precision}")
-        return self.rows[i][j].coeff(k)
-
-    def val(self) -> int:
-        """A certified lower bound for the valuation (min stored exponent)."""
-        vals = [e._v for r in self.rows for e in r if e._re]
-        return min(vals) if vals else self.precision
-
-    def constant_matrix(self) -> List[List[QI]]:
-        if self.precision < 1:
-            raise PrecisionError("constant term beyond recorded precision")
-        return [[e.coeff(0) for e in r] for r in self.rows]
-
-    # -- arithmetic ------------------------------------------------------------------
     def retruncate(self, precision: int) -> "SeriesMatrix":
         if precision > self.precision:
             raise PrecisionError(
@@ -598,22 +646,7 @@ class SeriesMatrix:
             )
         return SeriesMatrix._of(self.rows, precision)
 
-    def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        p = min(self.precision, other.precision)
-        return SeriesMatrix._of(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)], p
-        )
-
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        p = min(self.precision, other.precision)
-        return SeriesMatrix._of(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)], p
-        )
-
-    def scale(self, c: QI | int | Fraction) -> "SeriesMatrix":
-        q = Entry.term(0, c)
-        return SeriesMatrix._of([[e * q for e in r] for r in self.rows], self.precision)
-
+    # -- products and inverses ---------------------------------------------
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         # product precision: pessimistic rule min(Na + v(B), Nb + v(A))
         va, vb = self.val(), other.val()
@@ -623,16 +656,6 @@ class SeriesMatrix:
         a = [[e.truncate(p - vb) for e in r] for r in self.rows]
         b = [[e.truncate(p - va) for e in r] for r in other.rows]
         return SeriesMatrix._of(_matmul(a, b), p)
-
-    def transpose(self) -> "SeriesMatrix":
-        return SeriesMatrix._of([list(c) for c in zip(*self.rows)], self.precision)
-
-    def substitute(self, unit: QI, invert: bool = False, conj: bool = False) -> "SeriesMatrix":
-        if invert:
-            raise PrecisionError("t -> t^-1 substitution leaves the series model")
-        return SeriesMatrix._of(
-            [[_subst(e, unit, False, conj) for e in r] for r in self.rows], self.precision
-        )
 
     def det_with_precision(self) -> tuple[Entry, int]:
         v = self.val()
@@ -658,46 +681,30 @@ class SeriesMatrix:
             raise PrecisionError("inverse precision collapsed")
         return SeriesMatrix._of(_adjugate_times(self.rows, uinv, k), out_prec)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        p = min(self.precision, other.precision)
-        a = [[e.truncate(p) for e in r] for r in self.rows]
-        b = [[e.truncate(p) for e in r] for r in other.rows]
-        return a == b
 
-    def __repr__(self):
-        return f"Series(prec={self.precision}, {LaurentMatrix._of(self.rows)!r})"
-
-
-def series_exp(a: SeriesMatrix):
-    """The pair (exp(a), exp(-a)) for a series matrix a with strictly
-    positive valuation, both at a's precision: the terms of the two series
-    differ only in sign, so the inverse costs additions only."""
-    v = a.val()
-    if v < 1:
-        raise PrecisionError("series exp requires valuation >= 1")
-    out = inv = term = SeriesMatrix.identity(a.n, a.precision)
-    # terms of order m * v >= a.precision vanish at this precision
-    for m in range(1, (a.precision - 1) // v + 1):
+def exp_with_inverse(a, terms: int):
+    """(exp(a), exp(-a)) as the sums of a^m / m! for m <= terms, the second
+    with the odd terms negated: one chain of products serves both, and it
+    stops at the first zero term.  a is exact (then nilpotent, which the
+    caller certifies) or a series; the pair keeps a's kind and precision."""
+    out = inv = term = _matrix(LaurentMatrix.identity(a.n).rows, a.precision)
+    for m in range(1, terms + 1):
         term = (term * a).scale(Fraction(1, m))
+        if term.is_zero():
+            break
         out = out + term
         inv = inv - term if m % 2 else inv + term
     return out, inv
 
 
-def laurent_exp_nilpotent(a: LaurentMatrix) -> LaurentMatrix:
-    """Exact exp of a nilpotent Laurent matrix; nilpotency is not checked
-    here, as unipotent_sqrt, the one caller, certifies its result."""
-    n = a.n
-    out = LaurentMatrix.identity(n)
-    term = LaurentMatrix.identity(n)
-    for m in range(1, n + 1):
-        term = (term * a).scale(Fraction(1, m))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+def series_exp(a: SeriesMatrix):
+    """The pair (exp(a), exp(-a)) for a series matrix a with strictly
+    positive valuation, both at a's precision: the terms of order m * v >=
+    a.precision vanish there, so (N - 1) // v of them are summed."""
+    v = a.val()
+    if v < 1:
+        raise PrecisionError("series exp requires valuation >= 1")
+    return exp_with_inverse(a, (a.precision - 1) // v)
 
 
 def laurent_log_unipotent(u: LaurentMatrix) -> LaurentMatrix:

@@ -74,10 +74,7 @@ def random_poly_element(n: int, degree: int, rng: random.Random,
 def random_signed_permutation(n: int, rng: random.Random) -> LaurentMatrix:
     perm = list(range(n))
     rng.shuffle(perm)
-    rows = [[QI(0)] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        rows[i][j] = rng.choice(FOURTH_ROOTS)
-    return LaurentMatrix.from_scalars(rows)
+    return LaurentMatrix.permutation(perm, [rng.choice(FOURTH_ROOTS) for _ in range(n)])
 
 
 def _random_skew_hermitian(n: int, rng: random.Random, bound: int) -> LaurentMatrix:

@@ -298,14 +298,8 @@ def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3,
 
 def _lam_preserving(lam: Tuple[int, ...], rng: random.Random) -> LaurentMatrix:
     """A random constant matrix normalizing the cocharacter t^lam."""
-    n = len(lam)
-    rows = [[QI(0)] * n for _ in range(n)]
-    for start, size, _ in blocks_of(lam):
-        c = random_constant_invertible(size, rng).constant_matrix()
-        for i in range(size):
-            for j in range(size):
-                rows[start + i][start + j] = c[i][j]
-    return LaurentMatrix.from_scalars(rows)
+    return LaurentMatrix.block_diag(
+        [random_constant_invertible(size, rng) for _, size, _ in blocks_of(lam)])
 
 
 def check_finite_matsuki() -> None:

@@ -158,9 +158,10 @@ def test_corrupted_birkhoff_inverse_is_caught_under_optimize(tmp_path):
     assert proc.stderr == f"error: {failed_check}\n"
 
 
-# The unipotent square root's inverse exp(-log(u)/2) is doubled; the
-# certificate v * v^-1 = I must stop canonicalize_eta, and the canonicalize
-# command must exit 1 without printing a form.
+# The unipotent square root's inverse exp(-log(u)/2) is doubled (argument
+# "inverse"), or the root exp(log(u)/2) itself ("square"); the certificate
+# v * v^-1 = I, or v * v = u, must stop canonicalize_eta, and the
+# canonicalize command must exit 1 without printing a form.
 UNIPOTENT_SCRIPT = r"""
 import json, random, sys
 from loopmatsuki import canonicalize, cli, exact_algebra, serialize
@@ -179,15 +180,14 @@ path = sys.argv[1] + "/x.json"
 with open(path, "w") as f:
     json.dump(serialize.laurent_to_json(x), f)
 
-exp = exact_algebra.laurent_exp_nilpotent
-calls = [0]
+exp = exact_algebra.exp_with_inverse
 
-def exp_with_wrong_inverse(a):
-    # unipotent_sqrt takes exp(log(u)/2) first, then its inverse
-    calls[0] += 1
-    return exp(a) if calls[0] % 2 else exp(a).scale(2)
+def faulty_exp(a, terms):
+    # unipotent_sqrt takes exp(log(u)/2) and its inverse from one call
+    v, v_inv = exp(a, terms)
+    return (v, v_inv.scale(2)) if sys.argv[2] == "inverse" else (v.scale(2), v_inv)
 
-exact_algebra.laurent_exp_nilpotent = exp_with_wrong_inverse
+exact_algebra.exp_with_inverse = faulty_exp
 try:
     canonicalize.canonicalize_eta(x, d)
     print("no error")
@@ -198,15 +198,24 @@ print(cli.main(["canonicalize", "--family", "split_gl", "--n", "3", "--side", "e
 """
 
 
-def test_wrong_unipotent_sqrt_inverse_is_caught_under_optimize(tmp_path):
+def _run_unipotent_fault(tmp_path, fault, failed_check):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-O", "-c", UNIPOTENT_SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-O", "-c", UNIPOTENT_SCRIPT, str(tmp_path), fault],
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    failed_check = "certificate failed: square root inverse does not invert it"
     assert proc.stdout.split("\n") == [
         "Sym|Sym|Sym", "CertificateError: " + failed_check, "1", ""]
     assert proc.stderr == f"error: {failed_check}\n"
+
+
+def test_wrong_unipotent_sqrt_inverse_is_caught_under_optimize(tmp_path):
+    _run_unipotent_fault(tmp_path, "inverse",
+                         "certificate failed: square root inverse does not invert it")
+
+
+def test_unipotent_sqrt_that_fails_to_square_back_is_caught_under_optimize(tmp_path):
+    _run_unipotent_fault(tmp_path, "square",
+                         "certificate failed: square root failed to square back")
 
 
 # The classifier's anti-fixedness check is forced to fail ("classify"), or
@@ -279,20 +288,32 @@ def test_selftest_fault_exits_1_under_optimize():
     assert proc.stdout.split("\n")[-2] == "1"
 
 
-def test_internal_fault_in_eta_reduction_exits_1(tmp_path, monkeypatch, capsys):
-    """A unipotent square root that fails to square back is an internal
-    fault (exit 1), not malformed input (exit 2)."""
+def _eta_reduction_with_faulty_exp(tmp_path, monkeypatch, fault):
     d = gc.build_datum("split_gl", 2, 1)
     (cls,) = classify_eta(d, (1, 0))
     path = tmp_path / "x.json"
     path.write_text(json.dumps(serialize.laurent_to_json(cls.loop_rep)))
-    exp = exact_algebra.laurent_exp_nilpotent
-    monkeypatch.setattr(exact_algebra, "laurent_exp_nilpotent",
-                        lambda m: exp(m).scale(2))
-    code = cli.main(["canonicalize", "--family", "split_gl", "--side", "eta",
+    exp = exact_algebra.exp_with_inverse
+    monkeypatch.setattr(exact_algebra, "exp_with_inverse",
+                        lambda m, terms: fault(*exp(m, terms)))
+    return cli.main(["canonicalize", "--family", "split_gl", "--side", "eta",
                      "--input", str(path)])
+
+
+def test_internal_fault_in_eta_reduction_exits_1(tmp_path, monkeypatch, capsys):
+    """A unipotent square root that fails to square back is an internal
+    fault (exit 1), not malformed input (exit 2)."""
+    code = _eta_reduction_with_faulty_exp(tmp_path, monkeypatch,
+                                          lambda v, v_inv: (v.scale(2), v_inv.scale(2)))
     assert code == 1
     assert "certificate failed: square root failed to square back" in capsys.readouterr().err
+
+
+def test_wrong_unipotent_sqrt_inverse_exits_1(tmp_path, monkeypatch, capsys):
+    code = _eta_reduction_with_faulty_exp(tmp_path, monkeypatch,
+                                          lambda v, v_inv: (v, v_inv.scale(2)))
+    assert code == 1
+    assert "certificate failed: square root inverse does not invert it" in capsys.readouterr().err
 
 
 # A twisted datum's classes and canonical forms are computed at its base

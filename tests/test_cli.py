@@ -323,6 +323,32 @@ def test_iwahori_orbits_n5_golden(capsys, family, eps):
     assert hashlib.sha256(out.encode()).hexdigest() == N5_IWAHORI_DIGESTS[family, eps]
 
 
+# spherical tables above rank two in JSON, which keeps the class
+# representatives that the cli_session benchmark's TSV output drops
+SPHERICAL_DIGESTS = {
+    ("split_gl", 4, "1"): "a8738dfd7f6e48d98e82a27b55bbf5fe5022371cfe3b50285d29670bfef930f7",
+    ("split_gl", 4, "-1"): "ce13abc3c07c9e83bf52a84d83d6beb9289ef924c305be01d5ed2d80845f539e",
+    ("split_gl", 5, "1"): "f34faa566484c84f1cbb4ae88ad31ff9335c1ed2fb5c16c9bbaf977952dbe907",
+    ("split_gl", 5, "-1"): "839c17532a70eeb2101ea1e58b07afa6e0be838b240ca3e7bb9dde3e3c62cada",
+    ("unitary", 4, "1"): "73636bb85efa57b37c51dd8e6dca4622a4a3a44b1956a80807f24f2791b6055a",
+    ("unitary", 4, "-1"): "69a89f0f5aa7c6c06c430cab725673a5e5f6b726ed6971875e74666004ba2e1a",
+    ("unitary", 5, "1"): "be8c19bedd6c66ad146d4c9a9fd6e4f6576cf2882a1a85043e84dc4608e69a4d",
+    ("unitary", 5, "-1"): "6a54efb4e230d4d7ae0bdd8f823ba52235ddc7ffa30d72d29b5f353705303bff",
+    ("quaternionic_gl", 4, "1"): "9e90e22264c9d653fc965b231290f954e0d13403abae0f8f301528e00eac66e6",
+    ("quaternionic_gl", 4, "-1"): "23fa2e31d2f38a40e9207a79999a50cd249156844d29e6681245ec86e54ede64",
+    ("quaternionic_gl", 6, "1"): "355140d8ae726c0a5ca73d9e8c8f6f9ba0baefb96666fcf97505b4bd3eca9e0b",
+    ("quaternionic_gl", 6, "-1"): "f275b16675e94942986c8ff36372958a13748f0c7020b2fc3171f9bca37cb4be",
+}
+
+
+@pytest.mark.parametrize("family,n,eps", list(SPHERICAL_DIGESTS))
+def test_spherical_orbits_golden_above_rank_two(capsys, family, n, eps):
+    rc, out, _ = run(capsys, "orbits", "--family", family, "--n", str(n), "--epsilon", eps,
+                     "--level", "spherical", "--bound", "1", "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPHERICAL_DIGESTS[family, n, eps]
+
+
 def test_iwahori_tables_at_z_i(capsys):
     """At z = i unitary n = 2 has Iwahori classes without a representative;
     the table lists them and match pairs them with a null common_rep."""

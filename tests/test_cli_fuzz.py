@@ -22,10 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.cli import main
+from loopmatsuki.coweight_orbits import classify_eta, classify_theta, enumerate_admissible
 from loopmatsuki.duality import match_spherical, verify_intersection
 from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.group_catalog import MAX_CONFIG_RANK, build_datum, check_bound
-from loopmatsuki.serialize import MAX_LOOP_SLOTS
+from loopmatsuki.serialize import MAX_LOOP_SLOTS, laurent_to_json
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 FAMILIES = ["split_gl", "quaternionic_gl", "unitary"]
@@ -260,3 +261,43 @@ def test_negative_verify_samples_exit_2(level, capsys):
                 if p.common_rep is not None)
     with pytest.raises(InvalidInputError, match="nonnegative"):
         verify_intersection(pair, -3, 0)
+
+
+def _class_reps(family, n, eps):
+    datum = build_datum(family, n, eps)
+    return [cls.loop_rep for lam in enumerate_admissible(datum, 1)
+            for cls in classify_theta(datum, lam) + classify_eta(datum, lam)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("eps", ["1", "-1"])
+def test_loop_of_another_rank_exits_2(family, eps, tmp_path, capsys):
+    """Every bound-1 class representative of one rank, handed to a datum of
+    another (twisted, too), is invalid input whose message names both sizes,
+    on both sides and in bundle, before any product could mix the sizes."""
+    path = str(tmp_path / "x.json")
+    twist = None
+    if family != "quaternionic_gl":  # diag(1, -1) twists split_gl and unitary
+        twist = str(tmp_path / "c.json")
+        with open(twist, "w") as f:
+            json.dump(sign_twist(2), f)
+    checked = 0
+    for src, dst in [(3, 2), (2, 3), (4, 2), (1, 2)]:
+        if family == "quaternionic_gl" and (src % 2 or dst % 2):
+            continue
+        datum = ["--family", family, "--n", str(dst), "--epsilon", eps]
+        calls = [["canonicalize", *datum, "--side", "eta", "--input", path],
+                 ["canonicalize", *datum, "--side", "theta", "--precision", "8", "--input", path],
+                 ["bundle", *datum, "--input", path]]
+        if twist and dst == 2:
+            calls.append(["canonicalize", *datum, "--inner-twist", twist, "--side", "eta",
+                          "--input", path])
+        for rep in _class_reps(family, src, int(eps)):
+            with open(path, "w") as f:
+                json.dump(laurent_to_json(rep), f)
+            for argv in calls:
+                assert main(argv) == 2, argv
+                err = capsys.readouterr().err
+                assert err == f"error: the loop is {src}x{src} but the datum has rank {dst}\n"
+                checked += 1
+    assert checked >= 12

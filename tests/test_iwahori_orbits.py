@@ -16,7 +16,7 @@ from loopmatsuki.intlat import (
 from loopmatsuki.iwahori_orbits import (
     AffineWeylElement, _ad_matrix, _perm_inverse,
     build_torus_problem, classes_at_tw, enumerate_admissible_tw, enumerate_iwahori,
-    perm_matrix, qi_quarter,
+    qi_quarter,
 )
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix
@@ -234,7 +234,7 @@ def _ad_probe(m):
 def test_ad_matrix_matches_laurent_probe():
     for n in range(1, 5):
         for w in permutations(range(n)):
-            assert _ad_matrix(w) == _ad_probe(perm_matrix(w)), w
+            assert _ad_matrix(w) == _ad_probe(LaurentMatrix.permutation(w)), w
 
 
 def _admissible_reference(datum, bound):
@@ -244,7 +244,7 @@ def _admissible_reference(datum, bound):
     out = []
     for w in permutations(range(n)):
         for lam in product(range(-bound, bound + 1), repeat=n):
-            x = LaurentMatrix.t_power(lam) * perm_matrix(w)
+            x = LaurentMatrix.t_power(lam) * LaurentMatrix.permutation(w)
             m = x * gc.theta0(x, datum)
             if m.is_constant() and all(
                     not m.entry(i, j) for i in range(n) for j in range(n) if i != j):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from loopmatsuki.errors import InvalidInputError, PrecisionError
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix, series_exp
-from loopmatsuki.randgen import random_poly_element
+from loopmatsuki.randgen import random_poly_element, random_qi as random_entry_qi
 
 
 def test_identity_and_t_power():
@@ -247,7 +248,7 @@ def test_substitute_matches_termwise_oracle(a, unit, invert, conj):
     m = LaurentMatrix([[a]])
     assert dict(m.substitute(unit, invert, conj).entry(0, 0).items()) == ref_subst(a, unit, invert, conj)
     if not invert:
-        s = m.truncate(25).substitute(unit, conj=conj)
+        s = SeriesMatrix.from_laurent(m, 25).substitute(unit, conj=conj)
         assert dict(s.entry(0, 0).items()) == ref_clean(
             {k: v for k, v in ref_subst(a, unit, False, conj).items() if k < 25})
 
@@ -359,3 +360,150 @@ def test_non_invertible_near_monomial_raises(monkeypatch, rows):
     with pytest.raises(InvalidInputError):
         LaurentMatrix(rows).inverse()
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# the shared matrix core: one set of entrywise operations for both kinds
+
+from itertools import permutations  # noqa: E402
+
+from loopmatsuki.laurent import exp_with_inverse  # noqa: E402
+
+CORE_A = [[{-1: 2, 1: QI(0, 1)}, {0: Fraction(1, 3)}], [{}, {2: 1, 5: -1}]]
+CORE_B = [[{0: 1}, {3: QI(1, -2)}], [{1: -4}, {}]]
+
+
+def _kind(rows, precision):
+    return LaurentMatrix(rows) if precision is None else SeriesMatrix(rows, precision)
+
+
+PRECISION_PAIRS = [(None, None), (None, 4), (6, None), (3, 7), (7, 3)]
+
+
+@pytest.mark.parametrize("pa,pb", PRECISION_PAIRS)
+@pytest.mark.parametrize("op", ["add", "sub"])
+def test_entrywise_ops_keep_the_least_precision(pa, pb, op):
+    a, b = _kind(CORE_A, pa), _kind(CORE_B, pb)
+    out = a + b if op == "add" else a - b
+    want = None if pa is None and pb is None else min(p for p in (pa, pb) if p is not None)
+    assert out.precision == want
+    assert type(out) is (LaurentMatrix if want is None else SeriesMatrix)
+    la, lb = LaurentMatrix(CORE_A), LaurentMatrix(CORE_B)
+    exact = la + lb if op == "add" else la - lb
+    assert out.rows == (exact if want is None else SeriesMatrix.from_laurent(exact, want)).rows
+
+
+@pytest.mark.parametrize("p", [None, 1, 4])
+def test_unary_ops_keep_kind_and_precision(p):
+    a = _kind(CORE_A, p)
+    exact = LaurentMatrix(CORE_A)
+    for got, want in [(-a, exact.scale(-1)), (a.scale(QI(2, 1)), exact.scale(QI(2, 1))),
+                      (a.transpose(), LaurentMatrix([list(c) for c in zip(*CORE_A)])),
+                      (a.substitute(QI(0, 1), conj=True), exact.substitute(QI(0, 1), conj=True))]:
+        assert type(got) is type(a) and got.precision == p
+        assert got.rows == (want if p is None else SeriesMatrix.from_laurent(want, p)).rows
+    assert a.entry(0, 1) == Entry.of({0: Fraction(1, 3)})
+    assert a.val() == -1
+    assert a.maxdeg() == {None: 5, 1: 0, 4: 2}[p]
+    assert not a.is_zero() and not a.is_constant()
+    assert _kind([[{0: 3}, {}], [{}, {}]], p).is_constant()
+
+
+def test_zero_matrix_valuation_is_none_or_the_precision():
+    assert LaurentMatrix.zeros(2).val() is None
+    assert SeriesMatrix.from_laurent(LaurentMatrix.zeros(2), 5).val() == 5
+
+
+def test_series_only_refusals():
+    s = SeriesMatrix(CORE_A, 2)
+    with pytest.raises(PrecisionError):
+        s.coeff(0, 0, 2)
+    with pytest.raises(PrecisionError):
+        SeriesMatrix(CORE_A, 0).constant_matrix()
+    with pytest.raises(PrecisionError):
+        s.substitute(QI(1), invert=True)
+    exact = LaurentMatrix(CORE_A)
+    assert exact.coeff(1, 1, 5) == QI(-1)
+    assert exact.substitute(QI(1), invert=True).coeff(0, 0, 1) == QI(2)
+    assert s.constant_matrix()[0][1] == QI(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("p", [None, 5])
+def test_operands_of_different_sizes_are_refused(p):
+    a, b = _kind(CORE_A, p), _kind([[{0: 1}]], p)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+        with pytest.raises(InvalidInputError, match="2x2 against 1x1|1x1 against 2x2"):
+            op()
+
+
+def perm_matrix(w):
+    """The permutation matrix builder that LaurentMatrix.permutation replaced."""
+    n = len(w)
+    rows = [[QI(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[w[i]][i] = QI(1)
+    return LaurentMatrix.from_scalars(rows)
+
+
+def test_permutation_matches_the_old_builder():
+    for n in range(0, 6):
+        for w in permutations(range(n)):
+            m = LaurentMatrix.permutation(w)
+            assert m == perm_matrix(w) and m.n == n
+            assert all(fields(a) == fields(b) for ra, rb in zip(m.rows, perm_matrix(w).rows)
+                       for a, b in zip(ra, rb))
+    cs = [QI(2), QI(0, -1), Fraction(1, 2)]
+    want = [[0, 0, Fraction(1, 2)], [QI(2), 0, 0], [0, QI(0, -1), 0]]
+    assert LaurentMatrix.permutation((1, 2, 0), cs) == LaurentMatrix.from_scalars(want)
+    assert LaurentMatrix.diag_scalars(cs) == LaurentMatrix.permutation(range(3), cs)
+
+
+def test_block_diag_matches_hand_assembly():
+    rng = random.Random(5)
+    blocks = [random_poly_element(k, 1, rng) for k in (2, 1, 3)]
+    n = 6
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i in range(b.n):
+            for j in range(b.n):
+                rows[start + i][start + j] = b.entry(i, j)
+        start += b.n
+    assert LaurentMatrix.block_diag(blocks) == LaurentMatrix(rows)
+    assert LaurentMatrix.block_diag([LaurentMatrix.identity(1)] * 4) == LaurentMatrix.identity(4)
+
+
+def _plain_exp_sum(a, sign, count):
+    """sum_{m <= count} (sign * a)^m / m!, one power at a time."""
+    ident = LaurentMatrix.identity(a.n)
+    if a.precision is not None:
+        ident = SeriesMatrix.from_laurent(ident, a.precision)
+    out, power = ident, ident
+    for m in range(1, count + 1):
+        power = power * a.scale(sign)
+        out = out + power.scale(Fraction(1, math.factorial(m)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False))
+def test_exp_with_inverse_on_strictly_upper_laurent(n, rng):
+    a = LaurentMatrix([[{rng.randint(-2, 2): random_entry_qi(rng)} if j > i and rng.random() < 0.7
+                        else {} for j in range(n)] for i in range(n)])
+    e, e_inv = exp_with_inverse(a, n)
+    assert type(e) is LaurentMatrix and e.precision is None
+    assert e * e_inv == LaurentMatrix.identity(n)
+    assert e == _plain_exp_sum(a, 1, n) and e_inv == _plain_exp_sum(a, -1, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 9), st.randoms(use_true_random=False))
+def test_exp_with_inverse_on_positive_valuation_series(n, v, p, rng):
+    a = SeriesMatrix([[{k: random_entry_qi(rng) for k in range(v, p) if rng.random() < 0.4}
+                       for _ in range(n)] for _ in range(n)], p)
+    terms = (p - 1) // v
+    e, e_inv = exp_with_inverse(a, terms)
+    assert (e, e_inv) == series_exp(a)
+    assert e.precision == e_inv.precision == p
+    assert e * e_inv == SeriesMatrix.identity(n, p)
+    assert e == _plain_exp_sum(a, 1, terms) and e_inv == _plain_exp_sum(a, -1, terms)
