@@ -94,9 +94,9 @@ def _match_spherical_class(datum: GroupDatum, lam: Sequence[int], g0: LaurentMat
     """The class of side's classes at lam that the reduced g0 belongs to."""
     # the input passed its anti-fixedness check, so a miss here is an internal fault
     certify(bool(classes), "reduced to a coweight with no anti-fixed classes")
-    if datum.family != gc.UNITARY or 0 not in lam:
-        certify(len(classes) == 1, "several classes and no middle-block invariant to separate them")
+    if len(classes) == 1:
         return classes[0]
+    certify(0 in lam, "several classes and no middle-block invariant to separate them")
     want = middle_label(datum, lam, g0, side)
     match = next((cls for cls in classes if cls.label == want), None)
     certify(match is not None, "reduced g0 matches no classified class")

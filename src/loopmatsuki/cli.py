@@ -40,8 +40,7 @@ from .serialize import (
 
 def _add_datum_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="datum configuration JSON file")
-    p.add_argument("--family",
-                   choices=["split_gl", "quaternionic_gl", "unitary"])
+    p.add_argument("--family", choices=gc.FAMILIES)
     p.add_argument("--n", type=int, help="rank (default 2)")
     p.add_argument("--epsilon", type=int, choices=[1, -1], help="default 1")
     p.add_argument("--z", default=None,

@@ -25,8 +25,6 @@ from .laurent import (
     LaurentMatrix,
     SeriesMatrix,
     det_minor,
-    exp_with_inverse,
-    laurent_log_unipotent,
 )
 
 # ---------------------------------------------------------------------------
@@ -276,11 +274,26 @@ def birkhoff_factor(
 # unipotent square root and Cayley transform
 
 
+def _binomial_roots(x: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
+    """(1 + x)^(1/2) and (1 + x)^(-1/2) as the binomial sums of C(+-1/2, m) x^m:
+    one chain of powers of x serves both and the nilpotency check x^n = 0."""
+    root = inv = LaurentMatrix.identity(x.n)
+    up = down = Fraction(1)  # C(1/2, m) and C(-1/2, m)
+    p, m = x, 1
+    while not p.is_zero():
+        if m == x.n:
+            raise InvalidInputError("matrix is not unipotent (u-1 not nilpotent)")
+        up *= Fraction(3 - 2 * m, 2 * m)
+        down *= Fraction(1 - 2 * m, 2 * m)
+        root, inv = root + p.scale(up), inv + p.scale(down)
+        p, m = p * x, m + 1
+    return root, inv
+
+
 def unipotent_sqrt(u: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
-    """The unique unipotent square root v = exp(log(u)/2) of a unipotent
-    matrix, and its inverse exp(-log(u)/2)."""
-    half = laurent_log_unipotent(u).scale(Fraction(1, 2))
-    v, v_inv = exp_with_inverse(half, u.n)  # half is nilpotent: half^n = 0
+    """The unique unipotent square root v = (1 + x)^(1/2) = exp(log(u)/2) of a
+    unipotent matrix u = 1 + x, and its inverse (1 + x)^(-1/2)."""
+    v, v_inv = _binomial_roots(u - LaurentMatrix.identity(u.n))
     certify(v * v == u, "square root failed to square back")
     certify(v * v_inv == LaurentMatrix.identity(u.n), "square root inverse does not invert it")
     return v, v_inv

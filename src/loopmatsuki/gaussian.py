@@ -2,11 +2,15 @@
 
 A scalar is a pair of ``fractions.Fraction`` values (real and imaginary
 part).  All arithmetic is exact; there is no floating point anywhere in
-this package.
+this package.  The wire format that ``qi_to_str`` writes and ``qi_from_str``
+reads is ``a/b+c/d*i``: an optionally signed integer or fraction real part,
+then an imaginary part ``i``, ``c*i`` or ``c/d*i``, signed after a real part;
+decimals, exponents, underscores and repeated parts are refused.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -154,34 +158,16 @@ def int_parts_to_str(re: int, im: int, d: int) -> str:
     return _wire_str(re // g, d // g, im // h, d // h)
 
 
+_WIRE = re.compile(r"(?P<re>[+-]?[0-9]+(?:/[0-9]+)?)?"
+                   r"(?:(?P<sign>(?(re)[+-]|[+-]?))(?:(?P<im>[0-9]+(?:/[0-9]+)?)\*)?i)?")
+
+
 def qi_from_str(s: str) -> QI:
-    """Parse the wire format produced by :func:`qi_to_str`."""
-    s = s.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty Gaussian rational literal")
-    # split into real and imaginary summands on +/- not inside a fraction
-    terms = []
-    cur = ""
-    for idx, ch in enumerate(s):
-        if ch in "+-" and idx > 0 and s[idx - 1] not in "+-/":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    re = Fraction(0)
-    im = Fraction(0)
-    for t in terms:
-        if not t or t in "+-":
-            raise ValueError(f"bad Gaussian rational literal: {s!r}")
-        if t.endswith("i"):
-            body = t[:-1].rstrip("*")
-            if body in ("", "+"):
-                im += 1
-            elif body == "-":
-                im -= 1
-            else:
-                im += Fraction(body)
-        else:
-            re += Fraction(t)
-    return QI(re, im)
+    """Parse the wire format produced by :func:`qi_to_str`, spaces ignored and
+    fractions not necessarily reduced; anything else raises ValueError, so no
+    literal escapes Python's limit on integer string conversion."""
+    m = _WIRE.fullmatch(s.strip().replace(" ", ""))
+    if not (m and m[0]):
+        raise ValueError(f"bad Gaussian rational literal: {s!r}")
+    im = 0 if m["sign"] is None else Fraction(m["sign"] + (m["im"] or "1"))
+    return QI(Fraction(m["re"] or 0), im)

@@ -40,7 +40,7 @@ from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, certify
-from .gaussian import QI
+from .gaussian import FOURTH_ROOTS, QI
 from .group_catalog import (
     ETA, THETA, GroupDatum, Side, base_datum, carry_from_base, check_bound, is_admissible,
     is_anti_fixed, signed_permutation, theta0,
@@ -53,8 +53,7 @@ from .laurent import LaurentMatrix
 
 Args = Tuple[Fraction, ...]
 
-_QUARTER_ROOTS = (QI(1), QI(0, 1), QI(-1), QI(0, -1))  # i^k at index k
-_QUARTERS = {v: k for k, v in enumerate(_QUARTER_ROOTS)}
+_QUARTERS = {v: k for k, v in enumerate(FOURTH_ROOTS)}  # i^k at index k
 
 
 def qi_quarter(x: QI) -> int:
@@ -72,7 +71,7 @@ def args_to_matrix(nums: Sequence[int], scale: int) -> Optional[LaurentMatrix]:
         k, r = divmod(4 * a, scale)
         if r:
             return None
-        vals.append(_QUARTER_ROOTS[k % 4])
+        vals.append(FOURTH_ROOTS[k % 4])
     return LaurentMatrix.diag_scalars(vals)
 
 
@@ -330,7 +329,7 @@ class IwahoriClass:
             want = 4 * sum((ki * a for ki, a in zip(k, self.g0_args)), Fraction(0))
             if want.denominator != 1:
                 return False
-            root = _QUARTER_ROOTS[want.numerator % 4]
+            root = FOURTH_ROOTS[want.numerator % 4]
             # conjugation-twisted actions move character values by positive
             # reals only, which never mixes the quarter-root fibres
             q = val / root

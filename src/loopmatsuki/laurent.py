@@ -706,19 +706,3 @@ def series_exp(a: SeriesMatrix):
         raise PrecisionError("series exp requires valuation >= 1")
     return exp_with_inverse(a, (a.precision - 1) // v)
 
-
-def laurent_log_unipotent(u: LaurentMatrix) -> LaurentMatrix:
-    """Exact log of a unipotent Laurent matrix; one sequence of powers of
-    x = u - 1 serves the series and the nilpotency check x^n = 0."""
-    n = u.n
-    x = u - LaurentMatrix.identity(n)
-    out = LaurentMatrix.zeros(n)
-    p = x
-    m = 1
-    while not p.is_zero():
-        if m == n:
-            raise InvalidInputError("matrix is not unipotent (u-1 not nilpotent)")
-        out = out + p.scale(Fraction((-1) ** (m + 1), m))
-        p = p * x
-        m += 1
-    return out

@@ -2,8 +2,10 @@
 
 Everything is deterministic given the seed and exact over Q(i); the
 generators produce elements of the arc group G(O), the polynomial loop
-group G[t], and the compact form U(n) (optionally constrained to the
-symmetric subgroups of the three families).
+group G[t], the compact form U(n) and its symmetric subgroup
+K_c = U(n)^theta0.  K_c is read off group_catalog's involution table: its
+samples are Cayley unitaries of theta0-fixed skew-Hermitian matrices, so no
+generator here knows a family.
 """
 
 from __future__ import annotations
@@ -11,20 +13,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import InvalidInputError, certify
+from .errors import certify
 from .exact_algebra import cayley_unitary
 from .gaussian import FOURTH_ROOTS, QI
-from .group_catalog import GroupDatum, QUATERNIONIC_GL, SPLIT_GL, UNITARY, j_matrix
+from .group_catalog import GroupDatum, d_theta0, theta0
 from .laurent import LaurentMatrix, SeriesMatrix
 
+QI_BOUND = 3  # numerators of random_qi and, by default, random_rational
+DEN = 2  # their denominators run over 1..DEN
+POLY_FACTORS = 4  # elementary factors of random_poly_element
+COMPACT_BOUND = 5  # numerators of the compact samplers' skew-Hermitian entries
 
-def random_qi(rng: random.Random, bound: int = 3, den: int = 2) -> QI:
-    d = rng.randint(1, den)
-    return QI(Fraction(rng.randint(-bound, bound), d), Fraction(rng.randint(-bound, bound), d))
+
+def random_qi(rng: random.Random) -> QI:
+    d = rng.randint(1, DEN)
+    return QI(Fraction(rng.randint(-QI_BOUND, QI_BOUND), d),
+              Fraction(rng.randint(-QI_BOUND, QI_BOUND), d))
 
 
-def random_rational(rng: random.Random, bound: int = 3, den: int = 2) -> Fraction:
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+def random_rational(rng: random.Random, bound: int = QI_BOUND) -> Fraction:
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, DEN))
 
 
 def random_constant_invertible(n: int, rng: random.Random) -> LaurentMatrix:
@@ -56,11 +64,10 @@ def random_arc_element(n: int, precision: int, rng: random.Random) -> SeriesMatr
     return SeriesMatrix(rows, precision)
 
 
-def random_poly_element(n: int, degree: int, rng: random.Random,
-                        factors: int = 4) -> LaurentMatrix:
+def random_poly_element(n: int, degree: int, rng: random.Random) -> LaurentMatrix:
     """A random element of G[t]: constant-unit determinant, degree <= degree."""
     m = random_constant_invertible(n, rng)
-    for _ in range(factors):
+    for _ in range(POLY_FACTORS):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
@@ -77,67 +84,28 @@ def random_signed_permutation(n: int, rng: random.Random) -> LaurentMatrix:
     return LaurentMatrix.permutation(perm, [rng.choice(FOURTH_ROOTS) for _ in range(n)])
 
 
-def _random_skew_hermitian(n: int, rng: random.Random, bound: int) -> LaurentMatrix:
+def _random_skew_hermitian(n: int, rng: random.Random) -> LaurentMatrix:
     rows = [[QI(0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = QI(0, random_rational(rng, bound))
+        rows[i][i] = QI(0, random_rational(rng, COMPACT_BOUND))
         for j in range(i + 1, n):
-            v = QI(random_rational(rng, bound), random_rational(rng, bound))
+            v = QI(random_rational(rng, COMPACT_BOUND), random_rational(rng, COMPACT_BOUND))
             rows[i][j] = v
             rows[j][i] = -v.conj()
     return LaurentMatrix.from_scalars(rows)
 
 
-def _random_real_skew(n: int, rng: random.Random, bound: int) -> LaurentMatrix:
-    rows = [[QI(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = QI(random_rational(rng, bound))
-            rows[i][j] = v
-            rows[j][i] = -v
-    return LaurentMatrix.from_scalars(rows)
-
-
-def random_compact(n: int, rng: random.Random, bound: int = 5) -> LaurentMatrix:
+def random_compact(n: int, rng: random.Random) -> LaurentMatrix:
     """A random exact element of U(n): signed permutation times a Cayley unitary."""
-    return random_signed_permutation(n, rng) * cayley_unitary(
-        _random_skew_hermitian(n, rng, bound))
+    return random_signed_permutation(n, rng) * cayley_unitary(_random_skew_hermitian(n, rng))
 
 
-def random_compact_symmetric(datum: GroupDatum, rng: random.Random,
-                             bound: int = 5) -> LaurentMatrix:
-    """A random exact element of the compact symmetric subgroup K_c.
-
-    SplitGL: O(n) real orthogonal; QuaternionicGL: quaternionic unitary
-    (compact symplectic); Unitary: U(n) itself.
-    """
-    n = datum.n
-    if datum.family == UNITARY:
-        return random_compact(n, rng, bound)
-    if datum.family == SPLIT_GL:
-        return cayley_unitary(_random_real_skew(n, rng, bound))
-    if datum.family == QUATERNIONIC_GL:
-        # skew-Hermitian commuting with J: S = A + J B with A, B built from
-        # 2x2 quaternion cells; equivalently solve the commutant constraint
-        # cellwise: S[2a:2a+2, 2b:2b+2] = [[p, q], [-q~, p~]].
-        half = n // 2
-        rows = [[QI(0)] * n for _ in range(n)]
-        for a in range(half):
-            for b in range(half):
-                p = QI(random_rational(rng, bound), random_rational(rng, bound))
-                q = QI(random_rational(rng, bound), random_rational(rng, bound))
-                rows[2 * a][2 * b] = p
-                rows[2 * a][2 * b + 1] = q
-                rows[2 * a + 1][2 * b] = -q.conj()
-                rows[2 * a + 1][2 * b + 1] = p.conj()
-        s = LaurentMatrix.from_scalars(rows)
-        from .exact_algebra import conj_transpose
-
-        s = s - conj_transpose(s)
-        s = s.scale(Fraction(1, 2))
-        k = cayley_unitary(s)
-        jm = j_matrix(n)
-        certify(jm * k.substitute(QI(1), conj=True) == k * jm,
-                "Cayley unitary is not quaternionic")
-        return k
-    raise InvalidInputError(f"unknown family {datum.family!r}")
+def random_compact_symmetric(datum: GroupDatum, rng: random.Random) -> LaurentMatrix:
+    """A random exact element of K_c = U(n)^theta0: the Cayley unitary of a
+    skew-Hermitian S projected onto Lie(K_c) by (S + d_theta0(S)) / 2.  theta0
+    commutes with the compact involution, so the projection stays
+    skew-Hermitian, and its Cayley unitary is certified to be theta0-fixed."""
+    s = _random_skew_hermitian(datum.n, rng)
+    k = cayley_unitary((s + d_theta0(s, datum)).scale(Fraction(1, 2)))
+    certify(theta0(k, datum) == k, "Cayley unitary is not fixed by theta0")
+    return k

@@ -6,8 +6,8 @@ fault into the entry multiply and expects ``CertificateError`` from
 A corrupted g_plus inverse from the Birkhoff row reduction, or a wrong
 inverse of the unipotent square root, must likewise stop ``canonicalize_eta``.
 Faults in the spherical classifier, the duality matcher, the selftest, the
-internal checks of the exact algebra and the Smith forms of the Iwahori
-torus problem must likewise end in exit code 1.
+internal checks of the exact algebra, the Smith forms of the Iwahori torus
+problem and the compact symmetric sampler must likewise end in exit code 1.
 """
 
 import json
@@ -158,8 +158,8 @@ def test_corrupted_birkhoff_inverse_is_caught_under_optimize(tmp_path):
     assert proc.stderr == f"error: {failed_check}\n"
 
 
-# The unipotent square root's inverse exp(-log(u)/2) is doubled (argument
-# "inverse"), or the root exp(log(u)/2) itself ("square"); the certificate
+# The unipotent square root's inverse (1 + x)^(-1/2) is doubled (argument
+# "inverse"), or the root (1 + x)^(1/2) itself ("square"); the certificate
 # v * v^-1 = I, or v * v = u, must stop canonicalize_eta, and the
 # canonicalize command must exit 1 without printing a form.
 UNIPOTENT_SCRIPT = r"""
@@ -180,14 +180,14 @@ path = sys.argv[1] + "/x.json"
 with open(path, "w") as f:
     json.dump(serialize.laurent_to_json(x), f)
 
-exp = exact_algebra.exp_with_inverse
+roots = exact_algebra._binomial_roots
 
-def faulty_exp(a, terms):
-    # unipotent_sqrt takes exp(log(u)/2) and its inverse from one call
-    v, v_inv = exp(a, terms)
+def faulty_roots(x):
+    # unipotent_sqrt takes (1 + x)^(1/2) and its inverse from one call
+    v, v_inv = roots(x)
     return (v, v_inv.scale(2)) if sys.argv[2] == "inverse" else (v.scale(2), v_inv)
 
-exact_algebra.exp_with_inverse = faulty_exp
+exact_algebra._binomial_roots = faulty_roots
 try:
     canonicalize.canonicalize_eta(x, d)
     print("no error")
@@ -288,14 +288,13 @@ def test_selftest_fault_exits_1_under_optimize():
     assert proc.stdout.split("\n")[-2] == "1"
 
 
-def _eta_reduction_with_faulty_exp(tmp_path, monkeypatch, fault):
+def _eta_reduction_with_faulty_roots(tmp_path, monkeypatch, fault):
     d = gc.build_datum("split_gl", 2, 1)
     (cls,) = classify_eta(d, (1, 0))
     path = tmp_path / "x.json"
     path.write_text(json.dumps(serialize.laurent_to_json(cls.loop_rep)))
-    exp = exact_algebra.exp_with_inverse
-    monkeypatch.setattr(exact_algebra, "exp_with_inverse",
-                        lambda m, terms: fault(*exp(m, terms)))
+    roots = exact_algebra._binomial_roots
+    monkeypatch.setattr(exact_algebra, "_binomial_roots", lambda x: fault(*roots(x)))
     return cli.main(["canonicalize", "--family", "split_gl", "--side", "eta",
                      "--input", str(path)])
 
@@ -303,14 +302,14 @@ def _eta_reduction_with_faulty_exp(tmp_path, monkeypatch, fault):
 def test_internal_fault_in_eta_reduction_exits_1(tmp_path, monkeypatch, capsys):
     """A unipotent square root that fails to square back is an internal
     fault (exit 1), not malformed input (exit 2)."""
-    code = _eta_reduction_with_faulty_exp(tmp_path, monkeypatch,
+    code = _eta_reduction_with_faulty_roots(tmp_path, monkeypatch,
                                           lambda v, v_inv: (v.scale(2), v_inv.scale(2)))
     assert code == 1
     assert "certificate failed: square root failed to square back" in capsys.readouterr().err
 
 
 def test_wrong_unipotent_sqrt_inverse_exits_1(tmp_path, monkeypatch, capsys):
-    code = _eta_reduction_with_faulty_exp(tmp_path, monkeypatch,
+    code = _eta_reduction_with_faulty_roots(tmp_path, monkeypatch,
                                           lambda v, v_inv: (v, v_inv.scale(2)))
     assert code == 1
     assert "certificate failed: square root inverse does not invert it" in capsys.readouterr().err
@@ -479,3 +478,27 @@ def test_faulty_middle_block_is_certificate_error(g0, fault, optimize):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("CertificateError, exit 1: certificate failed: "
                            f"reduced middle block: {fault}\n")
+
+
+# A K_c sample is the Cayley unitary of a skew-Hermitian S projected by
+# (S + d_theta0(S)) / 2; with d_theta0 patched to the identity the projection
+# is S itself, whose Cayley unitary theta0 moves, so the third verification
+# sample of a split_gl match must fail its certificate and the command exit 1.
+COMPACT_SCRIPT = r"""
+import sys
+from loopmatsuki import cli, randgen
+
+randgen.d_theta0 = lambda y, datum: y
+sys.exit(cli.main(["match", "--family", "split_gl", "--verify-samples", "3"]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_compact_symmetric_sample_not_fixed_by_theta0_exits_1(optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", COMPACT_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: certificate failed: Cayley unitary is not fixed by theta0\n"

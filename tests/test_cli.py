@@ -291,6 +291,46 @@ def test_unbounded_inputs_exit_2_at_once(tmp_path, capsys, argv, doc):
     assert out == "" and "limit" in err
 
 
+@pytest.mark.parametrize("argv, doc, at", [
+    (["canonicalize", "--family", "split_gl", "--n", "1", "--side", "theta",
+      "--precision", "8"], {"n": 1, "entries": [[{"0": "1e1000000"}]]}, "--input"),
+    (["orbits", "--family", "split_gl", "--z", "1e1000000"], None, None),
+    (["orbits"], {"family": "unitary", "n": 2, "epsilon": 1,
+                  "inner_twist": [["1e1000000", "0"], ["0", "-1"]]}, "--config"),
+], ids=["loop-entry", "z", "inner-twist"])
+def test_huge_coefficient_literal_exits_2_at_once(tmp_path, capsys, argv, doc, at):
+    """A literal outside the wire grammar is refused as it is parsed, not
+    expanded by Fraction into a multi-million-bit integer."""
+    if doc is not None:
+        argv = argv + [at, write_json(tmp_path / "x.json", doc)]
+    start = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert rc == 2
+    assert out == "" and "'1e1000000'" in err
+
+
+# first 16 hex digits of the sha256 of match --bound 1 --verify-samples 3
+# --seed 7, whose third sample per spherical pair is drawn from K_c
+MATCH_DIGESTS = {
+    ("split_gl", "2", "1"): "815ee714101bfbb2",
+    ("split_gl", "3", "-1"): "4bcc1ac0334bc617",
+    ("quaternionic_gl", "2", "-1"): "9c68772c0f84f1cd",
+    ("quaternionic_gl", "4", "1"): "46a1b7d374391512",
+    ("unitary", "2", "1"): "bee901e4753c0738",
+    ("unitary", "3", "-1"): "f4116f9be6cf43cf",
+}
+
+
+@pytest.mark.parametrize("family,n,eps", list(MATCH_DIGESTS))
+def test_match_with_compact_symmetric_samples_golden(capsys, family, n, eps):
+    rc, out, _ = run(capsys, "match", "--family", family, "--n", n, "--epsilon", eps,
+                     "--bound", "1", "--verify-samples", "3", "--seed", "7")
+    assert rc == 0
+    assert json.loads(out)["total_failures"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == MATCH_DIGESTS[family, n, eps]
+
+
 # sha256 of the JSON n = 4 Iwahori orbit tables on stdout
 N4_IWAHORI_DIGESTS = {
     ("split_gl", "1"): "4e6c75c97bdc63f4a0b9025ccf845d1777be4494d428fd10e4bf07bcc1bafa88",

@@ -180,3 +180,15 @@ def test_a_g0_of_no_class_fails_its_certificate():
     with pytest.raises(CertificateError) as exc:
         canonicalize._match_spherical_class(d, (0, 0), g0, gc.THETA, classify_theta(d, (0, 0)))
     assert str(exc.value) == "certificate failed: reduced g0 matches no classified class"
+
+
+def test_several_classes_without_a_middle_block_fail_their_certificate():
+    # the matcher separates classes by the middle block alone, so two classes
+    # at a coweight with no zero entry are an internal fault
+    d = gc.build_datum("unitary", 2, 1)
+    classes = classify_theta(d, (0, 0))[:2]
+    with pytest.raises(CertificateError) as exc:
+        canonicalize._match_spherical_class(d, (1, -1), LaurentMatrix.identity(2), gc.THETA,
+                                            classes)
+    assert str(exc.value) == ("certificate failed: several classes and no middle-block "
+                              "invariant to separate them")

@@ -26,6 +26,24 @@ def test_str_round_trip(a, b):
     assert qi_from_str(qi_to_str(x)) == x
 
 
+@pytest.mark.parametrize("s, want", [
+    ("0/1+1/1*i", QI(0, 1)), ("1+i", QI(1, 1)), ("-i", QI(0, -1)), ("+i", QI(0, 1)),
+    ("2/4", QI(Fraction(1, 2))), (" -3/5 - 2/6*i ", QI(Fraction(-3, 5), Fraction(-1, 3))),
+    ("7*i", QI(0, 7)), ("+2", QI(2)),
+])
+def test_wire_grammar_accepts(s, want):
+    assert qi_from_str(s) == want
+
+
+@pytest.mark.parametrize("s", [
+    "1.5", "1e3", "1e1000000", "1_000", "1+2", "i+1", "", "+", "1+", "1+-i", "--1", "1i",
+    "i*2", "2*i*i", "1/2/3", "x", "inf", "\u0661", "1" * 5000,
+])
+def test_wire_grammar_rejects(s):
+    with pytest.raises(ValueError):
+        qi_from_str(s)
+
+
 def test_inverse_and_pow():
     x = QI(Fraction(3, 2), Fraction(-1, 3))
     assert x * x.inv() == QI(1)

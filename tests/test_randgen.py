@@ -1,6 +1,7 @@
 """Seeded generators: determinism and exact group membership."""
 
 import random
+from itertools import product
 
 import loopmatsuki.group_catalog as gc
 from loopmatsuki.exact_algebra import conj_transpose
@@ -73,12 +74,20 @@ def test_compact_is_unitary():
 
 
 def test_compact_symmetric_membership():
+    """K_c = U(n)^theta0: every draw is unitary and theta0-fixed, and some
+    draw is not I unless Lie(K_c) = 0, which happens for O(1) alone."""
+    u11 = [["1", "0"], ["0", "-1"]]
+    cases = ([("split_gl", n) for n in (1, 2, 3, 4)] + [("quaternionic_gl", n) for n in (2, 4, 6)]
+             + [("unitary", n) for n in (1, 2, 3, 4)] + [("unitary", "U(1,1)")])
     rng = random.Random(8)
-    for family, n in [("split_gl", 2), ("split_gl", 3),
-                      ("quaternionic_gl", 2), ("unitary", 2)]:
-        d = gc.build_datum(family, n, 1)
-        for _ in range(5):
-            k = random_compact_symmetric(d, rng)
-            assert k * conj_transpose(k) == LaurentMatrix.identity(n)
-            # fixed by both involutions at the constant level
-            assert gc.apply_theta(k, d) == k
+    for (family, n), eps in product(cases, (1, -1)):
+        cfg = {"family": family, "n": n, "epsilon": eps}
+        if n == "U(1,1)":
+            cfg.update(n=2, inner_twist=u11)
+        d = gc.datum_from_config(cfg)
+        ks = [random_compact_symmetric(d, rng) for _ in range(3)]
+        ident = LaurentMatrix.identity(d.n)
+        for k in ks:
+            assert k * conj_transpose(k) == ident
+            assert gc.theta0(k, d) == k
+        assert any(k != ident for k in ks) == ((family, n) != ("split_gl", 1))
