@@ -49,10 +49,9 @@ def valuation_coweight(s: SeriesMatrix) -> List[int]:
         floors: List[int] = []
         for ridx in combinations(range(n), k):
             for cidx in combinations(range(n), k):
-                minor = det_minor(s.rows, list(ridx), list(cidx))
                 # a k-fold product of entries known mod t^N with val >= vmat
                 prec = base_prec + (k - 1) * min(vmat, 0)
-                minor = minor.truncate(prec)
+                minor = det_minor(s.rows, list(ridx), list(cidx), prec)
                 if minor:
                     mv = minor.val()
                     best = mv if best is None else min(best, mv)
@@ -121,17 +120,17 @@ def smith_over_dvr(s: SeriesMatrix) -> Tuple[SeriesMatrix, List[int], SeriesMatr
         rec = unit.reciprocal(prec - min(a, 0))
         for i in range(k + 1, n):
             if a_rows[i][k]:
-                f = (a_rows[i][k] * rec).shift(-a).truncate(prec - a)
+                f = a_rows[i][k].mul_below(rec, prec).shift(-a)
                 # row_i -= f * row_k; on g1 the inverse: col_k += f * col_i
                 for j in range(k + 1, n):
-                    a_rows[i][j] = (a_rows[i][j] - f * a_rows[k][j]).truncate(prec)
-                g1_inv[i] = [(x - f * y).truncate(prec) for x, y in zip(g1_inv[i], g1_inv[k])]
+                    a_rows[i][j] = a_rows[i][j] - f.mul_below(a_rows[k][j], prec)
+                g1_inv[i] = [x - f.mul_below(y, prec) for x, y in zip(g1_inv[i], g1_inv[k])]
                 for r in g1:
-                    r[k] = (r[k] + f * r[i]).truncate(prec)
+                    r[k] = r[k] + f.mul_below(r[i], prec)
         # row_k /= u; on g1 the inverse: col_k *= u
-        g1_inv[k] = [(x * rec).truncate(prec) for x in g1_inv[k]]
+        g1_inv[k] = [x.mul_below(rec, prec) for x in g1_inv[k]]
         for r in g1:
-            r[k] = (r[k] * unit).truncate(prec)
+            r[k] = r[k].mul_below(unit, prec)
         pivots.append(a)
 
     out_prec = prec - max(0, max(pivots))

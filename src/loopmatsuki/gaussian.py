@@ -127,8 +127,27 @@ MINUS_I = QI(0, -1)
 FOURTH_ROOTS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
+# Python refuses str() of an integer past a digit limit (4300 by default, at
+# least 640); output is written in chunks of fewer digits, while parsing
+# keeps the limit
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_str(p: int) -> str:
+    """The decimal digits of p, exact at any size."""
+    if -_CHUNK < p < _CHUNK:
+        return str(p)
+    q, chunks = abs(p), []
+    while q >= _CHUNK:
+        q, r = divmod(q, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    chunks.append(str(q))
+    return ("-" if p < 0 else "") + "".join(reversed(chunks))
+
+
 def _ratio_str(p: int, q: int) -> str:
-    return str(p) if q == 1 else f"{p}/{q}"
+    return _int_str(p) if q == 1 else f"{_int_str(p)}/{_int_str(q)}"
 
 
 def _wire_str(a: int, b: int, c: int, d: int) -> str:

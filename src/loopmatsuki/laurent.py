@@ -13,7 +13,12 @@ read-only mapping view ``exponent -> QI``.  Serialization reads the
 integer terms (``Entry.int_terms``) and builds neither.
 An entry product is an integer schoolbook loop over the two lists; its
 outer loop runs over the operand with more zero terms and skips them, so
-a series like 1 + O(t^k) costs as much as its nonzero terms.
+a series like 1 + O(t^k) costs as much as its nonzero terms.  The same
+kernel takes an exponent limit (``mul_below``) and then forms only the
+terms below it: both loops stop there, a short product.  Every product
+that is truncated (series matrix products, Smith row operations, the
+Newton reciprocal, cofactor minors of a series) is taken this way, never
+formed in full and cut afterwards.
 
 ``LaurentMatrix`` is exact; ``SeriesMatrix`` carries an explicit precision
 ``N`` meaning the entry coefficients are known for all exponents ``< N``
@@ -126,10 +131,17 @@ class Entry:
     def __sub__(self, other: "Entry") -> "Entry":
         return self + (-other)
 
-    def __mul__(self, other: "Entry") -> "Entry":
+    def __mul__(self, other: "Entry", limit: int | None = None) -> "Entry":
+        """The product, or with a limit its terms of exponent below the limit
+        (``mul_below``).  This is the one entry product kernel: ``a * b`` is
+        it with no limit."""
         ar, ai, br, bi = self._re, self._im, other._re, other._im
         m, n = len(ar), len(br)
         if not m or not n:
+            return ZERO_ENTRY
+        v = self._v + other._v
+        size = m + n - 1 if limit is None else min(m + n - 1, limit - v)
+        if size <= 0:
             return ZERO_ENTRY
         # the outer loop skips zero terms, so it runs over the operand with
         # more of them (x | y is 0 exactly when both integers are); a zero
@@ -139,15 +151,22 @@ class Entry:
             zb = list(map(or_, br, bi)).count(0)
             if zb and (m <= 2 or 0 not in ar or list(map(or_, ar, ai)).count(0) < zb):
                 ar, ai, br, bi = br, bi, ar, ai
-        re = [0] * (m + n - 1)
-        im = [0] * (m + n - 1)
-        for i, (xr, xi) in enumerate(zip(ar, ai)):
+        # both loops stop at size, so no term at or above the limit is formed
+        re = [0] * size
+        im = [0] * size
+        for i, xr, xi in zip(range(size), ar, ai):
             if not (xr or xi):
                 continue
-            for j, (yr, yi) in enumerate(zip(br, bi), i):
+            for j, yr, yi in zip(range(i, size), br, bi):
                 re[j] += xr * yr - xi * yi
                 im[j] += xr * yi + xi * yr
-        return _make(self._v + other._v, re, im, self._d * other._d)
+        return _make(v, re, im, self._d * other._d)
+
+    def mul_below(self, other: "Entry", limit: int) -> "Entry":
+        """The terms of self * other of exponent below limit, as a short
+        product: no term at or above the limit is formed.  It runs through
+        ``__mul__``, so every entry product reaches that one kernel."""
+        return self.__mul__(other, limit)
 
     def scale(self, c: QI | int | Fraction) -> "Entry":
         """c times the entry."""
@@ -188,8 +207,8 @@ class Entry:
         known = 1
         while known < precision:
             known = min(2 * known, precision)
-            ux = (self.truncate(known) * x).truncate(known)
-            x = (x * (_TWO - ux)).truncate(known)
+            ux = self.mul_below(x, known)
+            x = x.mul_below(_TWO - ux, known)
         return x
 
     def int_terms(self):
@@ -317,7 +336,9 @@ def _subst(a: Entry, unit: QI, invert: bool, conj: bool) -> Entry:
     return Entry(v, re, im, a._d)
 
 
-def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]]) -> List[List[Entry]]:
+def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]],
+            limit: int | None = None) -> List[List[Entry]]:
+    """The product's rows, each entry truncated below limit when one is given."""
     _check_sizes(len(a), len(b))
     cols = list(zip(*b))
     out = []
@@ -327,7 +348,7 @@ def _matmul(a: Sequence[Sequence[Entry]], b: Sequence[Sequence[Entry]]) -> List[
             acc = ZERO_ENTRY
             for x, y in zip(r, c):
                 if x._re and y._re:
-                    acc = acc + x * y
+                    acc = acc + (x * y if limit is None else x.mul_below(y, limit))
             row.append(acc)
         out.append(row)
     return out
@@ -338,12 +359,16 @@ def _check_sizes(n: int, m: int) -> None:
         raise InvalidInputError(f"matrix sizes differ: {n}x{n} against {m}x{m}")
 
 
-def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int]) -> Entry:
-    """Cofactor-expansion determinant of the submatrix rows[ridx][cidx]."""
+def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int],
+              limit: int | None = None) -> Entry:
+    """Cofactor-expansion determinant of the submatrix rows[ridx][cidx],
+    truncated below limit when one is given: the minor beside an entry e is
+    then needed only below limit - val(e)."""
     if not ridx:
-        return ONE_ENTRY
+        return ONE_ENTRY if limit is None else ONE_ENTRY.truncate(limit)
     if len(ridx) == 1:
-        return rows[ridx[0]][cidx[0]]
+        e = rows[ridx[0]][cidx[0]]
+        return e if limit is None else e.truncate(limit)
     out = ZERO_ENTRY
     r0 = ridx[0]
     rest = ridx[1:]
@@ -351,20 +376,28 @@ def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int])
         e = rows[r0][c]
         if not e._re:
             continue
-        term = e * det_minor(rows, rest, [x for x in cidx if x != c])
+        others = [x for x in cidx if x != c]
+        if limit is None:
+            term = e * det_minor(rows, rest, others)
+        else:
+            term = e.mul_below(det_minor(rows, rest, others, limit - e._v), limit)
         out = out - term if pos % 2 else out + term
     return out
 
 
-def _adjugate_times(rows: Sequence[Sequence[Entry]], unit: Entry, k: int) -> List[List[Entry]]:
+def _adjugate_times(rows: Sequence[Sequence[Entry]], unit: Entry, k: int,
+                    limit: int | None = None) -> List[List[Entry]]:
     """adj(rows) * unit * t^-k, by cofactors: the inverse when det(rows) =
-    t^k / unit."""
+    t^k / unit.  Given a limit, each entry is truncated below it; unit is a
+    unit (valuation 0), so each cofactor is needed only below limit + k."""
     n = len(rows)
     idx = list(range(n))
     out = [[ZERO_ENTRY] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            e = det_minor(rows, [r for r in idx if r != j], [c for c in idx if c != i]) * unit
+            minor = det_minor(rows, [r for r in idx if r != j], [c for c in idx if c != i],
+                              None if limit is None else limit + k)
+            e = minor * unit if limit is None else minor.mul_below(unit, limit + k)
             out[i][j] = (-e if (i + j) % 2 else e).shift(-k)
     return out
 
@@ -648,20 +681,16 @@ class SeriesMatrix(_Matrix):
 
     # -- products and inverses ---------------------------------------------
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        # product precision: pessimistic rule min(Na + v(B), Nb + v(A))
-        va, vb = self.val(), other.val()
-        p = min(self.precision + vb, other.precision + va)
-        # terms of exponent >= p - v(B) in A (and >= p - v(A) in B) reach only
-        # exponents >= p, so the operands are cut there first
-        a = [[e.truncate(p - vb) for e in r] for r in self.rows]
-        b = [[e.truncate(p - va) for e in r] for r in other.rows]
-        return SeriesMatrix._of(_matmul(a, b), p)
+        # product precision: pessimistic rule min(Na + v(B), Nb + v(A)); each
+        # entry product is a short product below p, so no term of exponent
+        # >= p is formed
+        p = min(self.precision + other.val(), other.precision + self.val())
+        return SeriesMatrix._of(_matmul(self.rows, other.rows, p), p)
 
     def det_with_precision(self) -> tuple[Entry, int]:
         v = self.val()
-        d = det_minor(self.rows, list(range(self.n)), list(range(self.n)))
         prec = self.precision + (self.n - 1) * min(v, 0) if self.n > 1 else self.precision
-        return d.truncate(prec), prec
+        return det_minor(self.rows, list(range(self.n)), list(range(self.n)), prec), prec
 
     def inverse(self) -> "SeriesMatrix":
         """Inverse of a matrix whose determinant is t^k * unit."""
@@ -679,7 +708,7 @@ class SeriesMatrix(_Matrix):
         out_prec = min(adj_prec - k, adj_val + dprec - 2 * k)
         if out_prec <= -10**6:
             raise PrecisionError("inverse precision collapsed")
-        return SeriesMatrix._of(_adjugate_times(self.rows, uinv, k), out_prec)
+        return SeriesMatrix._of(_adjugate_times(self.rows, uinv, k, out_prec), out_prec)
 
 
 def exp_with_inverse(a, terms: int):

@@ -27,7 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The fault switches on when Smith positioning starts, after the input has
 # passed its anti-fixedness check, and then adds 1 to the numerator of the
 # lowest coefficient of every entry product ("every") or of the first one
-# only ("first").
+# only ("first").  Short products (``Entry.mul_below``) run through
+# ``Entry.__mul__`` with a limit, so the one patch reaches them too.
 SCRIPT = r"""
 import json, random, sys
 from loopmatsuki import canonicalize, cli, serialize
@@ -51,8 +52,8 @@ with open(path, "w") as f:
 fault = {"on": False, "left": 0}
 mul, smith = Entry.__mul__, canonicalize.smith_over_dvr
 
-def faulty_mul(a, b):
-    e = mul(a, b)
+def faulty_mul(a, b, limit=None):
+    e = mul(a, b, limit)
     if fault["on"] and e and fault["left"]:
         fault["left"] -= 1
         return e + Entry.term(e.val(), 1)
@@ -124,8 +125,8 @@ with open(path, "w") as f:
 fault = {"left": 0}
 mul, birkhoff = Entry.__mul__, canonicalize.birkhoff_factor
 
-def faulty_mul(a, b):
-    e = mul(a, b)
+def faulty_mul(a, b, limit=None):
+    e = mul(a, b, limit)
     if fault["left"] and a is ONE_ENTRY and e:
         fault["left"] -= 1
         return e + Entry.term(e.val(), 1)

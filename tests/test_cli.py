@@ -1,11 +1,13 @@
 """In-process CLI tests: goldens, exit codes, determinism."""
 
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -308,6 +310,46 @@ def test_huge_coefficient_literal_exits_2_at_once(tmp_path, capsys, argv, doc, a
     assert time.perf_counter() - start < 2
     assert rc == 2
     assert out == "" and "'1e1000000'" in err
+
+
+def _wire_fraction(s):
+    """A real wire coefficient as a Fraction, read in chunks of 500 digits so
+    that no limit on integer string conversion applies."""
+    def digits(d):
+        return functools.reduce(lambda acc, i: acc * 10 ** len(d[i:i + 500]) + int(d[i:i + 500]),
+                                range(0, len(d), 500), 0)
+    num, _, den = s.lstrip("-").partition("/")
+    return Fraction((-1 if s.startswith("-") else 1) * digits(num), digits(den or "1"))
+
+
+def test_output_past_the_digit_limit_is_written_exactly(tmp_path, capsys):
+    """A result coefficient with more digits than str() converts (4300 by
+    default) is written in full and exits 0: on this diagonal split_gl loop
+    the certificate h satisfies h_ii^2 * x_ii = loop_rep_ii below the
+    residual precision, checked here in Fraction arithmetic."""
+    big = 10 ** 400 - 1
+    x = [{0: Fraction(1, big), 1: Fraction(big)}, {0: Fraction(1), 1: Fraction(1, big)}]
+    doc = {"n": 2, "precision": 8,
+           "entries": [[{str(k): str(c) for k, c in x[0].items()}, {}],
+                       [{}, {str(k): str(c) for k, c in x[1].items()}]]}
+    rc, out, err = run(capsys, "canonicalize", "--family", "split_gl", "--n", "2",
+                       "--side", "theta", "--input", write_json(tmp_path / "x.json", doc))
+    assert rc == 0, err
+    form = json.loads(out)
+    cert, rep = form["certificate"]["entries"], form["loop_rep"]["entries"]
+    assert max(len(c) for row in cert for e in row for c in e.values()) > 4300
+    r = form["residual_precision"]
+    for i in range(2):
+        assert cert[i][1 - i] == {} and rep[i][1 - i] == {}
+        h = {int(k): _wire_fraction(c) for k, c in cert[i][i].items()}
+        prod = {}
+        for a, p in h.items():
+            for b, q in h.items():
+                for c, y in x[i].items():
+                    if a + b + c < r:
+                        prod[a + b + c] = prod.get(a + b + c, 0) + p * q * y
+        want = {int(k): _wire_fraction(c) for k, c in rep[i][i].items() if int(k) < r}
+        assert {k: c for k, c in prod.items() if c} == want
 
 
 # first 16 hex digits of the sha256 of match --bound 1 --verify-samples 3

@@ -91,7 +91,8 @@ from fractions import Fraction  # noqa: E402
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from loopmatsuki.laurent import Entry  # noqa: E402
+from loopmatsuki import laurent  # noqa: E402
+from loopmatsuki.laurent import ZERO_ENTRY, Entry  # noqa: E402
 
 
 def ref_clean(a):
@@ -201,6 +202,100 @@ def test_entry_mul_skips_zero_runs(a, b):
     assert fields(eb * ea) == fields(want)
 
 
+# the short product: a * b with an exponent limit forms no term at or above
+# it and equals the full product truncated there
+
+
+def cutoffs(prod, data):
+    """A limit at or below the product's valuation, inside it, or past its degree."""
+    if not prod:
+        return data.draw(st.integers(-20, 40))
+    v, d = prod.val(), prod.deg()
+    return data.draw(st.one_of(st.integers(v - 6, v), st.integers(v, d + 1),
+                               st.integers(d + 1, d + 6)))
+
+
+@KERNEL
+@given(entries, st.one_of(entries, gapped), st.data())
+def test_mul_below_is_the_truncated_product(a, b, data):
+    ea, eb = Entry.of(a), Entry.of(b)
+    prod = ea * eb
+    limit = cutoffs(prod, data)
+    want = fields(prod.truncate(limit))
+    assert fields(ea.mul_below(eb, limit)) == want
+    assert fields(eb.mul_below(ea, limit)) == want
+    assert fields(ea.__mul__(eb, None)) == fields(prod)
+
+
+# no zero term: the real parts may hold zeros, but no coefficient is zero
+gapless = st.builds(lambda start, cs: dict(enumerate(cs, start)),
+                    st.integers(-6, 6), st.lists(nonzero, min_size=1, max_size=10))
+
+
+@KERNEL
+@given(st.one_of(single, gapless), gapped, st.data())
+def test_mul_below_takes_the_operand_swap(a, b, data):
+    # a gapped right operand has more zero terms than a left one of one term
+    # or of none, so a.mul_below(b) swaps them whenever both are nonzero
+    ea, eb = Entry.of(a), Entry.of(b)
+    assert any(not r and not i for r, i in zip(eb._re, eb._im))
+    limit = cutoffs(ea * eb, data)
+    want = Entry.of({k: c for k, c in ref_mul(a, b).items() if k < limit})
+    assert fields(ea.mul_below(eb, limit)) == fields(want)
+    assert fields(eb.mul_below(ea, limit)) == fields(want)
+
+
+def test_mul_below_edges():
+    a = Entry.of({-2: QI(Fraction(1, 3), 1), 0: Fraction(2, 9), 3: QI(0, -4)})
+    b = Entry.of({-1: Fraction(5, 4), 2: 7})
+    assert a.mul_below(ZERO_ENTRY, 5) == ZERO_ENTRY == ZERO_ENTRY.mul_below(a, 5)
+    assert a.mul_below(b, -3) == ZERO_ENTRY  # the limit at the valuation -3
+    assert a.mul_below(b, -2) == Entry.term(-3, QI(Fraction(5, 12), Fraction(5, 4)))
+    assert a.mul_below(b, 6) == a * b  # past the degree 5
+    assert a.mul_below(b, 5) == (a * b).truncate(5)
+
+
+def old_series_mul(x, y):
+    """The series product as it was computed before the short product: each
+    operand cut first, the exact product formed in full, then truncated."""
+    va, vb = x.val(), y.val()
+    p = min(x.precision + vb, y.precision + va)
+    a = LaurentMatrix([[e.truncate(p - vb) for e in r] for r in x.rows])
+    b = LaurentMatrix([[e.truncate(p - va) for e in r] for r in y.rows])
+    return SeriesMatrix((a * b).rows, p)
+
+
+series_entries = st.one_of(single, sparse, st.builds(
+    lambda start, cs: dict(enumerate(cs, start)),
+    st.integers(-4, 4), st.lists(scalars, min_size=2, max_size=10)))
+
+
+def series_matrices(n, data):
+    rows = [[data.draw(series_entries) for _ in range(n)] for _ in range(n)]
+    return SeriesMatrix(rows, data.draw(st.integers(-2, 14)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_series_mul_matches_pretruncated_oracle(n, data):
+    x, y = series_matrices(n, data), series_matrices(n, data)
+    got, want = x * y, old_series_mul(x, y)
+    assert got.precision == want.precision
+    assert [[fields(e) for e in r] for r in got.rows] == [[fields(e) for e in r] for r in want.rows]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_det_minor_with_limit_is_the_truncated_minor(n, data):
+    rows = series_matrices(n, data).rows
+    ridx = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    cidx = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=len(ridx),
+                                    max_size=len(ridx))))
+    full = laurent.det_minor(rows, ridx, cidx)
+    limit = cutoffs(full, data)
+    assert fields(laurent.det_minor(rows, ridx, cidx, limit)) == fields(full.truncate(limit))
+
+
 @KERNEL
 @given(entries, entries)
 def test_entry_add_matches_schoolbook(a, b):
@@ -283,8 +378,6 @@ def test_series_exp_commutes_with_truncation(case):
 
 # ---------------------------------------------------------------------------
 # the monomial inverse against the adjugate / det oracle
-
-from loopmatsuki import laurent  # noqa: E402
 
 
 def adjugate_inverse(m):
