@@ -236,7 +236,7 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         raise PrecisionError(
             f"residual precision {residual} below the floor {MIN_RESIDUAL_PRECISION}"
         )
-    defect = cur - SeriesMatrix.from_laurent(loop_rep, cur.precision)
+    defect = cur - loop_rep
     certify(all(not e for row in defect.retruncate(residual).rows for e in row),
             f"theta defect is nonzero below the residual precision {residual}")
     orbit_class = _match_spherical_class(datum, lam, g0, THETA, classify_theta(datum, lam))
@@ -455,17 +455,17 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
     if any(not c[i][j].is_zero() for i in range(n) for j in range(i)) or g.val() < 0:
         raise InvalidInputError("g is not an Iwahori element")
     lam_span = max(abs(v) for v in list(tw.lam) + [1])
-    x = SeriesMatrix.from_laurent(tw_loop, g.precision + 2 * lam_span) * g
+    x = tw_loop * g
     if not gc.is_anti_fixed_theta(x, datum):
         raise NotAntiFixedError("t~w * g violates the Iwahori membership equation")
 
     h_acc = SeriesMatrix.identity(n, x.precision + 4)
-    tw_inv = SeriesMatrix.from_laurent(tw_loop.inverse(), x.precision + 4 + 2 * lam_span)
+    tw_inv = tw_loop.inverse()
     last_key: Optional[Tuple[int, int]] = None
     while True:
         gcur = tw_inv * x
         d = LaurentMatrix.diag_scalars([r[i] for i, r in enumerate(gcur.constant_matrix())])
-        red = SeriesMatrix.from_laurent(d.inverse(), gcur.precision + 4) * gcur
+        red = d.inverse() * gcur
         key = _first_dirt(red)
         if key is None:
             break

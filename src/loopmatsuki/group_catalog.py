@@ -220,16 +220,6 @@ ETA = Side("eta", True, (UNITARY,))
 SIDES = {side.name: side for side in (THETA, ETA)}  # by the name classes carry
 
 
-def _conjugate_by(m, a: LaurentMatrix, a_inv: LaurentMatrix):
-    """a * m * a_inv for constant a, keeping m's precision N: the products
-    read a only below N - val(m), so a is carried that far where m has a pole."""
-    if isinstance(m, SeriesMatrix):
-        p = m.precision - min(m.val(), 0)
-        a = SeriesMatrix.from_laurent(a, p)
-        a_inv = SeriesMatrix.from_laurent(a_inv, p)
-    return a * m * a_inv
-
-
 def involution(gamma, datum: GroupDatum, side: Side, invert: bool, gamma_inv,
                constant: bool = False):
     """The involution of side: sigma(gamma), or sigma(gamma)^-1 =
@@ -252,11 +242,12 @@ def involution(gamma, datum: GroupDatum, side: Side, invert: bool, gamma_inv,
         g = g.substitute(ONE, invert=False, conj=True)
     if transpose:
         g = g.transpose()
+    # the constants below have valuation 0, so a series g keeps its precision
     if datum.family == QUATERNIONIC_GL:
         j = datum.w1  # build_datum sets w1 = J here, and inner twists keep it
-        g = _conjugate_by(g, j, -j)  # J^-1 = -J
+        g = j * g * -j  # J^-1 = -J
     if datum.twist is not None and not constant:
-        g = _conjugate_by(g, datum.twist, datum.twist.inverse())
+        g = datum.twist * g * datum.twist.inverse()
     return g
 
 
@@ -316,10 +307,7 @@ def is_anti_fixed(gamma, datum: GroupDatum, side: Side) -> bool:
     if datum.family in side.inverse_transpose:
         return gamma == involution(gamma, datum, side, True, None).scale(datum.z)
     prod = gamma * (apply_eta if side.reflect else apply_theta)(gamma, datum)
-    zid = LaurentMatrix.diag_scalars([datum.z] * datum.n)
-    if isinstance(prod, SeriesMatrix):
-        zid = SeriesMatrix.from_laurent(zid, prod.precision)
-    return prod == zid
+    return (prod - LaurentMatrix.diag_scalars([datum.z] * datum.n)).is_zero()
 
 
 def _check_rank(x, datum: GroupDatum) -> None:

@@ -26,8 +26,10 @@ formed in full and cut afterwards.
 matrix is one with ``precision = None``, and every entrywise operation
 (``+``, ``-``, ``scale``, ``transpose``, ``substitute``, the queries) is
 written once and keeps the least precision of its operands.  Operands of
-different sizes are refused.  Each kind keeps its own product, inverse and
-determinant, whose precision rules differ.  ``LaurentMatrix.permutation``
+different sizes are refused.  One product rule serves every pair of kinds:
+with a series factor it keeps min(Na + v(B), Nb + v(A)), an exact factor's
+N infinite, so no caller lifts an exact factor by hand.  Each kind keeps
+its own inverse and determinant.  ``LaurentMatrix.permutation``
 (optionally times a diagonal), ``diag_scalars`` and ``block_diag`` build
 the monomial and block matrices, and ``exp_with_inverse`` is the one
 exponential: it returns exp(a) and exp(-a) from a single chain of powers.
@@ -167,10 +169,6 @@ class Entry:
         product: no term at or above the limit is formed.  It runs through
         ``__mul__``, so every entry product reaches that one kernel."""
         return self.__mul__(other, limit)
-
-    def scale(self, c: QI | int | Fraction) -> "Entry":
-        """c times the entry."""
-        return self * Entry.term(0, c)
 
     def shift(self, k: int) -> "Entry":
         """t^k times the entry."""
@@ -316,20 +314,17 @@ ONE_ENTRY = Entry(0, [1], [0], 1)
 _TWO = Entry(0, [2], [0], 1)
 
 
-def _subst(a: Entry, unit: QI, invert: bool, conj: bool) -> Entry:
-    """t -> unit * t^{+-1}, optionally conjugating the coefficients."""
+def _subst(a: Entry, negate: bool, invert: bool, conj: bool) -> Entry:
+    """t -> (-t if negate else t)^{+-1}, optionally conjugating the coefficients."""
     if not a._re:
         return a
-    if unit != ONE and unit != MINUS_ONE:
-        return Entry.of({(-k if invert else k): (c.conj() if conj else c) * unit ** k
-                         for k, c in a.items()})
     v, re, im = a._v, a._re, a._im
     if conj:
         im = [-x for x in im]
     if invert:
         re, im = re[::-1], im[::-1]
         v = -(v + len(re) - 1)
-    if unit == MINUS_ONE:
+    if negate:
         # the sign (-1)^k depends only on the parity of the exponent
         re = [-x if (v + i) & 1 else x for i, x in enumerate(re)]
         im = [-x if (v + i) & 1 else x for i, x in enumerate(im)]
@@ -429,6 +424,18 @@ def _matrix(rows: Sequence[Sequence[Entry]], precision: int | None):
     return SeriesMatrix._of(rows, precision)
 
 
+def _series_product(a: "_Matrix", b: "_Matrix"):
+    """a * b with a series factor: known below p = min(Na + v(B), Nb + v(A)),
+    an exact factor's N infinite, as short products below p.  An exact zero
+    factor (valuation None) gives the exact zero."""
+    _check_sizes(a.n, b.n)
+    va, vb = a.val(), b.val()
+    if va is None or vb is None:
+        return LaurentMatrix.zeros(a.n)
+    p = min(q + v for q, v in ((a.precision, vb), (b.precision, va)) if q is not None)
+    return _matrix(_matmul(a.rows, b.rows, p), p)
+
+
 class _Matrix:
     """The core both matrix kinds share: n rows of n entries and a
     ``precision``, None on an exact matrix.  Each operation here works entry
@@ -495,10 +502,13 @@ class _Matrix:
 
     def substitute(self, unit: QI, invert: bool = False, conj: bool = False):
         """Entrywise substitution t -> unit*t, or t -> unit*t^-1 on an exact
-        matrix only, with optional coefficient conjugation."""
+        matrix only, with optional coefficient conjugation; unit is 1 or -1."""
+        if unit != ONE and unit != MINUS_ONE:
+            raise InvalidInputError(f"substitution unit must be 1 or -1, got {unit}")
         if invert and self.precision is not None:
             raise PrecisionError("t -> t^-1 substitution leaves the series model")
-        return _matrix([[_subst(e, unit, invert, conj) for e in r] for r in self.rows],
+        negate = unit == MINUS_ONE
+        return _matrix([[_subst(e, negate, invert, conj) for e in r] for r in self.rows],
                        self.precision)
 
     def __eq__(self, other) -> bool:
@@ -598,7 +608,9 @@ class LaurentMatrix(_Matrix):
              for i, k in enumerate(lam)])
 
     # -- products and inverses ---------------------------------------------
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+    def __mul__(self, other: _Matrix) -> _Matrix:
+        if other.precision is not None:
+            return _series_product(self, other)
         return LaurentMatrix._of(_matmul(self.rows, other.rows))
 
     def det(self) -> Entry:
@@ -680,12 +692,8 @@ class SeriesMatrix(_Matrix):
         return SeriesMatrix._of(self.rows, precision)
 
     # -- products and inverses ---------------------------------------------
-    def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        # product precision: pessimistic rule min(Na + v(B), Nb + v(A)); each
-        # entry product is a short product below p, so no term of exponent
-        # >= p is formed
-        p = min(self.precision + other.val(), other.precision + self.val())
-        return SeriesMatrix._of(_matmul(self.rows, other.rows, p), p)
+    def __mul__(self, other: _Matrix) -> _Matrix:
+        return _series_product(self, other)
 
     def det_with_precision(self) -> tuple[Entry, int]:
         v = self.val()

@@ -189,6 +189,14 @@ def test_exit_codes(tmp_path, capsys):
     rc, _, err = run(capsys, "canonicalize", "--family", "split_gl",
                      "--epsilon", "-1", "--side", "eta", "--input", path)
     assert rc == 5
+    # 5, not 4: a theta anti-fixedness product of negative precision is
+    # compared to that precision rather than refused
+    path = write_json(tmp_path / "z.json",
+                      {"n": 2, "entries": [[{"-3": "1"}, {}], [{}, {"3": "1"}]],
+                       "precision": 2})
+    rc, _, err = run(capsys, "canonicalize", "--family", "unitary",
+                     "--side", "theta", "--input", path)
+    assert rc == 5 and "not theta-anti-fixed" in err
 
 
 def test_bundle_enumeration(capsys):

@@ -327,7 +327,7 @@ def test_entry_normal_form_is_history_free(a, b, c, q):
     left, right = (ea * eb) * ec, ea * (eb * ec)
     assert left == right and hash(left) == hash(right)
     assert ea * (eb + ec) == ea * eb + ea * ec
-    back = ea.scale(q).scale(q.inv())
+    back = ea * Entry.term(0, q) * Entry.term(0, q.inv())
     assert back == ea and hash(back) == hash(ea)
     assert (ea + eb) - eb == ea
     assert ea.shift(3).shift(-3) == ea
@@ -336,8 +336,7 @@ def test_entry_normal_form_is_history_free(a, b, c, q):
 
 
 @KERNEL
-@given(entries, st.sampled_from([QI(1), QI(-1), QI(0, 1), QI(0, -1), QI(Fraction(1, 2), 3)]),
-       st.booleans(), st.booleans())
+@given(entries, st.sampled_from([QI(1), QI(-1)]), st.booleans(), st.booleans())
 def test_substitute_matches_termwise_oracle(a, unit, invert, conj):
     m = LaurentMatrix([[a]])
     assert dict(m.substitute(unit, invert, conj).entry(0, 0).items()) == ref_subst(a, unit, invert, conj)
@@ -390,7 +389,7 @@ def adjugate_inverse(m):
 
     def cofactor(i, j):
         minor = laurent.det_minor(m.rows, [r for r in idx if r != j], [c for c in idx if c != i])
-        return minor.scale((-1) ** (i + j)) * dinv
+        return minor * Entry.term(0, (-1) ** (i + j)) * dinv
 
     return LaurentMatrix([[cofactor(i, j) for j in idx] for i in idx])
 
@@ -457,6 +456,7 @@ def test_non_invertible_near_monomial_raises(monkeypatch, rows):
 # ---------------------------------------------------------------------------
 # the shared matrix core: one set of entrywise operations for both kinds
 
+import operator  # noqa: E402
 from itertools import permutations  # noqa: E402
 
 from loopmatsuki.laurent import exp_with_inverse  # noqa: E402
@@ -472,17 +472,55 @@ def _kind(rows, precision):
 PRECISION_PAIRS = [(None, None), (None, 4), (6, None), (3, 7), (7, 3)]
 
 
+BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 @pytest.mark.parametrize("pa,pb", PRECISION_PAIRS)
-@pytest.mark.parametrize("op", ["add", "sub"])
+@pytest.mark.parametrize("op", sorted(BINARY_OPS))
 def test_entrywise_ops_keep_the_least_precision(pa, pb, op):
+    # + and - keep the least precision; a product is known below
+    # min(Na + v(B), Nb + v(A)), an exact factor's N counting as infinite
     a, b = _kind(CORE_A, pa), _kind(CORE_B, pb)
-    out = a + b if op == "add" else a - b
-    want = None if pa is None and pb is None else min(p for p in (pa, pb) if p is not None)
+    la, lb = LaurentMatrix(CORE_A), LaurentMatrix(CORE_B)
+    shifts = (lb.val(), la.val()) if op == "mul" else (0, 0)
+    bounds = [p + v for p, v in zip((pa, pb), shifts) if p is not None]
+    want = min(bounds) if bounds else None
+    out = BINARY_OPS[op](a, b)
     assert out.precision == want
     assert type(out) is (LaurentMatrix if want is None else SeriesMatrix)
-    la, lb = LaurentMatrix(CORE_A), LaurentMatrix(CORE_B)
-    exact = la + lb if op == "add" else la - lb
+    exact = BINARY_OPS[op](la, lb)
     assert out.rows == (exact if want is None else SeriesMatrix.from_laurent(exact, want)).rows
+
+
+@pytest.mark.parametrize("p", [None, 4])
+def test_an_exact_zero_factor_gives_the_exact_zero(p):
+    a, zero = _kind(CORE_A, p), LaurentMatrix.zeros(2)
+    for out in (zero * a, a * zero):
+        assert type(out) is LaurentMatrix and out == zero
+
+
+def test_mixed_products_are_series_in_both_orders():
+    # a product with a series factor is a series whichever side the exact
+    # factor is on: it is read only as far as the series' precision allows
+    s = SeriesMatrix([[{0: 1, 5: 1}, {}], [{}, {0: 1}]], 3)
+    tp = LaurentMatrix.t_power([1, -1])
+    for out in (tp * s, s * tp):
+        assert type(out) is SeriesMatrix and out.precision == 2
+        assert out.rows == tp.rows
+
+
+def test_each_kind_keeps_its_own_traced_methods():
+    # a benchmark tracer patches these names in each class's own __dict__
+    for cls, names in ((LaurentMatrix, ("__mul__", "inverse", "det")),
+                       (SeriesMatrix, ("__mul__", "inverse", "det_with_precision"))):
+        assert all(name in cls.__dict__ for name in names)
+
+
+@pytest.mark.parametrize("unit", [QI(0, 1), QI(0, -1), QI(2), QI(Fraction(1, 2), 3)])
+def test_substitute_refuses_a_unit_other_than_plus_or_minus_one(unit):
+    for m in (LaurentMatrix(CORE_A), SeriesMatrix(CORE_A, 4)):
+        with pytest.raises(InvalidInputError, match="must be 1 or -1"):
+            m.substitute(unit)
 
 
 @pytest.mark.parametrize("p", [None, 1, 4])
@@ -491,7 +529,7 @@ def test_unary_ops_keep_kind_and_precision(p):
     exact = LaurentMatrix(CORE_A)
     for got, want in [(-a, exact.scale(-1)), (a.scale(QI(2, 1)), exact.scale(QI(2, 1))),
                       (a.transpose(), LaurentMatrix([list(c) for c in zip(*CORE_A)])),
-                      (a.substitute(QI(0, 1), conj=True), exact.substitute(QI(0, 1), conj=True))]:
+                      (a.substitute(QI(-1), conj=True), exact.substitute(QI(-1), conj=True))]:
         assert type(got) is type(a) and got.precision == p
         assert got.rows == (want if p is None else SeriesMatrix.from_laurent(want, p)).rows
     assert a.entry(0, 1) == Entry.of({0: Fraction(1, 3)})
