@@ -21,7 +21,6 @@ from .coweight_orbits import (
     blocks_of,
     classify_eta,
     classify_theta,
-    equation_holds,
     middle_label,
 )
 from .errors import (
@@ -226,9 +225,10 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
                 f"layers 1..{k} are not killed")
 
     g0 = ell
-    if not equation_holds(datum, lam, g0, THETA):
-        raise PrecisionError("constant term equation not certified at this precision")
     loop_rep = LaurentMatrix.t_power(lam) * g0 * w1_inv
+    # for g0 in the Levi, anti-fixedness of loop_rep is the spherical equation
+    if not gc.is_anti_fixed(loop_rep, datum, THETA):
+        raise PrecisionError("constant term equation not certified at this precision")
     # the certified window: g was cleaned to its own precision, and row i of
     # the loop carries an extra t^{lam_i}; the worst row bounds the claim
     residual = min(residual, cur.precision, g.precision + min(lam[-1], 0))
@@ -291,8 +291,8 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
 
     g0 = ell
     loop_rep = tlam * g0 * datum.w1.inverse()
+    # cur is a twisted conjugate of the anti-fixed input: the equation holds too
     certify(cur == loop_rep, "eta reduction does not replay to the representative")
-    certify(equation_holds(datum, lam, g0, ETA), "eta spherical equation fails for g0")
     orbit_class = _match_spherical_class(datum, lam, g0, ETA, classify_eta(datum, lam))
     return CanonicalForm(
         lam=tuple(lam),

@@ -29,6 +29,7 @@ from .selftest import run_all
 from .serialize import (
     bundle_to_json,
     canonical_form_to_json,
+    check_precision,
     dumps,
     kottwitz_to_json,
     laurent_from_json,
@@ -131,6 +132,8 @@ def _canonicalize_eta(x, datum: gc.GroupDatum, precision: Optional[int]):
 
 
 def cmd_canonicalize(args) -> int:
+    if args.precision is not None:
+        check_precision(args.precision)
     datum = _datum_of(args)
     form = args.side(_load_loop(args.input), datum, args.precision)
     _emit(args, dumps(canonical_form_to_json(form)))

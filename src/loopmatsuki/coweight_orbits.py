@@ -7,8 +7,9 @@ g0 in the Levi L_lambda solving
   theta side:  g0 = w2 * Ad_{w1^-1}(theta0(g0)^-1) * eps^lambda * z
   eta side:    g0 = w2 * Ad_{w1^-1}(eta0(g0^-1))   * eps^lambda * z
 
-with loop representative t^lambda * g0 * w1^-1.  Per family the per-block
-solutions reduce to classical form theory:
+(w2 = theta0(w1) * w1): exactly the g0 whose loop representative
+t^lambda * g0 * w1^-1 is anti-fixed, which is what gets certified.  Per
+family the per-block solutions reduce to classical form theory:
 
   split_gl / quaternionic_gl: on a block of size m with lambda-value mu the
     equation reads B = c * transpose(B) (theta) or B * conj(B) = c (eta) for
@@ -34,7 +35,7 @@ from .exact_algebra import hermitian_signature
 from .gaussian import QI, ONE
 from .group_catalog import (
     ETA, SPLIT_GL, QUATERNIONIC_GL, THETA, GroupDatum, Side,
-    base_datum, carry_from_base, check_bound, involution, is_admissible, is_anti_fixed,
+    base_datum, carry_from_base, check_bound, is_admissible, is_anti_fixed,
     j_matrix, signed_permutation,
 )
 from .laurent import LaurentMatrix
@@ -189,7 +190,6 @@ def _finish_class(datum: GroupDatum, lam: Tuple[int, ...], side: Side,
     loop = LaurentMatrix.t_power(list(lam)) * g0 * datum.w1.inverse()
     where = f"{side.name} class {label} at lambda={lam}"
     certify(is_anti_fixed(loop, datum, side), f"{where}: representative not anti-fixed")
-    certify(equation_holds(datum, lam, g0, side), f"{where}: g0 fails its equation")
     # an eta class is a real bundle, labelled by its automorphism group
     aut = _aut_label(datum, types, sig) if side.reflect else None
     return SphericalClass(datum, lam, side.name, label, g0, loop,
@@ -200,16 +200,6 @@ def eps_lambda(datum: GroupDatum, lam: Sequence[int]) -> LaurentMatrix:
     """The constant diagonal matrix eps^lambda = diag(epsilon^lambda_i)."""
     return LaurentMatrix.diag_scalars(
         [_sign_power(datum.epsilon, mu) for mu in lam])
-
-
-def equation_holds(datum: GroupDatum, lam, g0: LaurentMatrix, side: Side) -> bool:
-    """Whether the constant g0 solves the spherical equation of side at
-    lambda (see the module docstring); the canonicalizers certify their
-    reduced g0 with it."""
-    sigma0_inv = involution(g0, datum, side, True, None, constant=True)
-    rhs = (datum.w2 * (datum.w1.inverse() * sigma0_inv * datum.w1)
-           * eps_lambda(datum, lam)).scale(datum.z)
-    return g0 == rhs
 
 
 # component groups: the theta side counts components of complexified

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedFamilyError, certify
 from .gaussian import QI, ONE, qi_from_str
-from .laurent import ONE_ENTRY, LaurentMatrix, SeriesMatrix
+from .laurent import ONE_ENTRY, LaurentMatrix
 
 SPLIT_GL = "split_gl"
 QUATERNIONIC_GL = "quaternionic_gl"
@@ -81,7 +81,6 @@ class GroupDatum:
     epsilon: int
     z: QI
     w1: LaurentMatrix
-    w2: LaurentMatrix
     real_form: str
     twist: Optional[LaurentMatrix] = None  # inner twist c, or None
     torus: Tuple[Tuple[int, ...], ...] = ()  # rows of E, theta0(t^v) = t^(E v); build_datum sets it
@@ -108,8 +107,8 @@ def build_datum(family: str, n: int, epsilon: int, z: QI | int = 1) -> GroupDatu
         w1, real = j_matrix(n), f"GL{n // 2}(H)"
     else:
         w1, real = LaurentMatrix.permutation(range(n - 1, -1, -1)), f"U({n})"
-    datum = GroupDatum(family, n, epsilon, zq, w1, LaurentMatrix.identity(n), real)
-    return replace(datum, w2=theta0(w1, datum) * w1, torus=_torus_matrix(datum))
+    datum = GroupDatum(family, n, epsilon, zq, w1, real)
+    return replace(datum, torus=_torus_matrix(datum))
 
 
 def _torus_matrix(datum: GroupDatum) -> Tuple[Tuple[int, ...], ...]:
@@ -370,10 +369,7 @@ def transport_to_base(x, datum: GroupDatum):
     _check_rank(x, datum)
     if datum.twist is None:
         return x
-    c = datum.twist
-    if isinstance(x, SeriesMatrix):
-        c = SeriesMatrix.from_laurent(c, x.precision)
-    return x * c
+    return x * datum.twist
 
 
 def transport_from_base(x: LaurentMatrix, datum: GroupDatum) -> LaurentMatrix:

@@ -17,8 +17,8 @@ a series like 1 + O(t^k) costs as much as its nonzero terms.  The same
 kernel takes an exponent limit (``mul_below``) and then forms only the
 terms below it: both loops stop there, a short product.  Every product
 that is truncated (series matrix products, Smith row operations, the
-Newton reciprocal, cofactor minors of a series) is taken this way, never
-formed in full and cut afterwards.
+Newton reciprocal and series inverse, cofactor minors of a series) is taken
+this way, never formed in full and cut afterwards.
 
 ``LaurentMatrix`` is exact; ``SeriesMatrix`` carries an explicit precision
 ``N`` meaning the entry coefficients are known for all exponents ``< N``
@@ -28,8 +28,9 @@ matrix is one with ``precision = None``, and every entrywise operation
 written once and keeps the least precision of its operands.  Operands of
 different sizes are refused.  One product rule serves every pair of kinds:
 with a series factor it keeps min(Na + v(B), Nb + v(A)), an exact factor's
-N infinite, so no caller lifts an exact factor by hand.  Each kind keeps
-its own inverse and determinant.  ``LaurentMatrix.permutation``
+N infinite, so no caller lifts an exact factor by hand.  An exact inverse
+expands cofactors; a series one, on G(O) only, Newton-lifts the constant
+term's inverse and keeps the precision.  ``LaurentMatrix.permutation``
 (optionally times a diagonal), ``diag_scalars`` and ``block_diag`` build
 the monomial and block matrices, and ``exp_with_inverse`` is the one
 exponential: it returns exp(a) and exp(-a) from a single chain of powers.
@@ -48,6 +49,7 @@ from typing import List, Sequence
 
 from .errors import InvalidInputError, PrecisionError
 from .gaussian import QI, ZERO, ONE, MINUS_ONE
+from .intlat import eliminate
 
 
 class Entry:
@@ -380,19 +382,15 @@ def det_minor(rows: Sequence[Sequence[Entry]], ridx: List[int], cidx: List[int],
     return out
 
 
-def _adjugate_times(rows: Sequence[Sequence[Entry]], unit: Entry, k: int,
-                    limit: int | None = None) -> List[List[Entry]]:
+def _adjugate_times(rows: Sequence[Sequence[Entry]], unit: Entry, k: int) -> List[List[Entry]]:
     """adj(rows) * unit * t^-k, by cofactors: the inverse when det(rows) =
-    t^k / unit.  Given a limit, each entry is truncated below it; unit is a
-    unit (valuation 0), so each cofactor is needed only below limit + k."""
+    t^k / unit."""
     n = len(rows)
     idx = list(range(n))
     out = [[ZERO_ENTRY] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            minor = det_minor(rows, [r for r in idx if r != j], [c for c in idx if c != i],
-                              None if limit is None else limit + k)
-            e = minor * unit if limit is None else minor.mul_below(unit, limit + k)
+            e = det_minor(rows, [r for r in idx if r != j], [c for c in idx if c != i]) * unit
             out[i][j] = (-e if (i + j) % 2 else e).shift(-k)
     return out
 
@@ -701,22 +699,24 @@ class SeriesMatrix(_Matrix):
         return det_minor(self.rows, list(range(self.n)), list(range(self.n)), prec), prec
 
     def inverse(self) -> "SeriesMatrix":
-        """Inverse of a matrix whose determinant is t^k * unit."""
-        d, dprec = self.det_with_precision()
-        if not d:
-            raise InvalidInputError("matrix not invertible (determinant vanishes to precision)")
-        k = d.val()
-        uinv = d.shift(-k).reciprocal(dprec - k)  # unit power series, constant term nonzero
-        n = self.n
-        v = self.val()
-        adj_prec = self.precision + max(0, n - 2) * min(v, 0) if n > 1 else self.precision
-        # adjugate entries have valuation >= (n-1)*v; the reciprocal's error
-        # O(t^{dprec-k}) is scaled by them and shifted by -k twice in total
-        adj_val = (n - 1) * v
-        out_prec = min(adj_prec - k, adj_val + dprec - 2 * k)
-        if out_prec <= -10**6:
-            raise PrecisionError("inverse precision collapsed")
-        return SeriesMatrix._of(_adjugate_times(self.rows, uinv, k, out_prec), out_prec)
+        """The inverse modulo t^precision of a matrix in G(O): the exact
+        inverse of the constant term, lifted by Newton-Schulz steps
+        x <- x * (2 - a * x), short products that double the terms known
+        (Schulz, ZAMM 13, 1933)."""
+        n, p = self.n, self.precision
+        eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        rows, pivots, _ = eliminate([r + e for r, e in zip(self.constant_matrix(), eye)])
+        if self.val() < 0 or pivots != list(range(n)):
+            raise InvalidInputError("series matrix not invertible in G(O) (a negative "
+                                    "exponent or a singular constant term)")
+        x = [[Entry.term(0, c) for c in r[n:]] for r in rows]
+        known = 1
+        while known < p:
+            known = min(2 * known, p)
+            ax = _matmul(self.rows, x, known)
+            x = _matmul(x, [[(_TWO if i == j else ZERO_ENTRY) - e for j, e in enumerate(r)]
+                            for i, r in enumerate(ax)], known)
+        return SeriesMatrix._of(x, p)
 
 
 def exp_with_inverse(a, terms: int):

@@ -265,7 +265,7 @@ def test_inner_twist_transports(family, n, twist, eps):
 
 
 # sha256 of the outputs of test_inner_twist_bytes
-TWISTED_DIGEST = "4a7d573723e5dd7680486231cc3915fb55396d2a8305a8cd4b2191c9b82d18a8"
+TWISTED_DIGEST = "f64cc15778c8f122ae53307686bfc94e1cb939f832c2ecc11090299aae3f16f2"
 
 
 def test_inner_twist_bytes(tmp_path, capsys):
@@ -303,6 +303,20 @@ def test_inner_twist_bytes(tmp_path, capsys):
                             g = SeriesMatrix.from_laurent(g, 12)
                         docs.append(canonical_form_to_json(reduce(tw, g, d, cls.problem)))
     assert hashlib.sha256(dumps(docs).encode()).hexdigest() == TWISTED_DIGEST
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+def test_transport_to_base_keeps_a_negative_valuation_loop_precision(eps):
+    # on U(1,1) the lambda = (1, -1) representative has valuation -1; x * c
+    # reads the exact twist c as far as the product needs, so the transported
+    # loop keeps precision 12 and the reduction certifies 8 (7 when c was
+    # lifted only to x's precision first)
+    d = gc.pure_inner_twist(gc.build_datum("unitary", 2, eps),
+                            LaurentMatrix.diag_scalars([QI(1), QI(-1)]))
+    (cls,) = classify_theta(d, (1, -1))
+    x = SeriesMatrix.from_laurent(cls.loop_rep, 12)
+    assert x.val() == -1 and gc.transport_to_base(x, d).precision == 12
+    assert canonicalize_theta(x, d).residual_precision == 8
 
 
 UNITARY_DATA = [(n, eps) for n in range(1, 6) for eps in (1, -1)] + [(2, "U(1,1)")]

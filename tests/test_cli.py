@@ -14,7 +14,7 @@ import pytest
 
 from loopmatsuki import cli
 from loopmatsuki.cli import main
-from loopmatsuki.serialize import TSV_COLUMNS
+from loopmatsuki.serialize import MAX_PRECISION, TSV_COLUMNS
 
 
 def run(capsys, *argv):
@@ -290,7 +290,11 @@ def test_config_with_datum_flag_exits_2(tmp_path, capsys, flag, value):
     (["orbits", "--family", "split_gl", "--n", "100000"], None),
     (["canonicalize", "--family", "split_gl", "--side", "eta"],
      {"n": 2, "entries": [[{"0": "1", "1000000000": "1"}, {}], [{}, {"0": "1"}]]}),
-], ids=["rank", "exponent-span"])
+    (["canonicalize", "--family", "split_gl", "--n", "1", "--side", "theta"],
+     {"n": 1, "entries": [[{"0": "1", "1": "1"}]], "precision": MAX_PRECISION + 1}),
+    (["canonicalize", "--family", "split_gl", "--n", "1", "--side", "theta",
+      "--precision", str(MAX_PRECISION + 1)], {"n": 1, "entries": [[{"0": "1", "1": "1"}]]}),
+], ids=["rank", "exponent-span", "document-precision", "precision-flag"])
 def test_unbounded_inputs_exit_2_at_once(tmp_path, capsys, argv, doc):
     if doc is not None:
         argv = argv + ["--input", write_json(tmp_path / "x.json", doc)]

@@ -6,13 +6,14 @@ import pytest
 from loopmatsuki import canonicalize
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.coweight_orbits import (
-    blocks_of, classify_eta, classify_theta, enumerate_admissible, middle_label,
+    blocks_of, classify_eta, classify_theta, enumerate_admissible, eps_lambda, middle_label,
 )
 from loopmatsuki.errors import CertificateError, InvalidInputError
 from loopmatsuki.exact_algebra import hermitian_signature
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix
-from loopmatsuki.randgen import random_arc_element, random_poly_element
+from loopmatsuki.randgen import random_arc_element, random_constant_invertible, \
+    random_poly_element
 
 
 def test_admissibility_condition():
@@ -48,6 +49,41 @@ def test_representatives_are_anti_fixed():
                     assert gc.is_anti_fixed_theta(cls.loop_rep, d)
                 for cls in classify_eta(d, adm):
                     assert gc.is_anti_fixed_eta(cls.loop_rep, d)
+
+
+def _equation_oracle(d, lam, g0, side):
+    """The spherical equation g0 = w2 * Ad_{w1^-1}(sigma0(g0)^-1) * eps^lam * z,
+    w2 = theta0(w1) * w1, of the module docstring."""
+    w2 = gc.theta0(d.w1, d) * d.w1
+    sigma0_inv = gc.involution(g0, d, side, True, None, constant=True)
+    return g0 == (w2 * (d.w1.inverse() * sigma0_inv * d.w1) * eps_lambda(d, lam)).scale(d.z)
+
+
+def test_spherical_equation_is_the_anti_fixedness_of_the_representative():
+    # for g0 in the Levi at an admissible lambda the equation holds exactly
+    # when t^lam * g0 * w1^-1 is anti-fixed, so the classifiers and reducers
+    # certify the latter alone: both hold on the class g0, and the two agree
+    # on their multiples and on random Levi elements
+    rng = random.Random(4)
+    seen = {True: 0, False: 0}
+    for family, n in (("split_gl", 2), ("split_gl", 3), ("quaternionic_gl", 2),
+                      ("quaternionic_gl", 4), ("unitary", 2), ("unitary", 3)):
+        for eps in (1, -1):
+            d = gc.build_datum(family, n, eps)
+            for lam in enumerate_admissible(d, 1):
+                for side, classify in ((gc.THETA, classify_theta), (gc.ETA, classify_eta)):
+                    g0s = [c.g0 for c in classify(d, lam)]
+                    assert all(_equation_oracle(d, lam, g0, side) for g0 in g0s)
+                    g0s += [g0.scale(k) for g0 in g0s for k in (QI(0, 1), QI(2))]
+                    g0s += [LaurentMatrix.block_diag([random_constant_invertible(size, rng)
+                                                      for _, size, _ in blocks_of(lam)])
+                            for _ in range(3)]
+                    for g0 in g0s:
+                        loop = LaurentMatrix.t_power(lam) * g0 * d.w1.inverse()
+                        holds = _equation_oracle(d, lam, g0, side)
+                        assert holds == gc.is_anti_fixed(loop, d, side)
+                        seen[holds] += 1
+    assert min(seen.values()) > 50
 
 
 def test_unitary_signature_labels():

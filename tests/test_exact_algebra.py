@@ -187,9 +187,9 @@ def _smith_negative_pivot_inputs(rng):
                                         * random_poly_element(n, 2, rng), 12)
 
 
-def test_smith_inverse_is_the_cofactor_inverse():
-    # the inverse from the row operations is the cofactor inverse of g1,
-    # field for field and at the same precision
+def test_smith_inverse_is_the_series_inverse():
+    # the inverse from the row operations is the Newton-lifted series
+    # inverse of g1, field for field and at the same precision
     for x in _smith_negative_pivot_inputs(random.Random(9)):
         g1, lam, g1_inv = smith_over_dvr(x)
         assert lam[-1] < 0

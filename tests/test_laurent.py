@@ -6,7 +6,8 @@ import pytest
 from loopmatsuki.errors import InvalidInputError, PrecisionError
 from loopmatsuki.gaussian import QI
 from loopmatsuki.laurent import LaurentMatrix, SeriesMatrix, series_exp
-from loopmatsuki.randgen import random_poly_element, random_qi as random_entry_qi
+from loopmatsuki.randgen import random_arc_element, random_poly_element, \
+    random_qi as random_entry_qi
 
 
 def test_identity_and_t_power():
@@ -89,7 +90,7 @@ def test_retruncate_only_downward():
 
 from fractions import Fraction  # noqa: E402
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from loopmatsuki import laurent  # noqa: E402
 from loopmatsuki.laurent import ZERO_ENTRY, Entry  # noqa: E402
@@ -375,23 +376,71 @@ def test_series_exp_commutes_with_truncation(case):
 
 
 # ---------------------------------------------------------------------------
-# the monomial inverse against the adjugate / det oracle
+# the monomial and Newton series inverses against the adjugate / det oracle
 
 
 def adjugate_inverse(m):
-    """(-1)^(i+j) * minor(j, i) / det, from cofactor minors."""
-    n = m.n
-    d = m.det()
-    assert len(d) == 1
-    k = min(d)
-    dinv = Entry.term(-k, d[k].inv())
+    """(-1)^(i+j) * minor(j, i) / det, from cofactor minors: exact on a
+    Laurent matrix with a monomial det; on a G(O) series known to N, the
+    truncation's det is a unit series, inverted modulo t^N."""
+    n, p = m.n, m.precision
+    exact = m if p is None else m.to_laurent()
+    d = exact.det()
+    if p is None:
+        assert len(d) == 1
+        k = min(d)
+        dinv = Entry.term(-k, d[k].inv())
+    else:
+        dinv = d.reciprocal(p)
     idx = list(range(n))
 
     def cofactor(i, j):
-        minor = laurent.det_minor(m.rows, [r for r in idx if r != j], [c for c in idx if c != i])
+        minor = laurent.det_minor(exact.rows, [r for r in idx if r != j],
+                                  [c for c in idx if c != i])
         return minor * Entry.term(0, (-1) ** (i + j)) * dinv
 
-    return LaurentMatrix([[cofactor(i, j) for j in idx] for i in idx])
+    rows = [[cofactor(i, j) for j in idx] for i in idx]
+    return LaurentMatrix(rows) if p is None else SeriesMatrix(rows, p)
+
+
+@st.composite
+def arc_elements(draw):
+    """An n x n series in G(O), n in 1..4, known to N in 1..12: an invertible
+    constant term plus, unless the input is constant, sparse higher terms
+    with gaps between their exponents (some at or past N)."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    const = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(LaurentMatrix.from_scalars(const).det())
+    higher = st.just({}) if draw(st.booleans()) else st.dictionaries(
+        st.integers(1, 14), small, max_size=3)
+    return SeriesMatrix([[{0: c, **draw(higher)} for c in r] for r in const], p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arc_elements())
+def test_series_inverse_is_the_cofactor_inverse(a):
+    # the Newton lift equals the adjugate over the unit det, field for field,
+    # and keeps the input precision
+    inv = a.inverse()
+    want = adjugate_inverse(a)
+    assert inv.precision == want.precision == a.precision
+    assert inv.rows == want.rows
+
+
+@pytest.mark.parametrize("rows", [
+    [[{-1: 1, 0: 1}, {}], [{}, {0: 1}]],  # a negative exponent
+    # constant term [[1, 2], [1, 2]], det 2t + t^3 + t^4: not a unit
+    [[{0: 1, 1: 1}, {0: 2}], [{0: 1}, {0: 2, 3: 1}]],
+])
+def test_series_inverse_refuses_a_matrix_outside_the_arc_group(rows):
+    with pytest.raises(InvalidInputError, match=r"not invertible in G\(O\)"):
+        SeriesMatrix(rows, 6).inverse()
+
+
+def test_series_inverse_at_rank_eight():
+    a = random_arc_element(8, 14, random.Random(8))
+    prod = a * a.inverse()
+    assert prod.precision == 14 and prod == SeriesMatrix.identity(8, 14)
 
 
 def counting_det(monkeypatch):
