@@ -13,6 +13,7 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
@@ -34,7 +35,7 @@ from .exact_algebra import (
 )
 from .gaussian import QI
 from .group_catalog import ETA, THETA, GroupDatum, Side
-from .intlat import eliminate
+from .intlat import FractionFree, eliminate
 from .iwahori_orbits import AffineWeylElement, TorusProblem, classes_at_tw
 from .laurent import (
     Entry,
@@ -113,6 +114,69 @@ def _carry(cur: SeriesMatrix, h_acc: SeriesMatrix) -> int:
     return max(cur.precision - cur.val(), h_acc.precision - h_acc.val())
 
 
+def _layer_conjugators(ell: LaurentMatrix, lam: Sequence[int], datum: GroupDatum):
+    """conjugator(k, re, im, d): the y whose exp kills, to first order, the
+    layer (re + i*im) / d of g = t^-lam * x * w1 at t^k (row by row, d > 0),
+    or None when no y does; g's constant term is the Levi part ell.
+
+    The layers are solved on g itself, over Z[i].  ell is constant and
+    invertible, so g and ell^-1 * g vanish in the same layers, and g's layer
+    system is (ell (x) I) times that of ell^-1 * g.  The first-order
+    responses at ell are E_ij * ell on the left (its row i is row j of ell)
+    and ell * w1^-1 d_theta0(E_ij) w1 on the right; read over one common
+    denominator `scale`, they make the system A / scale with A over Z[i].
+    FractionFree's reduced rows are nonzero multiples of the reduced echelon
+    rows over Q(i), of either system, with the same pivot columns, and the
+    solution zero at the free columns is unique: so each y is the one
+    Gauss-Jordan over Q(i) gives, and its normal-form entries are too.
+    """
+    n = ell.n
+    w1_inv = datum.w1.inverse()
+    unknowns = [(i, j) for i in range(n) for j in range(n)]
+    ell_re, ell_im, ell_d = ell.layer_ints(0)
+    right = [(ell * w1_inv * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
+              * datum.w1).layer_ints(0) for i, j in unknowns]
+    scale = lcm(ell_d, *(d for _, _, d in right))
+
+    # y_(i,j) conjugator coefficients; effect on the t^k layer: left factor
+    # for lam_i >= lam_j, right factor for lam_i <= lam_j, the latter signed
+    # by epsilon^k, so the system depends on k only through that sign
+    def layer_system(sign: int) -> FractionFree:
+        """scale times the layer system at epsilon^k = sign: row (r, s) is
+        the layer's entry (r, s), column (i, j) the unknown y_(i,j)."""
+        re = [[0] * (n * n) for _ in unknowns]
+        im = [[0] * (n * n) for _ in unknowns]
+        for u, (i, j) in enumerate(unknowns):
+            if lam[i] <= lam[j]:
+                rr, ri, rd = right[u]
+                f = -sign * (scale // rd)
+                for q in range(n * n):
+                    re[q][u], im[q][u] = f * rr[q], f * ri[q]
+            if lam[i] >= lam[j]:
+                f = scale // ell_d
+                for s in range(n):
+                    re[i * n + s][u] += f * ell_re[j * n + s]
+                    im[i * n + s][u] += f * ell_im[j * n + s]
+        return FractionFree(re, im)
+
+    solvers = {}  # epsilon^k -> its layer system, factored on first use
+
+    def conjugator(k: int, re: List[int], im: List[int], d: int) -> Optional[LaurentMatrix]:
+        sign = datum.epsilon ** k
+        if sign not in solvers:
+            solvers[sign] = layer_system(sign)
+        # (A / scale) y = -layer: y = -scale * x / d for A x = re + i*im
+        sol = solvers[sign].solve(re, im)
+        if sol is None:
+            return None
+        xr, xi, xd = sol
+        return LaurentMatrix([[Entry.int_term(k + max(0, lam[i] - lam[j]), -scale * xr[i * n + j],
+                                              -scale * xi[i * n + j], d * xd[i * n + j])
+                               for j in range(n)] for i in range(n)])
+
+    return conjugator
+
+
 def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     """Reduce a theta-anti-fixed series loop to t^lam * g0 * w1^{-1}.
 
@@ -181,48 +245,19 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         certify(LaurentMatrix.from_scalars(g.constant_matrix()) == ell,
                 "layer-0 conjugation left a unipotent constant term")
 
-    # The layers are solved on g itself.  ell is constant and invertible, so
-    # g and ell^-1 * g vanish in the same layers, and g's layer system is
-    # (ell (x) I) times that of ell^-1 * g: the same reduced rows, so
-    # eliminate's solve, zero at the free columns, gives the same y.  The
-    # first-order responses at ell: E_ij * ell on the left and
-    # ell * w1^-1 d_theta0(E_ij) w1 on the right.
-    left_resp = [[(LaurentMatrix.monomial(n, i, j) * ell).constant_matrix()
-                  for j in range(n)] for i in range(n)]
-    right_resp = [[(ell * w1_inv * gc.d_theta0(LaurentMatrix.monomial(n, i, j), datum)
-                    * datum.w1).constant_matrix() for j in range(n)] for i in range(n)]
-
-    # y_(i,j) conjugator coefficients; effect on the t^k layer: left factor
-    # for lam_i >= lam_j, right factor for lam_i <= lam_j, the latter signed
-    # by epsilon^k, so the system depends on k only through that sign
-    unknowns = [(i, j) for i in range(n) for j in range(n)]
-
-    def layer_system(epsk: QI) -> List[List[QI]]:
-        return [[(left_resp[i][j][r][s] if lam[i] >= lam[j] else QI(0))
-                 - (epsk * right_resp[i][j][r][s] if lam[i] <= lam[j] else QI(0))
-                 for i, j in unknowns] for r in range(n) for s in range(n)]
-
-    solvers = {}  # epsilon^k -> the solver of its layer system, built on first use
+    conjugator = _layer_conjugators(ell, lam, datum)
     for k in range(1, g.precision):
-        layer = [[g.coeff(i, j, k) for j in range(n)] for i in range(n)]
-        if all(v.is_zero() for row in layer for v in row):
+        re, im, d = g.layer_ints(k)
+        if not any(re) and not any(im):
             continue
-        rhs = [-layer[r][s] for r in range(n) for s in range(n)]
-        sign = datum.epsilon ** k
-        if sign not in solvers:
-            solvers[sign] = eliminate(layer_system(QI(sign)))[2]
-        sol = solvers[sign](rhs)
-        certify(sol is not None, f"layer {k} has no killing conjugator")
-        y = LaurentMatrix([[Entry.term(k + max(0, lam[i] - lam[j]), sol[i * n + j])
-                            for j in range(n)] for i in range(n)])
+        y = conjugator(k, re, im, d)
+        certify(y is not None, f"layer {k} has no killing conjugator")
         # exp(y mod t^p) = exp(y) mod t^p for val(y) >= 1; p > k keeps layer k
         h, h_inv = series_exp(SeriesMatrix.from_laurent(y, max(_carry(cur, h_acc), k + 1)))
         cur = conjugate(cur, h, h_inv)
         h_acc = h * h_acc
         g = gform(cur)
-        certify(all(g.coeff(i, j, kk).is_zero()
-                     for kk in range(1, k + 1) for i in range(n) for j in range(n)),
-                f"layers 1..{k} are not killed")
+        certify(g.is_zero_between(1, k + 1), f"layers 1..{k} are not killed")
 
     g0 = ell
     loop_rep = LaurentMatrix.t_power(lam) * g0 * w1_inv

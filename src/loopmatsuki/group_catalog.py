@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, UnsupportedFamilyError, certify
-from .gaussian import QI, ONE, qi_from_str
+from .gaussian import QI, ONE, MINUS_ONE, qi_from_str
 from .laurent import ONE_ENTRY, LaurentMatrix
 
 SPLIT_GL = "split_gl"
@@ -236,7 +236,8 @@ def involution(gamma, datum: GroupDatum, side: Side, invert: bool, gamma_inv,
     if invert != transpose:
         g = gamma_inv if gamma_inv is not None else gamma.inverse()
     if not constant:
-        g = g.substitute(QI(datum.epsilon), invert=side.reflect, conj=side.reflect)
+        g = g.substitute(ONE if datum.epsilon == 1 else MINUS_ONE,
+                         invert=side.reflect, conj=side.reflect)
     elif side.reflect:
         g = g.substitute(ONE, invert=False, conj=True)
     if transpose:

@@ -11,7 +11,7 @@ plain lists of lists (rows) of ``int``, ``Fraction`` or ``QI``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import certify
@@ -45,65 +45,128 @@ def as_fractions(m: Sequence[Sequence]) -> List[List[Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# exact Gauss-Jordan over a field (Fraction or QI entries)
+# exact Gauss-Jordan: fraction-free over Z[i], read over Q or Q(i)
 
 
-def _reciprocal(x):
-    # one QI.inv(), not 1 / x, which would also multiply by QI(1)
-    return x.inv() if isinstance(x, QI) else 1 / x
+class FractionFree:
+    """Gauss-Jordan elimination of a matrix over Z[i] without fractions, as
+    Bareiss's elimination over an integral domain (Math. Comp. 22, 1968).
+
+    The matrix is given as its real and its imaginary integer rows.  Against
+    the pivot p = a[r][c], each other row with f = a[i][c] != 0 becomes
+    p * row_i - f * row_r, divided by its content (the gcd of its integers);
+    at the end each pivot row is multiplied by conj(p), so its pivot is a
+    positive integer.  Each row is thus a nonzero multiple of the same row of
+    the reduced echelon form over Q(i), with the same pivot columns.  The
+    identity rides along as the transform u, u * a = reduced, which
+    ``solve`` applies to a right-hand side b: a pivot row's u * b over its
+    pivot is one unknown, and a zero row's u * b must vanish.
+    """
+
+    __slots__ = ("pivots", "rows", "_cols", "_solution", "_checks")
+
+    def __init__(self, re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]):
+        m = len(re)
+        cols = len(re[0]) if m else 0
+        # row i of [a | e_i]: its real parts, then its imaginary parts
+        ar = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(re)]
+        ai = [list(r) + [0] * m for r in im]
+        pivots: List[int] = []
+
+        def combine(i: int, pr: int, pi: int, r: int, fr: int = 0, fi: int = 0):
+            """row_i <- p * row_i - f * row_r, divided by its content."""
+            vs = list(zip(ar[i], ai[i], ar[r], ai[r]))
+            nr = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in vs]
+            ni = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in vs]
+            g = gcd(*nr, *ni)
+            ar[i], ai[i] = [v // g for v in nr], [v // g for v in ni]
+
+        for c in range(cols):
+            r = len(pivots)
+            if r == m:
+                break
+            k = next((i for i in range(r, m) if ar[i][c] or ai[i][c]), None)
+            if k is None:
+                continue
+            ar[r], ar[k], ai[r], ai[k] = ar[k], ar[r], ai[k], ai[r]
+            for i in range(m):
+                if i != r and (ar[i][c] or ai[i][c]):
+                    combine(i, ar[r][c], ai[r][c], r, ar[i][c], ai[i][c])
+            pivots.append(c)
+        for r, c in enumerate(pivots):
+            combine(r, ar[r][c], -ai[r][c], r)  # times conj(p): the pivot is |p|^2
+        rank = len(pivots)
+        self.pivots, self._cols = pivots, cols
+        #: (real, imaginary) parts of each reduced row; pivot row r is its
+        #: positive pivot ar[r][pivots[r]] times the reduced echelon row
+        self.rows = [(r[:cols], i[:cols]) for r, i in zip(ar, ai)]
+        #: per pivot row: its column, its pivot, and u's nonzero (j, re, im)
+        self._solution = [(c, ar[r][c], _support(ar[r][cols:], ai[r][cols:]))
+                          for r, c in enumerate(pivots)]
+        self._checks = [_support(r[cols:], i[cols:]) for r, i in zip(ar[rank:], ai[rank:])]
+
+    def solve(self, re: Sequence[int], im: Sequence[int]):
+        """The solution of a * x = b, b = re + i * im over Z[i], that is zero
+        at the free columns, as (xr, xi, xd) with x_c = (xr[c] + i * xi[c]) /
+        xd[c], xd[c] > 0; None if the system has no solution."""
+        for u in self._checks:
+            if (sum(a * re[j] - b * im[j] for j, a, b in u)
+                    or sum(a * im[j] + b * re[j] for j, a, b in u)):
+                return None
+        xr, xi, xd = [0] * self._cols, [0] * self._cols, [1] * self._cols
+        for c, p, u in self._solution:
+            xr[c] = sum(a * re[j] - b * im[j] for j, a, b in u)
+            xi[c] = sum(a * im[j] + b * re[j] for j, a, b in u)
+            xd[c] = p
+        return xr, xi, xd
+
+
+def _support(re: Sequence[int], im: Sequence[int]) -> List[Tuple[int, int, int]]:
+    return [(j, a, b) for j, (a, b) in enumerate(zip(re, im)) if a or b]
+
+
+def _gaussian_parts(xs: Sequence) -> Tuple[List[int], List[int], int]:
+    """(re, im, d) with xs[j] = (re[j] + i * im[j]) / d for int, Fraction or
+    QI entries, d > 0 their common denominator."""
+    pairs = [(x.re, x.im) if isinstance(x, QI) else (x, 0) for x in xs]
+    d = lcm(*(f.denominator for p in pairs for f in p))
+    return ([a.numerator * (d // a.denominator) for a, _ in pairs],
+            [b.numerator * (d // b.denominator) for _, b in pairs], d)
 
 
 def eliminate(a: Sequence[Sequence]) -> Tuple[list, List[int], Callable]:
     """Gauss-Jordan on a once: (reduced rows, pivot columns, solve).
 
-    The entries need ``+ - *``, a reciprocal and a truthiness zero test.
-    ``solve(b)`` replays the recorded row operations on b alone, so each
-    right-hand side costs what carrying it as one more column would.  It
-    returns the solution of a*x = b that is zero at the free columns, or
-    None if the system is inconsistent.
+    The entries are Fraction or QI (int allowed beside them); the rows and
+    solutions are QI when any entry of a is, else Fraction.  Each row is
+    cleared of its denominators and the Z[i] matrix is eliminated by
+    ``FractionFree``; the reduced echelon form is unique, so its rows are
+    those of Gauss-Jordan over the field.  ``solve(b)`` applies the
+    recorded transform to b alone and returns the solution of a*x = b that
+    is zero at the free columns, or None if the system is inconsistent.
     """
-    m = len(a)
-    cols = len(a[0]) if m else 0
-    rows = [list(r) for r in a]
-    # per pivot: (row, swapped-in row, reciprocal, [(row, factor)])
-    ops: List[Tuple[int, int, object, List[Tuple[int, object]]]] = []
-    pivots: List[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _reciprocal(rows[r][c])
-        rows[r] = [x * inv for x in rows[r]]
-        fs = []
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                fs.append((i, f))
-        ops.append((r, pr, inv, fs))
-        pivots.append(c)
-    rank = len(pivots)
-    zero = type(a[0][0])(0) if cols else None
+    kind = QI if any(isinstance(x, QI) for r in a for x in r) else Fraction
+    parts = [_gaussian_parts(r) for r in a]
+    ff = FractionFree([p[0] for p in parts], [p[1] for p in parts])
+    scales = [p[2] for p in parts]
+
+    def field(re: int, im: int, d: int):
+        return QI(Fraction(re, d), Fraction(im, d)) if kind is QI else Fraction(re, d)
+
+    # pivot row r over its pivot, a positive integer, is reduced echelon row r
+    rows = [[field(x, y, re[c]) for x, y in zip(re, im)]
+            for (re, im), c in zip(ff.rows, ff.pivots)]
+    rows += [[kind(0)] * len(re) for re, _ in ff.rows[len(ff.pivots):]]
 
     def solve(b: Sequence) -> Optional[list]:
-        b = list(b)
-        for pr, swap, inv, fs in ops:
-            b[pr], b[swap] = b[swap], b[pr]
-            b[pr] = b[pr] * inv
-            for i, f in fs:
-                b[i] = b[i] - f * b[pr]
-        if any(b[rank:]):
+        re, im, d = _gaussian_parts(b)
+        # row i of the integer system is scales[i] times row i of a
+        x = ff.solve([v * s for v, s in zip(re, scales)], [v * s for v, s in zip(im, scales)])
+        if x is None:
             return None
-        x = [zero] * cols
-        for i, c in enumerate(pivots):
-            x[c] = b[i]
-        return x
+        return [field(u, v, w * d) for u, v, w in zip(*x)]
 
-    return rows, pivots, solve
+    return rows, ff.pivots, solve
 
 
 def snf_int(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:

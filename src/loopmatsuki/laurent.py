@@ -10,7 +10,9 @@ terms are nonzero and gcd(d, re, im) = 1, so equal entries have equal
 fields.  ``QI`` (and so ``Fraction``) is built only where a coefficient
 leaves the kernel: ``coeff``, ``constant_matrix`` and the entry's
 read-only mapping view ``exponent -> QI``.  Serialization reads the
-integer terms (``Entry.int_terms``) and builds neither.
+integer terms (``Entry.int_terms``) and builds neither, nor do
+``layer_ints`` (the coefficients of t^k as Gaussian integers over one
+denominator), ``is_zero_between``, ``Entry.int_term`` and ``scale``.
 An entry product is an integer schoolbook loop over the two lists; its
 outer loop runs over the operand with more zero terms and skips them, so
 a series like 1 + O(t^k) costs as much as its nonzero terms.  The same
@@ -74,6 +76,11 @@ class Entry:
         """The monomial c * t^k."""
         r, i, d = _qi_parts(QI.of(c))
         return _make(int(k), [r], [i], d)
+
+    @staticmethod
+    def int_term(k: int, re: int, im: int, d: int) -> "Entry":
+        """The monomial (re + i*im) / d * t^k from its integer parts, d > 0."""
+        return _make(k, [re], [im], d)
 
     @staticmethod
     def of(x) -> "Entry":
@@ -469,6 +476,27 @@ class _Matrix:
         return all(not e._re or (e._v == 0 and len(e._re) == 1)
                    for r in self.rows for e in r)
 
+    def layer_ints(self, k: int):
+        """The coefficients of t^k, row by row, as (re, im, d): coefficient q
+        is (re[q] + i*im[q]) / d over one common denominator d > 0."""
+        if self.precision is not None and k >= self.precision:
+            raise PrecisionError(f"coefficient of t^{k} beyond precision {self.precision}")
+        cells = [(e._re[k - e._v], e._im[k - e._v], e._d) if 0 <= k - e._v < len(e._re)
+                 else (0, 0, 1) for r in self.rows for e in r]
+        d = lcm(*(c for x, y, c in cells if x or y))
+        return [x * (d // c) for x, _, c in cells], [y * (d // c) for _, y, c in cells], d
+
+    def is_zero_between(self, lo: int, hi: int) -> bool:
+        """Whether no entry has a nonzero term of exponent lo <= k < hi."""
+        if self.precision is not None and hi > self.precision:
+            raise PrecisionError(f"coefficient of t^{hi - 1} beyond precision {self.precision}")
+        for r in self.rows:
+            for e in r:
+                a, b = max(lo - e._v, 0), hi - e._v
+                if b > 0 and (any(e._re[a:b]) or any(e._im[a:b])):
+                    return False
+        return True
+
     def constant_matrix(self) -> List[List[QI]]:
         """Coefficient of t^0 in each entry."""
         if self.precision is not None and self.precision < 1:
@@ -491,9 +519,20 @@ class _Matrix:
     def __neg__(self):
         return _matrix([[-e for e in r] for r in self.rows], self.precision)
 
-    def scale(self, c: QI | int | Fraction):
-        q = Entry.term(0, c)
-        return _matrix([[e * q for e in r] for r in self.rows], self.precision)
+    def scale(self, c: QI | int | Fraction, m: int = 1):
+        """c / m times the matrix, m a positive integer: each entry's integers
+        times c's numerator p + i*q and its denominator times c's denominator
+        and m, in normal form."""
+        p, q, d = _qi_parts(c) if isinstance(c, QI) else (c.numerator, 0, c.denominator)
+
+        def times(e: Entry) -> Entry:
+            if q:
+                re = [x * p - y * q for x, y in zip(e._re, e._im)]
+                im = [x * q + y * p for x, y in zip(e._re, e._im)]
+            else:
+                re, im = [x * p for x in e._re], [y * p for y in e._im]
+            return _make(e._v, re, im, e._d * d * m) if e._re else e
+        return _matrix([[times(e) for e in r] for r in self.rows], self.precision)
 
     def transpose(self):
         return _matrix([list(c) for c in zip(*self.rows)], self.precision)
@@ -726,7 +765,7 @@ def exp_with_inverse(a, terms: int):
     caller certifies) or a series; the pair keeps a's kind and precision."""
     out = inv = term = _matrix(LaurentMatrix.identity(a.n).rows, a.precision)
     for m in range(1, terms + 1):
-        term = (term * a).scale(Fraction(1, m))
+        term = (term * a).scale(1, m)
         if term.is_zero():
             break
         out = out + term

@@ -503,3 +503,65 @@ def test_compact_symmetric_sample_not_fixed_by_theta0_exits_1(optimize):
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == "error: certificate failed: Cayley unitary is not fixed by theta0\n"
+
+
+# The theta layer solve over Z[i] returns each unknown over its pivot; the
+# patch drops that scale factor (xd set to 1), as a replay that forgets one
+# would.  The wrong conjugator leaves its layer standing, so the "layers
+# 1..k are not killed" certificate must stop canonicalize_theta, and the
+# canonicalize command must exit 1 without printing a form.
+LAYER_SCALE_SCRIPT = r"""
+import json, random, sys
+from loopmatsuki import canonicalize, cli, serialize
+from loopmatsuki import group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_theta
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.intlat import FractionFree
+from loopmatsuki.laurent import SeriesMatrix
+from loopmatsuki.randgen import random_arc_element
+
+d = gc.build_datum("split_gl", 2, 1)
+(cls,) = classify_theta(d, (1, 0))
+h = SeriesMatrix.from_laurent(random_arc_element(2, 8, random.Random(3)).to_laurent(), 14)
+x = h * SeriesMatrix.from_laurent(cls.loop_rep, 14) * gc.apply_theta(h, d).inverse()
+print(canonicalize.canonicalize_theta(x, d).orbit_class.label)
+path = sys.argv[1] + "/x.json"
+with open(path, "w") as f:
+    json.dump(serialize.laurent_to_json(x), f)
+
+solve = FractionFree.solve
+dropped = []
+
+def solve_without_pivot_scale(self, re, im):
+    sol = solve(self, re, im)
+    if sol is None:
+        return None
+    xr, xi, xd = sol
+    dropped.append(any(v != 1 for v in xd))
+    return xr, xi, [1] * len(xd)
+
+FractionFree.solve = solve_without_pivot_scale
+try:
+    canonicalize.canonicalize_theta(x, d)
+    print("no error")
+except CertificateError as exc:
+    print("CertificateError:", exc)
+print(dropped[-1])
+print(cli.main(["canonicalize", "--family", "split_gl", "--side", "theta", "--input", path]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_dropped_layer_scale_is_caught(tmp_path, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", LAYER_SCALE_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    label, caught, dropped, code = proc.stdout.split("\n")[:4]
+    assert label == "Sym|Sym"
+    assert caught.startswith("CertificateError: certificate failed: layers 1..")
+    assert caught.endswith("are not killed")
+    assert dropped == "True"  # the fault really changed a solution
+    assert code == "1"
+    assert "are not killed" in proc.stderr

@@ -6,9 +6,58 @@ from hypothesis import given, settings, strategies as st
 
 from loopmatsuki.gaussian import QI
 from loopmatsuki.intlat import (
-    as_fractions, eliminate, integer_left_kernel_basis, lattice_basis, mat_mul,
+    FractionFree, as_fractions, eliminate, integer_left_kernel_basis, lattice_basis, mat_mul,
     snf_diagonal, snf_int,
 )
+
+
+# Gauss-Jordan over the field itself, entry by entry in Fraction or QI: the
+# oracle for the library's fraction-free elimination over Z[i].
+
+def field_eliminate(a):
+    """(reduced rows, pivot columns, solve) by Gauss-Jordan over the field of
+    a's entries; solve(b) replays the row operations on b and returns the
+    solution zero at the free columns, or None if a*x = b has none."""
+    m = len(a)
+    cols = len(a[0]) if m else 0
+    rows = [list(r) for r in a]
+    ops, pivots = [], []
+    for c in range(cols):
+        r = len(pivots)
+        if r == m:
+            break
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c].inv() if isinstance(rows[r][c], QI) else 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        fs = []
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                fs.append((i, f))
+        ops.append((r, pr, inv, fs))
+        pivots.append(c)
+    rank = len(pivots)
+    zero = type(a[0][0])(0) if cols else None
+
+    def solve(b):
+        b = list(b)
+        for pr, swap, inv, fs in ops:
+            b[pr], b[swap] = b[swap], b[pr]
+            b[pr] = b[pr] * inv
+            for i, f in fs:
+                b[i] = b[i] - f * b[pr]
+        if any(b[rank:]):
+            return None
+        x = [zero] * cols
+        for i, c in enumerate(pivots):
+            x[c] = b[i]
+        return x
+
+    return rows, pivots, solve
 
 
 # The right kernel over a field, read off the reduced rows of eliminate: an
@@ -171,3 +220,34 @@ def test_eliminate_against_rank_oracle(system):
         assert _apply(a, v, zero) == [zero] * len(a)
     if basis:
         assert _rank(basis) == len(basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_eliminate_is_gauss_jordan_over_the_field(system):
+    """The fraction-free elimination gives the field's reduced rows, pivots
+    and solutions, of the field's type, value for value."""
+    a, b, _ = system
+    rows, pivots, solve = eliminate(a)
+    want_rows, want_pivots, want_solve = field_eliminate(a)
+    assert pivots == want_pivots
+    assert rows == want_rows
+    assert all(type(x) is type(a[0][0]) for row in rows for x in row)
+    x, want = solve(b), want_solve(b)
+    assert x == want
+    assert x is None or all(type(v) is type(a[0][0]) for v in x)
+
+
+def test_fraction_free_rows_are_integer_multiples_of_the_reduced_rows():
+    # [[2, 4], [3, 5]] over Q: pivot rows end with positive integer pivots
+    ff = FractionFree([[2, 4], [3, 5]], [[0, 0], [0, 0]])
+    assert ff.pivots == [0, 1]
+    for r, (re, im) in enumerate(ff.rows):
+        assert re[r] > 0 and not re[1 - r] and not any(im)
+    xr, xi, xd = ff.solve([2, 3], [0, 0])  # x = (1, 0)
+    assert [Fraction(u, d) for u, d in zip(xr, xd)] == [1, 0] and not any(xi)
+    assert ff.solve([1, 1], [0, 0]) is not None
+    rank_one = FractionFree([[1, 1], [2, 2]], [[0, 1], [0, 2]])  # rows (1, 1+i), 2 * that
+    assert rank_one.pivots == [0]
+    assert rank_one.solve([1, 2], [0, 0]) == ([1, 0], [0, 0], [1, 1])
+    assert rank_one.solve([1, 3], [0, 0]) is None

@@ -686,3 +686,45 @@ def test_exp_with_inverse_on_positive_valuation_series(n, v, p, rng):
     assert e.precision == e_inv.precision == p
     assert e * e_inv == SeriesMatrix.identity(n, p)
     assert e == _plain_exp_sum(a, 1, terms) and e_inv == _plain_exp_sum(a, -1, terms)
+
+
+# Scaling multiplies each entry's integers by c's numerator and its
+# denominator by c's denominator; the oracle is the old route, an entry
+# product with the monomial c.  The normal form is unique, so the fields
+# (and so the bytes) must be equal.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.one_of(st.integers(-5, 5), rationals, scalars), st.data())
+def test_scale_is_the_product_with_the_constant(n, c, data):
+    m = series_matrices(n, data)
+    for a in (m, m.to_laurent()):
+        got, q = a.scale(c), Entry.term(0, c)
+        assert got.precision == a.precision
+        assert ([[fields(e) for e in r] for r in got.rows]
+                == [[fields(e * q) for e in r] for r in a.rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_layer_ints_and_zero_windows_read_the_coefficients(n, data):
+    m = series_matrices(n, data)
+    for k in range(-6, m.precision):
+        re, im, d = m.layer_ints(k)
+        assert d > 0
+        want = [m.coeff(i, j, k) for i in range(n) for j in range(n)]
+        assert [QI(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)] == want
+        for lo in range(-6, k + 1):
+            assert m.is_zero_between(lo, k + 1) == all(
+                m.coeff(i, j, kk).is_zero() for kk in range(lo, k + 1)
+                for i in range(n) for j in range(n))
+    with pytest.raises(PrecisionError):
+        m.layer_ints(m.precision)
+    with pytest.raises(PrecisionError):
+        m.is_zero_between(0, m.precision + 1)
+
+
+@KERNEL
+@given(exponents, numerators, numerators, denominators)
+def test_int_term_is_the_monomial_in_normal_form(k, re, im, d):
+    got = Entry.int_term(k, re, im, d)
+    want = Entry.term(k, QI(Fraction(re, d), Fraction(im, d)))
+    assert fields(got) == fields(want)
