@@ -11,13 +11,12 @@ factor, so no caller inverts it by cofactors.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import chain, combinations
-from math import gcd, lcm
+from itertools import combinations
 from typing import List, Tuple
 
 from .errors import InvalidInputError, PrecisionError, certify
 from .gaussian import QI, ONE
+from .intlat import first_dependency
 from .laurent import (
     ONE_ENTRY,
     ZERO_ENTRY,
@@ -154,42 +153,21 @@ def smith_over_dvr(s: SeriesMatrix) -> Tuple[SeriesMatrix, List[int], SeriesMatr
 # Birkhoff factorization gamma = g_plus t^lam g_minus
 
 
-def _lead_dependency(p_rows: List[List[Entry]], degs: List[int]) -> List[QI] | None:
-    """The left null vector c, c_f = 1, of the leading-coefficient matrix at
-    its first dependent row f, or None.  Each row, scaled to Z[i], is reduced
-    fraction-free against the echelon rows before it, carrying the transform
-    t (reduced row = sum_j t_j * leading row j); contents are divided out."""
+def _lead_dependency(p_rows: List[List[Entry]], degs: List[int]) -> List[Entry] | None:
+    """c = t / t_f as constant entries, t * L = 0 from ``first_dependency``
+    on the leading-coefficient matrix L (the t^0 layer of the rows shifted
+    down by their degrees, as Gaussian integers); None when L is invertible."""
     n = len(p_rows)
-    echelon = []  # (pivot, vr, vi, tr, ti)
-    for f, dg in enumerate(degs):
-        lead = [(j, e.lead_parts()) for j, e in enumerate(p_rows[f]) if e.deg() == dg]
-        den = reduce(lcm, (d for _, (_, _, d) in lead), 1)
-        vr, vi, tr, ti = [0] * n, [0] * n, [0] * n, [0] * n
-        for j, (r, m, d) in lead:
-            vr[j], vi[j] = r * (den // d), m * (den // d)
-        tr[f] = den
-        for p, er, ei, etr, eti in echelon:
-            ar, ai = vr[p], vi[p]
-            if not (ar or ai):
-                continue
-            br, bi = er[p], ei[p]
-            # v <- b * v - a * e, and the same on the transform
-            for x, y, ex, ey in ((vr, vi, er, ei), (tr, ti, etr, eti)):
-                for j in range(n):
-                    xr, xi, yr, yi = x[j], y[j], ex[j], ey[j]
-                    x[j] = br * xr - bi * xi - ar * yr + ai * yi
-                    y[j] = br * xi + bi * xr - ar * yi - ai * yr
-            g = reduce(gcd, chain(vr, vi, tr, ti))
-            for x in (vr, vi, tr, ti):
-                x[:] = [a // g for a in x]
-        p = next((j for j in range(n) if vr[j] or vi[j]), None)
-        if p is None:
-            a, b = tr[f], ti[f]  # c = t / t_f, supported on rows 0..f
-            norm = a * a + b * b
-            return [QI(Fraction(x * a + y * b, norm), Fraction(y * a - x * b, norm))
-                    for x, y in zip(tr, ti)]
-        echelon.append((p, vr, vi, tr, ti))
-    return None
+    lead = LaurentMatrix([[e.shift(-dg) for e in r] for r, dg in zip(p_rows, degs)])
+    re, im, _ = lead.layer_ints(0)
+    dep = first_dependency([re[i:i + n] for i in range(0, n * n, n)],
+                           [im[i:i + n] for i in range(0, n * n, n)])
+    if dep is None:
+        return None
+    f, tr, ti = dep
+    a, b = tr[f], ti[f]
+    norm = a * a + b * b  # t_j / t_f = t_j * conj(t_f) / |t_f|^2
+    return [Entry.int_term(0, x * a + y * b, y * a - x * b, norm) for x, y in zip(tr, ti)]
 
 
 def birkhoff_factor(
@@ -207,8 +185,9 @@ def birkhoff_factor(
     null vector c of L with support in {0..f} and c_f = 1 is unique: the
     kernel vector of L^T at its first free column in reduced echelon form.
     Row i0, of largest degree where c is nonzero, becomes the lower-degree
-    sum_j c_j t^(d_i0 - d_j) row_j; that row operation E on an identity-started
-    matrix gives g_plus_inv = P * E_k ... E_1, and g_plus takes E^-1.
+    sum_j c_j t^(d_i0 - d_j) row_j (certified, so the loop ends); that row
+    operation E on an identity-started matrix gives g_plus_inv = P * E_k ...
+    E_1, and g_plus takes E^-1.
     """
     n = gamma.n
     d = gamma.det()
@@ -234,17 +213,17 @@ def birkhoff_factor(
         # pick the row of maximal degree among those with nonzero coefficient
         i0 = max((i for i in range(n) if c[i]), key=lambda i: degs[i])
         # row_i0 <- sum_j c_j t^{d_i0 - d_j} row_j  (degree of row i0 drops)
-        ce = [Entry.term(0, x) for x in c]
         shifts = [degs[i0] - dj for dj in degs]
         for rows in (p_rows, ginv):
             new_row = [ZERO_ENTRY] * n
-            for r, x, k in zip(rows, ce, shifts):
+            for r, x, k in zip(rows, c, shifts):
                 if x:
                     new_row = [acc + (e * x).shift(k) for acc, e in zip(new_row, r)]
             rows[i0] = new_row
+        certify(row_deg(i0) < degs[i0], "Birkhoff row reduction did not lower a row degree")
         # gplus <- gplus * E^{-1} = gplus + (column i0) * (row i0 of E^{-1} - e_i0)
-        ci_inv = Entry.term(0, c[i0].inv())
-        einv = [(-(x * ci_inv)).shift(k) for x, k in zip(ce, shifts)]
+        ci_inv = c[i0].reciprocal(1)
+        einv = [(-(x * ci_inv)).shift(k) for x, k in zip(c, shifts)]
         einv[i0] = ci_inv - ONE_ENTRY
         for r in gplus:
             r[:] = [x + r[i0] * y for x, y in zip(r, einv)]
@@ -275,7 +254,7 @@ def birkhoff_factor(
 
 def _binomial_roots(x: LaurentMatrix) -> Tuple[LaurentMatrix, LaurentMatrix]:
     """(1 + x)^(1/2) and (1 + x)^(-1/2) as the binomial sums of C(+-1/2, m) x^m:
-    one chain of powers of x serves both and the nilpotency check x^n = 0."""
+    one run of powers of x serves both and the nilpotency check x^n = 0."""
     root = inv = LaurentMatrix.identity(x.n)
     up = down = Fraction(1)  # C(1/2, m) and C(-1/2, m)
     p, m = x, 1

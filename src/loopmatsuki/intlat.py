@@ -1,8 +1,9 @@
 """Exact linear algebra: Gauss-Jordan over Q and Q(i), integer lattices.
 
 Provides the one exact elimination kernel of the package (over
-``fractions.Fraction`` or ``QI``), integer Smith normal form with its
-transforms, the integer left kernel and lattice bases.  Kernels over a
+``fractions.Fraction`` or ``QI``) and the forward pass to a matrix's first
+dependent row, both on one Z[i] row rule, integer Smith normal form with
+its transforms, the integer left kernel and lattice bases.  Kernels over a
 field are read off where they are needed: the Iwahori torus problem takes
 its characters from the rows of the Smith transform U.  All matrices are
 plain lists of lists (rows) of ``int``, ``Fraction`` or ``QI``.
@@ -48,16 +49,29 @@ def as_fractions(m: Sequence[Sequence]) -> List[List[Fraction]]:
 # exact Gauss-Jordan: fraction-free over Z[i], read over Q or Q(i)
 
 
+def _row_rule(xr: List[int], xi: List[int], yr: List[int], yi: List[int],
+              pr: int, pi: int, fr: int = 0, fi: int = 0) -> Tuple[List[int], List[int]]:
+    """p * x - f * y for Z[i] rows x, y (real and imaginary parts) and p, f
+    in Z[i], divided by its content (the gcd of its integers)."""
+    vs = list(zip(xr, xi, yr, yi))
+    nr = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in vs]
+    ni = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in vs]
+    g = gcd(*nr, *ni)
+    return [v // g for v in nr], [v // g for v in ni]
+
+
 class FractionFree:
-    """Gauss-Jordan elimination of a matrix over Z[i] without fractions, as
-    Bareiss's elimination over an integral domain (Math. Comp. 22, 1968).
+    """Gauss-Jordan elimination of a matrix over Z[i] without fractions.
 
     The matrix is given as its real and its imaginary integer rows.  Against
     the pivot p = a[r][c], each other row with f = a[i][c] != 0 becomes
-    p * row_i - f * row_r, divided by its content (the gcd of its integers);
-    at the end each pivot row is multiplied by conj(p), so its pivot is a
-    positive integer.  Each row is thus a nonzero multiple of the same row of
-    the reduced echelon form over Q(i), with the same pivot columns.  The
+    p * row_i - f * row_r, divided by its content (``_row_rule``); at the
+    end each pivot row is multiplied by conj(p), so its pivot is a positive
+    integer.  Each row is thus a nonzero multiple of the same row of the
+    reduced echelon form over Q(i), with the same pivot columns.  Unlike
+    Bareiss (Math. Comp. 22, 1968), no row is divided by the last pivot, so a
+    Gaussian factor such as 1 + i stays and dense Gaussian entries can grow
+    exponentially with the size.  The
     identity rides along as the transform u, u * a = reduced, which
     ``solve`` applies to a right-hand side b: a pivot row's u * b over its
     pivot is one unknown, and a zero row's u * b must vanish.
@@ -72,15 +86,6 @@ class FractionFree:
         ar = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(re)]
         ai = [list(r) + [0] * m for r in im]
         pivots: List[int] = []
-
-        def combine(i: int, pr: int, pi: int, r: int, fr: int = 0, fi: int = 0):
-            """row_i <- p * row_i - f * row_r, divided by its content."""
-            vs = list(zip(ar[i], ai[i], ar[r], ai[r]))
-            nr = [pr * a - pi * b - fr * x + fi * y for a, b, x, y in vs]
-            ni = [pr * b + pi * a - fr * y - fi * x for a, b, x, y in vs]
-            g = gcd(*nr, *ni)
-            ar[i], ai[i] = [v // g for v in nr], [v // g for v in ni]
-
         for c in range(cols):
             r = len(pivots)
             if r == m:
@@ -91,10 +96,12 @@ class FractionFree:
             ar[r], ar[k], ai[r], ai[k] = ar[k], ar[r], ai[k], ai[r]
             for i in range(m):
                 if i != r and (ar[i][c] or ai[i][c]):
-                    combine(i, ar[r][c], ai[r][c], r, ar[i][c], ai[i][c])
+                    ar[i], ai[i] = _row_rule(ar[i], ai[i], ar[r], ai[r],
+                                             ar[r][c], ai[r][c], ar[i][c], ai[i][c])
             pivots.append(c)
         for r, c in enumerate(pivots):
-            combine(r, ar[r][c], -ai[r][c], r)  # times conj(p): the pivot is |p|^2
+            # times conj(p): the pivot is |p|^2
+            ar[r], ai[r] = _row_rule(ar[r], ai[r], ar[r], ai[r], ar[r][c], -ai[r][c])
         rank = len(pivots)
         self.pivots, self._cols = pivots, cols
         #: (real, imaginary) parts of each reduced row; pivot row r is its
@@ -119,6 +126,28 @@ class FractionFree:
             xi[c] = sum(a * im[j] + b * re[j] for j, a, b in u)
             xd[c] = p
         return xr, xi, xd
+
+
+def first_dependency(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]]):
+    """(f, tr, ti): the first row f of a Z[i] matrix a (its real and
+    imaginary integer rows) that depends on the rows before it, and t = tr +
+    i * ti with t * a = 0, support in rows 0..f and t_f != 0; None at full
+    row rank.  Each row, the identity row riding along as its transform, is
+    reduced by ``_row_rule`` against the echelon rows before it."""
+    m = len(re)
+    cols = len(re[0]) if m else 0
+    echelon: List[Tuple[int, List[int], List[int]]] = []  # (pivot column, re, im)
+    for f in range(m):
+        xr = list(re[f]) + [int(f == j) for j in range(m)]
+        xi = list(im[f]) + [0] * m
+        for c, er, ei in echelon:
+            if xr[c] or xi[c]:
+                xr, xi = _row_rule(xr, xi, er, ei, er[c], ei[c], xr[c], xi[c])
+        c = next((j for j in range(cols) if xr[j] or xi[j]), None)
+        if c is None:
+            return f, xr[cols:], xi[cols:]
+        echelon.append((c, xr, xi))
+    return None
 
 
 def _support(re: Sequence[int], im: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -270,23 +299,15 @@ def integer_left_kernel_basis(m: Sequence[Sequence[int]]) -> List[List[int]]:
     return [u[i] for i in range(rank, rows)]
 
 
-def _clear_denominators(vecs: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
-    denom = 1
-    for v in vecs:
-        for x in v:
-            denom = lcm(denom, Fraction(x).denominator)
-    ints = [[int(Fraction(x) * denom) for x in v] for v in vecs]
-    return ints, denom
-
-
 def lattice_basis(gens: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
     """Basis of the lattice in Q^n generated by the given vectors."""
     gens = [list(v) for v in gens if any(v)]
     if not gens:
         return []
-    ints, denom = _clear_denominators(gens)
+    k = len(gens[0])
+    flat, _, denom = _gaussian_parts([x for v in gens for x in v])
     # columns = generators
-    m = transpose(ints)
+    m = transpose([flat[j:j + k] for j in range(0, len(flat), k)])
     u, d, _ = snf_int(m)
     solve = eliminate(as_fractions(u))[2]  # U x = e_i gives column i of U^-1
     n = len(m)

@@ -224,10 +224,6 @@ class Entry:
         v, d = self._v, self._d
         return ((v + i, r, m, d) for i, (r, m) in enumerate(zip(self._re, self._im)) if r or m)
 
-    def lead_parts(self):
-        """(re, im, d) of the highest term (re + i*im) / d * t^deg of a nonzero entry."""
-        return self._re[-1], self._im[-1], self._d
-
     # -- read-only mapping view exponent -> QI -------------------------------
     def coeff(self, k: int) -> QI:
         """The coefficient of t^k (the shared ZERO when absent)."""

@@ -3,8 +3,9 @@
 A subprocess runs with ``-O`` (which strips every ``assert``), injects a
 fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
-A corrupted g_plus inverse from the Birkhoff row reduction, or a wrong
-inverse of the unipotent square root, must likewise stop ``canonicalize_eta``.
+A corrupted g_plus inverse from the Birkhoff row reduction, a Birkhoff step
+that lowers no row degree, or a wrong inverse of the unipotent square root,
+must likewise stop ``canonicalize_eta``.
 Faults in the spherical classifier, the duality matcher, the selftest, the
 internal checks of the exact algebra, the Smith forms of the Iwahori torus
 problem and the compact symmetric sampler must likewise end in exit code 1.
@@ -565,3 +566,62 @@ def test_dropped_layer_scale_is_caught(tmp_path, optimize):
     assert dropped == "True"  # the fault really changed a solution
     assert code == "1"
     assert "are not killed" in proc.stderr
+
+
+# The forward pass that finds the first dependent leading row returns
+# t + e_0 instead of the transform t, so row 0's leading coefficient no
+# longer cancels and the Birkhoff step leaves row i0's degree where it was.
+# The loop ends only because each step lowers a degree; the certificate on
+# that progress must stop canonicalize_eta at once instead of letting it spin,
+# and the canonicalize command must exit 1 without printing a form.
+DEPENDENCY_SCRIPT = r"""
+import json, random, sys
+from loopmatsuki import canonicalize, cli, exact_algebra, serialize
+from loopmatsuki import group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.randgen import random_poly_element
+
+d = gc.build_datum("split_gl", 3, 1)
+(cls,) = classify_eta(d, (1, 0, -1))
+h = random_poly_element(3, 3, random.Random(4))
+x = h * cls.loop_rep * gc.apply_eta(h, d).inverse()
+print(canonicalize.canonicalize_eta(x, d).orbit_class.label)
+path = sys.argv[1] + "/x.json"
+with open(path, "w") as f:
+    json.dump(serialize.laurent_to_json(x), f)
+
+first_dependency = exact_algebra.first_dependency
+perturbed = []
+
+def dependency_plus_e0(re, im):
+    dep = first_dependency(re, im)
+    if dep is None:
+        return None
+    f, tr, ti = dep
+    perturbed.append(f)
+    return f, [tr[0] + 1] + tr[1:], ti
+
+exact_algebra.first_dependency = dependency_plus_e0
+try:
+    canonicalize.canonicalize_eta(x, d)
+    print("no error")
+except CertificateError as exc:
+    print("CertificateError:", exc)
+print(len(perturbed) > 0)
+print(cli.main(["canonicalize", "--family", "split_gl", "--n", "3", "--side", "eta",
+                "--input", path]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_birkhoff_step_without_progress_is_caught(tmp_path, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", DEPENDENCY_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    failed_check = "certificate failed: Birkhoff row reduction did not lower a row degree"
+    assert proc.stdout.split("\n") == [
+        "Sym|Sym|Sym", "CertificateError: " + failed_check, "True", "1", ""]
+    assert proc.stderr == f"error: {failed_check}\n"

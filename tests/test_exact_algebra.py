@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 from typing import List, Tuple
 
 import pytest
@@ -13,7 +14,7 @@ from loopmatsuki.exact_algebra import (
     hermitian_signature, smith_over_dvr, unipotent_sqrt, valuation_coweight,
 )
 from loopmatsuki.gaussian import QI, ZERO
-from loopmatsuki.intlat import eliminate, mat_mul, transpose
+from loopmatsuki.intlat import eliminate, first_dependency, mat_mul, transpose
 from loopmatsuki.laurent import Entry, LaurentMatrix, SeriesMatrix
 from loopmatsuki.randgen import random_arc_element, random_poly_element
 from test_intlat import kernel_basis
@@ -142,7 +143,36 @@ def test_lead_dependency_against_elimination(case):
     rows, degs, lead = case
     reduced, pivots, _ = eliminate(transpose(lead))
     basis = kernel_basis(reduced, pivots)
-    assert _lead_dependency(rows, degs) == (basis[0] if basis else None)
+    c = _lead_dependency(rows, degs)
+    if c is None:
+        assert not basis
+    else:
+        assert all(not e or e.val() == e.deg() == 0 for e in c)  # constants
+        assert [e.coeff(0) for e in c] == basis[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_leading_rows())
+def test_first_dependency_is_the_first_dependent_row(case):
+    _, _, lead = case  # A * B of rank r <= n with zeroed rows: planted dependencies
+    d = lcm(*(x.re.denominator * x.im.denominator for r in lead for x in r))
+    re = [[int(x.re * d) for x in r] for r in lead]
+    im = [[int(x.im * d) for x in r] for r in lead]
+    n = len(lead)
+    dep = first_dependency(re, im)
+    rank = len(eliminate(lead)[1])
+    assert (dep is None) == (rank == n)
+    if dep is None:
+        return
+    f, tr, ti = dep
+    assert len(tr) == len(ti) == n
+    # t * a = 0 over Z[i]
+    for j in range(n):
+        assert sum(x * re[k][j] - y * im[k][j] for k, (x, y) in enumerate(zip(tr, ti))) == 0
+        assert sum(x * im[k][j] + y * re[k][j] for k, (x, y) in enumerate(zip(tr, ti))) == 0
+    assert tr[f] or ti[f]
+    assert not any(tr[f + 1:]) and not any(ti[f + 1:])
+    assert len(eliminate(lead[:f])[1]) == f
 
 
 def test_birkhoff_rejects_non_unit():
