@@ -28,6 +28,7 @@ from .errors import (
     CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError, certify,
 )
 from .exact_algebra import (
+    NOT_INVERTIBLE,
     birkhoff_factor,
     smith_over_dvr,
     unipotent_sqrt,
@@ -300,10 +301,13 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
         raise NotAntiFixedError("loop is not eta-anti-fixed")
 
     n = x.n
-    gplus, lam, _, h_acc = birkhoff_factor(x)
-    cur = h_acc * x * gc.apply_eta_inv(h_acc, datum, gplus)
-
-    m = LaurentMatrix.t_power([-v for v in lam]) * cur * datum.w1
+    gplus, lam, gminus, h_acc = birkhoff_factor(x)
+    if not gc.eta_anti_fixed_is_unit(datum, lam):
+        raise InvalidInputError(NOT_INVERTIBLE)
+    # Birkhoff certified gplus * t^lam * gminus == x and h_acc * gplus == 1,
+    # so h_acc * x * eta(h_acc)^-1 = t^lam * positioned
+    positioned = gminus * gc.apply_eta_inv(h_acc, datum, gplus)
+    m = positioned * datum.w1
     bidx = _block_index(lam)
     ell_rows = [[QI(0)] * n for _ in range(n)]
     for i in range(n):
@@ -319,7 +323,7 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     u = m * ell.inverse()
     tlam = LaurentMatrix.t_power(lam)
     tlam_inv = LaurentMatrix.t_power([-v for v in lam])
-    h, cur = _unipotent_step(cur, tlam, tlam_inv, u, datum)
+    h, cur = _unipotent_step(tlam * positioned, tlam, tlam_inv, u, datum)
     hv = h.val()
     certify(hv is None or hv >= 0, "eta unipotent conjugator has negative valuation")
     h_acc = h * h_acc

@@ -153,6 +153,9 @@ def smith_over_dvr(s: SeriesMatrix) -> Tuple[SeriesMatrix, List[int], SeriesMatr
 # Birkhoff factorization gamma = g_plus t^lam g_minus
 
 
+NOT_INVERTIBLE = "Birkhoff factorization needs an invertible Laurent loop"
+
+
 def _lead_dependency(p_rows: List[List[Entry]], degs: List[int]) -> List[Entry] | None:
     """c = t / t_f as constant entries, t * L = 0 from ``first_dependency``
     on the leading-coefficient matrix L (the t^0 layer of the rows shifted
@@ -175,7 +178,6 @@ def birkhoff_factor(
 ) -> Tuple[LaurentMatrix, List[int], LaurentMatrix, LaurentMatrix]:
     """Exact Birkhoff factorization by polynomial row reduction.
 
-    gamma must be invertible over Q(i)[t, t^-1] (monomial determinant).
     Returns (g_plus, lam, g_minus, g_plus_inv) with g_plus in G[t], lam
     dominant, g_minus in G[t^-1], gamma == g_plus * t^lam * g_minus exactly
     and g_plus_inv * g_plus == 1.
@@ -188,13 +190,22 @@ def birkhoff_factor(
     sum_j c_j t^(d_i0 - d_j) row_j (certified, so the loop ends); that row
     operation E on an identity-started matrix gives g_plus_inv = P * E_k ...
     E_1, and g_plus takes E^-1.
+
+    Precondition: gamma is invertible over Q(i)[t, t^-1]; no determinant is
+    taken.  The row operations are unimodular over Q(i)[t], so a singular
+    gamma, and only one, ends in a zero row (InvalidInputError).  The
+    reduction ends with L invertible, so deg det gamma = sum(lam) (the
+    predictable-degree property: Kailath, Linear Systems, 1980, ch. 6;
+    Beckermann-Labahn-Villard, J. Symb. Comput. 41, 2006).  An eta-anti-fixed
+    gamma then has a unit det gamma on split_gl and quaternionic_gl
+    (gamma * eta(gamma) = z), and on unitary, where gamma(t) =
+    z * gamma(epsilon/t)^dagger gives val det = -deg det, a monomial one iff
+    sum(lam) = 0; that is group_catalog.eta_anti_fixed_is_unit.
     """
     n = gamma.n
-    d = gamma.det()
-    if len(d) != 1:
-        raise InvalidInputError("Birkhoff factorization needs an invertible Laurent loop")
     m = gamma.val()
-    certify(m is not None, "a loop with a unit determinant is zero")
+    if m is None:
+        raise InvalidInputError(NOT_INVERTIBLE)
     p_rows: List[List[Entry]] = [[e.shift(-m) for e in r] for r in gamma.rows]
     gplus = [[ONE_ENTRY if i == j else ZERO_ENTRY for j in range(n)] for i in range(n)]
     ginv = [list(r) for r in gplus]
@@ -206,7 +217,7 @@ def birkhoff_factor(
     while True:
         degs = [row_deg(i) for i in range(n)]
         if any(dd < 0 for dd in degs):
-            raise InvalidInputError("Birkhoff row reduction hit a zero row")
+            raise InvalidInputError(NOT_INVERTIBLE)  # a zero row: det gamma = 0
         c = _lead_dependency(p_rows, degs)
         if c is None:
             break

@@ -323,6 +323,14 @@ def is_anti_fixed_eta(gamma: LaurentMatrix, datum: GroupDatum) -> bool:
     return is_anti_fixed(gamma, datum, ETA)
 
 
+def eta_anti_fixed_is_unit(datum: GroupDatum, lam: Sequence[int]) -> bool:
+    """Whether an eta-anti-fixed loop whose Birkhoff reduction ended at lam
+    is invertible over Q(i)[t, t^-1], with no determinant taken: always where
+    eta holds no inverse transpose, else iff sum(lam) = 0 (the argument is in
+    exact_algebra.birkhoff_factor)."""
+    return datum.family not in ETA.inverse_transpose or sum(lam) == 0
+
+
 # ---------------------------------------------------------------------------
 # pure inner twists
 

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -391,6 +395,59 @@ def test_non_unipotent_eta_defect_is_invalid_input():
     assert gc.is_anti_fixed_eta(tw.loop() * g, d)
     with pytest.raises(InvalidInputError, match="not unipotent"):
         iwahori_reduce_eta(tw, g, d, build_torus_problem(d, tw.w))
+
+
+# eta-anti-fixed unitary loops that are not invertible over Q(i)[t, t^-1]:
+# the zero loop, a rank-one constant, and diag(t^-1 + 1 + eps*t, 1), whose
+# determinant is not a monomial.  The eta path takes no determinant, yet each
+# stays invalid input with the Birkhoff message, in the library and the CLI.
+NOT_INVERTIBLE = "Birkhoff factorization needs an invertible Laurent loop"
+
+
+def _non_invertible_unitary_loops(eps):
+    return {"zero": [[{}, {}], [{}, {}]],
+            "rank_one": [[{"0": "1"}, {"0": "1"}], [{"0": "1"}, {"0": "1"}]],
+            "non_monomial": [[{"-1": "1", "0": "1", "1": str(eps)}, {}], [{}, {"0": "1"}]]}
+
+
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("case", ["zero", "rank_one", "non_monomial"])
+def test_non_invertible_eta_loop_is_invalid_input(case, eps):
+    d = gc.build_datum("unitary", 2, eps)
+    x = LaurentMatrix([[{int(k): int(v) for k, v in e.items()} for e in r]
+                       for r in _non_invertible_unitary_loops(eps)[case]])
+    assert gc.is_anti_fixed_eta(x, d)
+    with pytest.raises(InvalidInputError, match=f"^{NOT_INVERTIBLE}$"):
+        canonicalize_eta(x, d)
+
+
+NON_INVERTIBLE_SCRIPT = r"""
+import json, sys
+from loopmatsuki import cli
+
+workdir, loops = sys.argv[1], json.loads(sys.argv[2])
+print(__debug__)
+for eps, docs in loops.items():
+    for name, entries in docs.items():
+        path = f"{workdir}/{name}{eps}.json"
+        with open(path, "w") as f:
+            json.dump({"n": 2, "entries": entries}, f)
+        print(cli.main(["canonicalize", "--family", "unitary", "--n", "2", "--epsilon", eps,
+                        "--side", "eta", "--input", path]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_non_invertible_eta_loop_exits_2(tmp_path, optimize):
+    loops = {str(eps): _non_invertible_unitary_loops(eps) for eps in (1, -1)}
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", NON_INVERTIBLE_SCRIPT, str(tmp_path),
+                           json.dumps(loops)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [str(not optimize)] + ["2"] * 6 + [""]
+    assert proc.stderr == f"error: {NOT_INVERTIBLE}\n" * 6
 
 
 def test_precision_floor_raises():

@@ -3,9 +3,9 @@
 A subprocess runs with ``-O`` (which strips every ``assert``), injects a
 fault into the entry multiply and expects ``CertificateError`` from
 ``canonicalize_theta`` and exit code 1 from the ``canonicalize`` command.
-A corrupted g_plus inverse from the Birkhoff row reduction, a Birkhoff step
-that lowers no row degree, or a wrong inverse of the unipotent square root,
-must likewise stop ``canonicalize_eta``.
+A corrupted g_plus inverse from the Birkhoff row reduction, a wrong g_minus
+handed back by it, a Birkhoff step that lowers no row degree, or a wrong
+inverse of the unipotent square root, must likewise stop ``canonicalize_eta``.
 Faults in the spherical classifier, the duality matcher, the selftest, the
 internal checks of the exact algebra, the Smith forms of the Iwahori torus
 problem and the compact symmetric sampler must likewise end in exit code 1.
@@ -157,6 +157,63 @@ def test_corrupted_birkhoff_inverse_is_caught_under_optimize(tmp_path):
     failed_check = "certificate failed: Birkhoff g_plus inverse does not invert g_plus"
     assert proc.stdout.split("\n") == [
         "Sym|Sym|Sym", "CertificateError: " + failed_check, "1", ""]
+    assert proc.stderr == f"error: {failed_check}\n"
+
+
+# canonicalize_eta builds the positioned loop t^lam * g_minus * eta(h)^-1 from
+# Birkhoff's own g_minus instead of multiplying h * x * eta(h)^-1 out, since
+# birkhoff_factor certified g_plus * t^lam * g_minus == x.  A birkhoff_factor
+# that returns g_minus with 1 added to its (0, 0) entry bypasses that
+# certificate; the reduction's own checks must still stop canonicalize_eta,
+# and the canonicalize command must exit 1 without printing a form.
+GMINUS_SCRIPT = r"""
+import json, random, sys
+from loopmatsuki import canonicalize, cli, serialize
+from loopmatsuki import group_catalog as gc
+from loopmatsuki.coweight_orbits import classify_eta
+from loopmatsuki.errors import CertificateError
+from loopmatsuki.laurent import ONE_ENTRY, LaurentMatrix
+from loopmatsuki.randgen import random_poly_element
+
+print(__debug__)
+d = gc.build_datum("split_gl", 3, 1)
+(cls,) = classify_eta(d, (1, 0, -1))
+h = random_poly_element(3, 3, random.Random(4))
+x = h * cls.loop_rep * gc.apply_eta(h, d).inverse()
+print(canonicalize.canonicalize_eta(x, d).orbit_class.label)
+path = sys.argv[1] + "/x.json"
+with open(path, "w") as f:
+    json.dump(serialize.laurent_to_json(x), f)
+
+birkhoff = canonicalize.birkhoff_factor
+
+def birkhoff_with_wrong_gminus(gamma):
+    gplus, lam, gminus, gplus_inv = birkhoff(gamma)
+    rows = [list(r) for r in gminus.rows]
+    rows[0][0] = rows[0][0] + ONE_ENTRY
+    return gplus, lam, LaurentMatrix(rows), gplus_inv
+
+canonicalize.birkhoff_factor = birkhoff_with_wrong_gminus
+try:
+    canonicalize.canonicalize_eta(x, d)
+    print("no error")
+except CertificateError as exc:
+    print("CertificateError:", exc)
+print(cli.main(["canonicalize", "--family", "split_gl", "--n", "3", "--side", "eta",
+                "--input", path]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [True, False])
+def test_wrong_birkhoff_gminus_is_caught(tmp_path, optimize):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", GMINUS_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    failed_check = "certificate failed: Levi part of the positioned loop is not constant"
+    assert proc.stdout.split("\n") == [
+        str(not optimize), "Sym|Sym|Sym", "CertificateError: " + failed_check, "1", ""]
     assert proc.stderr == f"error: {failed_check}\n"
 
 

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import loopmatsuki.group_catalog as gc
-from loopmatsuki.coweight_orbits import classify_eta, classify_theta
+from loopmatsuki.coweight_orbits import classify_eta, classify_theta, enumerate_admissible
 from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.exact_algebra import (
-    _lead_dependency, birkhoff_factor, cayley_unitary, conj_transpose,
+    NOT_INVERTIBLE, _lead_dependency, birkhoff_factor, cayley_unitary, conj_transpose,
     hermitian_signature, smith_over_dvr, unipotent_sqrt, valuation_coweight,
 )
 from loopmatsuki.gaussian import QI, ZERO
@@ -179,6 +180,65 @@ def test_birkhoff_rejects_non_unit():
     m = LaurentMatrix.from_scalars([[1, 1], [1, 1]])
     with pytest.raises(InvalidInputError):
         birkhoff_factor(m)
+
+
+@functools.lru_cache(maxsize=None)
+def _eta_classes(family, n, eps):
+    d = gc.build_datum(family, n, eps)
+    return d, [c for lam in enumerate_admissible(d, 1) for c in classify_eta(d, lam)]
+
+
+@st.composite
+def _eta_anti_fixed_loops(draw):
+    """x = h * rep * eta(h)^-1 for an eta class representative rep.  On
+    unitary eta(h)^-1 takes no inverse, so h may be any loop: a unit, a unit
+    times diag(1 + c t^k, 1, ..., 1), or a unit times diag(0, 1, ..., 1), and
+    det x is then a nonzero monomial, a non-monomial or zero.  Elsewhere h is
+    a unit, since eta(h)^-1 inverts h."""
+    family = draw(st.sampled_from(gc.FAMILIES))
+    n = draw(st.sampled_from((2, 4) if family == gc.QUATERNIONIC_GL else (1, 2, 3, 4)))
+    d, classes = _eta_classes(family, n, draw(st.sampled_from((1, -1))))
+    cls = draw(st.sampled_from(classes))
+    kinds = ("monomial", "non_monomial", "zero") if family == gc.UNITARY else ("monomial",)
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    h = random_poly_element(n, 2, rng) * LaurentMatrix.t_power(
+        [rng.randint(-1, 1) for _ in range(n)])
+    if kind != "monomial":
+        first = Entry.of({})
+        if kind == "non_monomial":
+            first = Entry.of({0: 1, rng.choice((-2, -1, 1, 2)): draw(
+                _gaussian_rationals().filter(bool))})
+        h = h * LaurentMatrix.block_diag([LaurentMatrix([[first]]),
+                                          LaurentMatrix.identity(n - 1)])
+    return d, h * cls.loop_rep * gc.apply_eta_inv(h, d), kind
+
+
+def test_eta_unit_rule_against_det():
+    """eta_anti_fixed_is_unit on the Birkhoff exponents, or a refusal by
+    birkhoff_factor, says whether det() is a nonzero monomial, on every
+    family; on unitary every kind of determinant occurs."""
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_eta_anti_fixed_loops())
+    def check(case):
+        d, x, kind = case
+        assert gc.is_anti_fixed_eta(x, d)
+        terms = len(x.det())
+        assert kind == ("zero" if terms == 0 else "monomial" if terms == 1 else "non_monomial")
+        try:
+            verdict = gc.eta_anti_fixed_is_unit(d, birkhoff_factor(x)[1])
+        except InvalidInputError as exc:
+            assert str(exc) == NOT_INVERTIBLE
+            verdict = False
+        assert verdict == (terms == 1)
+        seen.add((d.family, kind))
+
+    check()
+    assert {kind for family, kind in seen if family == gc.UNITARY} == {
+        "monomial", "non_monomial", "zero"}
+    assert {family for family, _ in seen} == set(gc.FAMILIES)
 
 
 def test_smith_over_dvr_random():
