@@ -21,7 +21,7 @@ from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
 from .iwahori_orbits import AffineWeylElement, build_torus_problem
-from .laurent import LaurentMatrix
+from .laurent import Entry, LaurentMatrix
 
 Line = Tuple[QI, ...]
 
@@ -161,11 +161,8 @@ def twist_kottwitz(p: KottwitzPoint, h: LaurentMatrix,
     new_lam = []
     for i in range(datum.n):
         e = conj.entry(i, i)
-        if any(j != i and conj.entry(i, j) for j in range(datum.n)) or len(e) != 1:
+        if any(j != i and conj.entry(i, j) for j in range(datum.n)) or e != Entry.term(e.val(), 1):
             raise InvalidInputError("h does not normalize the cocharacter")
-        ((k, v),) = e.items()
-        if v != QI(1):
-            raise InvalidInputError("h does not normalize the cocharacter")
-        new_lam.append(k)
+        new_lam.append(e.val())
     g = h * gc.transport_to_base(p.g, datum) * gc.eta0(h, datum).inverse()
     return KottwitzPoint(lam=tuple(new_lam), g=gc.transport_from_base(g, datum), z=p.z)

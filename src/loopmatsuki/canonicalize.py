@@ -316,8 +316,9 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
             if bidx[i] > bidx[j]:
                 certify(not e, "positioned loop escapes the parabolic")
             elif bidx[i] == bidx[j]:
-                certify(all(k == 0 for k in e), "Levi part of the positioned loop is not constant")
-                ell_rows[i][j] = e.get(0, QI(0))
+                certify(not e or e.val() == e.deg() == 0,
+                        "Levi part of the positioned loop is not constant")
+                ell_rows[i][j] = e.coeff(0)
     ell = LaurentMatrix.from_scalars(ell_rows)
     # m is ell on the Levi blocks and zero below them, so u is unipotent
     u = m * ell.inverse()
@@ -379,9 +380,9 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     best: Optional[Tuple[int, int]] = None
     for i in range(n):
         for j in range(n):
-            for k, v in red.entry(i, j).items():
+            for k, *_ in red.entry(i, j).int_terms():
                 # red = d^-1 * gcur, so its diagonal constant terms are 1
-                if v.is_zero() or (k == 0 and i == j):
+                if k == 0 and i == j:
                     continue
                 key = (k, j - i)
                 if best is None or key < best:

@@ -23,6 +23,7 @@ from .canonicalize import (
 from .coweight_orbits import SphericalClass, classify_eta, classify_theta, \
     enumerate_admissible
 from .errors import InvalidInputError, certify
+from .exact_algebra import conj_transpose
 from .group_catalog import GroupDatum
 from .iwahori_orbits import IwahoriClass, enumerate_iwahori
 from .laurent import LaurentMatrix, SeriesMatrix
@@ -156,7 +157,9 @@ def verify_intersection(pair: MatchedPair, samples: int, seed: int) -> dict:
     failures = []
     for s in range(samples):
         k = _compact_sample(datum, pair.level, s, rng)
-        k_inv = k.inverse()
+        # every sample is unitary by construction, so its inverse is its adjoint
+        k_inv = conj_transpose(k)
+        certify(k * k_inv == LaurentMatrix.identity(datum.n), "compact sample is not unitary")
         th_inv = gc.apply_theta_inv(k, datum, k_inv)
         if th_inv != gc.apply_eta_inv(k, datum, k_inv):
             failures.append({"sample": s,

@@ -120,7 +120,7 @@ def _torus_matrix(datum: GroupDatum) -> Tuple[Tuple[int, ...], ...]:
     cols = []
     for k in range(n):
         img = theta0(LaurentMatrix.t_power([int(i == k) for i in range(n)]), datum)
-        cols.append([min(img.entry(i, i), default=0) for i in range(n)])
+        cols.append([img.entry(i, i).val() or 0 for i in range(n)])
         certify(img == LaurentMatrix.t_power(cols[-1]),
                 "theta0 of a torus t-power is not a t-power")
     return tuple(zip(*cols))

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from math import factorial, lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidInputError, certify
@@ -109,10 +109,26 @@ def theta0_weyl(datum: GroupDatum, w: Sequence[int]) -> Tuple[int, ...]:
     return tuple(i for i, _ in signed_permutation(theta0(LaurentMatrix.permutation(w), datum)))
 
 
+# the Iwahori walk visits the (2 * bound + 1)^n coweights at each of the n!
+# Weyl elements: n = 7 at bound 1, 11,022,480 positions, took 74 s and 2 GB,
+# and n = 8 at bound 1 would walk 264,539,520
+MAX_IWAHORI_WALK = 2 * 10 ** 7
+
+
+def check_walk(bound: int, n: int) -> None:
+    """Refuse an Iwahori walk of more than MAX_IWAHORI_WALK positions,
+    n! * (2 * bound + 1)^n, before anything walks it.  The bound must pass
+    check_bound first, so the power is small."""
+    if factorial(n) * (2 * bound + 1) ** n > MAX_IWAHORI_WALK:
+        raise InvalidInputError(f"bound {bound} at rank {n} walks more than the limit of "
+                                f"{MAX_IWAHORI_WALK} Iwahori positions")
+
+
 def enumerate_admissible_tw(datum: GroupDatum, bound: int) -> List[AffineWeylElement]:
     """The t^lambda * w with |lambda_i| <= bound, theta0(w) = w^-1 in W and
     theta0(lambda) = -w^-1 lambda."""
     check_bound(bound, datum.n)
+    check_walk(bound, datum.n)
     out = []
     for w in permutations(range(datum.n)):
         if theta0_weyl(datum, w) != _perm_inverse(w):

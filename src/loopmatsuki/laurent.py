@@ -7,12 +7,16 @@ A matrix entry is an :class:`Entry`, an element of Q(i)[t, t^-1] stored as
 with ``re`` and ``im`` integer lists of one length and ``d`` one positive
 common denominator.  Entries are kept in a normal form: the first and last
 terms are nonzero and gcd(d, re, im) = 1, so equal entries have equal
-fields.  ``QI`` (and so ``Fraction``) is built only where a coefficient
-leaves the kernel: ``coeff``, ``constant_matrix`` and the entry's
-read-only mapping view ``exponent -> QI``.  Serialization reads the
-integer terms (``Entry.int_terms``) and builds neither, nor do
-``layer_ints`` (the coefficients of t^k as Gaussian integers over one
-denominator), ``is_zero_between``, ``Entry.int_term`` and ``scale``.
+fields.  An entry is a value, not a mapping: it is read through
+``val``/``deg``, ``int_terms`` (each nonzero term as integers over the
+common denominator) and ``coeff``, and compares equal only to an entry.
+``QI`` (and so ``Fraction``) is built only where a coefficient leaves the
+kernel: ``coeff``, ``values`` and ``constant_matrix``.  Serialization
+reads ``int_terms`` and builds neither, nor do ``layer_ints`` (the
+coefficients of t^k as Gaussian integers over one denominator),
+``is_zero_between``, ``Entry.int_term`` and ``scale``.  Dicts
+``exponent -> coefficient`` come in only through ``Entry.of``, which the
+matrix constructors call on each entry.
 An entry product is an integer schoolbook loop over the two lists; its
 outer loop runs over the operand with more zero terms and skips them, so
 a series like 1 + O(t^k) costs as much as its nonzero terms.  The same
@@ -34,7 +38,7 @@ N infinite, so no caller lifts an exact factor by hand.  An exact inverse
 expands cofactors; a series one, on G(O) only, Newton-lifts the constant
 term's inverse and keeps the precision.  ``LaurentMatrix.permutation``
 (optionally times a diagonal), ``diag_scalars`` and ``block_diag`` build
-the monomial and block matrices, and ``exp_with_inverse`` is the one
+the monomial and block matrices, and ``series_exp`` is the one
 exponential: it returns exp(a) and exp(-a) from a single chain of powers.
 Precision bookkeeping is pessimistic: an operation never claims more
 precision than it can certify, and raises ``PrecisionError`` rather than
@@ -43,7 +47,7 @@ guessing.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, KeysView, Mapping, ValuesView
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from operator import or_
@@ -57,8 +61,11 @@ from .intlat import eliminate
 class Entry:
     """An element of Q(i)[t, t^-1] in integer normal form (see the module doc).
 
-    Immutable.  Reads like a mapping ``exponent -> QI`` over the nonzero
-    terms; arithmetic is ``+``, ``-``, ``*`` and the methods below.
+    Immutable.  Read it through ``val``/``deg``, ``int_terms`` and
+    ``coeff``; ``values`` (the nonzero coefficients as QI) and ``len`` (the
+    number of nonzero terms) remain for the benchmark tracer, which reads a
+    matrix's coefficient sizes and operand term counts through them.
+    Arithmetic is ``+``, ``-``, ``*`` and the methods below.
     """
 
     __slots__ = ("_v", "_re", "_im", "_d")
@@ -224,7 +231,6 @@ class Entry:
         v, d = self._v, self._d
         return ((v + i, r, m, d) for i, (r, m) in enumerate(zip(self._re, self._im)) if r or m)
 
-    # -- read-only mapping view exponent -> QI -------------------------------
     def coeff(self, k: int) -> QI:
         """The coefficient of t^k (the shared ZERO when absent)."""
         i = k - self._v
@@ -234,19 +240,9 @@ class Entry:
                 return QI(Fraction(r, self._d), Fraction(m, self._d))
         return ZERO
 
-    def __getitem__(self, k: int) -> QI:
-        c = self.coeff(k)
-        if c is ZERO:
-            raise KeyError(k)
-        return c
-
-    def get(self, k: int, default=None):
-        c = self.coeff(k)
-        return default if c is ZERO else c
-
-    def __iter__(self):
-        v = self._v
-        return (v + i for i, (r, m) in enumerate(zip(self._re, self._im)) if r or m)
+    def values(self):
+        """The nonzero coefficients as QI, in increasing exponent."""
+        return (self.coeff(k) for k, *_ in self.int_terms())
 
     def __len__(self) -> int:
         """The number of nonzero terms."""
@@ -255,21 +251,10 @@ class Entry:
     def __bool__(self) -> bool:
         return bool(self._re)
 
-    def keys(self):
-        return KeysView(self)
-
-    def items(self):
-        return ItemsView(self)
-
-    def values(self):
-        return ValuesView(self)
-
     # -- comparison -----------------------------------------------------------
     def __eq__(self, other) -> bool:
         if type(other) is not Entry:
-            if not isinstance(other, Mapping):
-                return NotImplemented
-            other = Entry.of(other)
+            return NotImplemented
         return (self._v == other._v and self._d == other._d
                 and self._re == other._re and self._im == other._im)
 
@@ -277,10 +262,7 @@ class Entry:
         return hash((self._v, self._d, tuple(self._re), tuple(self._im)))
 
     def __repr__(self):
-        return f"Entry({dict(self.items())!r})"
-
-
-Mapping.register(Entry)
+        return f"Entry({ {k: self.coeff(k) for k, *_ in self.int_terms()}!r})"
 
 
 def _make(v: int, re: List[int], im: List[int], d: int) -> Entry:
@@ -559,9 +541,8 @@ class _Matrix:
         def fmt(e: Entry) -> str:
             if not e:
                 return "0"
-            return "+".join(
-                f"({v})t^{k}" if k else f"({v})" for k, v in sorted(e.items())
-            )
+            return "+".join(f"({e.coeff(k)})t^{k}" if k else f"({e.coeff(k)})"
+                            for k, *_ in e.int_terms())
 
         body = "Laurent[" + "; ".join(", ".join(fmt(e) for e in r) for r in self.rows) + "]"
         return body if self.precision is None else f"Series(prec={self.precision}, {body})"
@@ -754,27 +735,20 @@ class SeriesMatrix(_Matrix):
         return SeriesMatrix._of(x, p)
 
 
-def exp_with_inverse(a, terms: int):
-    """(exp(a), exp(-a)) as the sums of a^m / m! for m <= terms, the second
-    with the odd terms negated: one chain of products serves both, and it
-    stops at the first zero term.  a is exact (then nilpotent, which the
-    caller certifies) or a series; the pair keeps a's kind and precision."""
-    out = inv = term = _matrix(LaurentMatrix.identity(a.n).rows, a.precision)
-    for m in range(1, terms + 1):
+def series_exp(a: SeriesMatrix):
+    """The pair (exp(a), exp(-a)) for a series matrix a with strictly
+    positive valuation v, both at a's precision N: the sums of a^m / m!, the
+    second with the odd terms negated, over m <= (N - 1) // v, since the
+    terms of order m * v >= N vanish there.  One chain of products serves
+    both, and it stops at the first zero term."""
+    v = a.val()
+    if v < 1:
+        raise PrecisionError("series exp requires valuation >= 1")
+    out = inv = term = SeriesMatrix.identity(a.n, a.precision)
+    for m in range(1, (a.precision - 1) // v + 1):
         term = (term * a).scale(1, m)
         if term.is_zero():
             break
         out = out + term
         inv = inv - term if m % 2 else inv + term
     return out, inv
-
-
-def series_exp(a: SeriesMatrix):
-    """The pair (exp(a), exp(-a)) for a series matrix a with strictly
-    positive valuation, both at a's precision: the terms of order m * v >=
-    a.precision vanish there, so (N - 1) // v of them are summed."""
-    v = a.val()
-    if v < 1:
-        raise PrecisionError("series exp requires valuation >= 1")
-    return exp_with_inverse(a, (a.precision - 1) // v)
-

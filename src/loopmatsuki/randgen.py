@@ -54,7 +54,7 @@ def random_arc_element(n: int, precision: int, rng: random.Random) -> SeriesMatr
     const = random_constant_invertible(n, rng)
     for i in range(n):
         for j in range(n):
-            e = dict(const.entry(i, j))
+            e = {0: const.coeff(i, j, 0)}
             for k in range(1, precision):
                 if rng.random() < 0.5:
                     v = random_qi(rng)

@@ -6,8 +6,9 @@ Integers and exponents stay small in the general fuzz: a datum of rank n
 allocates n x n matrices, and an entry stores a dense list as long as its
 exponent span.  Exponents up to 10^9 and ranks above the config limit have a
 test of their own: they must exit 2 before anything of that size is built.
-So do documents nested 10^5 deep, which the JSON parser cannot read, and
-coweight bounds whose box of (2 * bound + 1)^n coweights is past its limit.
+So do documents nested 10^5 deep, which the JSON parser cannot read,
+coweight bounds whose box of (2 * bound + 1)^n coweights is past its limit,
+and Iwahori walks of n! * (2 * bound + 1)^n positions past theirs.
 """
 
 import contextlib
@@ -26,6 +27,7 @@ from loopmatsuki.coweight_orbits import classify_eta, classify_theta, enumerate_
 from loopmatsuki.duality import match_spherical, verify_intersection
 from loopmatsuki.errors import InvalidInputError
 from loopmatsuki.group_catalog import MAX_CONFIG_RANK, build_datum, check_bound
+from loopmatsuki.iwahori_orbits import check_walk
 from loopmatsuki.serialize import MAX_LOOP_SLOTS, laurent_to_json
 
 EXIT_CODES = {0, 2, 3, 4, 5}
@@ -241,6 +243,24 @@ def test_bound_past_the_coweight_box_exits_2_at_once(argv):
     code = run_cli(argv + ["--family", "split_gl", "--n", "2", "--bound", "100000"], {})
     assert time.perf_counter() - start < 1
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["orbits", "match"])
+def test_iwahori_walk_past_its_limit_exits_2_at_once(command):
+    # n = 8 at bound 1 passes the coweight box, 3^8, but walks 8! * 3^8 positions
+    start = time.perf_counter()
+    code = run_cli([command, "--family", "split_gl", "--n", "8", "--level", "iwahori",
+                    "--bound", "1"], {})
+    assert time.perf_counter() - start < 2
+    assert code == 2
+
+
+def test_iwahori_walk_limit_is_exact():
+    check_walk(1, 7)  # 7! * 3^7 = 11,022,480 positions, checked without the walk
+    check_walk(0, 10)
+    for bound, n in ((1, 8), (0, 11), (0, 256)):
+        with pytest.raises(InvalidInputError, match="limit"):
+            check_walk(bound, n)
 
 
 def test_coweight_box_limit_is_exact():

@@ -54,6 +54,11 @@ def birkhoff_type(gamma: LaurentMatrix) -> List[int]:
     return sorted([-x for x in mus], reverse=True)
 
 
+def as_dict(e):
+    """The entry's nonzero terms as a dict exponent -> QI."""
+    return {k: e.coeff(k) for k, *_ in e.int_terms()}
+
+
 def _section_dim(delta: LaurentMatrix, m: int, dmax: int) -> int:
     """dim over Q(i) of {v poly vector, deg <= dmax : exps(delta v) <= m}."""
     n = delta.n
@@ -69,7 +74,7 @@ def _section_dim(delta: LaurentMatrix, m: int, dmax: int) -> int:
             nonzero = False
             for j in range(n):
                 ent = delta.rows[i][j]
-                for k, coeff in ent.items():
+                for k, coeff in as_dict(ent).items():
                     dcoef = e - k
                     if 0 <= dcoef <= dmax:
                         row[j * (dmax + 1) + dcoef] = row[j * (dmax + 1) + dcoef] + coeff

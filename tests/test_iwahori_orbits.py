@@ -220,6 +220,11 @@ def test_g0_args_are_fractions():
         assert all(isinstance(a, Fraction) for a in cls.g0_args)
 
 
+def as_dict(e):
+    """The entry's nonzero terms as a dict exponent -> QI."""
+    return {k: e.coeff(k) for k, *_ in e.int_terms()}
+
+
 def _ad_probe(m):
     """A with m * t^(e_k) * m^-1 = t^(A e_k), read off the Laurent product."""
     n = m.n
@@ -227,7 +232,7 @@ def _ad_probe(m):
     cols = []
     for k in range(n):
         img = m * LaurentMatrix.t_power([int(i == k) for i in range(n)]) * minv
-        cols.append([min(img.entry(i, i)) if img.entry(i, i) else 0 for i in range(n)])
+        cols.append([min(as_dict(img.entry(i, i)), default=0) for i in range(n)])
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
