@@ -12,9 +12,9 @@ diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from . import group_catalog as gc
 from .coweight_orbits import (
@@ -24,9 +24,7 @@ from .coweight_orbits import (
     classify_theta,
     middle_label,
 )
-from .errors import (
-    CertificateError, InvalidInputError, NotAntiFixedError, PrecisionError, certify,
-)
+from .errors import InvalidInputError, NotAntiFixedError, PrecisionError, certify
 from .exact_algebra import (
     NOT_INVERTIBLE,
     birkhoff_factor,
@@ -37,7 +35,7 @@ from .exact_algebra import (
 from .gaussian import QI
 from .group_catalog import ETA, THETA, GroupDatum, Side
 from .intlat import FractionFree, eliminate
-from .iwahori_orbits import AffineWeylElement, TorusProblem, classes_at_tw
+from .iwahori_orbits import AffineWeylElement, IwahoriClass
 from .laurent import (
     Entry,
     LaurentMatrix,
@@ -46,6 +44,8 @@ from .laurent import (
 )
 
 MIN_RESIDUAL_PRECISION = 4
+
+ClassTable = Mapping[Tuple[int, ...], Sequence[SphericalClass]]  # one side's, by lambda
 
 
 @dataclass(frozen=True)
@@ -178,18 +178,25 @@ def _layer_conjugators(ell: LaurentMatrix, lam: Sequence[int], datum: GroupDatum
     return conjugator
 
 
-def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
+def canonicalize_theta(x, datum: Optional[GroupDatum] = None,
+                       table: Optional[ClassTable] = None) -> CanonicalForm:
     """Reduce a theta-anti-fixed series loop to t^lam * g0 * w1^{-1}.
 
     g0 is exact and satisfies the spherical equation; the certificate
-    conjugator verifies the reduction to residual_precision.
+    conjugator verifies the reduction to residual_precision.  The class is
+    looked up in the caller's table of datum's classes by lambda if it has
+    lam, else classified.
     """
     if datum is None:
         raise InvalidInputError("canonicalize_theta needs a group datum")
     if not isinstance(x, SeriesMatrix):
         raise InvalidInputError("canonicalize_theta takes a series loop")
-    if gc.base_datum(datum, THETA) is not datum:
-        return _reduce_on_base(canonicalize_theta, x, datum, THETA)
+    return _reduce_on_base(_reduce_theta, x, datum, THETA,
+                           lambda base, lam: (table or {}).get(lam) or classify_theta(base, lam))
+
+
+def _reduce_theta(x: SeriesMatrix, datum: GroupDatum) -> CanonicalForm:
+    """canonicalize_theta's reduction at an untwisted datum, unclassed."""
     n = x.n
     if not gc.is_anti_fixed_theta(x, datum):
         raise NotAntiFixedError("loop is not theta-anti-fixed to its precision")
@@ -275,28 +282,25 @@ def canonicalize_theta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     defect = cur - loop_rep
     certify(all(not e for row in defect.retruncate(residual).rows for e in row),
             f"theta defect is nonzero below the residual precision {residual}")
-    orbit_class = _match_spherical_class(datum, lam, g0, THETA, classify_theta(datum, lam))
-    return CanonicalForm(
-        lam=tuple(lam),
-        g0=g0,
-        orbit_class=orbit_class,
-        certificate=h_acc,
-        residual_precision=residual,
-        side=THETA.name,
-        loop_rep=loop_rep,
-    )
+    return CanonicalForm(tuple(lam), g0, None, h_acc, residual, THETA.name, loop_rep)
 
 
 # ---------------------------------------------------------------------------
 # eta side
 
 
-def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
-    """Reduce an eta-anti-fixed Laurent loop to t^lam * g0 * w1^{-1}, exactly."""
+def canonicalize_eta(x, datum: Optional[GroupDatum] = None,
+                     table: Optional[ClassTable] = None) -> CanonicalForm:
+    """Reduce an eta-anti-fixed Laurent loop to t^lam * g0 * w1^{-1}, exactly;
+    table is as in canonicalize_theta, of eta classes."""
     if datum is None:
         raise InvalidInputError("canonicalize_eta needs a group datum")
-    if gc.base_datum(datum, ETA) is not datum:
-        return _reduce_on_base(canonicalize_eta, x, datum, ETA)
+    return _reduce_on_base(_reduce_eta, x, datum, ETA,
+                           lambda base, lam: (table or {}).get(lam) or classify_eta(base, lam))
+
+
+def _reduce_eta(x: LaurentMatrix, datum: GroupDatum) -> CanonicalForm:
+    """canonicalize_eta's reduction at an untwisted datum, unclassed."""
     if not gc.is_anti_fixed_eta(x, datum):
         raise NotAntiFixedError("loop is not eta-anti-fixed")
 
@@ -333,31 +337,31 @@ def canonicalize_eta(x, datum: Optional[GroupDatum] = None) -> CanonicalForm:
     loop_rep = tlam * g0 * datum.w1.inverse()
     # cur is a twisted conjugate of the anti-fixed input: the equation holds too
     certify(cur == loop_rep, "eta reduction does not replay to the representative")
-    orbit_class = _match_spherical_class(datum, lam, g0, ETA, classify_eta(datum, lam))
-    return CanonicalForm(
-        lam=tuple(lam),
-        g0=g0,
-        orbit_class=orbit_class,
-        certificate=h_acc,
-        residual_precision=None,
-        side=ETA.name,
-        loop_rep=loop_rep,
-    )
+    return CanonicalForm(tuple(lam), g0, None, h_acc, None, ETA.name, loop_rep)
 
 
-def _reduce_on_base(reduce, x, datum: GroupDatum, side: Side,
-                    tw: Optional[AffineWeylElement] = None,
-                    problem: Optional[TorusProblem] = None) -> CanonicalForm:
-    """Reduce the loop x of a twisted datum at its base datum for side,
-    which x -> x * c carries it to, and carry the form back (x is the
-    positioned factor of t~w * x when tw is given, and the base datum
-    shares the torus problem).  An exact form, which only eta gives, has
-    its certificate replayed on the loop."""
+def _reduce_on_base(reduce, x, datum: GroupDatum, side: Side, classes,
+                    tw: Optional[AffineWeylElement] = None) -> CanonicalForm:
+    """Reduce the loop x of datum at its base datum for side, which x -> x * c
+    carries it to (an untwisted datum is its own base; x is the positioned
+    factor of t~w * x when tw is given), class the form there and carry it
+    back.  classes is the caller's list of datum's classes at t~w, or on the
+    spherical level classes(base, lam): datum's classes at lam from the
+    caller's table, or else base's, classified.  A twisted exact form, which
+    only eta gives, has its certificate replayed on the loop."""
     xc, base = gc.transport_to_base(x, datum), gc.base_datum(datum, side)
+    form = reduce(xc, base) if tw is None else reduce(tw, xc, base)
+    # a class carried to datum keeps its label, arguments and torus problem
     if tw is None:
-        form = gc.carry_from_base(reduce(xc, base), datum, datum.w1)
+        cls = _match_spherical_class(base, form.lam, form.g0, side, classes(base, form.lam))
+        if cls.datum != datum:  # classified at the base: carry only the class picked
+            cls = gc.carry_from_base(cls, datum, datum.w1)
     else:
-        form = gc.carry_from_base(reduce(tw, xc, base, problem), datum)
+        cls = _torus_class(form.g0, classes)
+    form = replace(form, orbit_class=cls)
+    if base is datum:
+        return form
+    form = gc.carry_from_base(form, datum, datum.w1 if tw is None else None)
     if form.residual_precision is None:
         h = form.certificate
         loop = x if tw is None else tw.loop() * x
@@ -390,19 +394,16 @@ def _first_dirt(red: SeriesMatrix) -> Optional[Tuple[int, int]]:
     return best
 
 
-def _torus_form(datum: GroupDatum, tw: AffineWeylElement, side: Side,
-                tw_loop: LaurentMatrix, d: LaurentMatrix, certificate,
-                residual: Optional[int], problem: TorusProblem) -> CanonicalForm:
-    """The reduced loop t~w * d as a canonical form, with d's class."""
-    diag = [d.coeff(i, i, 0) for i in range(datum.n)]
-    if any(v.is_zero() for v in diag):
+def _torus_class(d: LaurentMatrix, classes: Sequence[IwahoriClass]) -> IwahoriClass:
+    """The class among the caller's classes at t~w that the reduced torus
+    element d lies in."""
+    re, im, _ = d.layer_ints(0)
+    diag = list(zip(re[::d.n + 1], im[::d.n + 1]))  # over one positive denominator
+    if (0, 0) in diag:
         raise InvalidInputError("reduced torus element is singular")
-    for cls in classes_at_tw(datum, tw, side, problem):
-        if cls.contains(diag):
-            return CanonicalForm(lam=tuple(tw.lam), g0=d, orbit_class=cls,
-                                 certificate=certificate, residual_precision=residual,
-                                 side=side.name, loop_rep=tw_loop * d)
-    raise CertificateError("certificate failed: reduced torus element matches no classified class")
+    match = next((cls for cls in classes if cls.contains(diag)), None)
+    certify(match is not None, "reduced torus element matches no classified class")
+    return match
 
 
 def _unipotent_step(x: LaurentMatrix, carrier: LaurentMatrix, carrier_inv: LaurentMatrix,
@@ -477,18 +478,22 @@ def _theta_layer_steps(datum: GroupDatum, carrier: LaurentMatrix,
     return steps
 
 
-def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
-                         datum: GroupDatum, problem: TorusProblem) -> CanonicalForm:
-    """Reduce t~w * g (g in the Iwahori subgroup) to its torus form; problem
-    is the torus problem at tw's Weyl element, which classes the result.
+def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix, datum: GroupDatum,
+                         classes: Sequence[IwahoriClass]) -> CanonicalForm:
+    """Reduce t~w * g (g in the Iwahori subgroup) to its torus form; classes
+    are datum's theta classes at tw (classes_at_tw), and the result's is
+    one of them.
 
     residual_precision is that of the positioned factor t~w^-1 * x, which
     the reduction brings to d: t~w^-1 * h * x * theta(h)^-1 = d to it.  It
     is not the loop's, which canonicalize_theta reports: t^lambda shifts row
     i by lambda_i, so h * x * theta(h)^-1 = t~w * d is certified only to
     residual_precision + min(lambda), less when some lambda_i < 0."""
-    if gc.base_datum(datum, THETA) is not datum:
-        return _reduce_on_base(iwahori_reduce_theta, g, datum, THETA, tw, problem)
+    return _reduce_on_base(_iwahori_theta, g, datum, THETA, classes, tw)
+
+
+def _iwahori_theta(tw: AffineWeylElement, g: SeriesMatrix, datum: GroupDatum) -> CanonicalForm:
+    """iwahori_reduce_theta's reduction at an untwisted datum, unclassed."""
     n = g.n
     tw_loop = tw.loop()
     c = g.constant_matrix()
@@ -518,15 +523,18 @@ def iwahori_reduce_theta(tw: AffineWeylElement, g: SeriesMatrix,
         for hs in steps:
             x = hs * x * gc.apply_theta_inv(hs, datum)
             h_acc = hs * h_acc
-    return _torus_form(datum, tw, THETA, tw_loop, d, h_acc, gcur.precision, problem)
+    return CanonicalForm(tuple(tw.lam), d, None, h_acc, gcur.precision, THETA.name, tw_loop * d)
 
 
-def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
-                       datum: GroupDatum, problem: TorusProblem) -> CanonicalForm:
+def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix, datum: GroupDatum,
+                       classes: Sequence[IwahoriClass]) -> CanonicalForm:
     """Reduce t~w * g (exact, pre-positioned) to its torus form, exactly;
-    problem is the torus problem at tw's Weyl element."""
-    if gc.base_datum(datum, ETA) is not datum:
-        return _reduce_on_base(iwahori_reduce_eta, g, datum, ETA, tw, problem)
+    classes are datum's eta classes at tw."""
+    return _reduce_on_base(_iwahori_eta, g, datum, ETA, classes, tw)
+
+
+def _iwahori_eta(tw: AffineWeylElement, g: LaurentMatrix, datum: GroupDatum) -> CanonicalForm:
+    """iwahori_reduce_eta's reduction at an untwisted datum, unclassed."""
     n = g.n
     tw_loop = tw.loop()
     x = tw_loop * g
@@ -545,4 +553,4 @@ def iwahori_reduce_eta(tw: AffineWeylElement, g: LaurentMatrix,
         h_acc = h * h_acc
     else:
         raise InvalidInputError("Iwahori eta reduction did not terminate")
-    return _torus_form(datum, tw, ETA, tw_loop, d, h_acc, None, problem)
+    return CanonicalForm(tuple(tw.lam), d, None, h_acc, None, ETA.name, tw_loop * d)

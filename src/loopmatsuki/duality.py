@@ -10,8 +10,9 @@ in U(n), and the canonical labels must not move.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import List, Optional, Tuple, Union
 
 from . import group_catalog as gc
 from .canonicalize import (
@@ -43,6 +44,9 @@ class MatchedPair:
     eta_class: OrbitClass
     common_rep: Optional[LaurentMatrix]
     level: str  # "spherical" | "iwahori"
+    # each side's classes at the pair's lambda or t~w, for verify_intersection
+    theta_classes: Tuple[OrbitClass, ...] = field(compare=False, repr=False)
+    eta_classes: Tuple[OrbitClass, ...] = field(compare=False, repr=False)
 
 
 def _common_rep(datum: GroupDatum, *candidates) -> Optional[LaurentMatrix]:
@@ -60,6 +64,7 @@ def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     for lam in enumerate_admissible(datum, bound):
         thetas = {c.label: c for c in classify_theta(datum, lam)}
         etas = {c.label: c for c in classify_eta(datum, lam)}
+        theta_classes, eta_classes = tuple(thetas.values()), tuple(etas.values())
         certify(sorted(thetas) == sorted(etas),
                 f"label mismatch at lambda={lam}: "
                 f"theta {sorted(thetas)} vs eta {sorted(etas)}")
@@ -72,6 +77,8 @@ def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
                 eta_class=et,
                 common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
                 level="spherical",
+                theta_classes=theta_classes,
+                eta_classes=eta_classes,
             ))
     return pairs
 
@@ -81,20 +88,23 @@ def match_iwahori(datum: GroupDatum, bound: int) -> List[MatchedPair]:
     classes = enumerate_iwahori(datum, bound)
     thetas, etas = classes["theta"], classes["eta"]
     certify(len(thetas) == len(etas), "class count mismatch between the sides")
-    by_key: Dict[tuple, IwahoriClass] = {
-        (c.tw.lam, c.tw.w, tuple(c.g0_args)): c for c in etas}
+    # each side's classes come in (lambda, w) order: one run per t~w
+    theta_at, eta_at = ({key: tuple(run) for key, run in groupby(cs, lambda c: (c.tw.lam, c.tw.w))}
+                        for cs in (thetas, etas))
     pairs = []
-    for th in thetas:
-        tw = th.tw
-        et = by_key.get((tw.lam, tw.w, tuple(th.g0_args)))
-        certify(et is not None,
-                f"unmatched torus class {th.g0_args} at t~w=({tw.lam}, {tw.w})")
-        pairs.append(MatchedPair(
-            theta_class=th,
-            eta_class=et,
-            common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
-            level="iwahori",
-        ))
+    for key, theta_classes in theta_at.items():
+        eta_classes = eta_at.get(key, ())
+        for th in theta_classes:
+            et = next((c for c in eta_classes if c.g0_args == th.g0_args), None)
+            certify(et is not None, f"unmatched torus class {th.g0_args} at t~w={key}")
+            pairs.append(MatchedPair(
+                theta_class=th,
+                eta_class=et,
+                common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
+                level="iwahori",
+                theta_classes=theta_classes,
+                eta_classes=eta_classes,
+            ))
     return pairs
 
 
@@ -112,31 +122,32 @@ def _compact_sample(datum: GroupDatum, level: str, index: int,
 
 def _labels_match(pair: MatchedPair, xt: LaurentMatrix,
                   datum: GroupDatum) -> Optional[str]:
-    """None if the twisted loop canonicalizes to the pair's labels."""
+    """None if the twisted loop canonicalizes to the pair's lambda and labels,
+    each looked up in the pair's classes, which hold at its lambda only."""
     if pair.level == "spherical":
-        et = canonicalize_eta(xt, datum)
-        if et.orbit_class.label != pair.eta_class.label:
-            return (f"eta label moved: {et.orbit_class.label} != "
-                    f"{pair.eta_class.label}")
-        lo = xt.val() or 0
-        hi = xt.maxdeg() or 0
-        xs = SeriesMatrix.from_laurent(xt, hi - lo + 10)
-        th = canonicalize_theta(xs, datum)
-        if th.orbit_class.label != pair.theta_class.label:
-            return (f"theta label moved: {th.orbit_class.label} != "
-                    f"{pair.theta_class.label}")
+        lam = pair.theta_class.lam
+        xs = SeriesMatrix.from_laurent(xt, (xt.maxdeg() or 0) - (xt.val() or 0) + 10)
+        for side, reduce, x, want, classes in (
+                ("eta", canonicalize_eta, xt, pair.eta_class, pair.eta_classes),
+                ("theta", canonicalize_theta, xs, pair.theta_class, pair.theta_classes)):
+            form = reduce(x, datum, {lam: classes})
+            if form.lam != lam:
+                return f"{side} lambda moved: {form.lam} != {lam}"
+            if form.orbit_class.label != want.label:
+                return f"{side} label moved: {form.orbit_class.label} != {want.label}"
         return None
-    tw, problem = pair.theta_class.tw, pair.theta_class.problem
+    # the reducers take t~w from the pair, so lambda cannot move here
+    tw = pair.theta_class.tw
     g = tw.loop().inverse() * xt
-    et = iwahori_reduce_eta(tw, g, datum, problem)
-    if et.orbit_class.g0_args != pair.eta_class.g0_args:
-        return "eta torus class moved"
     # g carries no t^lam, but the reducer inverts t~w * g, whose valuation
     # min(lam) costs precision in proportion to the coweight spread
     hi = (g.maxdeg() or 0) - (g.val() or 0) + 2 * (max(tw.lam) - min(tw.lam))
-    th = iwahori_reduce_theta(tw, SeriesMatrix.from_laurent(g, hi + 10), datum, problem)
-    if th.orbit_class.g0_args != pair.theta_class.g0_args:
-        return "theta torus class moved"
+    for side, reduce, x, want, classes in (
+            ("eta", iwahori_reduce_eta, g, pair.eta_class, pair.eta_classes),
+            ("theta", iwahori_reduce_theta, SeriesMatrix.from_laurent(g, hi + 10),
+             pair.theta_class, pair.theta_classes)):
+        if reduce(tw, x, datum, classes).orbit_class.g0_args != want.g0_args:
+            return f"{side} torus class moved"
     return None
 
 

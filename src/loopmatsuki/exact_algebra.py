@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 from .errors import InvalidInputError, PrecisionError, certify
 from .gaussian import QI, ONE
-from .intlat import first_dependency
+from .intlat import first_dependency, invert
 from .laurent import (
     ONE_ENTRY,
     ZERO_ENTRY,
@@ -303,7 +303,10 @@ def cayley_unitary(s: LaurentMatrix) -> LaurentMatrix:
     if conj_transpose(s) != -s:
         raise InvalidInputError("Cayley transform expects a skew-Hermitian matrix")
     ident = LaurentMatrix.identity(n)
-    k = (ident - s) * (ident + s).inverse()
+    inv = invert((ident + s).constant_matrix())
+    # S has imaginary eigenvalues, so I + S has none at 0
+    certify(inv is not None, "I + S is singular")
+    k = (ident - s) * LaurentMatrix.from_scalars(inv)
     certify(k * conj_transpose(k) == ident, "Cayley transform is not unitary")
     return k
 

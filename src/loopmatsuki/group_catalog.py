@@ -393,15 +393,13 @@ def carry_from_base(obj, datum: GroupDatum, r: Optional[LaurentMatrix] = None):
     one of datum: loop_rep -> loop_rep * c^-1 and g0 -> g0 * r^-1 * c^-1 * r,
     where r = w1 for a representative t^lam * g0 * w1^-1 (spherical level)
     and r = 1 for t~w * g0 (Iwahori level).  A canonical form's orbit class
-    is carried with it; labels, arguments and torus problems are shared.
-    The carried representative is certified anti-fixed."""
+    is already one of datum's, which its reducer picked; labels, arguments
+    and torus problems are shared.  The carried representative is certified
+    anti-fixed."""
     if datum.twist is None:
         return obj
-    # a canonical form holds its orbit class, a class its datum
-    if hasattr(obj, "orbit_class"):
-        changes = {"orbit_class": carry_from_base(obj.orbit_class, datum, r)}
-    else:
-        changes = {"datum": datum}
+    # a class holds its datum, a canonical form none
+    changes = {} if hasattr(obj, "orbit_class") else {"datum": datum}
     if obj.loop_rep is not None:
         loop = transport_from_base(obj.loop_rep, datum)
         certify(is_anti_fixed(loop, datum, SIDES[obj.side]),

@@ -198,6 +198,14 @@ def eliminate(a: Sequence[Sequence]) -> Tuple[list, List[int], Callable]:
     return rows, ff.pivots, solve
 
 
+def invert(a: Sequence[Sequence]) -> Optional[list]:
+    """a^-1 over Q or Q(i), read off the reduced form of [a | I]; None if a is singular."""
+    n = len(a)
+    rows, pivots, _ = eliminate([list(r) + [int(i == j) for j in range(n)]
+                                 for i, r in enumerate(a)])
+    return [r[n:] for r in rows] if pivots == list(range(n)) else None
+
+
 def snf_int(m: Sequence[Sequence[int]]) -> Tuple[Mat, Mat, Mat]:
     """Smith normal form.
 

@@ -328,28 +328,30 @@ class IwahoriClass:
     component_group: Tuple[int, ...]
     problem: TorusProblem = field(compare=False, repr=False)
 
-    def contains(self, diag: Sequence[QI]) -> bool:
-        """Whether the exact diagonal torus element diag, possibly of
-        infinite order, lies in this class.
+    def contains(self, diag: Sequence[Tuple[int, int]]) -> bool:
+        """Whether the exact diagonal torus element, possibly of infinite
+        order, whose entries are positive real multiples of re + i*im for
+        (re, im) in diag, lies in this class.
 
         A reduction can land on any diagonal solution in the divisible
         torus; classes are separated by the problem's integer characters
-        vanishing on the action image, evaluated multiplicatively on diag
-        and by argument arithmetic on the torsion representative.
+        vanishing on the action image.  Conjugation-twisted actions move a
+        character value by positive reals only, so it must be a positive
+        real multiple of the i^q the torsion representative's arguments
+        give.  Up to a positive real, v^-k is conj(v)^k: all over Z[i].
         """
         for k in self.problem.act_characters:
-            val = QI(1)
-            for ki, v in zip(k, diag):
-                if ki:
-                    val = val * v ** ki
             want = 4 * sum((ki * a for ki, a in zip(k, self.g0_args)), Fraction(0))
             if want.denominator != 1:
                 return False
-            root = FOURTH_ROOTS[want.numerator % 4]
-            # conjugation-twisted actions move character values by positive
-            # reals only, which never mixes the quarter-root fibres
-            q = val / root
-            if not q.is_real() or q.re <= 0:
+            re, im = 1, 0
+            for ki, (a, b) in zip(k, diag):
+                b = b if ki > 0 else -b
+                for _ in range(abs(ki)):
+                    re, im = re * a - im * b, re * b + im * a
+            for _ in range(want.numerator % 4):  # times i^-1
+                re, im = im, -re
+            if im or re <= 0:
                 return False
         return True
 
@@ -367,13 +369,11 @@ def enumerate_iwahori(datum: GroupDatum, bound: int, sides: Sequence[Side] = (TH
     """For each side, by its name, the classes at every admissible
     t^lambda * w with |lambda_i| <= bound, in (lambda, w) order.  The sides
     share one enumeration and one torus problem per Weyl element."""
-    bases = {side: base_datum(datum, side) for side in sides}
     problems = {}
     out = {side.name: [] for side in sides}
     for tw in enumerate_admissible_tw(datum, bound):
         if tw.w not in problems:
             problems[tw.w] = build_torus_problem(datum, tw.w)
-        for side, base in bases.items():
-            out[side.name].extend(carry_from_base(cls, datum)
-                                  for cls in problems[tw.w].classes(tw, base, side))
+        for side in sides:
+            out[side.name].extend(classes_at_tw(datum, tw, side, problems[tw.w]))
     return out

@@ -55,7 +55,7 @@ from typing import List, Sequence
 
 from .errors import InvalidInputError, PrecisionError
 from .gaussian import QI, ZERO, ONE, MINUS_ONE
-from .intlat import eliminate
+from .intlat import invert
 
 
 class Entry:
@@ -719,13 +719,12 @@ class SeriesMatrix(_Matrix):
         inverse of the constant term, lifted by Newton-Schulz steps
         x <- x * (2 - a * x), short products that double the terms known
         (Schulz, ZAMM 13, 1933)."""
-        n, p = self.n, self.precision
-        eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        rows, pivots, _ = eliminate([r + e for r, e in zip(self.constant_matrix(), eye)])
-        if self.val() < 0 or pivots != list(range(n)):
+        p = self.precision
+        inv = invert(self.constant_matrix())
+        if self.val() < 0 or inv is None:
             raise InvalidInputError("series matrix not invertible in G(O) (a negative "
                                     "exponent or a singular constant term)")
-        x = [[Entry.term(0, c) for c in r[n:]] for r in rows]
+        x = [[Entry.term(0, c) for c in r] for r in inv]
         known = 1
         while known < p:
             known = min(2 * known, p)

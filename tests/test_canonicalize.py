@@ -247,20 +247,22 @@ def test_inner_twist_transports(family, n, twist, eps):
              QI(Fraction(8, 17), Fraction(-15, 17))]
     k = LaurentMatrix.diag_scalars(units[:n])
     for tw in enumerate_admissible_tw(d, 1):
-        for cls in classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w)):
+        classes = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
+        for cls in classes:
             if cls.loop_rep is None:
                 continue
             x = k * cls.loop_rep * gc.apply_eta_inv(k, d)
-            form = iwahori_reduce_eta(tw, tw.loop().inverse() * x, d, cls.problem)
+            form = iwahori_reduce_eta(tw, tw.loop().inverse() * x, d, classes)
             assert form.orbit_class.g0_args == cls.g0_args
             h = form.certificate
             assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
-        for cls in classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w)):
+        classes = classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w))
+        for cls in classes:
             if cls.loop_rep is None:
                 continue
             x = k * cls.loop_rep * gc.apply_theta_inv(k, d)
             form = iwahori_reduce_theta(
-                tw, SeriesMatrix.from_laurent(tw.loop().inverse() * x, 12), d, cls.problem)
+                tw, SeriesMatrix.from_laurent(tw.loop().inverse() * x, 12), d, classes)
             assert form.orbit_class.g0_args == cls.g0_args
             h, r = form.certificate, form.residual_precision
             xs = SeriesMatrix.from_laurent(x, 12)
@@ -299,13 +301,14 @@ def test_inner_twist_bytes(tmp_path, capsys):
             for tw in enumerate_admissible_tw(d, 1):
                 for side, reduce in ((gc.ETA, iwahori_reduce_eta),
                                      (gc.THETA, iwahori_reduce_theta)):
-                    for cls in classes_at_tw(d, tw, side, build_torus_problem(d, tw.w)):
+                    classes = classes_at_tw(d, tw, side, build_torus_problem(d, tw.w))
+                    for cls in classes:
                         if cls.loop_rep is None:
                             continue
                         g = tw.loop().inverse() * cls.loop_rep
                         if side is gc.THETA:
                             g = SeriesMatrix.from_laurent(g, 12)
-                        docs.append(canonical_form_to_json(reduce(tw, g, d, cls.problem)))
+                        docs.append(canonical_form_to_json(reduce(tw, g, d, classes)))
     assert hashlib.sha256(dumps(docs).encode()).hexdigest() == TWISTED_DIGEST
 
 
@@ -374,14 +377,16 @@ def test_tau_maps_land_in_sector_one():
 def test_iwahori_reducers():
     d = gc.build_datum("split_gl", 2, 1)
     tw = AffineWeylElement.of((2, 1), (0, 1))
-    for cls in classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w)):
+    classes = classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w))
+    for cls in classes:
         g = tw.loop().inverse() * cls.loop_rep
-        form = iwahori_reduce_eta(tw, g, d, cls.problem)
+        form = iwahori_reduce_eta(tw, g, d, classes)
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
         assert gc.is_anti_fixed_eta(form.loop_rep, d)
-    for cls in classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w)):
+    classes = classes_at_tw(d, tw, gc.THETA, build_torus_problem(d, tw.w))
+    for cls in classes:
         g = SeriesMatrix.from_laurent(tw.loop().inverse() * cls.loop_rep, 8)
-        form = iwahori_reduce_theta(tw, g, d, cls.problem)
+        form = iwahori_reduce_theta(tw, g, d, classes)
         assert tuple(form.orbit_class.g0_args) == tuple(cls.g0_args)
 
 
@@ -394,7 +399,7 @@ def test_non_unipotent_eta_defect_is_invalid_input():
                                     [QI(Fraction(4, 5)), QI(Fraction(-3, 5))]])
     assert gc.is_anti_fixed_eta(tw.loop() * g, d)
     with pytest.raises(InvalidInputError, match="not unipotent"):
-        iwahori_reduce_eta(tw, g, d, build_torus_problem(d, tw.w))
+        iwahori_reduce_eta(tw, g, d, classes_at_tw(d, tw, gc.ETA, build_torus_problem(d, tw.w)))
 
 
 # eta-anti-fixed unitary loops that are not invertible over Q(i)[t, t^-1]:
@@ -547,8 +552,9 @@ def test_positioned_iwahori_reductions_golden():
     assert any(side == "eta" for side, *_ in cases)
     docs = []
     for side, d, tw, cls, x, g in cases:
+        classes = classes_at_tw(d, tw, gc.SIDES[side], cls.problem)
         if side == "theta":
-            form = iwahori_reduce_theta(tw, g, d, cls.problem)
+            form = iwahori_reduce_theta(tw, g, d, classes)
             h, r = form.certificate, form.residual_precision
             # r certifies the positioned factor t~w^-1 * x, whose rows carry
             # t^-lam_i against the loop's
@@ -557,7 +563,7 @@ def test_positioned_iwahori_reductions_golden():
             lhs = tw_inv * h * xs * gc.apply_theta_inv(h, d)
             assert lhs.retruncate(r) == SeriesMatrix.from_laurent(form.g0, r)
         else:
-            form = iwahori_reduce_eta(tw, g, d, cls.problem)
+            form = iwahori_reduce_eta(tw, g, d, classes)
             h = form.certificate
             assert h * x * gc.apply_eta_inv(h, d) == form.loop_rep
         assert form.orbit_class.g0_args == cls.g0_args
@@ -589,8 +595,7 @@ def test_iwahori_theta_stall_raises_precision_error(monkeypatch):
         if dirty:
             break
     g = SeriesMatrix.from_laurent(dirty[0], 16)
-    problem = build_torus_problem(d, tw.w)
-    assert iwahori_reduce_theta(tw, g, d, problem).residual_precision is not None
+    assert iwahori_reduce_theta(tw, g, d, classes).residual_precision is not None
     monkeypatch.setattr(canonicalize, "_theta_layer_steps", lambda *args: [])
     with pytest.raises(PrecisionError, match="stalled"):
-        iwahori_reduce_theta(tw, g, d, problem)
+        iwahori_reduce_theta(tw, g, d, classes)

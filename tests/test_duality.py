@@ -1,11 +1,13 @@
 """Matched pairs: counts, component groups, sampled intersections."""
 
+import sys
+from dataclasses import replace
 from math import factorial
 
 import pytest
 
 import loopmatsuki.group_catalog as gc
-from loopmatsuki import iwahori_orbits, selftest
+from loopmatsuki import duality, selftest
 from loopmatsuki.duality import (
     finite_matsuki,
     match_iwahori,
@@ -57,25 +59,77 @@ def test_iwahori_matching():
         assert tuple(pair.theta_class.g0_args) == tuple(pair.eta_class.g0_args)
 
 
+def _refuse_tables(monkeypatch):
+    """Make every builder of a class table or torus problem fail, in each
+    library module that holds it."""
+    for name in ("classify_theta", "classify_eta", "classes_at_tw", "build_torus_problem"):
+        def refuse(*args, name=name):
+            pytest.fail(f"verify_intersection called {name}")
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("loopmatsuki.") and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+
+
+def _u11():
+    return gc.pure_inner_twist(gc.build_datum("unitary", 2, 1),
+                               LaurentMatrix.diag_scalars([1, -1]))
+
+
 @pytest.mark.parametrize("eps,twisted", [(1, False), (-1, False), (1, True)],
                          ids=["split_gl-eps1", "split_gl-eps-1", "U(1,1)"])
 def test_iwahori_verification_reuses_the_pairs_torus_problem(monkeypatch, eps, twisted):
-    # a torus problem depends on (family, n, w) alone, so both reducers of
-    # every sample run on the one the pair's classes carry
-    if twisted:
-        d = gc.pure_inner_twist(gc.build_datum("unitary", 2, 1),
-                                LaurentMatrix.diag_scalars([1, -1]))
-    else:
-        d = gc.build_datum("split_gl", 2, eps)
+    # a pair holds every class of both sides at its t~w, so the reducers of
+    # every sample look their classes up there and build no table
+    d = _u11() if twisted else gc.build_datum("split_gl", 2, eps)
     pairs = match_iwahori(d, 1)
-
-    def refuse(*args):
-        pytest.fail("verify_intersection built a torus problem")
-
-    monkeypatch.setattr(iwahori_orbits, "build_torus_problem", refuse)
+    _refuse_tables(monkeypatch)
     reports = [verify_intersection(p, 2, 11) for p in pairs if p.common_rep is not None]
     assert len(reports) == len(pairs)
     assert all(r == {"samples": 2, "failures": []} for r in reports)
+
+
+@pytest.mark.parametrize("family,eps", [("split_gl", 1), ("unitary", 1),
+                                        ("quaternionic_gl", -1), ("U(1,1)", 1)])
+def test_spherical_verification_reuses_the_pairs_classes(monkeypatch, family, eps):
+    # the spherical twin: each sample's class is looked up among the pair's
+    # classes at its lambda, so no sample classifies
+    d = _u11() if family == "U(1,1)" else gc.build_datum(family, 2, eps)
+    pairs = [p for p in match_spherical(d, 1) if p.common_rep is not None]
+    assert pairs
+    _refuse_tables(monkeypatch)
+    for pair in pairs:
+        assert verify_intersection(pair, 3, 5) == {"samples": 3, "failures": []}
+
+
+def test_a_sample_in_another_class_reports_its_label(monkeypatch):
+    # unitary n = 2 has three classes at lambda = (0, 0): a pair whose
+    # representative is another class's puts every sample there, and the
+    # lookup in the pair's classes must tell the classes apart
+    d = gc.build_datum("unitary", 2, 1)
+    pairs = [p for p in match_spherical(d, 0) if p.theta_class.lam == (0, 0)]
+    assert len(pairs) == 3 and len(pairs[0].eta_classes) == 3
+    wrong = replace(pairs[0], common_rep=pairs[1].common_rep)
+    _refuse_tables(monkeypatch)
+    report = verify_intersection(wrong, 2, 3)
+    assert [f["reason"] for f in report["failures"]] == [
+        f"eta label moved: {pairs[1].eta_class.label} != {pairs[0].eta_class.label}"] * 2
+
+
+@pytest.mark.parametrize("side", ["eta", "theta"])
+def test_a_sample_at_another_lambda_reports_it(monkeypatch, side):
+    # equal labels occur at different lambda (split_gl's Sym|Sym), and the
+    # pair's classes hold at its own lambda only: a reducer that lands a
+    # sample at another lambda, label kept, must be reported
+    d = gc.build_datum("split_gl", 2, 1)
+    pair = next(p for p in match_spherical(d, 1) if p.common_rep is not None)
+    reduce = getattr(duality, f"canonicalize_{side}")
+    moved = tuple(v + 1 for v in pair.theta_class.lam)
+    monkeypatch.setattr(duality, f"canonicalize_{side}",
+                        lambda *args: replace(reduce(*args), lam=moved))
+    report = verify_intersection(pair, 2, 1)
+    assert [f["reason"] for f in report["failures"]] == [
+        f"{side} lambda moved: {moved} != {pair.theta_class.lam}"] * 2
 
 
 def test_twisted_matching():
@@ -104,11 +158,14 @@ def test_iwahori_verification_with_negative_coweight_entry():
     tw = AffineWeylElement.of((-1, 1, 1, 1), (1, 0, 2, 3))
     args = (0, 0, 0, Fraction(1, 2))
     problem = build_torus_problem(d, tw.w)
-    (th,) = [c for c in classes_at_tw(d, tw, gc.THETA, problem) if tuple(c.g0_args) == args]
-    (et,) = [c for c in classes_at_tw(d, tw, gc.ETA, problem) if tuple(c.g0_args) == args]
+    thetas = tuple(classes_at_tw(d, tw, gc.THETA, problem))
+    etas = tuple(classes_at_tw(d, tw, gc.ETA, problem))
+    (th,) = [c for c in thetas if tuple(c.g0_args) == args]
+    (et,) = [c for c in etas if tuple(c.g0_args) == args]
     rep = et.loop_rep
     assert gc.is_anti_fixed_theta(rep, d) and gc.is_anti_fixed_eta(rep, d)
-    pair = MatchedPair(theta_class=th, eta_class=et, common_rep=rep, level="iwahori")
+    pair = MatchedPair(theta_class=th, eta_class=et, common_rep=rep, level="iwahori",
+                       theta_classes=thetas, eta_classes=etas)
     assert verify_intersection(pair, 2, 1) == {"samples": 2, "failures": []}
 
 

@@ -174,8 +174,9 @@ def test_classes_and_forms_carry_side_strings():
         for lam in enumerate_admissible(d, 1):
             spherical["theta"] += classify_theta(d, lam)
             spherical["eta"] += classify_eta(d, lam)
+        every = enumerate_iwahori(d, 1)
         iwahori = {name: [c for c in classes if c.loop_rep is not None]
-                   for name, classes in enumerate_iwahori(d, 1).items()}
+                   for name, classes in every.items()}
         theta_rep = SeriesMatrix.from_laurent(spherical["theta"][0].loop_rep, 12)
         forms = [canonicalize_eta(spherical["eta"][0].loop_rep, d),
                  canonicalize_theta(theta_rep, d)]
@@ -183,7 +184,7 @@ def test_classes_and_forms_carry_side_strings():
                                    (iwahori_reduce_theta, iwahori["theta"][0], False)):
             g = cls.tw.loop().inverse() * cls.loop_rep
             forms.append(reduce(cls.tw, g if exact else SeriesMatrix.from_laurent(g, 12), d,
-                                cls.problem))
+                                [c for c in every[cls.side] if c.tw == cls.tw]))
         objs = forms + [form.orbit_class for form in forms]
         objs += [c for table in (spherical, iwahori) for cs in table.values() for c in cs]
         for obj in objs:

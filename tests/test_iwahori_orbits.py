@@ -1,10 +1,13 @@
+import functools
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from loopmatsuki import canonicalize, cli, duality, iwahori_orbits
 from loopmatsuki import group_catalog as gc
@@ -18,7 +21,7 @@ from loopmatsuki.iwahori_orbits import (
     build_torus_problem, classes_at_tw, enumerate_admissible_tw, enumerate_iwahori,
     qi_quarter,
 )
-from loopmatsuki.gaussian import QI
+from loopmatsuki.gaussian import FOURTH_ROOTS, QI
 from loopmatsuki.laurent import LaurentMatrix
 from test_intlat import kernel_basis
 
@@ -64,6 +67,80 @@ IWAHORI_DATA = [(f, n, eps) for f, n in (("split_gl", 3), ("unitary", 3),
 
 def _datum(family, n, eps):
     return _u11() if family == "U(1,1)" else gc.build_datum(family, n, eps)
+
+
+def _contains_oracle(cls, diag):
+    """IwahoriClass.contains over Q(i): each character's value on the diagonal
+    diag of QI, over the quarter root that the class's arguments give, must
+    be a positive real."""
+    for k in cls.problem.act_characters:
+        val = QI(1)
+        for ki, v in zip(k, diag):
+            if ki:
+                val = val * v ** ki
+        want = 4 * sum((ki * a for ki, a in zip(k, cls.g0_args)), Fraction(0))
+        if want.denominator != 1:
+            return False
+        q = val / FOURTH_ROOTS[want.numerator % 4]
+        if not q.is_real() or q.re <= 0:
+            return False
+    return True
+
+
+def _numerators(v):
+    """(re, im) of v over the lcm of its denominators: a positive real multiple."""
+    d = lcm(v.re.denominator, v.im.denominator)
+    return int(v.re * d), int(v.im * d)
+
+
+@functools.cache
+def _all_iwahori_classes():
+    # at z = 1 every class's character values are +-1; unitary data at
+    # z = -1 and z = i add the odd quarter turns
+    data = [_datum(f, n, eps) for f, n, eps in IWAHORI_DATA + [("U(1,1)", 2, 1)]]
+    data += [gc.build_datum("unitary", 2, 1, -1), gc.build_datum("unitary", 2, -1, QI(0, 1))]
+    return [c for d in data for classes in enumerate_iwahori(d, 1).values() for c in classes]
+
+
+def test_every_representative_lies_in_its_own_class_alone():
+    # a twisted class's representative is carried off the base datum, whose
+    # torus element membership reads, so the untwisted data alone here
+    classes = [c for c in _all_iwahori_classes()
+               if gc.base_datum(c.datum, gc.SIDES[c.side]) is c.datum]
+    assert any(x < 0 for c in classes for k in c.problem.act_characters for x in k)
+    for cls in classes:
+        if cls.g0 is None:
+            continue
+        diag = [_numerators(cls.g0.coeff(i, i, 0)) for i in range(cls.datum.n)]
+        at_tw = [c for c in classes if (c.datum, c.side, c.tw) == (cls.datum, cls.side, cls.tw)]
+        assert [c for c in at_tw if c.contains(diag)] == [cls]
+
+
+_PYTHAGOREAN = [QI(Fraction(3, 5), Fraction(4, 5)), QI(Fraction(5, 13), Fraction(-12, 13)),
+                QI(Fraction(-8, 17), Fraction(15, 17))]  # units of infinite order
+_BIG = st.integers(-10 ** 30, 10 ** 30)
+_FACTORS = st.one_of(
+    st.sampled_from(FOURTH_ROOTS + tuple(_PYTHAGOREAN)),
+    st.builds(lambda a, b: QI(Fraction(a, b)), st.integers(1, 10 ** 30), st.integers(1, 10 ** 30)),
+    st.builds(lambda a, b, d: QI(Fraction(a, d), Fraction(b, d)), _BIG, _BIG,
+              st.integers(1, 10 ** 30)).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_integer_membership_matches_the_qi_oracle(data):
+    # a diagonal is a class representative's (when it has one) times
+    # Gaussian rationals: roots of unity, units of infinite order, positive
+    # rationals, which keep membership, and anything at all
+    cls = data.draw(st.sampled_from(_all_iwahori_classes()))
+    n = cls.datum.n
+    diag = [cls.g0.coeff(i, i, 0) if cls.g0 is not None else QI(1) for i in range(n)]
+    for i in range(n):
+        for f in data.draw(st.lists(_FACTORS, max_size=3)):
+            diag[i] = diag[i] * f
+    member = _contains_oracle(cls, diag)
+    event("member" if member else "not a member")
+    assert cls.contains([_numerators(v) for v in diag]) == member
 
 
 @pytest.mark.parametrize("family,n,eps", IWAHORI_DATA + [("U(1,1)", 2, 1)])
@@ -124,24 +201,23 @@ def test_one_torus_problem_per_weyl_element(builds, monkeypatch, tmp_path, capsy
 
 
 def test_match_iwahori_class_builds_once(builds):
-    # a class's torus problem matches every reduced element at its t~w
+    # looking a reduced element up among its t~w's classes builds nothing
     d = gc.build_datum("split_gl", 2, 1)
     for tw in enumerate_admissible_tw(d, 1):
         builds.clear()
         problem = iwahori_orbits.build_torus_problem(d, tw.w)
-        for cls in classes_at_tw(d, tw, gc.ETA, problem):
+        classes = classes_at_tw(d, tw, gc.ETA, problem)
+        for cls in classes:
             if cls.g0 is None:
                 continue
-            form = canonicalize._torus_form(d, tw, gc.ETA, tw.loop(), cls.g0, None, None,
-                                            cls.problem)
-            assert form.orbit_class == cls
+            assert canonicalize._torus_class(cls.g0, classes) == cls
         assert builds == [tw.w]
 
 
 def test_twisted_iwahori_reduction_builds_once(builds):
-    # the twisted reduction hands the caller's problem to the base datum and
-    # transports the base class it matched: the table and every reduction
-    # at one t~w share one torus problem
+    # the twisted reduction reduces at the base datum and picks the class
+    # from the caller's table: the table and every reduction at one t~w
+    # share one torus problem
     d = _u11()
     tw = AffineWeylElement.of((0, 0), (0, 1))
     builds.clear()
@@ -149,7 +225,7 @@ def test_twisted_iwahori_reduction_builds_once(builds):
     assert len(classes) == 4 and all(c.loop_rep is not None for c in classes)
     for cls in classes:
         form = canonicalize.iwahori_reduce_eta(tw, tw.loop().inverse() * cls.loop_rep, d,
-                                               cls.problem)
+                                               classes)
         assert form.orbit_class == cls
     assert builds == [tw.w]
 
