@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 from . import group_catalog as gc
 from .canonicalize import canonicalize_eta, iwahori_reduce_eta
-from .coweight_orbits import classify_eta, enumerate_admissible, eps_lambda
+from .coweight_orbits import enumerate_spherical, eps_lambda
 from .errors import InvalidInputError, certify
 from .gaussian import QI
 from .group_catalog import GroupDatum
@@ -103,8 +103,7 @@ def enumerate_bundles(datum: GroupDatum, bound: int) -> List[RealBundleDatum]:
     w1_inv = datum.w1.inverse()
     return [RealBundleDatum(epsilon=datum.epsilon, z=datum.z, splitting=cls.lam,
                             gluing=cls.g0 * w1_inv, aut_label=cls.aut_label or "unlabeled")
-            for lam in enumerate_admissible(datum, bound)
-            for cls in classify_eta(datum, lam)]
+            for cls in enumerate_spherical(datum, bound, (gc.ETA,))["eta"]]
 
 
 def kottwitz_validate(p: KottwitzPoint, datum: GroupDatum) -> bool:
@@ -139,13 +138,11 @@ def kottwitz_to_loop(p: KottwitzPoint, datum: GroupDatum) -> LaurentMatrix:
 def enumerate_kottwitz(datum: GroupDatum, bound: int) -> List[KottwitzPoint]:
     """One Kottwitz point per eta-class up to the coweight bound."""
     out = []
-    for lam in enumerate_admissible(datum, bound):
-        for cls in classify_eta(datum, lam):
-            p = KottwitzPoint(lam=lam,
-                              g=cls.g0 * datum.w1.inverse(), z=datum.z)
-            certify(kottwitz_validate(p, datum),
-                    f"classifier representative at {lam} fails the Kottwitz identities")
-            out.append(p)
+    for cls in enumerate_spherical(datum, bound, (gc.ETA,))["eta"]:
+        p = KottwitzPoint(lam=cls.lam, g=cls.g0 * datum.w1.inverse(), z=datum.z)
+        certify(kottwitz_validate(p, datum),
+                f"classifier representative at {cls.lam} fails the Kottwitz identities")
+        out.append(p)
     return out
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import CertificateError, InvalidInputError, UnsupportedFamilyError, certify
 from .exact_algebra import hermitian_signature
@@ -242,6 +242,19 @@ def classify_theta(datum: GroupDatum, lam: Sequence[int]) -> List[SphericalClass
 
 def classify_eta(datum: GroupDatum, lam: Sequence[int]) -> List[SphericalClass]:
     return _classify(datum, lam, ETA)
+
+
+def enumerate_spherical(datum: GroupDatum, bound: int, sides: Sequence[Side] = (THETA, ETA)
+                        ) -> Dict[str, List[SphericalClass]]:
+    """For each side, by its name, the classes at every admissible lambda
+    with |lambda_i| <= bound, in lambda order.  The classifiers are looked up
+    when this runs, so a caller that rebinds one is heard."""
+    classify = {THETA: classify_theta, ETA: classify_eta}
+    out = {side.name: [] for side in sides}
+    for lam in enumerate_admissible(datum, bound):
+        for side in sides:
+            out[side.name].extend(classify[side](datum, lam))
+    return out
 
 
 def _classify(datum: GroupDatum, lam: Sequence[int], side: Side) -> List[SphericalClass]:

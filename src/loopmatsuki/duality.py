@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from . import group_catalog as gc
 from .canonicalize import (
@@ -21,8 +20,7 @@ from .canonicalize import (
     iwahori_reduce_eta,
     iwahori_reduce_theta,
 )
-from .coweight_orbits import SphericalClass, classify_eta, classify_theta, \
-    enumerate_admissible
+from .coweight_orbits import SphericalClass, enumerate_spherical
 from .errors import InvalidInputError, certify
 from .exact_algebra import conj_transpose
 from .group_catalog import GroupDatum
@@ -58,54 +56,48 @@ def _common_rep(datum: GroupDatum, *candidates) -> Optional[LaurentMatrix]:
     return None
 
 
-def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
-    """One matched pair per (admissible coweight, label), both levels full."""
+def _match(datum: GroupDatum, classes: Dict[str, List[OrbitClass]], level: str,
+           position: Callable, key: Callable) -> List[MatchedPair]:
+    """The pairs of one level: at each position, sorted, the theta and eta
+    classes of equal key, sorted.  Certifies that each position's keys match
+    one to one and that paired classes have equal component groups."""
+    at = ({}, {})
+    for side_at, side in zip(at, ("theta", "eta")):
+        for c in classes[side]:
+            side_at.setdefault(position(c), []).append(c)
     pairs = []
-    for lam in enumerate_admissible(datum, bound):
-        thetas = {c.label: c for c in classify_theta(datum, lam)}
-        etas = {c.label: c for c in classify_eta(datum, lam)}
-        theta_classes, eta_classes = tuple(thetas.values()), tuple(etas.values())
-        certify(sorted(thetas) == sorted(etas),
-                f"label mismatch at lambda={lam}: "
-                f"theta {sorted(thetas)} vs eta {sorted(etas)}")
-        for label in sorted(thetas):
-            th, et = thetas[label], etas[label]
-            certify(tuple(th.component_group) == tuple(et.component_group),
-                    f"component group mismatch at lambda={lam}, label {label}")
+    for pos in sorted(at[0].keys() | at[1].keys()):
+        theta_classes, eta_classes = (tuple(side_at.get(pos, ())) for side_at in at)
+        theta_keys, eta_keys = ([key(c) for c in cs] for cs in (theta_classes, eta_classes))
+        certify(sorted(theta_keys) == sorted(eta_keys) == sorted(set(eta_keys)),
+                f"classes at {level} position {pos} do not match one to one: "
+                f"theta {sorted(theta_keys)} vs eta {sorted(eta_keys)}")
+        etas = dict(zip(eta_keys, eta_classes))
+        for th in sorted(theta_classes, key=key):
+            et = etas[key(th)]
+            certify(th.component_group == et.component_group,
+                    f"component group mismatch at {level} position {pos}, class {key(th)}")
             pairs.append(MatchedPair(
                 theta_class=th,
                 eta_class=et,
                 common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
-                level="spherical",
+                level=level,
                 theta_classes=theta_classes,
                 eta_classes=eta_classes,
             ))
     return pairs
+
+
+def match_spherical(datum: GroupDatum, bound: int) -> List[MatchedPair]:
+    """One matched pair per (admissible coweight, label)."""
+    return _match(datum, enumerate_spherical(datum, bound), "spherical",
+                  lambda c: c.lam, lambda c: c.label)
 
 
 def match_iwahori(datum: GroupDatum, bound: int) -> List[MatchedPair]:
-    """Pairs at every admissible t~w; both sides share the torus problem."""
-    classes = enumerate_iwahori(datum, bound)
-    thetas, etas = classes["theta"], classes["eta"]
-    certify(len(thetas) == len(etas), "class count mismatch between the sides")
-    # each side's classes come in (lambda, w) order: one run per t~w
-    theta_at, eta_at = ({key: tuple(run) for key, run in groupby(cs, lambda c: (c.tw.lam, c.tw.w))}
-                        for cs in (thetas, etas))
-    pairs = []
-    for key, theta_classes in theta_at.items():
-        eta_classes = eta_at.get(key, ())
-        for th in theta_classes:
-            et = next((c for c in eta_classes if c.g0_args == th.g0_args), None)
-            certify(et is not None, f"unmatched torus class {th.g0_args} at t~w={key}")
-            pairs.append(MatchedPair(
-                theta_class=th,
-                eta_class=et,
-                common_rep=_common_rep(datum, et.loop_rep, th.loop_rep),
-                level="iwahori",
-                theta_classes=theta_classes,
-                eta_classes=eta_classes,
-            ))
-    return pairs
+    """One matched pair per (admissible t~w, torus class)."""
+    return _match(datum, enumerate_iwahori(datum, bound), "iwahori",
+                  lambda c: (c.tw.lam, c.tw.w), lambda c: c.g0_args)
 
 
 def _compact_sample(datum: GroupDatum, level: str, index: int,

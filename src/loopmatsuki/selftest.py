@@ -20,7 +20,8 @@ from .bundles_kottwitz import (
     twist_kottwitz,
 )
 from .canonicalize import canonicalize_eta, canonicalize_theta, tau_theta
-from .coweight_orbits import blocks_of, classify_eta, classify_theta, enumerate_admissible
+from .coweight_orbits import blocks_of, classify_eta, classify_theta, enumerate_admissible, \
+    enumerate_spherical
 from .duality import finite_matsuki, match_iwahori, match_spherical, verify_intersection
 from .errors import certify
 from .gaussian import QI
@@ -131,21 +132,17 @@ def check_gl1h(bound: int = 2) -> None:
         (cls,) = classes
         certify(tuple(cls.component_group) == () and cls.aut_label == "GL1(H)",
                 f"class at {lam}")
-    dm = _quat(-1)
-    seen = 0
-    for lam in enumerate_admissible(dm, bound):
-        for cls in classify_eta(dm, lam):
-            seen += 1
-            comp = tuple(cls.component_group)
-            aut = cls.aut_label
-            if lam[0] == lam[1] and lam[0] % 2 == 0:
-                certify(comp == () and aut == "GL1(H)", f"{lam}: {comp}, {aut}")
-            elif lam[0] == lam[1]:
-                certify(comp == (2,) and aut == "GL2(R)", f"{lam}: {comp}, {aut}")
-            else:
-                certify(lam[0] % 2 and lam[1] % 2, f"{lam} should be empty")
-                certify(comp == (2, 2) and aut == "R* x R*", f"{lam}: {comp}, {aut}")
-    certify(seen > 0, "quaternionic_gl at epsilon = -1 has no classes")
+    classes = enumerate_spherical(_quat(-1), bound, (gc.ETA,))["eta"]
+    for cls in classes:
+        lam, comp, aut = cls.lam, tuple(cls.component_group), cls.aut_label
+        if lam[0] == lam[1] and lam[0] % 2 == 0:
+            certify(comp == () and aut == "GL1(H)", f"{lam}: {comp}, {aut}")
+        elif lam[0] == lam[1]:
+            certify(comp == (2,) and aut == "GL2(R)", f"{lam}: {comp}, {aut}")
+        else:
+            certify(lam[0] % 2 and lam[1] % 2, f"{lam} should be empty")
+            certify(comp == (2, 2) and aut == "R* x R*", f"{lam}: {comp}, {aut}")
+    certify(len(classes) > 0, "quaternionic_gl at epsilon = -1 has no classes")
 
 
 def check_u2(bound: int = 2) -> None:
@@ -158,13 +155,10 @@ def check_u2(bound: int = 2) -> None:
         classes = classify_eta(d, (mu, -mu))
         certify(len(classes) == 1 and tuple(classes[0].component_group) == ()
                 and classes[0].aut_label == "{(z,zbar)}", f"U(2) class at {(mu, -mu)}")
-    dt = _u11(1)
-    for lam in enumerate_admissible(d, bound):
-        rows = [(c.label, tuple(c.component_group), c.aut_label)
-                for c in classify_eta(d, lam)]
-        rows_t = [(c.label, tuple(c.component_group), c.aut_label)
-                  for c in classify_eta(dt, lam)]
-        certify(rows == rows_t, f"U(2) and U(1,1) tables differ at {lam}")
+    rows, rows_t = ([(c.lam, c.label, tuple(c.component_group), c.aut_label)
+                     for c in enumerate_spherical(x, bound, (gc.ETA,))["eta"]]
+                    for x in (d, _u11(1)))
+    certify(rows == rows_t, "U(2) and U(1,1) eta tables differ")
 
 
 def check_tau_remark() -> None:
@@ -202,19 +196,15 @@ def check_duality(bound: int = 2, samples: int = 20, seed: int = 2026,
                   data: Optional[Sequence[GroupDatum]] = None,
                   level: str = "spherical") -> None:
     """Matched pairs over data (the rank-two catalog by default) at the
-    spherical or Iwahori level: labels, component groups, twists."""
+    spherical or Iwahori level: the matcher certifies labels and component
+    groups, and each exact common representative's twists are checked."""
     match = match_spherical if level == "spherical" else match_iwahori
     for datum in _catalog() if data is None else data:
         for pair in match(datum, bound):
-            th = pair.theta_class
-            at = th.lam if level == "spherical" else (th.tw.lam, th.tw.w)
-            certify(tuple(th.component_group) == tuple(pair.eta_class.component_group),
-                    f"{datum.real_form}: component groups differ at {at}")
             if pair.common_rep is None:
                 continue  # twisted data need not share exact representatives
             report = verify_intersection(pair, samples, seed)
-            certify(not report["failures"], f"{datum.real_form} at {at}: "
-                    f"{report['failures'][:1]}")
+            certify(not report["failures"], f"{datum.real_form}: {report['failures'][:1]}")
 
 
 def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
@@ -222,9 +212,7 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
     """Random twists never move (lambda, label); certificates replay."""
     rng = random.Random(seed)
     data = [_split(1), _split(-1), _quat(-1), _uni(1)]
-    reps = [(d, c) for d in data
-            for lam in enumerate_admissible(d, 1)
-            for c in classify_theta(d, lam)]
+    reps = [(d, c) for d in data for c in enumerate_spherical(d, 1, (gc.THETA,))["theta"]]
     for i in range(theta_twists):
         d, cls = reps[i % len(reps)]
         h = random_arc_element(d.n, precision, rng)
@@ -240,9 +228,7 @@ def check_invariance(theta_twists: int = 100, eta_twists: int = 50,
         r = form.residual_precision
         certify(lhs.retruncate(r) == SeriesMatrix.from_laurent(form.loop_rep, r),
                 "theta certificate replay")
-    reps = [(d, c) for d in data
-            for lam in enumerate_admissible(d, 1)
-            for c in classify_eta(d, lam)]
+    reps = [(d, c) for d in data for c in enumerate_spherical(d, 1, (gc.ETA,))["eta"]]
     for i in range(eta_twists):
         d, cls = reps[i % len(reps)]
         h = random_poly_element(d.n, 3, rng)
@@ -279,8 +265,7 @@ def check_kottwitz(bound: int = 2, hsamples: int = 20, seed: int = 3,
         data = [_split(1), _split(-1), _quat(1), _quat(-1), _uni(1), _uni(-1)]
     for datum in data:
         points = enumerate_kottwitz(datum, bound)
-        total = sum(len(classify_eta(datum, lam))
-                    for lam in enumerate_admissible(datum, bound))
+        total = len(enumerate_spherical(datum, bound, (gc.ETA,))["eta"])
         certify(len(points) == total, f"{datum.real_form}: {len(points)} points, {total} classes")
         labels = []
         for p in points:

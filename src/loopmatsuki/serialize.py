@@ -90,28 +90,19 @@ def _datum_fields(datum) -> dict:
     }
 
 def orbit_row(cls: Union[SphericalClass, IwahoriClass]) -> dict:
-    if isinstance(cls, SphericalClass):
-        row = _datum_fields(cls.datum)
-        row.update({
-            "side": cls.side,
-            "level": "spherical",
-            "lambda": list(cls.lam),
-            "label": cls.label,
-            "component_group": list(cls.component_group),
-            "representative": laurent_to_json(cls.loop_rep),
-        })
-        if cls.aut_label is not None:
-            row["aut_label"] = cls.aut_label
-        return row
+    iwahori = isinstance(cls, IwahoriClass)
     row = _datum_fields(cls.datum)
     row.update({
         "side": cls.side,
-        "level": "iwahori",
-        "lambda": list(cls.tw.lam),
-        "w": list(cls.tw.w),
-        "label": ",".join(str(a) for a in cls.g0_args),
+        "level": "iwahori" if iwahori else "spherical",
+        "lambda": list(cls.tw.lam if iwahori else cls.lam),
+        "label": ",".join(str(a) for a in cls.g0_args) if iwahori else cls.label,
         "component_group": list(cls.component_group),
     })
+    if iwahori:
+        row["w"] = list(cls.tw.w)
+    elif cls.aut_label is not None:
+        row["aut_label"] = cls.aut_label
     if cls.loop_rep is not None:
         row["representative"] = laurent_to_json(cls.loop_rep)
     return row

@@ -282,7 +282,7 @@ def test_unipotent_sqrt_that_fails_to_square_back_is_caught_under_optimize(tmp_p
 # ("match"); either way the CLI must exit 1 and never trace back.
 CLASSIFY_SCRIPT = r"""
 import dataclasses, sys
-from loopmatsuki import cli, coweight_orbits, duality, group_catalog as gc
+from loopmatsuki import cli, coweight_orbits, group_catalog as gc
 from loopmatsuki.errors import CertificateError
 
 mode = sys.argv[1]
@@ -295,8 +295,8 @@ if mode == "classify":
         print("CertificateError:", exc)
     argv = ["orbits", "--family", "split_gl", "--bound", "1"]
 else:
-    classify_eta = duality.classify_eta
-    duality.classify_eta = lambda datum, adm: [
+    classify_eta = coweight_orbits.classify_eta
+    coweight_orbits.classify_eta = lambda datum, adm: [
         dataclasses.replace(c, component_group=c.component_group + (2,))
         for c in classify_eta(datum, adm)]
     print("-")

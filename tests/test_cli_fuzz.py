@@ -22,7 +22,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopmatsuki.cli import main
+from loopmatsuki.cli import MAX_VERIFY_SAMPLES, main
 from loopmatsuki.coweight_orbits import classify_eta, classify_theta, enumerate_admissible
 from loopmatsuki.duality import match_spherical, verify_intersection
 from loopmatsuki.errors import InvalidInputError
@@ -281,6 +281,19 @@ def test_negative_verify_samples_exit_2(level, capsys):
                 if p.common_rep is not None)
     with pytest.raises(InvalidInputError, match="nonnegative"):
         verify_intersection(pair, -3, 0)
+
+
+@pytest.mark.parametrize("level", ["spherical", "iwahori"])
+def test_verify_samples_past_the_limit_exit_2_at_once(level, capsys):
+    # a count of 10^9 used to be admitted and run for days
+    assert MAX_VERIFY_SAMPLES >= 20  # the largest count any test or selftest uses
+    start = time.perf_counter()
+    code = main(["match", "--family", "split_gl", "--level", level,
+                 "--verify-samples", str(MAX_VERIFY_SAMPLES + 1)])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert capsys.readouterr() == ("", f"error: --verify-samples {MAX_VERIFY_SAMPLES + 1} "
+                                       f"is above the limit {MAX_VERIFY_SAMPLES}\n")
 
 
 def _class_reps(family, n, eps):

@@ -6,7 +6,8 @@ import pytest
 from loopmatsuki import canonicalize
 from loopmatsuki import group_catalog as gc
 from loopmatsuki.coweight_orbits import (
-    blocks_of, classify_eta, classify_theta, enumerate_admissible, eps_lambda, middle_label,
+    blocks_of, classify_eta, classify_theta, enumerate_admissible, enumerate_spherical,
+    eps_lambda, middle_label,
 )
 from loopmatsuki.errors import CertificateError, InvalidInputError
 from loopmatsuki.exact_algebra import hermitian_signature
@@ -27,6 +28,27 @@ def test_admissibility_condition():
     assert adm_u == {(0, 0), (1, -1), (2, -2)}
     with pytest.raises(InvalidInputError):
         classify_eta(uni, (1, 0))
+
+
+SPHERICAL_DATA = [(f, n, eps) for f, ns in (("split_gl", (2, 3)), ("quaternionic_gl", (2,)),
+                                            ("unitary", (2, 3)))
+                  for n in ns for eps in (1, -1)] + [("U(1,1)", 2, 1)]
+
+
+@pytest.mark.parametrize("family,n,eps", SPHERICAL_DATA)
+def test_enumerate_spherical_equals_the_classifiers(family, n, eps):
+    # the twin of enumerate_iwahori: each side's classes at every admissible
+    # lambda, in lambda order, alone or beside the other side
+    if family == "U(1,1)":
+        d = gc.pure_inner_twist(gc.build_datum("unitary", 2, eps),
+                                LaurentMatrix.diag_scalars([1, -1]))
+    else:
+        d = gc.build_datum(family, n, eps)
+    for side, classify in ((gc.THETA, classify_theta), (gc.ETA, classify_eta)):
+        want = [c for lam in enumerate_admissible(d, 2) for c in classify(d, lam)]
+        assert want
+        assert enumerate_spherical(d, 2, (side,)) == {side.name: want}
+        assert enumerate_spherical(d, 2)[side.name] == want
 
 
 def test_split_classes_unique_per_lambda():

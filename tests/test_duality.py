@@ -7,13 +7,14 @@ from math import factorial
 import pytest
 
 import loopmatsuki.group_catalog as gc
-from loopmatsuki import duality, selftest
+from loopmatsuki import coweight_orbits, duality, selftest
 from loopmatsuki.duality import (
     finite_matsuki,
     match_iwahori,
     match_spherical,
     verify_intersection,
 )
+from loopmatsuki.errors import CertificateError
 from loopmatsuki.laurent import LaurentMatrix
 
 
@@ -57,6 +58,36 @@ def test_iwahori_matching():
     for pair in pairs:
         assert pair.level == "iwahori"
         assert tuple(pair.theta_class.g0_args) == tuple(pair.eta_class.g0_args)
+
+
+def test_a_class_listed_twice_is_refused(monkeypatch):
+    # each side lists its first class at every lambda twice: a pairing by
+    # label alone would keep one copy of each and drop the other silently
+    for name in ("classify_theta", "classify_eta"):
+        def twice(datum, lam, classify=getattr(coweight_orbits, name)):
+            classes = classify(datum, lam)
+            return classes[:1] + classes
+
+        monkeypatch.setattr(coweight_orbits, name, twice)
+        monkeypatch.setattr(duality, name, twice, raising=False)
+    with pytest.raises(CertificateError, match="do not match one to one"):
+        match_spherical(gc.build_datum("split_gl", 2, 1), 1)
+
+
+def test_an_iwahori_component_group_fault_is_refused(monkeypatch):
+    # one eta class gains a factor 2 in its component group: a pairing by
+    # torus class alone would pair it with a class of another group
+    enumerate_iwahori = duality.enumerate_iwahori
+
+    def faulty(datum, bound):
+        classes = enumerate_iwahori(datum, bound)
+        first = classes["eta"][0]
+        classes["eta"][0] = replace(first, component_group=first.component_group + (2,))
+        return classes
+
+    monkeypatch.setattr(duality, "enumerate_iwahori", faulty)
+    with pytest.raises(CertificateError, match="component group mismatch"):
+        match_iwahori(gc.build_datum("split_gl", 2, 1), 1)
 
 
 def _refuse_tables(monkeypatch):
